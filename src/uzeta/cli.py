@@ -31,6 +31,7 @@ from .rootdata import (
 )
 from .scalars import (
     Localized,
+    is_prime,
     laurent_from_text,
     laurent_to_text,
     localized_from_text,
@@ -69,6 +70,8 @@ class RunConfig:
         if self.type_label == "G2" and self.ell % 3 == 0:
             raise ConfigError("ell must be coprime to 3 in type G2")
         if self.p is not None:
+            if not is_prime(self.p):
+                raise ConfigError(f"p = {self.p} is not a prime")
             if self.p == 2:
                 raise ConfigError("p = 2 is excluded")
             if self.type_label == "G2" and self.p == 3:
@@ -77,6 +80,8 @@ class RunConfig:
                 raise ConfigError("p must not divide ell")
         if self.r > 0 and self.p is None:
             raise ConfigError("higher kernels (r >= 1) need a finite field (--p)")
+        if self.r > 1 or (self.r == 1 and self.type_label != "A1"):
+            raise ConfigError("higher kernels are built for r = 1 in type A1 only")
         if self.strict:
             h = COXETER_NUMBER[self.type_label]
             if self.ell < h:
@@ -351,12 +356,7 @@ def run_suites(cfg: RunConfig, suites: Sequence[str], manifest: List[Dict]) -> L
     tasks = []
     for suite in module_suites:
         for case in manifest:
-            expect = case.get("expect_injective")
-            if suite == "highest":
-                # only full lifts enter the single-root detection corollary
-                tasks.append((suite, case["spec"], expect))
-            else:
-                tasks.append((suite, case["spec"], expect))
+            tasks.append((suite, case["spec"], case.get("expect_injective")))
     if cfg.jobs > 1 and tasks:
         cfg_kwargs = dict(
             type_label=cfg.type_label, ell=cfg.ell, p=cfg.p, r=cfg.r, w0=cfg.w0,
@@ -655,7 +655,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w0", default=None, help="comma-separated reduced word for w0")
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strict", action="store_true", default=True)
     p.add_argument("--permissive", action="store_true")
     p.add_argument("--long-running", action="store_true", dest="long_running")
     p.add_argument("--timing", action="store_true")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .kernelalg import KernelAlgebra, KernelContext
-from .linalg import Eliminator, Vec, kernel_basis, vec_iadd_scaled
+from .linalg import Eliminator, Vec, kernel_basis, vec_add_term
 
 RootVec = Tuple[int, ...]
 
@@ -30,10 +30,6 @@ class GradedBetti:
 
     def betti(self) -> List[int]:
         return [len(ws) for ws in self.degrees]
-
-
-def _weight_of_key(alg: KernelAlgebra, key) -> RootVec:
-    return alg.weight_of_key(key)
 
 
 def _unit_key(alg: KernelAlgebra):
@@ -50,6 +46,7 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
     if kind not in ("u-", "u+"):
         raise ValueError("resolutions are over the one-sided local algebras")
     alg = ctx.algebra(kind)
+    gens = alg.generator_keys()
     unit = _unit_key(alg)
     field = ctx.field
 
@@ -61,17 +58,13 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
     gen_weights = [(0,) * ctx.rank]
 
     for step in range(1, n_max + 1):
-        # minimal homogeneous generators: kernel / rad(A) kernel
+        # minimal homogeneous generators: kernel / rad(A) kernel, where
+        # rad(A) kernel = sum of g kernel over the algebra generators g
+        # (rad(A) = sum g A, and A kernel = kernel)
         rad = Eliminator()
         for vec in kernel:
-            for pos in range(ctx.n):
-                img = _apply_rv(alg, pos, vec)
-                red = rad.reduce(img)
-                if red:
-                    rad.add(red)
-            if ctx.r > 0:
-                img = _apply_divided_gen(alg, vec)
-                red = rad.reduce(img)
+            for gen in gens:
+                red = rad.reduce(_apply_gen(alg, gen, vec))
                 if red:
                     rad.add(red)
         chooser = Eliminator()
@@ -98,12 +91,7 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
                 for (i, bkey), c in h.items():
                     prod = alg.lmul_monomial(akey, {bkey: c})
                     for bk2, c2 in prod.items():
-                        cur = img.get((i, bk2))
-                        cur = c2 if cur is None else cur + c2
-                        if cur:
-                            img[(i, bk2)] = cur
-                        else:
-                            img.pop((i, bk2), None)
+                        vec_add_term(img, (i, bk2), c2)
                 columns.append(((gj, akey), img))
         kernel = []
         for rel in kernel_basis(columns, one=field.one):
@@ -115,40 +103,19 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
     return res
 
 
-def _apply_rv(alg: KernelAlgebra, pos: int, vec: Vec) -> Vec:
-    side = "F" if alg.base.endswith("-") else "E"
+def _apply_gen(alg: KernelAlgebra, gen, vec: Vec) -> Vec:
+    """Left action of an algebra generator on a free-module element."""
     out: Vec = {}
     for (i, key), c in vec.items():
-        img = alg.apply_rv(side, pos, {key: c})
-        for k2, c2 in img.items():
-            cur = out.get((i, k2))
-            cur = c2 if cur is None else cur + c2
-            if cur:
-                out[(i, k2)] = cur
-            else:
-                out.pop((i, k2), None)
-    return out
-
-
-def _apply_divided_gen(alg: KernelAlgebra, vec: Vec) -> Vec:
-    gen = ("Fd0" if alg.base.endswith("-") else "Ed0", 0)
-    out: Vec = {}
-    for (i, key), c in vec.items():
-        img = alg.lmul_gen(gen, {key: c})
-        for k2, c2 in img.items():
-            cur = out.get((i, k2))
-            cur = c2 if cur is None else cur + c2
-            if cur:
-                out[(i, k2)] = cur
-            else:
-                out.pop((i, k2), None)
+        for k2, c2 in alg.lmul_gen(gen, {key: c}).items():
+            vec_add_term(out, (i, k2), c2)
     return out
 
 
 def _vec_weight(alg: KernelAlgebra, gen_weights: List[RootVec], vec: Vec) -> RootVec:
     wts = set()
     for (i, key) in vec:
-        w = _weight_of_key(alg, key)
+        w = alg.weight_of_key(key)
         wts.add(tuple(a + b for a, b in zip(w, gen_weights[i])))
     if len(wts) != 1:
         raise AssertionError(f"syzygy vector is not homogeneous: {sorted(wts)}")

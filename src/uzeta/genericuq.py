@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import Eliminator, SpanSolver, vec_iadd_scaled
+from .linalg import Eliminator, SpanSolver, vec_add_term
 from .rootdata import ConvexOrder, RootDatum, build_root_datum
 from .scalars import (
     L_ONE,
@@ -56,12 +56,7 @@ def q_power(n: int) -> QFraction:
 def el_add(a: Elt, b: Elt) -> Elt:
     out = dict(a)
     for w, c in b.items():
-        s = out.get(w)
-        s = c if s is None else s + c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
+        vec_add_term(out, w, c)
     return out
 
 
@@ -76,14 +71,7 @@ def el_mul(a: Elt, b: Elt) -> Elt:
     out: Elt = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            w = wa + wb
-            c = ca * cb
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            vec_add_term(out, wa + wb, ca * cb)
     return out
 
 
@@ -182,12 +170,7 @@ class UqGeneric:
             for mid, c in mid_terms:
                 sub = self.normal_order_word(left + mid + right)
                 for key, c2 in sub.items():
-                    s = acc.get(key)
-                    s = c * c2 if s is None else s + c * c2
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
+                    vec_add_term(acc, key, c * c2)
 
         if a[0] == "K" and b[0] == "F":
             mu, j = a[1], b[1]
@@ -219,12 +202,7 @@ class UqGeneric:
         out: Triangular = {}
         for w, c in elt.items():
             for key, c2 in self.normal_order_word(w).items():
-                s = out.get(key)
-                s = c * c2 if s is None else s + c * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                vec_add_term(out, key, c * c2)
         return out
 
     def project_side(self, elt: Elt, side: str) -> SideElt:
@@ -271,11 +249,8 @@ class UqGeneric:
                     nw.append(("K", tuple(-x for x in l[1])))
                 else:
                     nw.append(l)
-            key = tuple(nw)
-            s = out.get(key)
-            s = c if s is None else s + c
-            out[key] = s
-        return {w: c for w, c in out.items() if c}
+            vec_add_term(out, tuple(nw), c)
+        return out
 
     # ------------------------------------------------------------------
     # braid operators
@@ -328,9 +303,8 @@ class UqGeneric:
                 coeff = c1 * c2 * q_power(s * di)
             if s % 2:
                 coeff = -coeff
-            cur = out.get(word)
-            out[word] = coeff if cur is None else cur + coeff
-        return {w: c for w, c in out.items() if c}
+            vec_add_term(out, word, coeff)
+        return out
 
     def braid_apply(self, i: int, elt: Elt, inverse: bool = False, compress: bool = True) -> Elt:
         out: Elt = {}
@@ -358,23 +332,15 @@ class UqGeneric:
                 if ew:
                     ered = self.weight_space(self.word_weight(ew)).reduce({ew: cf})
                 for ew2, ce in ered.items():
-                    key = (fw2, kv, ew2)
-                    cur = reduced.get(key)
-                    cur = ce if cur is None else cur + ce
-                    if cur:
-                        reduced[key] = cur
-                    else:
-                        reduced.pop(key, None)
+                    vec_add_term(reduced, (fw2, kv, ew2), ce)
         out: Elt = {}
         zero_k = (0,) * self.datum.rank
         for (fw, kv, ew), c in reduced.items():
             word = tuple(("F", n) for n in fw)
             if kv != zero_k:
                 word = word + (("K", kv),)
-            word = word + tuple(("E", n) for n in ew)
-            cur = out.get(word)
-            out[word] = c if cur is None else cur + c
-        return {w: c for w, c in out.items() if c}
+            vec_add_term(out, word + tuple(("E", n) for n in ew), c)
+        return out
 
     # ------------------------------------------------------------------
     # root vectors
@@ -513,14 +479,7 @@ class UqGeneric:
                 nxt: SideElt = {}
                 for w, c in out.items():
                     for w2, c2 in rvs[i].items():
-                        w3 = w + w2
-                        cc = c * c2
-                        s = nxt.get(w3)
-                        s = cc if s is None else s + cc
-                        if s:
-                            nxt[w3] = s
-                        else:
-                            nxt.pop(w3, None)
+                        vec_add_term(nxt, w + w2, c * c2)
                 out = nxt
         return out
 
@@ -533,12 +492,7 @@ class UqGeneric:
         for nu, part in by_weight.items():
             ctx = self.pbw_context(order, side, nu)
             for exp, c in ctx.expand(part).items():
-                cur = out.get(exp)
-                cur = c if cur is None else cur + c
-                if cur:
-                    out[exp] = cur
-                else:
-                    out.pop(exp, None)
+                vec_add_term(out, exp, c)
         return out
 
     # ------------------------------------------------------------------
@@ -575,12 +529,8 @@ class UqGeneric:
                                 self.alpha(word[t]), self.alpha(word[s])
                             )
             kv = self.word_weight(right)
-            key = (kv, left, right)
-            c = q_power(power)
-            cur = out.get(key)
-            cur = c if cur is None else cur + c
-            out[key] = cur
-        return {k: c for k, c in out.items() if c}
+            vec_add_term(out, (kv, left, right), q_power(power))
+        return out
 
     def comultiply_E(self, order: ConvexOrder, m: int):
         """Delta(E_{gamma_m}) in PBW (x) PBW coordinates, grouped by bi-weight.
@@ -593,11 +543,7 @@ class UqGeneric:
             for (kv, left, right), c2 in self.comultiply_word(w).items():
                 mu = self.word_weight(left)
                 nu = kv
-                grouped.setdefault((mu, nu), {})
-                cur = grouped[(mu, nu)].get((left, right))
-                cc = c * c2
-                cur = cc if cur is None else cur + cc
-                grouped[(mu, nu)][(left, right)] = cur
+                vec_add_term(grouped.setdefault((mu, nu), {}), (left, right), c * c2)
         out: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict] = {}
         for (mu, nu), terms in grouped.items():
             ctxL = self.pbw_context(order, "E", mu)
@@ -605,20 +551,11 @@ class UqGeneric:
             mat: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], QFraction] = {}
             # expand left and right words in PBW coordinates
             for (left, right), c in terms.items():
-                if not c:
-                    continue
                 el = ctxL.expand({left: qf(1)})
                 er = ctxR.expand({right: qf(1)})
                 for eL, cL in el.items():
                     for eR, cR in er.items():
-                        key = (eL, eR)
-                        cc = c * cL * cR
-                        cur = mat.get(key)
-                        cur = cc if cur is None else cur + cc
-                        if cur:
-                            mat[key] = cur
-                        else:
-                            mat.pop(key, None)
+                        vec_add_term(mat, (eL, eR), c * cL * cR)
             if mat:
                 out[(mu, nu)] = mat
         return out
@@ -667,14 +604,7 @@ class UqGeneric:
                         nxt: SideElt = {}
                         for w, c in term.items():
                             for w2, c2 in rvs[pos - 1].items():
-                                w3 = w + w2
-                                cc = c * c2
-                                cur = nxt.get(w3)
-                                cur = cc if cur is None else cur + cc
-                                if cur:
-                                    nxt[w3] = cur
-                                else:
-                                    nxt.pop(w3, None)
+                                vec_add_term(nxt, w + w2, c * c2)
                         term = nxt
                 red = ws.reduce(term)
                 if elim.add(red) is not None:
@@ -832,11 +762,7 @@ def build_structure_table(uq: UqGeneric, order: ConvexOrder) -> StructureTable:
             prod: SideElt = {}
             for w1, c1 in rvs_e[j - 1].items():
                 for w2, c2 in rvs_e[i - 1].items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    cur = prod.get(w)
-                    cur = c if cur is None else cur + c
-                    prod[w] = cur
+                    vec_add_term(prod, w1 + w2, c1 * c2)
             coords = uq.pbw_expand(order, prod, "E")
             pairing = datum.pair_roots(order.gammas[i - 1], order.gammas[j - 1])
             lead_exp = tuple(

@@ -1,8 +1,9 @@
 """Specialization at a root of unity and finite-dimensional kernel algebras.
 
 A ``KernelContext`` fixes a root system, a convex order, a residue field
-containing the primitive root, and the kernel level r (r >= 1 needs
-positive characteristic).  It memoizes all straightening data:
+containing the primitive root, and the kernel level r (r = 1 needs
+positive characteristic and type A1; r >= 2 is not built).  It also
+describes each algebra kind once, as an ``AlgebraKind``.  It memoizes all straightening data:
 
 * specialized commutation tables for plain root vectors,
 * root-vector expansions into words of simple generators,
@@ -19,12 +20,13 @@ Products are computed generator-by-generator; no dim^2 tables are built.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .genericuq import UqGeneric, generic_uq
-from .linalg import Eliminator, Mat, Vec, kernel_basis, mat_apply, vec_iadd_scaled
+from .linalg import Eliminator, Mat, Vec, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
 from .rootdata import ConvexOrder, RootDatum, build_root_datum, convex_order
 from .scalars import Laurent, QFraction, q_binom, q_factorial, q_int, s_generator
 
@@ -75,6 +77,8 @@ class KernelContext:
         self.r = r
         if r > 0 and field.char == 0:
             raise ValueError("higher kernels need positive characteristic")
+        if r > 1 or (r == 1 and order.datum.label != "A1"):
+            raise ValueError("higher kernels are built for r = 1 in type A1 only")
         self.p = field.char
         self.cap = self.ell * (self.p ** r if r else 1)
         self.n = self.datum.n_positive
@@ -108,6 +112,7 @@ class KernelContext:
         self._kbinom: Dict[Tuple[int, int], Dict[int, object]] = {}
         self._lmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
         self._rmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
+        self._kinds: Dict[str, "AlgebraKind"] = {}
         self._algebras: Dict[str, "KernelAlgebra"] = {}
 
     # -- scalar helpers --------------------------------------------------
@@ -189,13 +194,7 @@ class KernelContext:
 
         def absorb(subword, coeff):
             for e2, c2 in self.reduce_word(side, subword).items():
-                cc = coeff * c2
-                cur = acc.get(e2)
-                cur = cc if cur is None else cur + cc
-                if cur:
-                    acc[e2] = cur
-                else:
-                    acc.pop(e2, None)
+                vec_add_term(acc, e2, coeff * c2)
 
         absorb(pre + (lo, hi) + post, lead)
         for exp, c in tail.items():
@@ -219,13 +218,9 @@ class KernelContext:
                     f = f * self.qfact(a, self.d_gamma[i])
             if dead:
                 continue
-            if not f:
-                continue
-            cc = c * f
-            if cc:
-                cur = out.get(exp)
-                out[exp] = cc if cur is None else cur + cc
-        return {e: c for e, c in out.items() if c}
+            if f:
+                vec_add_term(out, exp, c * f)
+        return out
 
     def lmul_rv(self, side: str, s: int, exp: FExp) -> Dict[FExp, object]:
         """Divided coordinates of (plain root vector at position s) * X^{(exp)}."""
@@ -280,14 +275,7 @@ class KernelContext:
                 nxt: Dict[Tuple[int, ...], object] = {}
                 for w, c in terms.items():
                     for w2, c2 in rv:
-                        ww = w + w2
-                        cc = c * c2
-                        cur = nxt.get(ww)
-                        cur = cc if cur is None else cur + cc
-                        if cur:
-                            nxt[ww] = cur
-                        else:
-                            nxt.pop(ww, None)
+                        vec_add_term(nxt, w + w2, c * c2)
                 terms = nxt
             inv = self.field.one / self.qfact(a, self.d_gamma[i])
             terms = {w: c * inv for w, c in terms.items()}
@@ -312,23 +300,11 @@ class KernelContext:
         dj = self.datum.d[j]
         denom = self.zeta_pow(dj) - self.zeta_pow(-dj)
         acc: Dict[Tuple[FExp, KExp, int], object] = {}
-
-        def add(fexp, kv, has_e, c):
-            if not c:
-                return
-            k = (fexp, kv, has_e)
-            cur = acc.get(k)
-            cur = c if cur is None else cur + c
-            if cur:
-                acc[k] = cur
-            else:
-                acc.pop(k, None)
-
         zero_kv = (0,) * self.rank
         for word, c in self.mono_simple_words("F", exp):
             # pass-through term: E_j survives on the right
             for fexp, cw in self.plain_to_divided(self.reduce_word("F", self._simple_word_positions(word))).items():
-                add(fexp, zero_kv, 1, c * cw)
+                vec_add_term(acc, (fexp, zero_kv, 1), c * cw)
             # commutator terms at each matching letter
             for t, i in enumerate(word):
                 if i != j:
@@ -345,7 +321,7 @@ class KernelContext:
                         scal = -scal
                     plain = self.reduce_word("F", self._simple_word_positions(rest))
                     for fexp, cw in self.plain_to_divided(plain).items():
-                        add(fexp, kv, 0, c * scal * cw)
+                        vec_add_term(acc, (fexp, kv, 0), c * scal * cw)
         out = tuple(sorted(acc.items()))
         self._push_ef[key] = out
         return out
@@ -364,22 +340,10 @@ class KernelContext:
         dj = self.datum.d[j]
         denom = self.zeta_pow(dj) - self.zeta_pow(-dj)
         acc: Dict[Tuple[int, KExp, FExp], object] = {}
-
-        def add(has_f, kv, eexp, c):
-            if not c:
-                return
-            k = (has_f, kv, eexp)
-            cur = acc.get(k)
-            cur = c if cur is None else cur + c
-            if cur:
-                acc[k] = cur
-            else:
-                acc.pop(k, None)
-
         zero_kv = (0,) * self.rank
         for word, c in self.mono_simple_words("E", exp):
             for eexp, cw in self.plain_to_divided(self.reduce_word("E", self._simple_word_positions(word))).items():
-                add(1, zero_kv, eexp, c * cw)
+                vec_add_term(acc, (1, zero_kv, eexp), c * cw)
             for t, i in enumerate(word):
                 if i != j:
                     continue
@@ -398,7 +362,7 @@ class KernelContext:
                         scal = -scal
                     plain = self.reduce_word("E", self._simple_word_positions(rest))
                     for eexp, cw in self.plain_to_divided(plain).items():
-                        add(0, kv, eexp, c * scal * cw)
+                        vec_add_term(acc, (0, kv, eexp), c * scal * cw)
         out = tuple(sorted(acc.items()))
         self._push_fe[key] = out
         return out
@@ -446,12 +410,38 @@ class KernelContext:
 
     # -- algebras ----------------------------------------------------------
 
+    def algebra_kind(self, kind: str) -> "AlgebraKind":
+        hit = self._kinds.get(kind)
+        if hit is None:
+            hit = AlgebraKind.of(self, kind)
+            self._kinds[kind] = hit
+        return hit
+
     def algebra(self, kind: str) -> "KernelAlgebra":
         hit = self._algebras.get(kind)
         if hit is None:
             hit = KernelAlgebra(self, kind)
             self._algebras[kind] = hit
         return hit
+
+    def divided_rank1(self, side: str, a: int, vec: Vec, apply: Callable[[GenKey, Vec], Vec]) -> Vec:
+        """X^{(a)} on vec in rank one at r = 1, through generator actions.
+
+        X^{(a)} = (1/(a1! [a0]!)) (X^{(ell)})^{a1} X^{a0} with a = a1*ell + a0;
+        ``apply(gen, vec)`` acts by one generator key (side is 'F' or 'E').
+        """
+        a1, a0 = divmod(a, self.ell)
+        cur = vec
+        for _ in range(a0):
+            cur = apply((side, 0), cur)
+        for _ in range(a1):
+            cur = apply((side + "d0", 0), cur)
+        unit = self.field.one
+        for i in range(2, a1 + 1):
+            unit = unit * self.field.from_int(i)
+        unit = unit * self.qfact(a0, self.d_gamma[0])
+        inv = self.field.one / unit
+        return {k: v * inv for k, v in cur.items()}
 
 
 def parse_kind(kind: str) -> Tuple[str, Optional[int], Optional[str]]:
@@ -462,8 +452,73 @@ def parse_kind(kind: str) -> Tuple[str, Optional[int], Optional[str]]:
         return "Am", int(kind.split(":")[1]), None
     if kind.startswith("root:"):
         _, s, side = kind.split(":")
-        return "root", int(s), side
+        if side in ("-", "+"):
+            return "root", int(s), side
     raise ValueError(f"unknown algebra descriptor {kind!r}")
+
+
+@dataclass(frozen=True)
+class AlgebraKind:
+    """What an algebra descriptor means in one context.
+
+    ``f_caps`` / ``e_caps`` bound the divided-power exponent at each
+    convex-order position (0: that root vector is absent).  ``generators``
+    lists the generator keys, all F before all E, without the torus: the
+    simple F_j / E_j for g, b± and u±, the plain root vectors Frv / Erv
+    for the local kinds Am:m and root:s:±.  At r = 1 (rank one) the root
+    vector is the simple generator, followed by its divided partner
+    X^{(ell)} (``Fd0`` / ``Ed0``).  ``side`` is '-' for the F-only kinds,
+    '+' for the E-only kinds and None for g.
+    """
+
+    base: str
+    m: Optional[int]
+    side: Optional[str]
+    f_caps: Tuple[int, ...]
+    e_caps: Tuple[int, ...]
+    torus: bool
+    dim: int
+    is_local: bool
+    generators: Tuple[GenKey, ...]
+
+    @classmethod
+    def of(cls, ctx: KernelContext, name: str) -> "AlgebraKind":
+        base, m, side = parse_kind(name)
+        n, cap = ctx.n, ctx.cap
+        full, none = (cap,) * n, (0,) * n
+        torus = base in ("g", "b-", "b+")
+        if base == "g":
+            f_caps, e_caps = full, full
+        elif base in ("b-", "u-"):
+            f_caps, e_caps = full, none
+        elif base in ("b+", "u+"):
+            f_caps, e_caps = none, full
+        else:
+            if not 1 <= m <= n:
+                raise ValueError(f"{name}: position {m} is outside 1..{n}")
+            if base == "Am":
+                f_caps, e_caps = tuple(cap if i < m else 0 for i in range(n)), none
+            else:
+                line = tuple(cap if i == m - 1 else 0 for i in range(n))
+                f_caps, e_caps = (line, none) if side == "-" else (none, line)
+        if base in ("Am", "root"):
+            gens = [("Frv", s) for s in range(n) if f_caps[s]]
+            gens += [("Erv", s) for s in range(n) if e_caps[s]]
+        else:
+            gens = [("F", j) for j in range(ctx.rank) if any(f_caps)]
+            gens += [("E", j) for j in range(ctx.rank) if any(e_caps)]
+        if ctx.r:
+            # rank one: the root vector at position 0 is the simple one
+            gens = [(kd[0], j) for kd, j in gens]
+            gens += [(kd + "d0", j) for kd, j in gens]
+        dim = math.prod(c for c in f_caps + e_caps if c) * (ctx.ell ** ctx.rank if torus else 1)
+        side = None if any(f_caps) and any(e_caps) else ("-" if any(f_caps) else "+")
+        return cls(base, m, side, f_caps, e_caps, torus, dim, not torus, tuple(gens))
+
+    def exponents(self, side: str) -> List[FExp]:
+        """Every divided-power exponent vector of the F or E part, in order."""
+        caps = self.f_caps if side == "F" else self.e_caps
+        return list(itertools.product(*(range(c) if c else (0,) for c in caps)))
 
 
 class KernelAlgebra:
@@ -472,12 +527,8 @@ class KernelAlgebra:
     def __init__(self, ctx: KernelContext, kind: str):
         self.ctx = ctx
         self.kind = kind
-        base, m, side = parse_kind(kind)
-        self.base, self.m, self.side = base, m, side
-        n, rank, cap, ell = ctx.n, ctx.rank, ctx.cap, ctx.ell
-        if ctx.r > 0 and n > 1:
-            raise ValueError("higher kernels are only built in rank one")
-        if ctx.r > 0 and base in ("g", "b-", "b+"):
+        self.desc = desc = ctx.algebra_kind(kind)
+        if ctx.r > 0 and desc.torus:
             # the higher-kernel torus contains K-binomials of depth >= ell
             # and is not the group algebra; torus-extended higher kernels
             # are reached through their graded covers and modules instead
@@ -485,37 +536,11 @@ class KernelAlgebra:
                 f"{kind} at r={ctx.r}: torus-extended higher kernels are "
                 "modeled through weight-graded covers, not a PBW basis"
             )
-        f_caps = [0] * n
-        e_caps = [0] * n
-        torus = False
-        if base == "g":
-            f_caps = [cap] * n
-            e_caps = [cap] * n
-            torus = True
-        elif base == "b-":
-            f_caps = [cap] * n
-            torus = True
-        elif base == "b+":
-            e_caps = [cap] * n
-            torus = True
-        elif base == "u-":
-            f_caps = [cap] * n
-        elif base == "u+":
-            e_caps = [cap] * n
-        elif base == "Am":
-            assert m is not None and 1 <= m <= n
-            f_caps = [cap if i < m else 0 for i in range(n)]
-        elif base == "root":
-            assert m is not None and 1 <= m <= n
-            if side == "-":
-                f_caps = [cap if i == m - 1 else 0 for i in range(n)]
-            else:
-                e_caps = [cap if i == m - 1 else 0 for i in range(n)]
-        self.f_caps, self.e_caps, self.torus = f_caps, e_caps, torus
-        fparts = list(itertools.product(*(range(c) if c else (0,) for c in f_caps)))
-        eparts = list(itertools.product(*(range(c) if c else (0,) for c in e_caps)))
+        fparts, eparts = desc.exponents("F"), desc.exponents("E")
         kparts = (
-            list(itertools.product(range(ell), repeat=rank)) if torus else [(0,) * rank]
+            list(itertools.product(range(ctx.ell), repeat=ctx.rank))
+            if desc.torus
+            else [(0,) * ctx.rank]
         )
         self.basis: List[BasisKey] = [
             (f, k, e) for f in fparts for k in kparts for e in eparts
@@ -528,30 +553,9 @@ class KernelAlgebra:
     # -- structural data ---------------------------------------------------
 
     def generator_keys(self) -> List[GenKey]:
-        ctx = self.ctx
-        out: List[GenKey] = []
-        if self.base in ("g", "b-", "u-"):
-            out += [("F", j) for j in range(ctx.rank)]
-        if self.base in ("g", "b+", "u+"):
-            out += [("E", j) for j in range(ctx.rank)]
-        if self.torus:
-            out += [("K", j) for j in range(ctx.rank)]
-        if self.base == "Am":
-            out = [("Frv", s) for s in range(self.m)]
-        if self.base == "root":
-            s = self.m - 1
-            out = [("Frv" if self.side == "-" else "Erv", s)]
-        if ctx.r > 0:
-            # rank one only; positions and simple indices coincide
-            remap = {"Frv": "F", "Erv": "E"}
-            out = [(remap.get(kd, kd), j) for kd, j in out]
-            extra: List[GenKey] = []
-            for kind, j in out:
-                if kind == "F":
-                    extra += [("Fd%d" % i, j) for i in range(ctx.r)]
-                elif kind == "E":
-                    extra += [("Ed%d" % i, j) for i in range(ctx.r)]
-            out += extra
+        out = list(self.desc.generators)
+        if self.desc.torus:
+            out += [("K", j) for j in range(self.ctx.rank)]
         return out
 
     def one(self) -> Vec:
@@ -586,16 +590,16 @@ class KernelAlgebra:
 
     def _check_key(self, fexp, kexp, eexp) -> Optional[BasisKey]:
         for i, a in enumerate(fexp):
-            if a and not self.f_caps[i]:
+            if a and not self.desc.f_caps[i]:
                 raise ArithmeticError(f"product left algebra {self.kind}: F exp {fexp}")
             if a >= self.ctx.cap:
                 return None
         for i, a in enumerate(eexp):
-            if a and not self.e_caps[i]:
+            if a and not self.desc.e_caps[i]:
                 raise ArithmeticError(f"product left algebra {self.kind}: E exp {eexp}")
             if a >= self.ctx.cap:
                 return None
-        if any(kexp) and not self.torus:
+        if any(kexp) and not self.desc.torus:
             raise ArithmeticError(f"product left algebra {self.kind}: K exp {kexp}")
         return (tuple(fexp), self.ctx.kmod(kexp), tuple(eexp))
 
@@ -624,14 +628,8 @@ class KernelAlgebra:
             if not c:
                 return
             bk = self._check_key(fexp, kexp, eexp)
-            if bk is None:
-                return
-            cur = out.get(bk)
-            cur = c if cur is None else cur + c
-            if cur:
-                out[bk] = cur
-            else:
-                out.pop(bk, None)
+            if bk is not None:
+                vec_add_term(out, bk, c)
 
         if kind == "K":
             # K_j slides right past the F-part into its slot
@@ -681,16 +679,14 @@ class KernelAlgebra:
                 for eexp, ce in ctx.lmul_rv("E", pos, e).items():
                     put(f, k, eexp, k_cost * ce)
             return out
-        if kind.startswith("Fd") or kind.startswith("Ed"):
-            # divided power generators X^{(p^i ell)}: rank one, one-sided
+        if kind in ("Fd0", "Ed0"):
+            # divided power generators X^{(ell)}: rank one, one-sided
             # algebra kinds only, so this is pure power collection
-            assert ctx.n == 1, "divided generators are rank-one only"
-            level = int(kind[2:])
-            nn = ctx.ell * (ctx.p ** level)
-            a = f[0] if kind.startswith("Fd") else e[0]
+            nn = ctx.ell
+            a = f[0] if kind == "Fd0" else e[0]
             c = ctx.qbin(a + nn, nn, ctx.d_gamma[0])
             if a + nn < ctx.cap and c:
-                if kind.startswith("Fd"):
+                if kind == "Fd0":
                     put((a + nn,), k, e, c)
                 else:
                     put(f, k, (a + nn,), c)
@@ -705,15 +701,8 @@ class KernelAlgebra:
                 f, k, e = key
                 for fexp, cf in self.ctx.lmul_rv("F", pos, f).items():
                     bk = self._check_key(fexp, k, e)
-                    if bk is None:
-                        continue
-                    cur = out.get(bk)
-                    cc = c * cf
-                    cur = cc if cur is None else cur + cc
-                    if cur:
-                        out[bk] = cur
-                    else:
-                        out.pop(bk, None)
+                    if bk is not None:
+                        vec_add_term(out, bk, c * cf)
             return out
         out = {}
         for word, c in self.ctx.rv_words["E"][pos]:
@@ -721,12 +710,7 @@ class KernelAlgebra:
             for i2 in reversed(word):
                 cur = self.lmul_gen(("E", i2), cur)
             for kk, cc in cur.items():
-                prev = out.get(kk)
-                prev = cc if prev is None else prev + cc
-                if prev:
-                    out[kk] = prev
-                else:
-                    out.pop(kk, None)
+                vec_add_term(out, kk, cc)
         return out
 
     def lmul_monomial(self, key: BasisKey, vec: Vec) -> Vec:
@@ -739,8 +723,8 @@ class KernelAlgebra:
             a = e[pos]
             if not a:
                 continue
-            if ctx.n == 1 and ctx.r > 0:
-                cur = self._lmul_divided_rank1("E", a, cur)
+            if ctx.r:
+                cur = ctx.divided_rank1("E", a, cur, self.lmul_gen)
                 continue
             for _ in range(a):
                 cur = self.apply_rv("E", pos, cur)
@@ -754,45 +738,20 @@ class KernelAlgebra:
                 f2, k2, e2 = bk
                 scal = ctx.zeta_pow(-ctx.pair(mu, ctx.weight_of_fexp(f2)))
                 nk = tuple((a + b) % ctx.ell for a, b in zip(k2, k))
-                bk2 = (f2, nk, e2)
-                cc = c * scal
-                curv = nxt.get(bk2)
-                curv = cc if curv is None else curv + cc
-                nxt[bk2] = curv
-            cur = {kk: v for kk, v in nxt.items() if v}
+                vec_add_term(nxt, (f2, nk, e2), c * scal)
+            cur = nxt
         for pos in range(ctx.n - 1, -1, -1):
             a = f[pos]
             if not a:
                 continue
-            if ctx.n == 1 and ctx.r > 0:
-                cur = self._lmul_divided_rank1("F", a, cur)
+            if ctx.r:
+                cur = ctx.divided_rank1("F", a, cur, self.lmul_gen)
                 continue
             for _ in range(a):
                 cur = self.apply_rv("F", pos, cur)
             inv = ctx.field.one / ctx.qfact(a, ctx.d_gamma[pos])
             cur = {kk: v * inv for kk, v in cur.items()}
         return cur
-
-    def _lmul_divided_rank1(self, side: str, a: int, vec: Vec) -> Vec:
-        """Rank-one left multiplication by X^{(a)} via generator decomposition.
-
-        X^{(a)} = (1/(a1! [a0]!)) (X^{(ell)})^{a1} X^{a0} with a = a1*ell + a0.
-        """
-        ctx = self.ctx
-        a1, a0 = divmod(a, ctx.ell)
-        cur = vec
-        base = ("F", 0) if side == "F" else ("E", 0)
-        dgen = ("Fd0", 0) if side == "F" else ("Ed0", 0)
-        for _ in range(a0):
-            cur = self.lmul_gen(base, cur)
-        for _ in range(a1):
-            cur = self.lmul_gen(dgen, cur)
-        unit = ctx.field.one
-        for i in range(2, a1 + 1):
-            unit = unit * ctx.field.from_int(i)
-        unit = unit * ctx.qfact(a0, ctx.d_gamma[0])
-        inv = ctx.field.one / unit
-        return {k: v * inv for k, v in cur.items()}
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
         out: Vec = {}
@@ -822,10 +781,8 @@ class KernelAlgebra:
                 if bk is not None:
                     out[bk] = c * scal
             return out
-        if kind.startswith("Fd") or kind.startswith("Frvd"):
-            assert ctx.n == 1
-            i_level = int("".join(ch for ch in kind if ch.isdigit()) or 0)
-            nn = ctx.ell * (ctx.p ** i_level)
+        if kind == "Fd0":
+            nn = ctx.ell
             a = f[0]
             c = ctx.qbin(a + nn, nn, ctx.d_gamma[0])
             if a + nn < ctx.cap and c:
@@ -837,8 +794,8 @@ class KernelAlgebra:
 
     def integral_element(self) -> Vec:
         """The top monomial spanning the invariants of an A_m-type algebra."""
-        assert self.base in ("Am", "u-", "root")
-        top = tuple(c - 1 if c else 0 for c in self.f_caps)
+        assert self.desc.base in ("Am", "u-", "root")
+        top = tuple(c - 1 if c else 0 for c in self.desc.f_caps)
         return {(top, (0,) * self.ctx.rank, (0,) * self.ctx.n): self.ctx.field.one}
 
     def socle_check(self) -> Tuple[int, bool]:
@@ -875,11 +832,12 @@ class KernelAlgebra:
         The augmentation ideal is generated as a one-sided ideal by the
         first m plain root vectors, so only B x_s and x_s B are needed.
         """
-        assert self.base == "Am"
+        assert self.desc.base == "Am"
         ctx = self.ctx
-        bigger = ctx.algebra(f"Am:{self.m + 1}") if self.m < ctx.n else ctx.algebra("u-")
+        m = self.desc.m
+        bigger = ctx.algebra(f"Am:{m + 1}") if m < ctx.n else ctx.algebra("u-")
         left, right = Eliminator(), Eliminator()
-        for s in range(self.m):
+        for s in range(m):
             x = tuple(1 if t == s else 0 for t in range(ctx.n))
             xv = {(x, (0,) * ctx.rank, (0,) * ctx.n): ctx.field.one}
             for b in bigger.basis:
@@ -897,7 +855,7 @@ class KernelAlgebra:
         flip = {"u-": "u+", "u+": "u-", "b-": "b+", "b+": "b-", "g": "g"}
         if self.kind in flip:
             return flip[self.kind]
-        if self.base == "root":
-            side = "+" if self.side == "-" else "-"
-            return f"root:{self.m}:{side}"
+        if self.desc.base == "root":
+            side = "+" if self.desc.side == "-" else "-"
+            return f"root:{self.desc.m}:{side}"
         raise ValueError(f"omega mirror of {self.kind} undefined")

@@ -15,6 +15,17 @@ Vec = Dict[Hashable, Any]
 Mat = Dict[Hashable, Vec]
 
 
+def vec_add_term(u: Vec, k: Hashable, c) -> None:
+    """u[k] += c in place, dropping the entry when it cancels."""
+    y = u.get(k)
+    if y is not None:
+        c = y + c
+    if c:
+        u[k] = c
+    else:
+        u.pop(k, None)
+
+
 def vec_iadd_scaled(u: Vec, v: Vec, c) -> Vec:
     """u += c*v in place (c may be zero); returns u."""
     if not c:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .kernelalg import BasisKey, GenKey, KernelContext
-from .linalg import Eliminator, LinearSystem, Mat, SpanSolver, Vec, kernel_basis, mat_apply, vec_iadd_scaled
+from .linalg import Eliminator, LinearSystem, Mat, SpanSolver, Vec, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
 
 Weight = Tuple[int, ...]
 
@@ -51,6 +51,23 @@ class WeightedModule:
         if mat is None:
             raise KeyError(f"{self.label} carries no action of {gen}")
         return mat_apply(mat, vec)
+
+    def generator_matrix(self, gen: GenKey) -> Mat:
+        """Column matrix of an algebra generator key (see ``AlgebraKind``).
+
+        ``Frv`` / ``Erv`` are plain root vectors at a convex-order position,
+        built through ``act_rv``; every other key is a stored action.
+        """
+        kind, pos = gen
+        if kind in ("Frv", "Erv"):
+            one = self.ctx.field.one
+            return {
+                j: col for j in range(self.dim) if (col := self.act_rv(kind[0], pos, {j: one}))
+            }
+        mat = self.actions.get(gen)
+        if mat is None:
+            raise KeyError(f"{self.label} carries no action of {gen}")
+        return mat
 
     def k_eigen(self, j: int, i: int):
         """Eigenvalue of K_{alpha_j} on basis vector i."""
@@ -85,21 +102,8 @@ class WeightedModule:
         ctx = self.ctx
         if n == 0:
             return dict(vec)
-        if ctx.r > 0:
-            assert ctx.n == 1
-            a1, a0 = divmod(n, ctx.ell)
-            kind = "E" if side == "E" else "F"
-            cur = dict(vec)
-            for _ in range(a0):
-                cur = self.act_gen((kind, 0), cur)
-            for _ in range(a1):
-                cur = self.act_gen((kind + "d0", 0), cur)
-            unit = ctx.field.one
-            for i in range(2, a1 + 1):
-                unit = unit * ctx.field.from_int(i)
-            unit = unit * ctx.qfact(a0, ctx.d_gamma[0])
-            inv = ctx.field.one / unit
-            return {k: v * inv for k, v in cur.items()}
+        if ctx.r:
+            return ctx.divided_rank1(side, n, vec, self.act_gen)
         cur = dict(vec)
         for _ in range(n):
             cur = self.act_rv(side, pos, cur)
@@ -133,13 +137,12 @@ class WeightedModule:
         ctx = self.ctx
         shifts = {"E": 1, "F": -1}
         for (kind, j), mat in self.actions.items():
-            base = kind[0]
-            mult = 1 if len(kind) == 1 else ctx.ell * (ctx.p ** int(kind[2:]))
+            mult = 1 if len(kind) == 1 else ctx.ell
             alpha_w = ctx.datum.root_to_weight(ctx.datum.simple_roots[j])
             for col, column in mat.items():
                 for row, c in column.items():
                     want = tuple(
-                        a + shifts[base] * mult * b
+                        a + shifts[kind[0]] * mult * b
                         for a, b in zip(self.weights[col], alpha_w)
                     )
                     if self.weights[row] != want:
@@ -167,12 +170,7 @@ class WeightedModule:
                         lam = self.weights[idx]
                         e = lam[i] * di
                         scal = (ctx.zeta_pow(e) - ctx.zeta_pow(-e)) / denom
-                        cur = dif.get(idx, ctx.field.zero)
-                        cur = cur - c * scal
-                        if cur:
-                            dif[idx] = cur
-                        else:
-                            dif.pop(idx, None)
+                        vec_add_term(dif, idx, -(c * scal))
                 if dif:
                     raise ModuleCheckError(
                         f"{self.label}: [E_{i+1}, F_{j+1}] relation fails"
@@ -230,15 +228,14 @@ def trivial_module(ctx: KernelContext) -> WeightedModule:
     zero = (0,) * ctx.rank
     acts: Dict[GenKey, Mat] = {("E", j): {} for j in range(ctx.rank)}
     acts.update({("F", j): {} for j in range(ctx.rank)})
-    if ctx.r > 0:
-        acts.update({("Ed%d" % i, 0): {} for i in range(ctx.r)})
-        acts.update({("Fd%d" % i, 0): {} for i in range(ctx.r)})
+    if ctx.r:
+        acts.update({("Ed0", 0): {}, ("Fd0", 0): {}})
     return WeightedModule(ctx, (zero,), acts, frozenset({"torus", "borel-", "borel+", "big"}), "trivial")
 
 
 def onedim_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
     m = trivial_module(ctx)
-    period = ctx.ell * (ctx.p ** ctx.r if ctx.r else 1)
+    period = ctx.cap
     if any((lam[j] * ctx.datum.d[j]) % period for j in range(ctx.rank)):
         raise ValueError(f"onedim weight {lam} does not kill the kernel algebra")
     flags = {"torus", "borel-", "borel+"}
@@ -267,19 +264,18 @@ def verma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
             if col:
                 mat[index[a]] = col
         acts[("F", j)] = mat
-    if ctx.r > 0:
-        for lev in range(ctx.r):
-            nn = ctx.ell * (ctx.p ** lev)
-            mat = {}
-            for a in fexps:
-                c = ctx.qbin(a[0] + nn, nn, ctx.d_gamma[0])
-                if a[0] + nn < ctx.cap and c:
-                    mat[index[a]] = {index[(a[0] + nn,)]: c}
-            acts[("Fd%d" % lev, 0)] = mat
-    # E action: push through the F part and evaluate K at the top weight
-    for j in range(ctx.rank):
+    if ctx.r:
+        nn = ctx.ell
         mat = {}
-        if ctx.r == 0:
+        for a in fexps:
+            c = ctx.qbin(a[0] + nn, nn, ctx.d_gamma[0])
+            if a[0] + nn < ctx.cap and c:
+                mat[index[a]] = {index[(a[0] + nn,)]: c}
+        acts[("Fd0", 0)] = mat
+    # E action: push through the F part and evaluate K at the top weight
+    if ctx.r == 0:
+        for j in range(ctx.rank):
+            mat = {}
             for a in fexps:
                 col: Vec = {}
                 for (a2, kv, has_e), c in ctx.push_E_through_F(j, a):
@@ -287,39 +283,22 @@ def verma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
                         continue  # E kills the highest vector
                     mu = ctx.k_to_root_coords(kv)
                     scal = c * ctx.zeta_pow(ctx.datum.pair_weight_root(lam, mu))
-                    cur = col.get(index[a2])
-                    cur = scal if cur is None else cur + scal
-                    if cur:
-                        col[index[a2]] = cur
-                    else:
-                        col.pop(index[a2], None)
+                    vec_add_term(col, index[a2], scal)
                 if col:
                     mat[index[a]] = col
             acts[("E", j)] = mat
-        else:
-            for lev in [None] + list(range(ctx.r)):
-                m_e = 1 if lev is None else ctx.ell * (ctx.p ** lev)
-                mat = {}
-                d0 = ctx.d_gamma[0]
-                for a in fexps:
-                    nn = a[0]
-                    col = {}
-                    for f_t, c_off, t, e_t in ctx.mixed_rank1_terms(m_e, nn):
-                        if e_t:
-                            continue
-                        lam_hat = lam[0] * d0
-                        val = ctx.gauss_binom(lam_hat + c_off, t)
-                        if val:
-                            cur = col.get(index[(f_t,)])
-                            cur = val if cur is None else cur + val
-                            if cur:
-                                col[index[(f_t,)]] = cur
-                            else:
-                                col.pop(index[(f_t,)], None)
-                    if col:
-                        mat[index[a]] = col
-                acts[("E", 0) if lev is None else ("Ed%d" % lev, 0)] = mat
-            break
+    else:
+        lam_hat = lam[0] * ctx.d_gamma[0]
+        for gen, m_e in ((("E", 0), 1), (("Ed0", 0), ctx.ell)):
+            mat = {}
+            for a in fexps:
+                col = {}
+                for f_t, c_off, t, e_t in ctx.mixed_rank1_terms(m_e, a[0]):
+                    if not e_t:
+                        vec_add_term(col, index[(f_t,)], ctx.gauss_binom(lam_hat + c_off, t))
+                if col:
+                    mat[index[a]] = col
+            acts[gen] = mat
     return WeightedModule(
         ctx, tuple(weights), acts, frozenset({"torus", "borel-", "borel+"}),
         f"verma({_lam_str(lam)})",
@@ -347,19 +326,18 @@ def coverma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
                     continue
                 mat.setdefault(i2, {})[index[cexp]] = coeff
         acts[("E", j)] = mat
-    if ctx.r > 0:
-        for lev in range(ctx.r):
-            nn = ctx.ell * (ctx.p ** lev)
-            mat = {}
-            for cexp in eexps:
-                coeff = ctx.qbin(cexp[0] + nn, nn, ctx.d_gamma[0])
-                if cexp[0] + nn < ctx.cap and coeff:
-                    mat.setdefault(index[(cexp[0] + nn,)], {})[index[cexp]] = coeff
-            acts[("Ed%d" % lev, 0)] = mat
-    # (F_j . f)(E^{(c')}) = f(E^{(c')} F_j); the B-part acts through lam
-    for j in range(ctx.rank):
+    if ctx.r:
+        nn = ctx.ell
         mat = {}
-        if ctx.r == 0:
+        for cexp in eexps:
+            coeff = ctx.qbin(cexp[0] + nn, nn, ctx.d_gamma[0])
+            if cexp[0] + nn < ctx.cap and coeff:
+                mat.setdefault(index[(cexp[0] + nn,)], {})[index[cexp]] = coeff
+        acts[("Ed0", 0)] = mat
+    # (F_j . f)(E^{(c')}) = f(E^{(c')} F_j); the B-part acts through lam
+    if ctx.r == 0:
+        for j in range(ctx.rank):
+            mat = {}
             for cexp in eexps:
                 for (has_f, kv, c2), coeff in ctx.push_F_through_E(j, cexp):
                     if has_f:
@@ -369,39 +347,21 @@ def coverma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
                         continue
                     mu = ctx.k_to_root_coords(kv)
                     scal = coeff * ctx.zeta_pow(ctx.datum.pair_weight_root(lam, mu))
-                    col = mat.setdefault(i2, {})
-                    cur = col.get(index[cexp])
-                    cur = scal if cur is None else cur + scal
-                    if cur:
-                        col[index[cexp]] = cur
-                    else:
-                        col.pop(index[cexp], None)
+                    vec_add_term(mat.setdefault(i2, {}), index[cexp], scal)
             acts[("F", j)] = mat
-        else:
-            d0 = ctx.d_gamma[0]
-            for lev in [None] + list(range(ctx.r)):
-                n_f = 1 if lev is None else ctx.ell * (ctx.p ** lev)
-                mat = {}
-                for cexp in eexps:
-                    m_e = cexp[0]
-                    for f_t, c_off, t, e_t in ctx.mixed_rank1_terms(m_e, n_f):
-                        if f_t:
-                            continue
-                        i2 = index.get((e_t,))
-                        if i2 is None:
-                            continue
-                        lam_hat = lam[0] * d0
-                        val = ctx.gauss_binom(lam_hat + c_off, t)
-                        if val:
-                            col = mat.setdefault(i2, {})
-                            cur = col.get(index[cexp])
-                            cur = val if cur is None else cur + val
-                            if cur:
-                                col[index[cexp]] = cur
-                            else:
-                                col.pop(index[cexp], None)
-                acts[("F", 0) if lev is None else ("Fd%d" % lev, 0)] = mat
-            break
+    else:
+        lam_hat = lam[0] * ctx.d_gamma[0]
+        for gen, n_f in ((("F", 0), 1), (("Fd0", 0), ctx.ell)):
+            mat = {}
+            for cexp in eexps:
+                for f_t, c_off, t, e_t in ctx.mixed_rank1_terms(cexp[0], n_f):
+                    i2 = index.get((e_t,))
+                    if f_t or i2 is None:
+                        continue
+                    val = ctx.gauss_binom(lam_hat + c_off, t)
+                    if val:
+                        vec_add_term(mat.setdefault(i2, {}), index[cexp], val)
+            acts[gen] = mat
     return WeightedModule(
         ctx, tuple(weights), acts, frozenset({"torus", "borel-", "borel+"}),
         f"coverma({_lam_str(lam)})",
@@ -414,18 +374,17 @@ def dual_module(m: WeightedModule) -> WeightedModule:
     weights = tuple(tuple(-x for x in lam) for lam in m.weights)
     acts: Dict[GenKey, Mat] = {}
     for (kind, j), mat in m.actions.items():
-        base = kind[0]
-        level = None if len(kind) == 1 else int(kind[2:])
-        nn = 1 if level is None else ctx.ell * (ctx.p ** level)
+        letter = kind[0]
+        nn = 1 if len(kind) == 1 else ctx.ell
         dj = ctx.datum.d[j]
         # S(E^{(n)}) = (-1)^n q^{d n(n-1)} K^{-n} E^{(n)},
         # S(F^{(n)}) = (-1)^n q^{-d n(n-1)} F^{(n)} K^{n}
         sign = ctx.field.from_int(-1) if nn % 2 else ctx.field.one
-        tw = ctx.zeta_pow(dj * nn * (nn - 1)) if base == "E" else ctx.zeta_pow(-dj * nn * (nn - 1))
+        tw = ctx.zeta_pow(dj * nn * (nn - 1)) if letter == "E" else ctx.zeta_pow(-dj * nn * (nn - 1))
         smat: Mat = {}
         for col, column in mat.items():
             for row, c in column.items():
-                if base == "E":
+                if letter == "E":
                     # K^{-n} after E^{(n)}: eigenvalue at the TARGET weight
                     lam = m.weights[row]
                     keig = ctx.zeta_pow(-nn * lam[j] * dj)
@@ -452,23 +411,9 @@ def tensor_module(a: WeightedModule, b: WeightedModule) -> WeightedModule:
     acts: Dict[GenKey, Mat] = {}
     kinds = set(a.actions) | set(b.actions)
     for (kind, j) in sorted(kinds):
-        base = kind[0]
-        level = None if len(kind) == 1 else int(kind[2:])
-        nn = 1 if level is None else ctx.ell * (ctx.p ** level)
+        nn = 1 if len(kind) == 1 else ctx.ell
         dj = ctx.datum.d[j]
         mat: Mat = {}
-
-        def add(col, row, c):
-            if not c:
-                return
-            colm = mat.setdefault(col, {})
-            cur = colm.get(row)
-            cur = c if cur is None else cur + c
-            if cur:
-                colm[row] = cur
-            else:
-                colm.pop(row, None)
-
         pos = ctx.simple_pos[j]
         for i in range(a.dim):
             for k in range(b.dim):
@@ -477,14 +422,14 @@ def tensor_module(a: WeightedModule, b: WeightedModule) -> WeightedModule:
                 # Delta(F^{(n)}) = sum q^{+d na nb} F^{(na)} (x) F^{(nb)} K^{-na}
                 for na in range(nn + 1):
                     nb = nn - na
-                    if base == "E":
+                    if kind[0] == "E":
                         va = a.act_divided("E", pos, na, {i: ctx.field.one})
                         vb = b.act_divided("E", pos, nb, {k: ctx.field.one})
                         scal = ctx.zeta_pow(-dj * na * nb)
                         for ia, ca in va.items():
                             keig = ctx.zeta_pow(nb * a.weights[ia][j] * dj)
                             for ib, cb in vb.items():
-                                add(col, pair(ia, ib), scal * keig * ca * cb)
+                                vec_add_term(mat.setdefault(col, {}), pair(ia, ib), scal * keig * ca * cb)
                     else:
                         va = a.act_divided("F", pos, na, {i: ctx.field.one})
                         vb = b.act_divided("F", pos, nb, {k: ctx.field.one})
@@ -492,7 +437,7 @@ def tensor_module(a: WeightedModule, b: WeightedModule) -> WeightedModule:
                         keig = ctx.zeta_pow(-na * b.weights[k][j] * dj)
                         for ia, ca in va.items():
                             for ib, cb in vb.items():
-                                add(col, pair(ia, ib), scal * keig * ca * cb)
+                                vec_add_term(mat.setdefault(col, {}), pair(ia, ib), scal * keig * ca * cb)
         acts[(kind, j)] = mat
     flags = a.flags & b.flags
     return WeightedModule(ctx, weights, acts, flags, f"tensor({a.label},{b.label})")
@@ -515,7 +460,7 @@ def sum_module(a: WeightedModule, b: WeightedModule) -> WeightedModule:
 
 def twist_module(m: WeightedModule, mu: Weight) -> WeightedModule:
     ctx = m.ctx
-    period = ctx.ell * (ctx.p ** ctx.r if ctx.r else 1)
+    period = ctx.cap
     if any((mu[j] * ctx.datum.d[j]) % period for j in range(ctx.rank)):
         raise ValueError(f"twist weight {mu} is not in {period}X")
     weights = tuple(tuple(x + y for x, y in zip(lam, mu)) for lam in m.weights)
@@ -679,8 +624,7 @@ def contravariant_gram(m: WeightedModule, verma_of: Weight) -> Dict[Weight, Tupl
 def simple_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
     """Head of the highest-weight module, via the contravariant radical."""
     lam = tuple(lam)
-    restricted_bound = ctx.ell * (ctx.p ** ctx.r if ctx.r else 1)
-    if any(not (0 <= lam[j] < restricted_bound) for j in range(ctx.rank)):
+    if any(not (0 <= lam[j] < ctx.cap) for j in range(ctx.rank)):
         raise ValueError(f"simple({lam}) needs a restricted weight")
     vm = verma_module(ctx, lam)
     rad_rows: List[Vec] = []
@@ -936,9 +880,9 @@ def am_weight_basis(m: WeightedModule, level: int) -> Optional[List[Vec]]:
     span, recurse.  Returns None when M is not free over the layer.
     """
     ctx = m.ctx
-    positions = list(range(level))
-    top_exp = tuple(ctx.cap - 1 if s < level else 0 for s in range(ctx.n))
-    layer_dim = ctx.cap ** level
+    layer = ctx.algebra_kind(f"Am:{level}")
+    top_exp = tuple(c - 1 if c else 0 for c in layer.f_caps)
+    mats = [m.generator_matrix(g) for g in layer.generators]
 
     def act_integral(vec: Vec) -> Vec:
         return m.act_monomial((top_exp, (0,) * ctx.rank, (0,) * ctx.n), vec)
@@ -965,27 +909,17 @@ def am_weight_basis(m: WeightedModule, level: int) -> Optional[List[Vec]]:
         elim.add(dict(found))
         while frontier:
             v = frontier.pop()
-            for s in positions:
-                w = m.act_rv("F", s, v)
-                if ctx.r > 0:
-                    pass
-                red = elim.reduce(w)
+            for mat in mats:
+                red = elim.reduce(mat_apply(mat, v))
                 if red and elim.add(red) is not None:
                     frontier.append(red)
-            if ctx.r > 0:
-                for lev in range(ctx.r):
-                    w = m.act_gen(("Fd%d" % lev, 0), v)
-                    red = elim.reduce(w)
-                    if red and elim.add(red) is not None:
-                        frontier.append(red)
-    if len(chosen) * layer_dim != m.dim:
+    if len(chosen) * layer.dim != m.dim:
         return None
     # final certification: monomial translates of the chosen vectors form a basis
     conf = Eliminator()
     count = 0
     for v in chosen:
-        for exp in itertools.product(range(ctx.cap), repeat=level):
-            full = tuple(exp[s] if s < level else 0 for s in range(ctx.n))
+        for full in layer.exponents("F"):
             w = m.act_monomial((full, (0,) * ctx.rank, (0,) * ctx.n), v)
             if conf.add(w) is not None:
                 count += 1
@@ -1016,12 +950,7 @@ def hom_space(a: WeightedModule, b: WeightedModule) -> List[Mat]:
             for c_src, column in a.actions.get(g, {}).items():
                 c = column.get(j)
                 if c:
-                    key = (g, i, c_src)
-                    cur = col.get(key, ctx.field.zero) - c
-                    if cur:
-                        col[key] = cur
-                    else:
-                        col.pop(key, None)
+                    vec_add_term(col, (g, i, c_src), -c)
         columns.append(((i, j), col))
     rels = kernel_basis(columns, one=ctx.field.one)
     mats = []
@@ -1057,18 +986,14 @@ def find_isomorphism(a: WeightedModule, b: WeightedModule, attempts: int = 24) -
     one = a.ctx.field.one
     for _ in range(attempts):
         mat: Mat = {}
-        for t, base in enumerate(mats):
+        for t, basis_mat in enumerate(mats):
             c = a.ctx.field.from_int(rng.randint(-3, 3))
             if not c:
                 continue
-            for colk, col in base.items():
+            for colk, col in basis_mat.items():
                 tgt = mat.setdefault(colk, {})
                 for row, v in col.items():
-                    cur = tgt.get(row, a.ctx.field.zero) + c * v
-                    if cur:
-                        tgt[row] = cur
-                    else:
-                        tgt.pop(row, None)
+                    vec_add_term(tgt, row, c * v)
         if mat and invertible(mat):
             return mat
     return None

@@ -819,6 +819,10 @@ def _prime_factors(n: int) -> List[int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return n > 1 and _prime_factors(n) == [n]
+
+
 class GaloisField:
     """F_{p^n} = F_p[x]/(g) containing a distinguished primitive ell-th root.
 
@@ -829,6 +833,8 @@ class GaloisField:
     """
 
     def __init__(self, p: int, ell: int):
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not a prime")
         if ell % p == 0:
             raise ValueError("p must not divide ell")
         self.p = p
@@ -949,9 +955,9 @@ class GaloisField:
         assert order % self.ell == 0
         cof = order // self.ell
         primes = _prime_factors(self.ell)
-        for base in range(1, self.p ** min(self.n, 3) + self.p):
+        for code in range(1, self.p ** min(self.n, 3) + self.p):
             co = []
-            c = base
+            c = code
             for _ in range(self.n):
                 co.append(c % self.p)
                 c //= self.p

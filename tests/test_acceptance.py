@@ -1,8 +1,8 @@
 """Acceptance suite: one criterion per test, one printed verdict line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` (or scripts/
-run_acceptance.py) to see the per-criterion lines.  Every tolerance is
-exact; the stated wall-clock budgets are asserted with the criterion.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the
+per-criterion lines.  Every tolerance is exact; the stated wall-clock
+budgets are asserted with the criterion.
 """
 
 import itertools

@@ -36,6 +36,16 @@ class TestConfig:
         RunConfig(type_label="B2", ell=3, strict=False).validate()
         RunConfig(type_label="A1", ell=3, p=7, r=1).validate()
 
+    def test_unbuilt_kernels_and_non_prime_p_rejected(self):
+        for cfg in (
+            RunConfig(type_label="A1", ell=3, p=7, r=2),
+            RunConfig(type_label="A2", ell=3, p=7, r=1),
+            RunConfig(type_label="A1", ell=3, p=25),
+            RunConfig(type_label="A1", ell=5, p=9),
+        ):
+            with pytest.raises(ConfigError):
+                cfg.validate()
+
     def test_g2_gated(self):
         with pytest.raises(ConfigError):
             RunConfig(type_label="G2", ell=7).validate()
@@ -154,3 +164,22 @@ class TestVerify:
         cfg = RunConfig("A1", 3)
         recs = run_suites(cfg, ["integrals"], [])
         assert all(r["agree"] for r in recs)
+
+
+class TestBadInput:
+    # each used to crash (ZeroDivisionError, AssertionError, RuntimeError)
+    # or, for p = 25, to print wrong falsification candidates
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("skeleton", "--type", "A1", "--ell", "3", "--p", "7", "--r", "2", "trivial"),
+            ("skeleton", "--type", "A2", "--ell", "3", "--p", "7", "--r", "1", "trivial"),
+            ("verify", "--type", "A1", "--ell", "3", "--p", "25", "--suite", "rootcrit"),
+            ("verify", "--type", "A1", "--ell", "5", "--p", "9", "--suite", "rootcrit"),
+        ],
+        ids=["r2", "a2-r1", "p25", "p9"],
+    )
+    def test_exits_with_config_error(self, args):
+        r = cli(*args)
+        assert r.returncode == 2 and "error:" in r.stderr, r.stderr
+        assert "FALSIFICATION" not in r.stderr

@@ -229,3 +229,40 @@ class TestGaussBinom:
 
         ctx = ctxmaker("A1", 3, p=7, r=1)
         verma_module(ctx, (5,)).check()
+
+
+def _kind_cases():
+    for label, ell, p, r, n in (("A2", 3, None, 0, 3), ("A1", 3, 7, 1, 1)):
+        kinds = ["g", "b-", "b+", "u-", "u+"] + [f"Am:{m}" for m in range(1, n + 1)]
+        kinds += [f"root:{s}:{side}" for s in range(1, n + 1) for side in "-+"]
+        for kind in kinds:
+            yield pytest.param(label, ell, p, r, kind, id=f"{label}-r{r}-{kind}")
+
+
+class TestAlgebraKind:
+    @pytest.mark.parametrize("label,ell,p,r,kind", list(_kind_cases()))
+    def test_descriptor_matches_algebra(self, ctxmaker, label, ell, p, r, kind):
+        ctx = ctxmaker(label, ell, p=p, r=r)
+        desc = ctx.algebra_kind(kind)
+        assert ctx.algebra_kind(kind) is desc
+        assert desc.is_local == (not desc.torus)
+        plain = [g for g in desc.generators if not g[0].endswith("d0")]
+        letters = [kd[0] for kd, _ in plain]
+        assert letters == sorted(letters, key="FE".index)  # all F before all E
+        if r:
+            # one divided partner X^{(ell)} per plain generator, nothing deeper
+            assert list(desc.generators) == plain + [(kd + "d0", j) for kd, j in plain]
+        if r and desc.torus:
+            with pytest.raises(ValueError):
+                ctx.algebra(kind)
+            return
+        alg = ctx.algebra(kind)
+        assert alg.dim == desc.dim
+        torus = [("K", j) for j in range(ctx.rank)] if desc.torus else []
+        assert alg.generator_keys() == list(desc.generators) + torus
+
+    def test_unbuilt_higher_kernels_rejected(self):
+        with pytest.raises(ValueError):
+            KernelContext(convex_order("A1", (1,)), GaloisField(7, 3), r=2)
+        with pytest.raises(ValueError):
+            KernelContext(convex_order("A2", (1, 2, 1)), GaloisField(7, 3), r=1)

@@ -171,6 +171,11 @@ class TestCyclotomic:
 
 
 class TestGaloisField:
+    @pytest.mark.parametrize("p,ell", [(25, 3), (9, 5), (1, 3)])
+    def test_non_prime_rejected(self, p, ell):
+        with pytest.raises(ValueError, match="not a prime"):
+            GaloisField(p, ell)
+
     def test_prime_field_with_root(self):
         G = GaloisField(7, 3)
         assert G.n == 1 and G.char == 7
