@@ -102,13 +102,34 @@ class RunConfig:
             )
 
 
+# contexts built from scratch, one per (type, ell, p, r, word) in a process
+_CONTEXTS: Dict[Tuple, KernelContext] = {}
+
+
 def make_context(cfg: RunConfig, table=None) -> KernelContext:
+    """The KernelContext of cfg.
+
+    A context computed from scratch is built once per process and
+    configuration and then shared, so its straightening caches fill once
+    and not once per case.  A context from a given ``table`` or from
+    ``cfg.cache_path`` is built on every call, so every call reads and
+    validates the cache file.
+    """
     cfg.validate()
+    key = None
     if table is None and cfg.cache_path:
         _, table = read_cache(cfg.cache_path)
+    elif table is None:
+        key = (cfg.type_label, cfg.ell, cfg.p, cfg.r, cfg.word())
+        ctx = _CONTEXTS.get(key)
+        if ctx is not None:
+            return ctx
     fieldk = make_field(cfg.ell, cfg.p)
     order = convex_order(cfg.type_label, cfg.word())
-    return KernelContext(order, fieldk, r=cfg.r, table=table)
+    ctx = KernelContext(order, fieldk, r=cfg.r, table=table)
+    if key is not None:
+        _CONTEXTS[key] = ctx
+    return ctx
 
 
 # ---------------------------------------------------------------------------

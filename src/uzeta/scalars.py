@@ -11,7 +11,11 @@ Four layers, all exact and immutable:
   plus {q^3-q^-3} for the triple bond);
 * residue fields at a primitive root of unity: the cyclotomic field
   Q[q]/Phi_ell(q) and finite fields F_{p^n} with n the multiplicative
-  order of p mod ell, so a primitive ell-th root exists in both.
+  order of p mod ell, so a primitive ell-th root exists in both.  An
+  element of the cyclotomic field is a vector of integers over one
+  common denominator, multiplied by integer convolution and inverted
+  through its Galois norm (``CycloField``); no ``Fraction`` arithmetic
+  runs in its product or inverse.
 
 Quantum integers, factorials and binomials live here as well.
 """
@@ -19,6 +23,7 @@ Quantum integers, factorials and binomials live here as well.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 QQ = Fraction
@@ -522,27 +527,45 @@ def cyclotomic_poly(n: int) -> Tuple[int, ...]:
 
 
 class CycloElement:
-    __slots__ = ("ctx", "co")
+    """The element sum(num[i] * zeta**i) / den of Q(zeta_ell), i < deg.
 
-    def __init__(self, ctx: "CycloField", co: Tuple[Fraction, ...]):
+    Canonical form: ``den > 0`` and ``gcd(*num, den) == 1`` (zero is the
+    zero vector over 1), so ``==`` and ``hash`` compare the integers.
+    """
+
+    __slots__ = ("ctx", "num", "den")
+
+    def __init__(self, ctx: "CycloField", num: Tuple[int, ...], den: int = 1):
         self.ctx = ctx
-        self.co = co
+        self.num = num
+        self.den = den
 
     def __bool__(self):
-        return any(self.co)
+        return any(self.num)
 
     def __eq__(self, other):
-        return isinstance(other, CycloElement) and self.co == other.co and self.ctx is other.ctx
+        return (
+            isinstance(other, CycloElement)
+            and self.num == other.num
+            and self.den == other.den
+            and self.ctx is other.ctx
+        )
 
     def __hash__(self):
-        return hash(self.co)
+        return hash((self.num, self.den))
 
     def __neg__(self):
-        return CycloElement(self.ctx, tuple(-x for x in self.co))
+        return CycloElement(self.ctx, tuple(-x for x in self.num), self.den)
 
     def __add__(self, other):
         other = self.ctx.coerce(other)
-        return CycloElement(self.ctx, tuple(x + y for x, y in zip(self.co, other.co)))
+        ad, bd = self.den, other.den
+        if ad == bd:
+            num = tuple(x + y for x, y in zip(self.num, other.num))
+        else:
+            num = tuple(x * bd + y * ad for x, y in zip(self.num, other.num))
+            ad *= bd
+        return self.ctx._reduced(num, ad)
 
     __radd__ = __add__
 
@@ -553,10 +576,14 @@ class CycloElement:
         return (-self) + self.ctx.coerce(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloElement(self.ctx, tuple(x * other for x in self.co))
-        other = self.ctx.coerce(other)
-        return self.ctx._mul(self, other)
+        if isinstance(other, CycloElement):
+            return self.ctx._mul(self, other)
+        if isinstance(other, int):
+            return self.ctx._reduced(tuple(x * other for x in self.num), self.den)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return self.ctx._reduced(tuple(x * n for x in self.num), self.den * other.denominator)
+        return self.ctx._mul(self, self.ctx.coerce(other))
 
     __rmul__ = __mul__
 
@@ -582,120 +609,125 @@ class CycloElement:
     def __str__(self):
         names = {0: "", 1: "z"}
         parts = []
-        for i, x in enumerate(self.co):
+        for i, x in enumerate(self.num):
             if not x:
                 continue
             mon = names.get(i, f"z^{i}")
-            parts.append(f"{x}{'*' + mon if mon else ''}" if mon else f"{x}")
+            c = Fraction(x, self.den)
+            parts.append(f"{c}{'*' + mon if mon else ''}" if mon else f"{c}")
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
 
 
 class CycloField:
-    """Q[q] / Phi_ell(q) with zeta the class of q."""
+    """Q(zeta) = Q[q] / Phi_ell(q) with zeta the class of q.
+
+    An element is an integer vector over one positive denominator
+    (``CycloElement``).  Phi_ell is monic with integer coefficients, so
+    every power zeta^k reduces to an integer vector; one table of the
+    powers zeta^0 .. zeta^(ell-1) reduces products and applies the Galois
+    automorphisms sigma_k(zeta) = zeta^k, k in (Z/ell)^x.  A product is an
+    integer convolution, reduced through that table, with one gcd to keep
+    the canonical form.  The inverse goes through the norm (Cohen, A
+    Course in Computational Algebraic Number Theory, 1993, 4.2-4.3):
+    a^-1 = prod_{k != 1} sigma_k(a) / N(a), where N(a) = prod_k sigma_k(a)
+    is rational.
+    """
 
     def __init__(self, ell: int):
         self.ell = ell
         self.char = 0
         phi = cyclotomic_poly(ell)
-        self.deg = len(phi) - 1
-        self.phi = tuple(QQ(x) for x in phi)
-        self.zero = CycloElement(self, (QQ(0),) * self.deg)
+        n = self.deg = len(phi) - 1
+        pows = []
+        cur = [1] + [0] * (n - 1)
+        for _ in range(ell):
+            pows.append(tuple(cur))
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [x - top * c for x, c in zip(cur, phi)]
+        # nonzero (index, coefficient) pairs of zeta^k, k = 0 .. ell-1
+        self._pow_terms = [tuple((i, c) for i, c in enumerate(v) if c) for v in pows]
+        # the automorphisms sigma_k other than the identity
+        self._galois = tuple(k for k in range(2, ell) if gcd(k, ell) == 1)
+        self.zero = CycloElement(self, (0,) * n)
         self.one = self.from_int(1)
-        # reduction table: q^k mod Phi for k = deg .. 2 deg - 2
-        red = []
-        cur = [-x / self.phi[-1] for x in self.phi[:-1]]  # q^deg
-        red.append(tuple(cur))
-        for _ in range(self.deg - 2):
-            cur = [QQ(0)] + cur
-            lead = cur.pop()
-            if lead:
-                cur = [x + lead * y for x, y in zip(cur, red[0])]
-            red.append(tuple(cur))
-        self._red = red
-        self.zeta = self._q_power(1)
-        self._zeta_pows = [self._q_power(k) for k in range(ell)]
+        self._zeta_pows = [CycloElement(self, v) for v in pows]
+        self.zeta = self._zeta_pows[1 % ell]
         self.desc = f"cyclo({ell})"
-
-    def _q_power(self, k: int) -> CycloElement:
-        co = [QQ(0)] * self.deg
-        k %= self.ell
-        if k < self.deg:
-            co[k] = QQ(1)
-            return CycloElement(self, tuple(co))
-        x = self.one
-        base = CycloElement(self, tuple([QQ(0), QQ(1)] + [QQ(0)] * (self.deg - 2)))
-        for _ in range(k):
-            x = self._mul(x, base)
-        return x
 
     def coerce(self, x) -> CycloElement:
         if isinstance(x, CycloElement):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
             return self.from_int(x)
+        if isinstance(x, Fraction):
+            return CycloElement(self, (x.numerator,) + (0,) * (self.deg - 1), x.denominator)
         raise TypeError(f"cannot coerce {x!r} into {self.desc}")
 
-    def from_int(self, n) -> CycloElement:
-        return CycloElement(self, (QQ(n),) + (QQ(0),) * (self.deg - 1))
+    def from_int(self, n: int) -> CycloElement:
+        return CycloElement(self, (n,) + (0,) * (self.deg - 1))
 
-    def _mul(self, a: CycloElement, b: CycloElement) -> CycloElement:
+    def _reduced(self, num: Tuple[int, ...], den: int) -> CycloElement:
+        """num / den in canonical form (den nonzero)."""
+        if den != 1:
+            g = gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = tuple(x // g for x in num)
+                den //= g
+        return CycloElement(self, num, den)
+
+    def _polymul(self, u: Sequence[int], v: Sequence[int]) -> List[int]:
+        """Product of two integer vectors, reduced to degree < deg."""
         n = self.deg
-        buf = [QQ(0)] * (2 * n - 1)
-        for i, x in enumerate(a.co):
+        buf = [0] * (2 * n - 1)
+        vt = [(j, y) for j, y in enumerate(v) if y]
+        for i, x in enumerate(u):
             if x:
-                for j, y in enumerate(b.co):
-                    if y:
-                        buf[i + j] += x * y
+                for j, y in vt:
+                    buf[i + j] += x * y
         out = buf[:n]
+        ell, terms = self.ell, self._pow_terms
         for k in range(n, 2 * n - 1):
             c = buf[k]
             if c:
-                row = self._red[k - n]
-                for i, y in enumerate(row):
+                for i, y in terms[k % ell]:
                     out[i] += c * y
-        return CycloElement(self, tuple(out))
+        return out
+
+    def _conjugate(self, u: Sequence[int], k: int) -> List[int]:
+        """sigma_k of an integer vector: zeta^i goes to zeta^(i k)."""
+        out = [0] * self.deg
+        ell, terms = self.ell, self._pow_terms
+        for i, x in enumerate(u):
+            if x:
+                for j, y in terms[i * k % ell]:
+                    out[j] += x * y
+        return out
+
+    def _mul(self, a: CycloElement, b: CycloElement) -> CycloElement:
+        return self._reduced(tuple(self._polymul(a.num, b.num)), a.den * b.den)
 
     def _inv(self, a: CycloElement) -> CycloElement:
         if not a:
             raise ZeroDivisionError(f"division by zero in {self.desc}")
-        # extended Euclid in Q[x] against Phi
-        r0 = list(self.phi)
-        r1 = list(a.co)
-        s0 = [QQ(0)]
-        s1 = [QQ(1)]
-
-        def deg(p):
-            d = len(p) - 1
-            while d >= 0 and not p[d]:
-                d -= 1
-            return d
-
-        while True:
-            d1 = deg(r1)
-            if d1 <= 0:
-                break
-            d0 = deg(r0)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            f = r0[d0] / r1[d1]
-            k = d0 - d1
-            for i in range(d1 + 1):
-                r0[i + k] -= f * r1[i]
-            s1p = [QQ(0)] * max(len(s0), len(s1) + k)
-            for i, y in enumerate(s0):
-                s1p[i] += y
-            for i, y in enumerate(s1):
-                s1p[i + k] -= f * y
-            r0, r1, s0, s1 = r1, r0[: d0 + 1], s1, s1p[: max(deg(s1p) + 1, 1)]
-        c = r1[deg(r1)] if deg(r1) >= 0 else None
-        if c is None:
-            raise ZeroDivisionError("element not invertible (not coprime to modulus)")
-        co = [x / c for x in s1] + [QQ(0)] * self.deg
-        # reduce mod Phi just in case (deg(s1) < deg Phi is guaranteed by Euclid)
-        return CycloElement(self, tuple(co[: self.deg]))
+        # a^-1 = den * prod_{k != 1} sigma_k(num) / N(num); a rational
+        # num is its own norm
+        num = a.num
+        conj = [1] + [0] * (self.deg - 1)
+        norm = num[0]
+        if any(num[1:]):
+            for k in self._galois:
+                conj = self._polymul(conj, self._conjugate(num, k))
+            full = self._polymul(num, conj)
+            if any(full[1:]):
+                raise ArithmeticError(f"norm of {a} in {self.desc} is not rational")
+            norm = full[0]
+        return self._reduced(tuple(a.den * x for x in conj), norm)
 
     def zeta_power(self, k: int) -> CycloElement:
         return self._zeta_pows[k % self.ell]
@@ -725,7 +757,7 @@ class CycloField:
         return out
 
     def element_to_text(self, a: CycloElement) -> str:
-        return ",".join(str(x) for x in a.co)
+        return ",".join(str(Fraction(x, a.den)) for x in a.num)
 
 
 class GFElement:
@@ -1016,6 +1048,8 @@ class GaloisField:
     def _inv(self, a: GFElement) -> GFElement:
         if not a:
             raise ZeroDivisionError(f"division by zero in {self.desc}")
+        if self.n == 1:
+            return GFElement(self, (pow(a.co[0], -1, self.p),))
         return self._pow(a, self.p ** self.n - 2)
 
     def zeta_power(self, k: int) -> GFElement:

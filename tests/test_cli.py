@@ -9,6 +9,7 @@ from uzeta.cli import (
     RunConfig,
     default_manifest,
     main,
+    make_context,
     read_cache,
     run_suites,
     write_cache,
@@ -164,6 +165,27 @@ class TestVerify:
         cfg = RunConfig("A1", 3)
         recs = run_suites(cfg, ["integrals"], [])
         assert all(r["agree"] for r in recs)
+
+    def test_context_shared_per_configuration(self, tmp_path):
+        cfg = RunConfig("A1", 3)
+        assert make_context(cfg) is make_context(cfg)
+        assert make_context(RunConfig("A1", 3, budget=10)) is make_context(cfg)
+        assert make_context(RunConfig("A1", 5)) is not make_context(cfg)
+        # a cache file is read and validated on every call
+        path = str(tmp_path / "a1.cache")
+        write_cache(cfg, path)
+        cached = RunConfig("A1", 3, cache_path=path)
+        assert make_context(cached) is not make_context(cached)
+
+    def test_case_order_does_not_change_records(self):
+        # warm straightening caches of a shared context must not leak into
+        # a verdict: every record is the same in either order
+        cfg = RunConfig("A1", 3)
+        manifest = default_manifest(cfg)
+        forward = run_suites(cfg, ["rootcrit", "reduction"], manifest)
+        backward = run_suites(cfg, ["reduction", "rootcrit"], manifest[::-1])
+        assert len(forward) == 2 * len(manifest)
+        assert forward == backward
 
 
 class TestBadInput:

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction as QQ
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from uzeta.scalars import (
     CycloField,
+    GFElement,
     GaloisField,
     L_ONE,
     Laurent,
@@ -147,27 +150,89 @@ class TestCyclotomic:
         assert F.eval_laurent(q_int(ell - 1)) != F.zero
 
     def test_specialize_is_homomorphism_bulk(self):
-        # randomized ring-homomorphism check on many pairs
-        F = CycloField(3)
+        # randomized ring-homomorphism check on many pairs, with fractional
+        # coefficients, at prime and composite ell; eval_fraction divides
         rng = random.Random(7)
 
         def rand():
-            return Laurent(rng.randint(-3, 3), tuple(QQ(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))))
+            return Laurent(
+                rng.randint(-3, 3),
+                tuple(QQ(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))),
+            )
 
-        for _ in range(10_000):
-            a, b = rand(), rand()
-            assert F.eval_laurent(a * b) == F.eval_laurent(a) * F.eval_laurent(b)
-            assert F.eval_laurent(a + b) == F.eval_laurent(a) + F.eval_laurent(b)
+        for ell, n in ((3, 10_000), (5, 2_000), (9, 1_000), (15, 500)):
+            F = CycloField(ell)
+            for _ in range(n):
+                a, b = rand(), rand()
+                fa, fb = F.eval_laurent(a), F.eval_laurent(b)
+                assert F.eval_laurent(a * b) == fa * fb
+                assert F.eval_laurent(a + b) == fa + fb
+                if fb:
+                    x = F.eval_fraction(QFraction(a, b))
+                    assert x * fb == fa and x == fa / fb
 
     def test_inverse(self):
         F = CycloField(5)
         x = F.zeta ** 3 + F.from_int(2)
         assert x * (F.one / x) == F.one
+        assert F.one / F.from_int(-6) == F.coerce(QQ(-1, 6))
+        # composite ell: (Z/9)^x is cyclic, (Z/15)^x = Z/2 x Z/4 is not
+        for ell in (5, 9, 15):
+            F = CycloField(ell)
+            rng = random.Random(ell)
+            for _ in range(200):
+                y = F.zero
+                for k in range(ell):
+                    y = y + F.zeta_power(k) * QQ(rng.randint(-4, 4), rng.randint(1, 3))
+                if y:
+                    assert y * (F.one / y) == F.one and (F.one / y) / y == y ** -2
+
+    def test_text_golden(self):
+        F = CycloField(5)
+        x = F.one / 2 - 3 * F.zeta ** 2
+        assert F.element_to_text(x) == "1/2,0,-3,0"
+        assert str(x) == "1/2 + -3*z^2"
+        y = F.zeta / 6 + F.one / 4 - F.zeta ** 3
+        assert F.element_to_text(y) == "1/4,1/6,0,-1"
+        assert str(y) == "1/4 + 1/6*z + -1*z^3"
+        assert F.element_to_text(F.zeta ** 4) == "-1,-1,-1,-1"
+        assert F.element_to_text(F.zero) == "0,0,0,0" and str(F.zero) == "0"
 
     def test_vanishing_denominator_raises(self):
         F = CycloField(3)
         with pytest.raises(ZeroDivisionError):
             F.eval_fraction(QFraction(L_ONE, q_int(3)))
+
+
+cyclo_vectors = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12), min_size=1, max_size=5
+)
+
+
+class TestCanonicalForm:
+    @given(st.sampled_from([3, 5, 9]), cyclo_vectors, cyclo_vectors)
+    @settings(max_examples=200, deadline=None)
+    def test_integers_over_one_denominator(self, ell, xs, ys):
+        F = CycloField(ell)
+
+        def elem(cs):
+            out = F.zero
+            for k, c in enumerate(cs):
+                out = out + F.zeta_power(k) * c
+            return out
+
+        a, b = elem(xs), elem(ys)
+        values = [a, b, a + b, a - b, a * b, -a, a * QQ(-3, 4), a * 6]
+        if b:
+            values += [a / b, (a * b) / b]
+        for v in values:
+            assert v.den > 0 and gcd(*v.num, v.den) == 1
+            assert len(v.num) == F.deg
+        # equal values reached by different routes are equal and hash alike
+        for u, v in [(a + b - b, a), (a * 2 - a, a), (b - a, -(a - b))]:
+            assert u == v and hash(u) == hash(v)
+        if b:
+            assert (a * b) / b == a and hash((a * b) / b) == hash(a)
 
 
 class TestGaloisField:
@@ -188,6 +253,17 @@ class TestGaloisField:
         assert G.zeta ** 3 == G.one and G.zeta != G.one
         x = G.zeta + G.from_int(2)
         assert x * (G.one / x) == G.one
+
+    @pytest.mark.parametrize("p,ell", [(7, 3), (5, 3)])
+    def test_inverse_exhaustive(self, p, ell):
+        # every nonzero element of GF(7) and of GF(5^2)
+        G = GaloisField(p, ell)
+        for co in itertools.product(range(p), repeat=G.n):
+            x = GFElement(G, co)
+            if x:
+                assert x * (1 / x) == G.one
+        with pytest.raises(ZeroDivisionError):
+            G.one / G.zero
 
     def test_lucas_truncation(self):
         # [a+b choose a] at zeta vanishes whenever a+b >= ell > a, b
