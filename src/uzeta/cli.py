@@ -319,13 +319,21 @@ def _cfg_record(cfg: RunConfig) -> Dict:
 
 
 def run_case(cfg: RunConfig, suite: str, spec: str, expect) -> Dict:
+    """Record of one suite on one module spec.
+
+    A spec is realized and checked once per context; the suites then
+    share the module and the split verdicts it keeps.
+    """
     ctx = make_context(cfg)
     t0 = time.monotonic()
     record = {"case": f"{suite}:{spec}", "suite": suite, "spec": spec}
     record.update(_cfg_record(cfg))
     try:
-        m = qmodules.realize_text(ctx, spec)
-        m.check()
+        m = ctx.realized.get(spec)
+        if m is None:
+            m = qmodules.realize_text(ctx, spec)
+            m.check()
+            ctx.realized[spec] = m
         if suite == "rootcrit":
             record.update(inject.verify_root_criterion(m, cfg.budget))
         elif suite == "borel":

@@ -223,8 +223,7 @@ class CoverSummand:
             if ctx.r > 0:
                 self._rank1_E_column(1, key, put)
             elif any(f):
-                for (f2, kv, has_e), c in ctx.push_E_through_F(j, f):
-                    mu = ctx.k_to_root_coords(kv)
+                for (f2, mu, has_e), c in ctx.push_E_through_F(j, f):
                     if has_e:
                         scal = c * ctx.zeta_pow(
                             ctx.datum.pair_weight_root(lam_right, mu)
@@ -270,16 +269,41 @@ class CoverSummand:
 
 
 def module_generators(m: WeightedModule, kind: str) -> List[int]:
-    """Greedy basis-vector generating set of M over the algebra kind."""
+    """Basis indices of a small generating set of M over the algebra kind.
+
+    Each candidate is greedy: basis vectors are offered in some order and
+    kept when they lie outside the submodule the kept ones generate.  The
+    orders are highest weight first (by height in the root lattice, ties
+    by index), lowest weight first and basis order; the first of the
+    smallest sets wins, so no set is larger than the basis-order one.
+    Over the one-sided kinds (u±, b±, Am:m, root:s:±) the generators all
+    move the weight one way, and offered from the end they move away
+    from, each weight space mu adds dim (M / rad M)_mu vectors: the set is
+    minimal.  Over g it is a heuristic.
+    """
     mats = _generator_matrices(m, kind)
+    datum = m.ctx.datum
+    height = {w: datum.height(datum.weight_to_root(w)) for w in set(m.weights)}
+    basis = range(m.dim)
+    orders = (
+        sorted(basis, key=lambda i: (-height[m.weights[i]], i)),
+        sorted(basis, key=lambda i: (height[m.weights[i]], i)),
+        basis,
+    )
+    return min((_greedy_generators(m, mats, order) for order in orders), key=len)
+
+
+def _greedy_generators(m: WeightedModule, mats, order: Iterable[int]) -> List[int]:
+    """Basis vectors, in the given order, outside the span of the earlier ones."""
+    one = m.ctx.field.one
     elim = Eliminator()
     gens: List[int] = []
-    for i in range(m.dim):
-        if elim.contains({i: m.ctx.field.one}):
+    for i in order:
+        if elim.contains({i: one}):
             continue
         gens.append(i)
-        frontier = [{i: m.ctx.field.one}]
-        elim.add({i: m.ctx.field.one})
+        frontier = [{i: one}]
+        elim.add({i: one})
         while frontier:
             v = frontier.pop()
             for mat in mats:
@@ -295,20 +319,35 @@ def projective_split_test(m: WeightedModule, kind: str, budget: int = 200_000) -
 
     Every kind that ``parse_kind`` accepts is handled; ``AlgebraKind``
     gives the cover keys, the generators and the dimension.  The cover is a
-    direct sum of summands indexed by a generating set of weight vectors:
-    idempotent summands A e_chi for kinds with a torus, and A itself,
-    graded by the root lattice, for the torus-free kinds (u±, Am:m,
-    root:s:±).  A degree-zero A-linear section s with pi . s = id is
-    sought by sparse elimination; since A and M are graded, any splitting
-    has a degree-zero component that is again a splitting.  True iff M
-    is projective (equivalently injective: the kernels are Frobenius).
+    direct sum of summands indexed by a generating set of weight vectors
+    (``module_generators``): idempotent summands A e_chi for kinds with a
+    torus, and A itself, graded by the root lattice, for the torus-free
+    kinds (u±, Am:m, root:s:±).  A degree-zero A-linear section s with
+    pi . s = id is sought by sparse elimination; since A and M are graded,
+    any splitting has a degree-zero component that is again a splitting.
+    True iff M is projective (equivalently injective: the kernels are
+    Frobenius).  Which generating set is used changes only the size of the
+    linear system: M is projective iff every surjection from a projective
+    onto M splits, so the covers of any two generating sets split together.
+
+    The verdict is kept on the module per kind; the budget is checked
+    before that, and a call that raises keeps nothing.
     """
-    ctx = m.ctx
-    desc = ctx.algebra_kind(kind)
+    desc = m.ctx.algebra_kind(kind)
     if desc.dim * m.dim > budget:
         raise BudgetExceeded(
             f"split test over {kind}: {desc.dim} x {m.dim} exceeds budget {budget}"
         )
+    verdict = m.split_verdicts.get(kind)
+    if verdict is None:
+        verdict = _split_exists(m, kind)
+        m.split_verdicts[kind] = verdict
+    return verdict
+
+
+def _split_exists(m: WeightedModule, kind: str) -> bool:
+    ctx = m.ctx
+    desc = ctx.algebra_kind(kind)
     gens = module_generators(m, kind)
     summands = [CoverSummand(ctx, kind, m.weights[i]) for i in gens]
 

@@ -14,6 +14,8 @@ describes each algebra kind once, as an ``AlgebraKind``.  It memoizes all straig
 Algebras are presented on enumerated divided-power PBW bases.  Elements
 are sparse dicts over basis keys (f_exponents, torus_exponents,
 e_exponents); torus exponents are reduced mod ell since K^ell = 1.
+K^k is K_mu for mu = sum k_i alpha_i, so a torus exponent vector is also
+its root-lattice element in simple-root coordinates.
 Products are computed generator-by-generator; no dim^2 tables are built.
 """
 
@@ -28,7 +30,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .genericuq import UqGeneric, generic_uq
 from .linalg import Eliminator, Mat, Vec, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
 from .rootdata import ConvexOrder, RootDatum, build_root_datum, convex_order
-from .scalars import Laurent, QFraction, q_binom, q_factorial, q_int, s_generator
+from .scalars import QFraction, q_binom, q_factorial, q_int
 
 FExp = Tuple[int, ...]
 KExp = Tuple[int, ...]
@@ -105,15 +107,18 @@ class KernelContext:
             )
         self._qn: Dict[Tuple[int, int], object] = {}
         self._qbin: Dict[Tuple[int, int, int], object] = {}
+        self._qfact_inv: Dict[Tuple[int, int], object] = {}
         self._reduce: Dict[Tuple[str, Tuple[int, ...]], Dict[FExp, object]] = {}
         self._mono_words: Dict[Tuple[str, FExp], Tuple] = {}
         self._push_ef: Dict[Tuple[int, FExp], Tuple] = {}
         self._push_fe: Dict[Tuple[int, FExp], Tuple] = {}
-        self._kbinom: Dict[Tuple[int, int], Dict[int, object]] = {}
+        self._kbinom: Dict[Tuple[int, int], object] = {}
         self._lmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
         self._rmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
         self._kinds: Dict[str, "AlgebraKind"] = {}
         self._algebras: Dict[str, "KernelAlgebra"] = {}
+        # checked modules by spec text, filled by cli.run_case
+        self.realized: Dict[str, object] = {}
 
     # -- scalar helpers --------------------------------------------------
 
@@ -139,6 +144,15 @@ class KernelContext:
             out = out * self.qn(i, d)
         return out
 
+    def qfact_inv(self, n: int, d: int = 1):
+        """1 / [n]_d!, inverted once per (n, d)."""
+        key = (n, d)
+        hit = self._qfact_inv.get(key)
+        if hit is None:
+            hit = self.field.one / self.qfact(n, d)
+            self._qfact_inv[key] = hit
+        return hit
+
     def zeta_pow(self, e: int):
         return self.field.zeta_power(e)
 
@@ -156,13 +170,6 @@ class KernelContext:
                 for t in range(self.rank):
                     out[t] += a * g[t]
         return tuple(out)
-
-    def k_to_root_coords(self, k: KExp) -> Tuple[int, ...]:
-        """The torus exponent vector as an element of the root lattice."""
-        return tuple(
-            sum(k[t] * self.datum.simple_roots[t][i] for t in range(self.rank))
-            for i in range(self.rank)
-        )
 
     # -- straightening of one-sided plain words ---------------------------
 
@@ -250,14 +257,13 @@ class KernelContext:
                 return {}
             return {(a + 1,): c}
         # invert the divided normalization (valid: exponents < ell at r = 0)
-        norm = self.field.one
+        inv = self.field.one
         for i, a in enumerate(exp):
             if a:
-                norm = norm * self.qfact(a, self.d_gamma[i])
+                inv = inv * self.qfact_inv(a, self.d_gamma[i])
         word = tuple(i for i in range(self.n) for _ in range(exp[i]))
         word = ((s,) + word) if left else (word + (s,))
         plain = self.reduce_word(side, word)
-        inv = self.field.one / norm
         return self.plain_to_divided({e: c * inv for e, c in plain.items()})
 
     def mono_simple_words(self, side: str, exp: FExp) -> Tuple:
@@ -277,7 +283,7 @@ class KernelContext:
                     for w2, c2 in rv:
                         vec_add_term(nxt, w + w2, c * c2)
                 terms = nxt
-            inv = self.field.one / self.qfact(a, self.d_gamma[i])
+            inv = self.qfact_inv(a, self.d_gamma[i])
             terms = {w: c * inv for w, c in terms.items()}
         out = tuple(sorted(terms.items()))
         self._mono_words[key] = out
@@ -379,28 +385,34 @@ class KernelContext:
     # modules and covers evaluate them at a weight via gauss_binom.
 
     def gauss_binom(self, m: int, t: int):
-        """Specialized generalized Gaussian binomial [m choose t], m in Z."""
-        key = (m, t)
-        hit = self._kbinom.get(key)
+        """Specialized generalized Gaussian binomial [m choose t], m in Z.
+
+        Filled by q-Pascal, [m, t] = zeta^(-t) [m-1, t] + zeta^(m-t) [m-1, t-1],
+        from [m, 0] = 1 and [m, t] = 0 for 0 <= m < t, with
+        [m, t] = (-1)^t [t-m-1, t] for m < 0.  No step divides, so the
+        quantum integers that vanish at zeta do no harm.
+        """
+        hit = self._kbinom.get((m, t))
         if hit is not None:
             return hit
-        num = Laurent.const(1)
-        zero = False
-        for s in range(1, t + 1):
-            j = m - s + 1
-            if j == 0:
-                zero = True
-                break
-            num = num * (s_generator(j) if j > 0 else -s_generator(-j))
-        if zero:
-            val = self.field.zero
-        else:
-            den = Laurent.const(1)
-            for s in range(1, t + 1):
-                den = den * s_generator(s)
-            val = self.field.eval_laurent(num.exact_div(den))
-        self._kbinom[key] = val
-        return val
+        if m < 0:
+            val = self.gauss_binom(t - m - 1, t)
+            val = -val if t % 2 else val
+            self._kbinom[(m, t)] = val
+            return val
+        memo, zp = self._kbinom, self.field.zeta_power
+        for m2 in range(m + 1):
+            for t2 in range(t + 1):
+                if (m2, t2) in memo:
+                    continue
+                if t2 == 0:
+                    val = self.field.one
+                elif m2 < t2:
+                    val = self.field.zero
+                else:
+                    val = zp(-t2) * memo[(m2 - 1, t2)] + zp(m2 - t2) * memo[(m2 - 1, t2 - 1)]
+                memo[(m2, t2)] = val
+        return memo[(m, t)]
 
     def mixed_rank1_terms(self, m: int, nn: int) -> Tuple[Tuple[int, int, int, int], ...]:
         """Raw terms (n-t, c, t, m-t) with torus factor [K; c over t]."""
@@ -662,7 +674,7 @@ class KernelAlgebra:
             alpha_j = ctx.datum.simple_roots[j_simple]
             # E_j past K^k costs zeta^{-(mu_k, alpha_j)}
             k_cost = (
-                ctx.zeta_pow(-ctx.pair(ctx.k_to_root_coords(k), alpha_j))
+                ctx.zeta_pow(-ctx.pair(k, alpha_j))
                 if any(k)
                 else ctx.field.one
             )
@@ -728,15 +740,14 @@ class KernelAlgebra:
                 continue
             for _ in range(a):
                 cur = self.apply_rv("E", pos, cur)
-            inv = ctx.field.one / ctx.qfact(a, ctx.d_gamma[pos])
+            inv = ctx.qfact_inv(a, ctx.d_gamma[pos])
             cur = {kk: v * inv for kk, v in cur.items()}
         if any(k):
             # K^k slides right past the F-part only (its slot is F | K | E)
             nxt: Vec = {}
-            mu = ctx.k_to_root_coords(k)
             for bk, c in cur.items():
                 f2, k2, e2 = bk
-                scal = ctx.zeta_pow(-ctx.pair(mu, ctx.weight_of_fexp(f2)))
+                scal = ctx.zeta_pow(-ctx.pair(k, ctx.weight_of_fexp(f2)))
                 nk = tuple((a + b) % ctx.ell for a, b in zip(k2, k))
                 vec_add_term(nxt, (f2, nk, e2), c * scal)
             cur = nxt
@@ -749,7 +760,7 @@ class KernelAlgebra:
                 continue
             for _ in range(a):
                 cur = self.apply_rv("F", pos, cur)
-            inv = ctx.field.one / ctx.qfact(a, ctx.d_gamma[pos])
+            inv = ctx.qfact_inv(a, ctx.d_gamma[pos])
             cur = {kk: v * inv for kk, v in cur.items()}
         return cur
 
@@ -771,11 +782,7 @@ class KernelAlgebra:
             pos = ctx.simple_pos[j] if kind == "F" else j
             scal = ctx.field.one
             if any(k):
-                mu = tuple(
-                    sum(k[t2] * ctx.datum.simple_roots[t2][t3] for t2 in range(ctx.rank))
-                    for t3 in range(ctx.rank)
-                )
-                scal = ctx.zeta_pow(-ctx.pair(mu, ctx.order.gammas[pos]))
+                scal = ctx.zeta_pow(-ctx.pair(k, ctx.order.gammas[pos]))
             for fexp, c in ctx.rmul_rv("F", pos, f).items():
                 bk = self._check_key(fexp, k, e)
                 if bk is not None:

@@ -1,7 +1,8 @@
 """Sparse exact linear algebra over arbitrary exact coefficient fields.
 
 Coefficients are duck-typed: they must support +, -, *, /, unary -,
-``bool`` (False iff zero) and ==.  Vectors are dicts mapping an index
+``1 / x``, ``bool`` (False iff zero) and ==.  A pivot is inverted once and
+its row scaled by multiplication.  Vectors are dicts mapping an index
 (any hashable, orderable key) to a nonzero coefficient; matrices are
 dicts mapping a column key to a column vector.  Everything is
 deterministic: pivots are chosen by key order, never by hash order.
@@ -109,8 +110,8 @@ class Eliminator:
         if not red:
             return None
         p = min(red.keys())
-        inv = red[p]
-        red = {k: x / inv for k, x in red.items()}
+        inv = 1 / red[p]
+        red = {k: x * inv for k, x in red.items()}
         # Keep stored rows fully reduced: eliminate p from older rows.
         for q, prow in self.pivots.items():
             if p in prow:
@@ -163,9 +164,9 @@ class SpanSolver:
         if not row:
             return False
         p = min(row.keys())
-        inv = row[p]
-        row = {k: x / inv for k, x in row.items()}
-        comb = {k: x / inv for k, x in comb.items()}
+        inv = 1 / row[p]
+        row = {k: x * inv for k, x in row.items()}
+        comb = {k: x * inv for k, x in comb.items()}
         for q in self.pivots:
             prow = self.pivots[q]
             if p in prow:
@@ -216,9 +217,9 @@ class LinearSystem:
                     return None
                 continue
             p = min(row.keys())
-            inv = row[p]
-            row = {k: x / inv for k, x in row.items()}
-            rhs = rhs / inv
+            inv = 1 / row[p]
+            row = {k: x * inv for k, x in row.items()}
+            rhs = rhs * inv
             pivots[p] = (row, rhs)
             order.append(p)
         sol: Vec = {}

@@ -39,6 +39,10 @@ class WeightedModule:
     actions: Dict[GenKey, Mat]
     flags: FrozenSet[str]  # subset of {torus, borel-, borel+, full}
     label: str = "module"
+    # projectivity verdict per algebra kind, kept by inject.projective_split_test
+    split_verdicts: Dict[str, bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -76,10 +80,10 @@ class WeightedModule:
 
     def act_k(self, kvec: Sequence[int], vec: Vec) -> Vec:
         ctx = self.ctx
-        mu = ctx.k_to_root_coords(tuple(kvec))
         out: Vec = {}
         for i, c in vec.items():
-            e = ctx.datum.pair_weight_root(self.weights[i], mu)
+            # kvec is also the root-lattice element of K^kvec
+            e = ctx.datum.pair_weight_root(self.weights[i], kvec)
             out[i] = c * ctx.zeta_pow(e)
         return out
 
@@ -107,7 +111,7 @@ class WeightedModule:
         cur = dict(vec)
         for _ in range(n):
             cur = self.act_rv(side, pos, cur)
-        inv = ctx.field.one / ctx.qfact(n, ctx.d_gamma[pos])
+        inv = ctx.qfact_inv(n, ctx.d_gamma[pos])
         return {k: v * inv for k, v in cur.items()}
 
     def act_monomial(self, key: BasisKey, vec: Vec) -> Vec:
@@ -278,10 +282,9 @@ def verma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
             mat = {}
             for a in fexps:
                 col: Vec = {}
-                for (a2, kv, has_e), c in ctx.push_E_through_F(j, a):
+                for (a2, mu, has_e), c in ctx.push_E_through_F(j, a):
                     if has_e:
                         continue  # E kills the highest vector
-                    mu = ctx.k_to_root_coords(kv)
                     scal = c * ctx.zeta_pow(ctx.datum.pair_weight_root(lam, mu))
                     vec_add_term(col, index[a2], scal)
                 if col:
@@ -339,13 +342,12 @@ def coverma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
         for j in range(ctx.rank):
             mat = {}
             for cexp in eexps:
-                for (has_f, kv, c2), coeff in ctx.push_F_through_E(j, cexp):
+                for (has_f, mu, c2), coeff in ctx.push_F_through_E(j, cexp):
                     if has_f:
                         continue  # lam kills the F part
                     i2 = index.get(c2)
                     if i2 is None:
                         continue
-                    mu = ctx.k_to_root_coords(kv)
                     scal = coeff * ctx.zeta_pow(ctx.datum.pair_weight_root(lam, mu))
                     vec_add_term(mat.setdefault(i2, {}), index[cexp], scal)
             acts[("F", j)] = mat

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 QQ = Fraction
@@ -126,7 +126,7 @@ class RootDatum:
     def n_positive(self) -> int:
         return len(self.positive_roots)
 
-    @property
+    @cached_property
     def simple_roots(self) -> Tuple[Root, ...]:
         eye = []
         for i in range(self.rank):

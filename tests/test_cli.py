@@ -177,6 +177,33 @@ class TestVerify:
         cached = RunConfig("A1", 3, cache_path=path)
         assert make_context(cached) is not make_context(cached)
 
+    def test_spec_realized_once_per_context(self, tmp_path, monkeypatch):
+        from uzeta import qmodules
+        from uzeta.cli import run_case
+
+        realized = []
+        real = qmodules.realize_text
+
+        def counting(ctx, text):
+            realized.append(text)
+            return real(ctx, text)
+
+        monkeypatch.setattr(qmodules, "realize_text", counting)
+        spec = "sum(verma(1),simple(2))"
+        cfg = RunConfig("A1", 3)
+        first = run_case(cfg, "borel", spec, None)
+        n = len(realized)
+        assert run_case(cfg, "reduction", spec, None)["agree"]
+        assert run_case(cfg, "borel", spec, None) == first
+        assert len(realized) == n
+        # a context read from a cache file starts with no modules
+        path = str(tmp_path / "a1.cache")
+        write_cache(cfg, path)
+        cached = RunConfig("A1", 3, cache_path=path)
+        assert run_case(cached, "borel", spec, None) == first
+        run_case(cached, "reduction", spec, None)
+        assert len(realized) == n + 2
+
     def test_case_order_does_not_change_records(self):
         # warm straightening caches of a shared context must not leak into
         # a verdict: every record is the same in either order

@@ -156,6 +156,107 @@ class TestSplitTest:
         assert len(module_generators(sum_module(vm, vm), "u-")) == 2
 
 
+def _basis_order_generators(m, kind):
+    """Greedy generating set with basis vectors offered in basis order."""
+    from uzeta.linalg import Eliminator, mat_apply
+
+    mats = [m.generator_matrix(g) for g in m.ctx.algebra_kind(kind).generators]
+    one = m.ctx.field.one
+    elim = Eliminator()
+    gens = []
+    for i in range(m.dim):
+        if elim.contains({i: one}):
+            continue
+        gens.append(i)
+        elim.add({i: one})
+        frontier = [{i: one}]
+        while frontier:
+            v = frontier.pop()
+            for mat in mats:
+                red = elim.reduce(mat_apply(mat, v))
+                if red and elim.add(red) is not None:
+                    frontier.append(red)
+    return gens
+
+
+def _manifest_modules(ctxmaker, label, ell, p=None, r=0):
+    from uzeta.cli import RunConfig, default_manifest
+    from uzeta.qmodules import realize_text
+
+    ctx = ctxmaker(label, ell, p=p, r=r)
+    cfg = RunConfig(type_label=label, ell=ell, p=p, r=r)
+    return [realize_text(ctx, case["spec"]) for case in default_manifest(cfg)]
+
+
+class TestGeneratorChoice:
+    @pytest.mark.parametrize("label,ell,p,r", [("A2", 3, None, 0), ("A1", 3, 7, 1)])
+    def test_unipotent_generators_are_minimal(self, ctxmaker, label, ell, p, r):
+        # rad(A) = sum g A over the generators g, so rad(A) M is spanned by
+        # the columns of every generator matrix and M / rad(A) M counts the
+        # fewest generators
+        from uzeta.linalg import rank_of
+
+        for m in _manifest_modules(ctxmaker, label, ell, p, r):
+            for kind in ("u-", "u+"):
+                cols = [
+                    col
+                    for g in m.ctx.algebra_kind(kind).generators
+                    for col in m.generator_matrix(g).values()
+                ]
+                top = m.dim - rank_of(cols)
+                assert len(module_generators(m, kind)) == top, (m.label, kind)
+
+    def test_big_algebra_never_more_than_basis_order(self, ctxmaker):
+        fewer = 0
+        for m in _manifest_modules(ctxmaker, "A2", 3):
+            ours, ref = len(module_generators(m, "g")), len(_basis_order_generators(m, "g"))
+            assert ours <= ref, m.label
+            fewer += ours < ref
+        assert fewer
+
+    def test_verdicts_do_not_depend_on_generators(self, ctxmaker, monkeypatch):
+        import uzeta.inject as inject
+        from uzeta.qmodules import realize_text
+
+        ctx = ctxmaker("A2", 3)
+        specs = [
+            "trivial",
+            "verma(1,2)",
+            "simple(2,2)",
+            "dual(simple(0,1))",
+            "tensor(simple(1,0),simple(0,1))",
+        ]
+        kinds = ("g", "u-", "u+")
+        # fresh modules per route: a module keeps its verdicts
+        ours = {(s, k): projective_split_test(realize_text(ctx, s), k) for s in specs for k in kinds}
+        monkeypatch.setattr(inject, "module_generators", _basis_order_generators)
+        ref = {(s, k): projective_split_test(realize_text(ctx, s), k) for s in specs for k in kinds}
+        assert ours == ref
+        assert set(ours.values()) == {True, False}
+        smaller = [
+            (s, k)
+            for s in specs
+            for k in kinds
+            if len(module_generators(realize_text(ctx, s), k))
+            < len(_basis_order_generators(realize_text(ctx, s), k))
+        ]
+        assert smaller
+
+    def test_verdict_kept_per_kind_after_budget(self, ctxmaker):
+        ctx = ctxmaker("A2", 3)
+        m = verma_module(ctx, (1, 2))
+        with pytest.raises(BudgetExceeded):
+            projective_split_test(m, "u-", budget=10)
+        assert m.split_verdicts == {}
+        assert projective_split_test(m, "u-")
+        assert m.split_verdicts == {"u-": True}
+        # the budget is checked before the kept verdict is read
+        with pytest.raises(BudgetExceeded):
+            projective_split_test(m, "u-", budget=10)
+        assert not projective_split_test(m, "u+")
+        assert m.split_verdicts == {"u-": True, "u+": False}
+
+
 class TestHarness:
     def test_root_criterion_corpus(self, ctxmaker):
         ctx = ctxmaker("A1", 3)

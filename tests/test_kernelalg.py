@@ -223,6 +223,27 @@ class TestGaussBinom:
         assert ctx.gauss_binom(-1, 1)
         assert ctx.gauss_binom(0, 1) == ctx.field.zero
 
+    def test_laurent_product_formula(self, ctxmaker):
+        # [m choose t] = prod_{s=1..t} (q^(m-s+1) - q^-(m-s+1)) / (q^s - q^-s)
+        # over Z[q, 1/q], evaluated at zeta, for negative m too; a factor
+        # with m - s + 1 = 0 makes it zero
+        from uzeta.scalars import Laurent, s_generator
+
+        ctxs = [ctxmaker("A1", 3, p=7, r=1), ctxmaker("A1", 5), ctxmaker("A2", 3)]
+        for m in range(-45, 46):
+            for t in range(0, 5):
+                if 0 <= m < t:
+                    poly = Laurent.const(0)
+                else:
+                    num, den = Laurent.const(1), Laurent.const(1)
+                    for s in range(1, t + 1):
+                        j = m - s + 1
+                        num = num * (s_generator(j) if j > 0 else -s_generator(-j))
+                        den = den * s_generator(s)
+                    poly = num.exact_div(den)
+                for ctx in ctxs:
+                    assert ctx.gauss_binom(m, t) == ctx.field.eval_laurent(poly), (m, t)
+
     def test_mixed_relation_on_module_checked(self, ctxmaker):
         # the module checker exercises E^{(l)} F^{(l)} against the raw terms
         from uzeta.qmodules import verma_module

@@ -36,6 +36,11 @@ class TestRootDatum:
         assert set(d.positive_roots) == {(1, 0), (0, 1), (1, 1)}
         assert d.highest_root == (1, 1)
 
+    def test_simple_roots_are_the_unit_vectors_built_once(self):
+        d = build_root_datum("A3")
+        assert d.simple_roots == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert d.simple_roots is d.simple_roots
+
     def test_b2_lengths(self):
         d = build_root_datum("B2")
         short = [r for r in d.positive_roots if d.pair_roots(r, r) == 2]
