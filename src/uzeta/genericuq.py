@@ -60,13 +60,6 @@ def el_add(a: Elt, b: Elt) -> Elt:
     return out
 
 
-def el_scale(a: Elt, c) -> Elt:
-    c = qf(c)
-    if not c:
-        return {}
-    return {w: c * x for w, x in a.items()}
-
-
 def el_mul(a: Elt, b: Elt) -> Elt:
     out: Elt = {}
     for wa, ca in a.items():

@@ -274,23 +274,24 @@ def module_generators(m: WeightedModule, kind: str) -> List[int]:
     Each candidate is greedy: basis vectors are offered in some order and
     kept when they lie outside the submodule the kept ones generate.  The
     orders are highest weight first (by height in the root lattice, ties
-    by index), lowest weight first and basis order; the first of the
-    smallest sets wins, so no set is larger than the basis-order one.
+    by index), lowest weight first and basis order.
     Over the one-sided kinds (u±, b±, Am:m, root:s:±) the generators all
     move the weight one way, and offered from the end they move away
-    from, each weight space mu adds dim (M / rad M)_mu vectors: the set is
-    minimal.  Over g it is a heuristic.
+    from (highest first for side '-', lowest first for '+'), each weight
+    space mu adds dim (M / rad M)_mu vectors: that one set is minimal.
+    Over g all three are built and the first of the smallest wins, so no
+    set is larger than the basis-order one; there it is a heuristic.
     """
     mats = _generator_matrices(m, kind)
     datum = m.ctx.datum
     height = {w: datum.height(datum.weight_to_root(w)) for w in set(m.weights)}
     basis = range(m.dim)
-    orders = (
-        sorted(basis, key=lambda i: (-height[m.weights[i]], i)),
-        sorted(basis, key=lambda i: (height[m.weights[i]], i)),
-        basis,
-    )
-    return min((_greedy_generators(m, mats, order) for order in orders), key=len)
+    highest = sorted(basis, key=lambda i: (-height[m.weights[i]], i))
+    lowest = sorted(basis, key=lambda i: (height[m.weights[i]], i))
+    side = m.ctx.algebra_kind(kind).side
+    if side is not None:
+        return _greedy_generators(m, mats, highest if side == "-" else lowest)
+    return min((_greedy_generators(m, mats, order) for order in (highest, lowest, basis)), key=len)
 
 
 def _greedy_generators(m: WeightedModule, mats, order: Iterable[int]) -> List[int]:

@@ -8,7 +8,10 @@ describes each algebra kind once, as an ``AlgebraKind``.  It memoizes all straig
 * specialized commutation tables for plain root vectors,
 * root-vector expansions into words of simple generators,
 * reduction of one-sided words to divided-power PBW coordinates,
-* mixed pushes of a simple E past a divided F-monomial (and mirrored),
+* each one-sided divided monomial as letters times monomials one letter
+  lower, and from it, by recursion on that letter, the mixed pushes of a
+  simple E past a divided F-monomial (and mirrored), valid while all
+  exponents are < ell (r = 0),
 * the closed rank-one formula for E^{(m)} F^{(n)} used by higher kernels.
 
 Algebras are presented on enumerated divided-power PBW bases.  Elements
@@ -28,7 +31,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .genericuq import UqGeneric, generic_uq
-from .linalg import Eliminator, Mat, Vec, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
+from .linalg import Eliminator, Mat, SpanSolver, Vec, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
 from .rootdata import ConvexOrder, RootDatum, build_root_datum, convex_order
 from .scalars import QFraction, q_binom, q_factorial, q_int
 
@@ -107,11 +110,12 @@ class KernelContext:
             )
         self._qn: Dict[Tuple[int, int], object] = {}
         self._qbin: Dict[Tuple[int, int, int], object] = {}
+        self._qfact: Dict[Tuple[int, int], object] = {}
         self._qfact_inv: Dict[Tuple[int, int], object] = {}
         self._reduce: Dict[Tuple[str, Tuple[int, ...]], Dict[FExp, object]] = {}
-        self._mono_words: Dict[Tuple[str, FExp], Tuple] = {}
-        self._push_ef: Dict[Tuple[int, FExp], Tuple] = {}
-        self._push_fe: Dict[Tuple[int, FExp], Tuple] = {}
+        self._by_weight: Optional[Dict[Tuple[int, ...], List[FExp]]] = None
+        self._letter_terms: Dict[Tuple[str, FExp], Dict[Tuple[GenKey, FExp], object]] = {}
+        self._pushes: Dict[Tuple[str, int, FExp], Tuple] = {}
         self._kbinom: Dict[Tuple[int, int], object] = {}
         self._lmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
         self._rmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
@@ -139,10 +143,12 @@ class KernelContext:
         return hit
 
     def qfact(self, n: int, d: int = 1):
-        out = self.field.one
-        for i in range(2, n + 1):
-            out = out * self.qn(i, d)
-        return out
+        key = (n, d)
+        hit = self._qfact.get(key)
+        if hit is None:
+            hit = self.qfact(n - 1, d) * self.qn(n, d) if n > 1 else self.field.one
+            self._qfact[key] = hit
+        return hit
 
     def qfact_inv(self, n: int, d: int = 1):
         """1 / [n]_d!, inverted once per (n, d)."""
@@ -266,115 +272,110 @@ class KernelContext:
         plain = self.reduce_word(side, word)
         return self.plain_to_divided({e: c * inv for e, c in plain.items()})
 
-    def mono_simple_words(self, side: str, exp: FExp) -> Tuple:
-        """Divided monomial X^{(exp)} as words of SIMPLE letters (0-based)."""
+    # -- one-letter recursion ------------------------------------------------
+
+    def _letter_times(self, side: str, letter: GenKey, exp: FExp) -> Dict[FExp, object]:
+        """Divided coordinates of x X^{(exp)} (side F) or X^{(exp)} x (side E)."""
+        kind, j = letter
+        if kind == side:
+            mul = self.lmul_rv if side == "F" else self.rmul_rv
+            return mul(side, self.simple_pos[j], exp)
+        # X^{(ell)} in rank one: pure divided-power collection
+        a = exp[0] + self.ell
+        c = self.qbin(a, self.ell, self.d_gamma[0])
+        return {(a,): c} if a < self.cap and c else {}
+
+    def letter_terms(self, side: str, exp: FExp) -> Dict[Tuple[GenKey, FExp], object]:
+        """Nonzero X^{(exp)} as sum c * x X^{(e)} (side F) or sum c * X^{(e)} x (side E).
+
+        Returns {(x, e): c} over the letters x: the simple X_j, and X^{(ell)}
+        at r = 1.  They generate the one-sided kernel, so every monomial of
+        nonzero weight lies in the span of the columns "letter times a
+        monomial one letter lower"; one ``SpanSolver`` per weight solves all
+        its monomials.
+        """
         key = (side, exp)
-        hit = self._mono_words.get(key)
-        if hit is not None:
-            return hit
-        terms: Dict[Tuple[int, ...], object] = {(): self.field.one}
-        for i, a in enumerate(exp):
-            if not a:
-                continue
-            rv = self.rv_words[side][i]
-            for _ in range(a):
-                nxt: Dict[Tuple[int, ...], object] = {}
-                for w, c in terms.items():
-                    for w2, c2 in rv:
-                        vec_add_term(nxt, w + w2, c * c2)
-                terms = nxt
-            inv = self.qfact_inv(a, self.d_gamma[i])
-            terms = {w: c * inv for w, c in terms.items()}
-        out = tuple(sorted(terms.items()))
-        self._mono_words[key] = out
-        return out
+        if key not in self._letter_terms:
+            wt = self.weight_of_fexp(exp)
+            solver = SpanSolver()
+            letters = [(side, j) for j in range(self.rank)] + ([(side + "d0", 0)] if self.r else [])
+            for letter in letters:
+                step = 1 if letter[0] == side else self.ell
+                below = tuple(w - step * (t == letter[1]) for t, w in enumerate(wt))
+                for e in self._exps_by_weight().get(below, ()):
+                    solver.add((letter, e), self._letter_times(side, letter, e))
+            for a in self._exps_by_weight()[wt]:
+                sol = solver.solve({a: self.field.one})
+                if sol is None:
+                    raise ArithmeticError(f"{side}^({a}) is not a sum of letter products")
+                self._letter_terms[(side, a)] = sol
+        return self._letter_terms[key]
+
+    def _exps_by_weight(self) -> Dict[Tuple[int, ...], List[FExp]]:
+        if self._by_weight is None:
+            self._by_weight = {}
+            for exp in itertools.product(range(self.cap), repeat=self.n):
+                self._by_weight.setdefault(self.weight_of_fexp(exp), []).append(exp)
+        return self._by_weight
 
     # -- mixed pushes ------------------------------------------------------
 
     def push_E_through_F(self, j: int, exp: FExp) -> Tuple:
         """E_j * F^{(exp)} as sum F^{(exp')} K^{kv} (E_j or 1).
 
-        Returns a tuple of ((exp', kv mod ell, has_e), coeff); kv is only
-        nonzero for the commutator terms spawned at matching letters.
-        Valid whenever all exponents are < ell (always true at r = 0).
+        Returns a tuple of ((exp', kv mod ell, has_e), coeff); see ``_push``.
         """
-        key = (j, exp)
-        hit = self._push_ef.get(key)
-        if hit is not None:
-            return hit
-        alpha_j = self.datum.simple_roots[j]
-        dj = self.datum.d[j]
-        denom = self.zeta_pow(dj) - self.zeta_pow(-dj)
-        acc: Dict[Tuple[FExp, KExp, int], object] = {}
-        zero_kv = (0,) * self.rank
-        for word, c in self.mono_simple_words("F", exp):
-            # pass-through term: E_j survives on the right
-            for fexp, cw in self.plain_to_divided(self.reduce_word("F", self._simple_word_positions(word))).items():
-                vec_add_term(acc, (fexp, zero_kv, 1), c * cw)
-            # commutator terms at each matching letter
-            for t, i in enumerate(word):
-                if i != j:
-                    continue
-                rest = word[:t] + word[t + 1:]
-                suffix_wt = [0] * self.rank
-                for i2 in word[t + 1:]:
-                    suffix_wt[i2] += 1
-                pairing = self.pair(alpha_j, tuple(suffix_wt))
-                for sign in (1, -1):
-                    kv = self.kmod(tuple(sign * x for x in alpha_j))
-                    scal = self.zeta_pow(-sign * pairing) / denom
-                    if sign < 0:
-                        scal = -scal
-                    plain = self.reduce_word("F", self._simple_word_positions(rest))
-                    for fexp, cw in self.plain_to_divided(plain).items():
-                        vec_add_term(acc, (fexp, kv, 0), c * scal * cw)
-        out = tuple(sorted(acc.items()))
-        self._push_ef[key] = out
-        return out
+        return self._push("F", j, exp)
 
     def push_F_through_E(self, j: int, exp: FExp) -> Tuple:
         """E^{(exp)} * F_j as sum (F_j or 1) K^{kv} E^{(exp')}.
 
-        Mirrored right-multiplication push used by coinduced modules.
-        Returns tuple of ((has_f, kv, exp'), coeff).
+        Mirrored push used by coinduced modules.  Returns a tuple of
+        ((has_f, kv mod ell, exp'), coeff); see ``_push``.
         """
-        key = (j, exp)
-        hit = self._push_fe.get(key)
+        return self._push("E", j, exp)
+
+    def _push(self, side: str, j: int, exp: FExp) -> Tuple:
+        """E_j X^{(exp)} (side F) or X^{(exp)} F_j (side E), by recursion on one letter.
+
+        With F^{(a)} = sum c F_i F^{(e)} (``letter_terms``) and the relation
+        E_j F_i = F_i E_j + delta_ij (K_j - K_j^-1)/(q_j - q_j^-1),
+
+            E_j F^{(a)} = sum c (F_i E_j F^{(e)} + delta_ij (K_j - K_j^-1)/(q_j - q_j^-1) F^{(e)}),
+
+        and K_j^{+-1} moves right past F^{(e)} at the cost zeta^{-+(alpha_j, wt e)}.
+        The mirror E^{(a)} = sum c E^{(e)} E_i gives E^{(a)} F_j, with K moved
+        left past E^{(e)} at the same cost.  Terms are sorted keys
+        (exp', kv, has_e) on side F and (has_f, kv, exp') on side E; kv is
+        nonzero only on commutator terms.  Valid while all exponents are
+        < ell (r = 0), where the letters are the simple X_i.
+        """
+        key = (side, j, exp)
+        hit = self._pushes.get(key)
         if hit is not None:
             return hit
-        alpha_j = self.datum.simple_roots[j]
-        dj = self.datum.d[j]
-        denom = self.zeta_pow(dj) - self.zeta_pow(-dj)
-        acc: Dict[Tuple[int, KExp, FExp], object] = {}
-        zero_kv = (0,) * self.rank
-        for word, c in self.mono_simple_words("E", exp):
-            for eexp, cw in self.plain_to_divided(self.reduce_word("E", self._simple_word_positions(word))).items():
-                vec_add_term(acc, (1, zero_kv, eexp), c * cw)
-            for t, i in enumerate(word):
-                if i != j:
-                    continue
-                rest = word[:t] + word[t + 1:]
-                prefix_wt = [0] * self.rank
-                for i2 in word[:t]:
-                    prefix_wt[i2] += 1
-                pairing = self.pair(alpha_j, tuple(prefix_wt))
-                # E_i F_j = F_j E_i + delta (K - K^-1)/(q_j - q_j^-1):
-                # moving F_j left across E_{i} for i != j is free; the
-                # commutator K-parts then move left across the prefix.
-                for sign in (1, -1):
-                    kv = self.kmod(tuple(sign * x for x in alpha_j))
-                    scal = self.zeta_pow(-sign * pairing) / denom
-                    if sign < 0:
-                        scal = -scal
-                    plain = self.reduce_word("E", self._simple_word_positions(rest))
-                    for eexp, cw in self.plain_to_divided(plain).items():
-                        vec_add_term(acc, (0, kv, eexp), c * scal * cw)
-        out = tuple(sorted(acc.items()))
-        self._push_fe[key] = out
+        acc: Dict[Tuple[FExp, KExp, int], object] = {}
+        if not any(exp):
+            acc[(exp, (0,) * self.rank, 1)] = self.field.one
+        else:
+            alpha_j = self.datum.simple_roots[j]
+            dj = self.datum.d[j]
+            inv_denom = self.field.one / (self.zeta_pow(dj) - self.zeta_pow(-dj))
+            for (letter, e), c in self.letter_terms(side, exp).items():
+                for k2, c2 in self._push(side, j, e):
+                    x, kv, has = k2 if side == "F" else k2[::-1]
+                    c2 = c * c2
+                    for x2, c3 in self._letter_times(side, letter, x).items():
+                        vec_add_term(acc, (x2, kv, has), c2 * c3)
+                if letter == (side, j):
+                    pairing = self.pair(alpha_j, self.weight_of_fexp(e))
+                    for sign in (1, -1):
+                        kv = self.kmod(tuple(sign * x for x in alpha_j))
+                        scal = self.zeta_pow(-sign * pairing) * inv_denom
+                        vec_add_term(acc, (e, kv, 0), c * scal if sign > 0 else -(c * scal))
+        out = tuple(sorted((k if side == "F" else k[::-1], c) for k, c in acc.items()))
+        self._pushes[key] = out
         return out
-
-    def _simple_word_positions(self, word: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(self.simple_pos[i] for i in word)
 
     # -- rank one: closed divided-power commutation ------------------------
     #

@@ -44,12 +44,6 @@ def vec_iadd_scaled(u: Vec, v: Vec, c) -> Vec:
     return u
 
 
-def vec_scale(v: Vec, c) -> Vec:
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
-
-
 def mat_apply(m: Mat, v: Vec) -> Vec:
     """Image of vector v under the column-indexed matrix m."""
     out: Vec = {}
@@ -58,23 +52,6 @@ def mat_apply(m: Mat, v: Vec) -> Vec:
         if col:
             vec_iadd_scaled(out, col, c)
     return out
-
-
-def mat_mul(m: Mat, n: Mat) -> Mat:
-    """Composite m∘n of column-indexed matrices."""
-    return {j: col for j, ncol in n.items() if (col := mat_apply(m, ncol))}
-
-
-def mat_transpose(m: Mat) -> Mat:
-    out: Mat = {}
-    for j, col in m.items():
-        for i, x in col.items():
-            out.setdefault(i, {})[j] = x
-    return out
-
-
-def mat_identity(keys: Iterable[Hashable], one) -> Mat:
-    return {k: {k: one} for k in keys}
 
 
 class Eliminator:

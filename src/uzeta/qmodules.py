@@ -73,11 +73,6 @@ class WeightedModule:
             raise KeyError(f"{self.label} carries no action of {gen}")
         return mat
 
-    def k_eigen(self, j: int, i: int):
-        """Eigenvalue of K_{alpha_j} on basis vector i."""
-        lam = self.weights[i]
-        return self.ctx.zeta_pow(lam[j] * self.ctx.datum.d[j])
-
     def act_k(self, kvec: Sequence[int], vec: Vec) -> Vec:
         ctx = self.ctx
         out: Vec = {}
@@ -584,42 +579,41 @@ def contravariant_gram(m: WeightedModule, verma_of: Weight) -> Dict[Weight, Tupl
     """Per-weight Gram blocks of the sigma-contravariant pairing on a Verma.
 
     The pairing of F^{(a)} v and F^{(b)} v is the highest-line coordinate
-    of sigma(F^{(a)}) acting on F^{(b)} v, where sigma reverses words and
-    exchanges E with F.
+    of sigma(F^{(a)}) acting on F^{(b)} v, where sigma reverses products and
+    exchanges E with F (sigma(F^{(ell)}) = E^{(ell)}).  With F^{(a)} = sum
+    c x F^{(e)} over the letters x (``KernelContext.letter_terms``),
+    sigma(F^{(a)}) w = sum c sigma(F^{(e)}) (sigma(x) w), so the functional
+    w -> <F^{(a)} v, w> is built from those of the monomials one letter lower.
     """
     ctx = m.ctx
     fexps = _fexp_list(ctx)
-    top = fexps.index((0,) * ctx.n)
+    index = {a: i for i, a in enumerate(fexps)}
+    top = index[(0,) * ctx.n]
     blocks: Dict[Weight, List[int]] = {}
     for i, lam in enumerate(m.weights):
         blocks.setdefault(lam, []).append(i)
+    functionals: Dict[int, Vec] = {top: {top: ctx.field.one}}
+
+    def functional(ia: int) -> Vec:
+        hit = functionals.get(ia)
+        if hit is None:
+            hit = {}
+            for ((kind, j), e), c in ctx.letter_terms("F", fexps[ia]).items():
+                low = functional(index[e])
+                mat = m.actions[("E" + kind[1:], j)]
+                for k in blocks[m.weights[ia]]:
+                    val = ctx.field.zero
+                    for k2, x in mat.get(k, {}).items():
+                        if k2 in low:
+                            val = val + low[k2] * x
+                    vec_add_term(hit, k, c * val)
+            functionals[ia] = hit
+        return hit
+
     out = {}
     for lam, idxs in blocks.items():
-        size = len(idxs)
-        gram = [[ctx.field.zero] * size for _ in range(size)]
-        for bi, b in enumerate(idxs):
-            vb = {b: ctx.field.one}
-            for ai, a in enumerate(idxs):
-                acc = ctx.field.zero
-                if ctx.n == 1:
-                    # sigma(F^{(a)}) = E^{(a)} in rank one
-                    cur = m.act_divided("E", 0, fexps[a][0], vb)
-                    if cur.get(top):
-                        acc = cur[top]
-                else:
-                    # sigma(F_{i1}...F_{ik}) = E_{ik}...E_{i1}: word reversal
-                    # composed with right-to-left operator application means
-                    # the letters act in their original order.
-                    for word, c in ctx.mono_simple_words("F", fexps[a]):
-                        cur = {k2: v * c for k2, v in vb.items()}
-                        for j in word:
-                            cur = m.act_gen(("E", j), cur)
-                            if not cur:
-                                break
-                        if cur.get(top):
-                            acc = acc + cur[top]
-                gram[ai][bi] = acc
-        out[lam] = (idxs, gram)
+        rows = [functional(a) for a in idxs]
+        out[lam] = (idxs, [[row.get(b, ctx.field.zero) for b in idxs] for row in rows])
     return out
 
 
@@ -809,10 +803,6 @@ def realize_text(ctx: KernelContext, text: str) -> WeightedModule:
 
 # --------------------------------------------------------------------------
 # characters and structural tests
-
-
-def character_of(m: WeightedModule) -> Counter:
-    return m.character()
 
 
 def verma_character_test(m: WeightedModule) -> bool:

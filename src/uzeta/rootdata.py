@@ -262,9 +262,6 @@ class ConvexOrder:
     word: Tuple[int, ...]  # 1-based simple indices
     gammas: Tuple[Root, ...]
 
-    def index_of(self, r: Root) -> int:
-        return self.gammas.index(r)
-
     def check_convexity(self) -> None:
         g = self.gammas
         n = len(g)

@@ -131,6 +131,18 @@ class TestSubcommands:
         r = cli("module", "--type", "A1", "--ell", "3", "bogus(1)")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args,dim",
+        [(("--type", "B2", "--ell", "5", "verma(1,1)"), 625),
+         (("--type", "A3", "--ell", "3", "--permissive", "verma(1,1,1)"), 729)],
+        ids=["B2-l5", "A3-l3"],
+    )
+    def test_module_beyond_rank_two(self, args, dim):
+        # realization and check() of Vermas outside every default manifest
+        r = cli("module", *args)
+        assert r.returncode == 0, r.stderr
+        assert f"dim {dim}" in r.stdout.splitlines()
+
     def test_permissive_banner(self):
         r = cli("betti", "--type", "A1", "--ell", "3", "--permissive")
         assert "permissive" in r.stdout

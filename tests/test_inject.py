@@ -197,7 +197,7 @@ class TestGeneratorChoice:
         from uzeta.linalg import rank_of
 
         for m in _manifest_modules(ctxmaker, label, ell, p, r):
-            for kind in ("u-", "u+"):
+            for kind in ("u-", "u+", "b-", "b+", "Am:1", "root:1:+"):
                 cols = [
                     col
                     for g in m.ctx.algebra_kind(kind).generators

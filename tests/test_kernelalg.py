@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -287,3 +289,121 @@ class TestAlgebraKind:
             KernelContext(convex_order("A1", (1,)), GaloisField(7, 3), r=2)
         with pytest.raises(ValueError):
             KernelContext(convex_order("A2", (1, 2, 1)), GaloisField(7, 3), r=1)
+
+
+# -- simple-word reference for the one-letter recursion ----------------------
+
+
+def _simple_words(ctx, side, exp):
+    """X^{(exp)} as words of simple letters: each root vector expanded."""
+    terms = {(): ctx.field.one}
+    for i, a in enumerate(exp):
+        for _ in range(a):
+            nxt = {}
+            for w, c in terms.items():
+                for w2, c2 in ctx.rv_words[side][i]:
+                    nxt[w + w2] = nxt.get(w + w2, ctx.field.zero) + c * c2
+            terms = nxt
+        inv = ctx.qfact_inv(a, ctx.d_gamma[i])
+        terms = {w: c * inv for w, c in terms.items()}
+    return terms
+
+
+@functools.lru_cache(maxsize=None)
+def _straighten(ctx, side, word):
+    positions = tuple(ctx.simple_pos[i] for i in word)
+    return tuple(ctx.plain_to_divided(ctx.reduce_word(side, positions)).items())
+
+
+def _word_pushes(ctx, side, exp):
+    """{j: E_j F^{(exp)}} (side F) or {j: E^{(exp)} F_j} (side E), by words.
+
+    Every simple word of X^{(exp)} is straightened as it stands (E_j or F_j
+    passes through) and once without each letter j, with K_j^{+-1} moved past
+    the letters on the far side of it.
+    """
+    from uzeta.linalg import vec_add_term
+
+    zero_kv = (0,) * ctx.rank
+    pushes = {}
+    words = _simple_words(ctx, side, exp)
+    for j in range(ctx.rank):
+        alpha_j = ctx.datum.simple_roots[j]
+        dj = ctx.datum.d[j]
+        denom = ctx.zeta_pow(dj) - ctx.zeta_pow(-dj)
+        acc = {}
+        for word, c in words.items():
+            for x, cw in _straighten(ctx, side, word):
+                vec_add_term(acc, (x, zero_kv, 1), c * cw)
+            for t, i in enumerate(word):
+                if i != j:
+                    continue
+                passed = [0] * ctx.rank
+                for i2 in word[t + 1:] if side == "F" else word[:t]:
+                    passed[i2] += 1
+                pairing = ctx.pair(alpha_j, tuple(passed))
+                for sign in (1, -1):
+                    kv = ctx.kmod(tuple(sign * x for x in alpha_j))
+                    scal = ctx.zeta_pow(-sign * pairing) / denom
+                    scal = scal if sign > 0 else -scal
+                    for x, cw in _straighten(ctx, side, word[:t] + word[t + 1:]):
+                        vec_add_term(acc, (x, kv, 0), c * scal * cw)
+        pushes[j] = tuple(sorted((k if side == "F" else k[::-1], c) for k, c in acc.items()))
+    return pushes
+
+
+def _word_gram(m):
+    """Gram blocks with sigma(F^{(a)}) applied as its simple words, reversed."""
+    ctx = m.ctx
+    fexps = sorted(itertools.product(range(ctx.cap), repeat=ctx.n))
+    top = fexps.index((0,) * ctx.n)
+    blocks = {}
+    for i, lam in enumerate(m.weights):
+        blocks.setdefault(lam, []).append(i)
+    out = {}
+    for lam, idxs in blocks.items():
+        gram = [[ctx.field.zero] * len(idxs) for _ in idxs]
+        for ai, a in enumerate(idxs):
+            words = _simple_words(ctx, "F", fexps[a])
+            for bi, b in enumerate(idxs):
+                for word, c in words.items():
+                    cur = {b: c}
+                    for j in word:
+                        cur = m.act_gen(("E", j), cur)
+                    gram[ai][bi] = gram[ai][bi] + cur.get(top, ctx.field.zero)
+        out[lam] = (idxs, gram)
+    return out
+
+
+class TestOneLetterRecursion:
+    @pytest.mark.parametrize("label,ell", [("A1", 3), ("A1", 5), ("A2", 3), ("A2", 5), ("B2", 3)])
+    def test_pushes_match_word_reference(self, ctxmaker, label, ell):
+        ctx = ctxmaker(label, ell)
+        for exp in itertools.product(range(ctx.cap), repeat=ctx.n):
+            ef, fe = _word_pushes(ctx, "F", exp), _word_pushes(ctx, "E", exp)
+            for j in range(ctx.rank):
+                assert ctx.push_E_through_F(j, exp) == ef[j], (j, exp)
+                assert ctx.push_F_through_E(j, exp) == fe[j], (j, exp)
+
+    @pytest.mark.parametrize(
+        "label,ell,lam",
+        [("A2", 3, (1, 1)), ("A2", 3, (2, 0)), ("A2", 5, (1, 1)), ("B2", 3, (1, 1)), ("B2", 3, (0, 2))],
+    )
+    def test_gram_matches_word_reference(self, ctxmaker, label, ell, lam):
+        from uzeta.qmodules import contravariant_gram, verma_module
+
+        m = verma_module(ctxmaker(label, ell), lam)
+        assert contravariant_gram(m, lam) == _word_gram(m)
+
+    def test_letter_terms_recompose(self, ctxmaker):
+        # F^{(a)} = sum c x F^{(e)}, at r = 0 and with F^{(ell)} at r = 1
+        for ctx in (ctxmaker("B2", 3), ctxmaker("A1", 3, p=7, r=1)):
+            for side in "FE":
+                for exp in itertools.product(range(ctx.cap), repeat=ctx.n):
+                    if not any(exp):
+                        continue
+                    total = {}
+                    for (letter, e), c in ctx.letter_terms(side, exp).items():
+                        for x, c2 in ctx._letter_times(side, letter, e).items():
+                            total[x] = total.get(x, ctx.field.zero) + c * c2
+                    assert {x: c for x, c in total.items() if c} == {exp: ctx.field.one}
