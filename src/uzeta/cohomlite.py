@@ -4,8 +4,11 @@ cohomology dimensions of the Borel subalgebras.
 The trivial module is resolved by weight-graded syzygies: each step picks
 homogeneous minimal generators of the kernel of the previous differential
 (minimality means the differentials land in the radical, which is checked
-explicitly).  Borel cohomology dimensions are read off by torus-weight
-selection: a resolution generator of weight mu contributes to
+explicitly).  Every differential column is homogeneous, so each kernel is
+solved one weight block at a time; that gives the same kernel vectors, in
+the same order, as one elimination over the whole free module.  Borel
+cohomology dimensions are read off by torus-weight selection: a
+resolution generator of weight mu contributes to
 H^n(borel, k) exactly when the K-character of mu is trivial, i.e.
 (mu, alpha_j) = 0 mod ell for every simple root.  The lattice shortcut is
 asserted against the field-level eigenvalue on every use.
@@ -13,11 +16,10 @@ asserted against the field-level eigenvalue on every use.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .kernelalg import KernelAlgebra, KernelContext
+from .kernelalg import BasisKey, KernelAlgebra, KernelContext
 from .linalg import Eliminator, Vec, kernel_basis, vec_add_term
 
 RootVec = Tuple[int, ...]
@@ -67,13 +69,12 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
                 red = rad.reduce(_apply_gen(alg, gen, vec))
                 if red:
                     rad.add(red)
-        chooser = Eliminator()
-        for row in rad.pivots.values():
-            chooser.add(dict(row))
+        # rad is kept fully reduced with min-key pivots, so kernel vectors
+        # are reduced against it directly and the survivors join it
         new_gens: List[Tuple[RootVec, Vec]] = []
         for vec in kernel:
-            red = chooser.reduce(vec)
-            if red and chooser.add(red) is not None:
+            red = rad.reduce(vec)
+            if red and rad.add(red) is not None:
                 wt = _vec_weight(alg, gen_weights, red)
                 new_gens.append((wt, red))
                 # minimality: the generator has no unit coordinate
@@ -83,24 +84,33 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
         degrees.append([wt for wt, _ in new_gens])
         if step == n_max:
             break
-        # next kernel: ker(P_step -> P_{step-1})
-        columns = []
-        for gj, (wt, h) in enumerate(new_gens):
-            for akey in alg.basis:
-                img: Vec = {}
-                for (i, bkey), c in h.items():
-                    prod = alg.lmul_monomial(akey, {bkey: c})
-                    for bk2, c2 in prod.items():
-                        vec_add_term(img, (i, bk2), c2)
-                columns.append(((gj, akey), img))
-        kernel = []
-        for rel in kernel_basis(columns, one=field.one):
-            kernel.append({k: c for k, c in rel.items() if c})
+        kernel = _next_kernel(alg, new_gens, field.one)
         gen_weights = [wt for wt, _ in new_gens]
 
     res = GradedBetti(kind, degrees)
     _check_strict_grading(res)
     return res
+
+
+def _next_kernel(alg: KernelAlgebra, new_gens: List[Tuple[RootVec, Vec]], one) -> List[Vec]:
+    """ker(P_step -> P_{step-1}) for the generators h of P_step, by weight block.
+
+    The column a.h has the weight of a plus that of h, and columns of
+    different weights share no row key, so each block is eliminated alone.
+    Column keys (generator, a) increase, so sorting the relations by their
+    largest key gives the order of one elimination over all columns.
+    """
+    blocks: Dict[RootVec, List[Tuple[Tuple[int, BasisKey], Vec]]] = {}
+    for gj, (wt, h) in enumerate(new_gens):
+        for akey in alg.basis:
+            img: Vec = {}
+            for (i, bkey), c in h.items():
+                prod = alg.lmul_monomial(akey, {bkey: c})
+                for bk2, c2 in prod.items():
+                    vec_add_term(img, (i, bk2), c2)
+            cw = tuple(a + b for a, b in zip(alg.weight_of_key(akey), wt))
+            blocks.setdefault(cw, []).append(((gj, akey), img))
+    return sorted((rel for cols in blocks.values() for rel in kernel_basis(cols, one=one)), key=max)
 
 
 def _apply_gen(alg: KernelAlgebra, gen, vec: Vec) -> Vec:

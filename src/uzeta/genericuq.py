@@ -672,7 +672,7 @@ class PBWContext:
         self.nu = nu
         self.ws = uq.weight_space(nu)
         self.exps = uq.pbw_monomials(order, nu)
-        self.solver = SpanSolver()
+        self.solver = SpanSolver(QFraction(L_ONE))
         for exp in self.exps:
             vec = uq.monomial_words(order, side, exp)
             red = self.ws.reduce(vec)

@@ -383,19 +383,21 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
             rhs = ctx.field.one if row == j else ctx.field.zero
             system.add(rows.get(row, {}), rhs)
     # equivariance for each generator: per (gen, source j), the equation
-    #   s(g v_j) - g s(v_j) = 0 read off in each cover coordinate (t, key2)
+    #   g s(v_j) - s(g v_j) = 0 read off in each cover coordinate (t, key2);
+    # the cover coefficients enter as they are, the module column negated once
     for gen in desc.generators:
         mat = m.generator_matrix(gen)
         for j in range(m.dim):
             mu = m.weights[j]
             eqs: Dict[Tuple, Vec] = {}
             for j2, c in mat.get(j, {}).items():
-                # s(v_{j2}) contributes +c on unknown (t, key2, j2)
+                # s(v_{j2}) contributes -c on unknown (t, key2, j2)
+                neg = -c
                 for (t, key2) in by_degree.get(m.weights[j2], []):
-                    eqs.setdefault((t, key2), {})[(t, key2, j2)] = c
+                    eqs.setdefault((t, key2), {})[(t, key2, j2)] = neg
             for (t, key) in by_degree.get(mu, []):
                 for key2, c in summands[t].gen_column(gen, key).items():
-                    vec_add_term(eqs.setdefault((t, key2), {}), (t, key, j), -c)
+                    vec_add_term(eqs.setdefault((t, key2), {}), (t, key, j), c)
             for coeffs in eqs.values():
                 system.add(coeffs, ctx.field.zero)
     return system.solve(ctx.field.zero) is not None

@@ -20,6 +20,8 @@ e_exponents); torus exponents are reduced mod ell since K^ell = 1.
 K^k is K_mu for mu = sum k_i alpha_i, so a torus exponent vector is also
 its root-lattice element in simple-root coordinates.
 Products are computed generator-by-generator; no dim^2 tables are built.
+Root vectors are generators too: the column of a plain root vector on a
+basis key is built once per algebra and cached like a simple generator's.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .genericuq import UqGeneric, generic_uq
-from .linalg import Eliminator, Mat, SpanSolver, Vec, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
-from .rootdata import ConvexOrder, RootDatum, build_root_datum, convex_order
-from .scalars import QFraction, q_binom, q_factorial, q_int
+from .linalg import Eliminator, Mat, SpanSolver, Vec, kernel_basis, vec_add_term, vec_iadd_scaled
+from .rootdata import ConvexOrder
+from .scalars import q_binom, q_int
 
 FExp = Tuple[int, ...]
 KExp = Tuple[int, ...]
@@ -297,7 +298,7 @@ class KernelContext:
         key = (side, exp)
         if key not in self._letter_terms:
             wt = self.weight_of_fexp(exp)
-            solver = SpanSolver()
+            solver = SpanSolver(self.field.one)
             letters = [(side, j) for j in range(self.rank)] + ([(side + "d0", 0)] if self.r else [])
             for letter in letters:
                 step = 1 if letter[0] == side else self.ell
@@ -437,14 +438,22 @@ class KernelContext:
             self._algebras[kind] = hit
         return hit
 
-    def divided_rank1(self, side: str, a: int, vec: Vec, apply: Callable[[GenKey, Vec], Vec]) -> Vec:
-        """X^{(a)} on vec in rank one at r = 1, through generator actions.
+    def divided(self, side: str, pos: int, a: int, vec: Vec, apply: Callable[[GenKey, Vec], Vec]) -> Vec:
+        """X_{gamma_pos}^{(a)} on vec, through generator actions ``apply(gen, vec)``.
 
-        X^{(a)} = (1/(a1! [a0]!)) (X^{(ell)})^{a1} X^{a0} with a = a1*ell + a0;
-        ``apply(gen, vec)`` acts by one generator key (side is 'F' or 'E').
+        At r = 0 it is X^a / [a]! with X the plain root vector key
+        (side + "rv", pos).  At r = 1 (rank one) it is
+        X^{(a)} = (1/(a1! [a0]!)) (X^{(ell)})^{a1} X^{a0} with a = a1*ell + a0.
         """
-        a1, a0 = divmod(a, self.ell)
+        if not a:
+            return dict(vec)
         cur = vec
+        if not self.r:
+            for _ in range(a):
+                cur = apply((side + "rv", pos), cur)
+            inv = self.qfact_inv(a, self.d_gamma[pos])
+            return {k: v * inv for k, v in cur.items()}
+        a1, a0 = divmod(a, self.ell)
         for _ in range(a0):
             cur = apply((side, 0), cur)
         for _ in range(a1):
@@ -706,26 +715,6 @@ class KernelAlgebra:
             return out
         raise ValueError(f"unknown generator {gen}")
 
-    def apply_rv(self, side: str, pos: int, vec: Vec) -> Vec:
-        """Left multiplication by the plain root vector at convex position."""
-        if side == "F":
-            out: Vec = {}
-            for key, c in vec.items():
-                f, k, e = key
-                for fexp, cf in self.ctx.lmul_rv("F", pos, f).items():
-                    bk = self._check_key(fexp, k, e)
-                    if bk is not None:
-                        vec_add_term(out, bk, c * cf)
-            return out
-        out = {}
-        for word, c in self.ctx.rv_words["E"][pos]:
-            cur = {k: v * c for k, v in vec.items()}
-            for i2 in reversed(word):
-                cur = self.lmul_gen(("E", i2), cur)
-            for kk, cc in cur.items():
-                vec_add_term(out, kk, cc)
-        return out
-
     def lmul_monomial(self, key: BasisKey, vec: Vec) -> Vec:
         """Left multiply by a basis monomial F^{(f)} K^k E^{(e)}."""
         ctx = self.ctx
@@ -733,16 +722,7 @@ class KernelAlgebra:
         cur = vec
         # rightmost factors first: E part, positions N..1
         for pos in range(ctx.n - 1, -1, -1):
-            a = e[pos]
-            if not a:
-                continue
-            if ctx.r:
-                cur = ctx.divided_rank1("E", a, cur, self.lmul_gen)
-                continue
-            for _ in range(a):
-                cur = self.apply_rv("E", pos, cur)
-            inv = ctx.qfact_inv(a, ctx.d_gamma[pos])
-            cur = {kk: v * inv for kk, v in cur.items()}
+            cur = ctx.divided("E", pos, e[pos], cur, self.lmul_gen)
         if any(k):
             # K^k slides right past the F-part only (its slot is F | K | E)
             nxt: Vec = {}
@@ -753,16 +733,7 @@ class KernelAlgebra:
                 vec_add_term(nxt, (f2, nk, e2), c * scal)
             cur = nxt
         for pos in range(ctx.n - 1, -1, -1):
-            a = f[pos]
-            if not a:
-                continue
-            if ctx.r:
-                cur = ctx.divided_rank1("F", a, cur, self.lmul_gen)
-                continue
-            for _ in range(a):
-                cur = self.apply_rv("F", pos, cur)
-            inv = ctx.qfact_inv(a, ctx.d_gamma[pos])
-            cur = {kk: v * inv for kk, v in cur.items()}
+            cur = ctx.divided("F", pos, f[pos], cur, self.lmul_gen)
         return cur
 
     def multiply(self, x: Vec, y: Vec) -> Vec:

@@ -2,10 +2,11 @@
 
 Coefficients are duck-typed: they must support +, -, *, /, unary -,
 ``1 / x``, ``bool`` (False iff zero) and ==.  A pivot is inverted once and
-its row scaled by multiplication.  Vectors are dicts mapping an index
-(any hashable, orderable key) to a nonzero coefficient; matrices are
-dicts mapping a column key to a column vector.  Everything is
-deterministic: pivots are chosen by key order, never by hash order.
+its row scaled by multiplication; elimination subtracts multiples of it
+(``vec_isub_scaled``) instead of adding negated ones.  Vectors are dicts
+mapping an index (any hashable, orderable key) to a nonzero coefficient;
+matrices are dicts mapping a column key to a column vector.  Everything
+is deterministic: pivots are chosen by key order, never by hash order.
 """
 
 from __future__ import annotations
@@ -37,6 +38,28 @@ def vec_iadd_scaled(u: Vec, v: Vec, c) -> Vec:
             u[k] = c * x
         else:
             y = y + c * x
+            if y:
+                u[k] = y
+            else:
+                del u[k]
+    return u
+
+
+def vec_isub_scaled(u: Vec, v: Vec, c) -> Vec:
+    """u -= c*v in place (c nonzero); returns u.
+
+    Entries already in u are subtracted; only fill-in needs -c, which is
+    formed once.
+    """
+    neg = None
+    for k, x in v.items():
+        y = u.get(k)
+        if y is None:
+            if neg is None:
+                neg = -c
+            u[k] = neg * x
+        else:
+            y = y - c * x
             if y:
                 u[k] = y
             else:
@@ -78,7 +101,7 @@ class Eliminator:
             if not hit:
                 break
             k = min(hit)
-            vec_iadd_scaled(row, self.pivots[k], -row[k])
+            vec_isub_scaled(row, self.pivots[k], row[k])
         return row
 
     def add(self, row: Vec) -> Optional[Hashable]:
@@ -92,7 +115,7 @@ class Eliminator:
         # Keep stored rows fully reduced: eliminate p from older rows.
         for q, prow in self.pivots.items():
             if p in prow:
-                vec_iadd_scaled(prow, red, -prow[p])
+                vec_isub_scaled(prow, red, prow[p])
         self.pivots[p] = red
         return p
 
@@ -105,13 +128,15 @@ class SpanSolver:
 
     Feed generators with ``add(key, vec)``; afterwards ``solve(target)``
     returns {key: coeff} with sum(coeff * vec) == target, or None.
-    Dependent generators never enter the stored basis.
+    Dependent generators never enter the stored basis.  ``one`` is the
+    unit of the coefficient field, the coordinate of a new generator.
 
     Invariant: every stored pivot row equals the combination of original
     generators recorded in ``_coords`` under the same pivot key.
     """
 
-    def __init__(self):
+    def __init__(self, one):
+        self.one = one
         self.pivots: Dict[Hashable, Vec] = {}
         self._coords: Dict[Hashable, Vec] = {}
 
@@ -121,25 +146,18 @@ class SpanSolver:
 
     def _reduce_tracked(self, vec: Vec, comb: Vec) -> Tuple[Vec, Vec]:
         row = dict(vec)
-        comb = dict(comb)
         while row:
             hit = [k for k in row if k in self.pivots]
             if not hit:
                 break
             k = min(hit)
             c = row[k]
-            vec_iadd_scaled(row, self.pivots[k], -c)
-            vec_iadd_scaled(comb, self._coords[k], -c)
+            vec_isub_scaled(row, self.pivots[k], c)
+            vec_isub_scaled(comb, self._coords[k], c)
         return row, comb
 
-    def add(self, key: Hashable, vec: Vec) -> bool:
-        """Returns True if vec enlarged the span."""
-        if not vec:
-            return False
-        one = _one_like(vec)
-        row, comb = self._reduce_tracked(vec, {key: one})
-        if not row:
-            return False
+    def _insert(self, row: Vec, comb: Vec) -> None:
+        """Store a reduced nonzero row with its coordinates."""
         p = min(row.keys())
         inv = 1 / row[p]
         row = {k: x * inv for k, x in row.items()}
@@ -148,17 +166,24 @@ class SpanSolver:
             prow = self.pivots[q]
             if p in prow:
                 c = prow[p]
-                vec_iadd_scaled(prow, row, -c)
-                vec_iadd_scaled(self._coords[q], comb, -c)
+                vec_isub_scaled(prow, row, c)
+                vec_isub_scaled(self._coords[q], comb, c)
         self.pivots[p] = row
         self._coords[p] = comb
+
+    def add(self, key: Hashable, vec: Vec) -> bool:
+        """Returns True if vec enlarged the span."""
+        row, comb = self._reduce_tracked(vec, {key: self.one})
+        if not row:
+            return False
+        self._insert(row, comb)
         return True
 
     def solve(self, target: Vec) -> Optional[Vec]:
         row, comb = self._reduce_tracked(target, {})
         if row:
             return None
-        return {k: -x for k, x in comb.items() if x}
+        return {k: -x for k, x in comb.items()}
 
 
 class LinearSystem:
@@ -187,7 +212,7 @@ class LinearSystem:
                 k = min(hit)
                 prow, prhs = pivots[k]
                 c = row[k]
-                vec_iadd_scaled(row, prow, -c)
+                vec_isub_scaled(row, prow, c)
                 rhs = rhs - c * prhs
             if not row:
                 if rhs:
@@ -211,32 +236,23 @@ class LinearSystem:
         return sol
 
 
-def kernel_basis(columns: List[Tuple[Hashable, Vec]], one=None) -> List[Vec]:
+def kernel_basis(columns: List[Tuple[Hashable, Vec]], one) -> List[Vec]:
     """Basis of {c : sum_j c_j * col_j = 0} for an ordered column family.
 
-    ``one`` is only needed to report kernel vectors hitting zero columns.
+    One relation per column that depends on the columns before it, in
+    column order; it has coefficient ``one`` on that column.  Each column
+    is reduced once.
     """
-    solver = SpanSolver()
+    solver = SpanSolver(one)
     out: List[Vec] = []
     for key, col in columns:
-        if not col:
-            if one is None:
-                raise ValueError("zero column needs an explicit unit element")
-            out.append({key: one})
-            continue
-        sol = solver.solve(col)
-        if sol is not None:
-            rel = {k: -x for k, x in sol.items()}
-            rel[key] = _one_like(col)
-            out.append(rel)
+        row, comb = solver._reduce_tracked(col, {})
+        comb[key] = one
+        if row:
+            solver._insert(row, comb)
         else:
-            solver.add(key, col)
+            out.append(comb)
     return out
-
-
-def _one_like(vec: Vec):
-    x = next(iter(vec.values()))
-    return x / x
 
 
 def rank_of(vectors: Iterable[Vec]) -> int:

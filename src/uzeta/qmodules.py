@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .kernelalg import BasisKey, GenKey, KernelContext
-from .linalg import Eliminator, LinearSystem, Mat, SpanSolver, Vec, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
+from .linalg import Eliminator, Mat, SpanSolver, Vec, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
 
 Weight = Tuple[int, ...]
 
@@ -43,6 +43,10 @@ class WeightedModule:
     split_verdicts: Dict[str, bool] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # plain root vector matrices by generator key, filled by generator_matrix
+    rv_mats: Dict[GenKey, Mat] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -51,26 +55,35 @@ class WeightedModule:
     # -- actions ----------------------------------------------------------
 
     def act_gen(self, gen: GenKey, vec: Vec) -> Vec:
-        mat = self.actions.get(gen)
-        if mat is None:
-            raise KeyError(f"{self.label} carries no action of {gen}")
-        return mat_apply(mat, vec)
+        return mat_apply(self.generator_matrix(gen), vec)
 
     def generator_matrix(self, gen: GenKey) -> Mat:
         """Column matrix of an algebra generator key (see ``AlgebraKind``).
 
-        ``Frv`` / ``Erv`` are plain root vectors at a convex-order position,
-        built through ``act_rv``; every other key is a stored action.
+        A stored action, or a plain root vector ``Frv`` / ``Erv`` at a
+        convex-order position.  A root vector's matrix is built once from its
+        simple-letter words and kept in ``rv_mats``, so ``actions`` must not
+        be edited after the first root-vector action.
         """
-        kind, pos = gen
-        if kind in ("Frv", "Erv"):
-            one = self.ctx.field.one
-            return {
-                j: col for j in range(self.dim) if (col := self.act_rv(kind[0], pos, {j: one}))
-            }
         mat = self.actions.get(gen)
         if mat is None:
+            mat = self.rv_mats.get(gen)
+        if mat is not None:
+            return mat
+        kind, pos = gen
+        if kind not in ("Frv", "Erv"):
             raise KeyError(f"{self.label} carries no action of {gen}")
+        mat = self.rv_mats[gen] = {}
+        for j in range(self.dim):
+            col: Vec = {}
+            for word, c in self.ctx.rv_words[kind[0]][pos]:
+                cur = {j: c}
+                for i in reversed(word):
+                    cur = self.act_gen((kind[0], i), cur)
+                for i, x in cur.items():
+                    vec_add_term(col, i, x)
+            if col:
+                mat[j] = col
         return mat
 
     def act_k(self, kvec: Sequence[int], vec: Vec) -> Vec:
@@ -82,32 +95,9 @@ class WeightedModule:
             out[i] = c * ctx.zeta_pow(e)
         return out
 
-    def act_rv(self, side: str, pos: int, vec: Vec) -> Vec:
-        """Plain root vector at a convex-order position, via its word."""
-        ctx = self.ctx
-        out: Vec = {}
-        kind = "E" if side == "E" else "F"
-        for word, c in ctx.rv_words[side][pos]:
-            cur = {i: v * c for i, v in vec.items()}
-            for j in reversed(word):
-                cur = self.act_gen((kind, j), cur)
-                if not cur:
-                    break
-            vec_iadd_scaled(out, cur, ctx.field.one)
-        return out
-
     def act_divided(self, side: str, pos: int, n: int, vec: Vec) -> Vec:
         """Divided power X_{gamma_pos}^{(n)}."""
-        ctx = self.ctx
-        if n == 0:
-            return dict(vec)
-        if ctx.r:
-            return ctx.divided_rank1(side, n, vec, self.act_gen)
-        cur = dict(vec)
-        for _ in range(n):
-            cur = self.act_rv(side, pos, cur)
-        inv = ctx.qfact_inv(n, ctx.d_gamma[pos])
-        return {k: v * inv for k, v in cur.items()}
+        return self.ctx.divided(side, pos, n, vec, self.act_gen)
 
     def act_monomial(self, key: BasisKey, vec: Vec) -> Vec:
         """Basis monomial F^{(f)} K^k E^{(e)} acting on a module vector."""
@@ -495,7 +485,7 @@ def cyclic_span(m: WeightedModule, seeds: List[Vec]) -> List[Vec]:
 
 def submodule(m: WeightedModule, rows: List[Vec], label: str) -> WeightedModule:
     """Module structure on the span of echelonized homogeneous rows."""
-    solver = SpanSolver()
+    solver = SpanSolver(m.ctx.field.one)
     keys = []
     for t, row in enumerate(rows):
         assert solver.add(t, row), "rows must be independent"

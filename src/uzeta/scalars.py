@@ -570,10 +570,17 @@ class CycloElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self.ctx.coerce(other))
+        other = self.ctx.coerce(other)
+        ad, bd = self.den, other.den
+        if ad == bd:
+            num = tuple(x - y for x, y in zip(self.num, other.num))
+        else:
+            num = tuple(x * bd - y * ad for x, y in zip(self.num, other.num))
+            ad *= bd
+        return self.ctx._reduced(num, ad)
 
     def __rsub__(self, other):
-        return (-self) + self.ctx.coerce(other)
+        return self.ctx.coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, CycloElement):
@@ -788,10 +795,12 @@ class GFElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self.ctx.coerce(other))
+        other = self.ctx.coerce(other)
+        p = self.ctx.p
+        return GFElement(self.ctx, tuple((x - y) % p for x, y in zip(self.co, other.co)))
 
     def __rsub__(self, other):
-        return (-self) + self.ctx.coerce(other)
+        return self.ctx.coerce(other) - self
 
     def __mul__(self, other):
         other = self.ctx.coerce(other)

@@ -1,12 +1,13 @@
 import pytest
 
+from uzeta import cohomlite
 from uzeta.cohomlite import (
     borel_cohomology_dims,
     minimal_resolution,
     polynomial_hilbert,
     weight_has_trivial_character,
 )
-from uzeta.linalg import Eliminator
+from uzeta.linalg import Eliminator, kernel_basis
 
 
 class TestResolutionA1:
@@ -26,6 +27,36 @@ class TestResolutionA1:
             minimal_resolution(ctxmaker("A1", 3), "g", 2)
 
 
+class TestWeightBlocks:
+    @pytest.mark.parametrize("kind", ["u+", "u-"])
+    def test_blocked_kernel_is_one_elimination(self, ctxmaker, monkeypatch, kind):
+        # the kernels of steps 1 and 2, solved by weight block, equal one
+        # kernel_basis over every differential column: same vectors, same order
+        ctx = ctxmaker("A2", 3)
+        steps = []
+
+        def record_blocks(cols, one):
+            steps[-1][0].extend(cols)
+            steps[-1][2] += 1
+            return kernel_basis(cols, one=one)
+
+        def record_step(alg, new_gens, one):
+            steps.append([[], None, 0])
+            steps[-1][1] = next_kernel(alg, new_gens, one)
+            return steps[-1][1]
+
+        next_kernel = cohomlite._next_kernel
+        monkeypatch.setattr(cohomlite, "kernel_basis", record_blocks)
+        monkeypatch.setattr(cohomlite, "_next_kernel", record_step)
+        minimal_resolution(ctx, kind, 3)
+        assert len(steps) == 2
+        for cols, blocked, calls in steps:
+            assert calls > 1
+            cols.sort(key=lambda kc: kc[0])
+            assert blocked == kernel_basis(cols, one=ctx.field.one)
+            assert blocked
+
+
 class TestBorelDims:
     def test_a1_alternating(self, ctxmaker):
         assert borel_cohomology_dims(ctxmaker("A1", 3), "plus", 6) == [1, 0, 1, 0, 1, 0, 1]
@@ -34,6 +65,9 @@ class TestBorelDims:
         # odd vanishing and the polynomial Hilbert function on N generators
         dims = borel_cohomology_dims(ctxmaker("A2", 5), "plus", 4)
         assert dims == [1, 0, 3, 0, 6]
+
+    def test_a2_degree_two(self, ctxmaker):
+        assert borel_cohomology_dims(ctxmaker("A2", 5), "plus", 2) == [1, 0, 3]
 
     def test_a2_minus_matches_plus(self, ctxmaker):
         assert borel_cohomology_dims(ctxmaker("A2", 5), "minus", 4) == [1, 0, 3, 0, 6]

@@ -407,3 +407,52 @@ class TestOneLetterRecursion:
                         for x, c2 in ctx._letter_times(side, letter, e).items():
                             total[x] = total.get(x, ctx.field.zero) + c * c2
                     assert {x: c for x, c in total.items() if c} == {exp: ctx.field.one}
+
+
+# -- word reference for the cached root-vector columns -----------------------
+
+
+def _word_apply_rv(alg, side, pos, vec):
+    """Plain root vector on an algebra element, applied without column caches.
+
+    F side: ``lmul_rv`` on the F part; E side: every simple word of the
+    root vector, letter by letter through the simple E generators.
+    """
+    from uzeta.linalg import vec_add_term
+
+    ctx = alg.ctx
+    out = {}
+    if side == "F":
+        for (f, k, e), c in vec.items():
+            for fexp, cf in ctx.lmul_rv("F", pos, f).items():
+                bk = alg._check_key(fexp, k, e)
+                if bk is not None:
+                    vec_add_term(out, bk, c * cf)
+        return out
+    for word, c in ctx.rv_words["E"][pos]:
+        cur = {key: x * c for key, x in vec.items()}
+        for i in reversed(word):
+            cur = alg.lmul_gen(("E", i), cur)
+        for key, x in cur.items():
+            vec_add_term(out, key, x)
+    return out
+
+
+class TestRootVectorColumns:
+    @pytest.mark.parametrize(
+        "label,ell,kind", [("A2", 3, "u+"), ("A2", 3, "b+"), ("A2", 3, "g"), ("A2", 5, "u+")]
+    )
+    def test_columns_match_word_reference(self, ctxmaker, label, ell, kind):
+        # the cached Frv / Erv columns that lmul_monomial applies
+        ctx = ctxmaker(label, ell)
+        alg = ctx.algebra(kind)
+        one = ctx.field.one
+        sides = [s for s, caps in (("F", alg.desc.f_caps), ("E", alg.desc.e_caps)) if any(caps)]
+        mixed = {key: ctx.field.from_int(i % 5 + 1) for i, key in enumerate(alg.basis)}
+        for side in sides:
+            for pos in range(ctx.n):
+                gen = (side + "rv", pos)
+                for key in alg.basis:
+                    got = alg.lmul_gen(gen, {key: one})
+                    assert got == _word_apply_rv(alg, side, pos, {key: one}), (gen, key)
+                assert alg.lmul_gen(gen, mixed) == _word_apply_rv(alg, side, pos, mixed)

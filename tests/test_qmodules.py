@@ -319,3 +319,44 @@ class TestZdual:
         rep = zdual_check(ctxmaker("A1", 3, p=7, r=1), (1,))
         assert "verma" in rep["dual_verma"]
         assert rep["reflected"] == (39,)
+
+
+def _word_act_rv(m, side, pos, vec):
+    """Plain root vector on a module vector through its simple words."""
+    from uzeta.linalg import vec_add_term
+
+    ctx = m.ctx
+    out = {}
+    for word, c in ctx.rv_words[side][pos]:
+        cur = {i: x * c for i, x in vec.items()}
+        for j in reversed(word):
+            cur = m.act_gen((side, j), cur)
+            if not cur:
+                break
+        for i, x in cur.items():
+            vec_add_term(out, i, x)
+    return out
+
+
+class TestRootVectorMatrices:
+    @pytest.mark.parametrize("label,ell", [("A2", 3), ("B2", 3)])
+    def test_cached_matrices_match_word_reference(self, ctxmaker, label, ell):
+        ctx = ctxmaker(label, ell)
+        one = ctx.field.one
+        modules = [
+            verma_module(ctx, (1, 1)),
+            coverma_module(ctx, (1, 0)),
+            tensor_module(verma_module(ctx, (0, 1)), simple_module(ctx, (1, 0))),
+        ]
+        for m in modules:
+            mixed = {i: ctx.field.from_int(i % 7 + 1) for i in range(m.dim)}
+            for side in "FE":
+                for pos in range(ctx.n):
+                    gen = (side + "rv", pos)
+                    mat = m.generator_matrix(gen)
+                    assert m.generator_matrix(gen) is mat
+                    for j in range(m.dim):
+                        ref = _word_act_rv(m, side, pos, {j: one})
+                        assert mat.get(j, {}) == ref, (m.label, gen, j)
+                        assert m.act_gen(gen, {j: one}) == ref
+                    assert m.act_gen(gen, mixed) == _word_act_rv(m, side, pos, mixed)

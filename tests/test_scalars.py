@@ -286,3 +286,25 @@ class TestGaloisField:
             for b in [18, 20]:
                 if a + b >= pl:
                     assert not G.eval_laurent(q_binom(a + b, a))
+
+
+class TestSubtraction:
+    @pytest.mark.parametrize("p,ell", [(7, 3), (5, 3)])
+    def test_galois_exhaustive(self, p, ell):
+        G = GaloisField(p, ell)
+        elems = [GFElement(G, co) for co in itertools.product(range(p), repeat=G.n)]
+        for x in elems:
+            assert 3 - x == -(x - 3)
+            for y in elems:
+                assert x - y == x + (-y)
+
+    def test_cyclotomic_against_negation(self):
+        rng = random.Random(9)
+        F = CycloField(5)
+        for _ in range(300):
+            a, b = (
+                sum((F.zeta_power(k) * QQ(rng.randint(-5, 5), rng.randint(1, 6)) for k in range(4)), F.zero)
+                for _ in range(2)
+            )
+            assert a - b == a + (-b)
+            assert 2 - a == -(a - 2)
