@@ -15,9 +15,8 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cohomlite, inject, qmodules
 from .genericuq import generic_uq
@@ -25,14 +24,11 @@ from .kernelalg import KernelContext, SpecializationError
 from .rootdata import (
     BAD_PRIMES,
     COXETER_NUMBER,
-    build_root_datum,
     convex_order,
     default_w0_word,
 )
 from .scalars import (
-    Localized,
     is_prime,
-    laurent_from_text,
     laurent_to_text,
     localized_from_text,
     localized_to_text,
@@ -393,6 +389,9 @@ def run_suites(cfg: RunConfig, suites: Sequence[str], manifest: List[Dict]) -> L
             long_running=cfg.long_running, timing=cfg.timing,
             cache_path=cfg.cache_path,
         )
+        # imported here: it costs every process memory and start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             records = list(pool.map(_pool_case, [(cfg_kwargs, s, sp, ex) for (s, sp, ex) in tasks]))
     else:

@@ -62,20 +62,26 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
     for step in range(1, n_max + 1):
         # minimal homogeneous generators: kernel / rad(A) kernel, where
         # rad(A) kernel = sum of g kernel over the algebra generators g
-        # (rad(A) = sum g A, and A kernel = kernel)
-        rad = Eliminator()
+        # (rad(A) = sum g A, and A kernel = kernel).  Each g.v is
+        # homogeneous and different weights share no key, so the span is
+        # kept as one Eliminator per weight block: together their reduced
+        # echelon forms are that of the whole span.
+        rad: Dict[RootVec, Eliminator] = {}
         for vec in kernel:
             for gen in gens:
-                red = rad.reduce(_apply_gen(alg, gen, vec))
-                if red:
-                    rad.add(red)
-        # rad is kept fully reduced with min-key pivots, so kernel vectors
-        # are reduced against it directly and the survivors join it
+                img = _apply_gen(alg, gen, vec)
+                if img:
+                    wt = _key_weight(alg, gen_weights, next(iter(img)))
+                    rad.setdefault(wt, Eliminator()).add(img)
+        # each block is kept fully reduced with min-key pivots, so kernel
+        # vectors are reduced against it directly and the survivors join it
         new_gens: List[Tuple[RootVec, Vec]] = []
         for vec in kernel:
-            red = rad.reduce(vec)
-            if red and rad.add(red) is not None:
-                wt = _vec_weight(alg, gen_weights, red)
+            wt = _vec_weight(alg, gen_weights, vec)
+            block = rad.setdefault(wt, Eliminator())
+            red = block.reduce(vec)
+            if red:
+                block.insert(red)
                 new_gens.append((wt, red))
                 # minimality: the generator has no unit coordinate
                 if any(key == unit for (_, key) in red):
@@ -122,11 +128,13 @@ def _apply_gen(alg: KernelAlgebra, gen, vec: Vec) -> Vec:
     return out
 
 
+def _key_weight(alg: KernelAlgebra, gen_weights: List[RootVec], key: Tuple[int, BasisKey]) -> RootVec:
+    i, akey = key
+    return tuple(a + b for a, b in zip(alg.weight_of_key(akey), gen_weights[i]))
+
+
 def _vec_weight(alg: KernelAlgebra, gen_weights: List[RootVec], vec: Vec) -> RootVec:
-    wts = set()
-    for (i, key) in vec:
-        w = alg.weight_of_key(key)
-        wts.add(tuple(a + b for a, b in zip(w, gen_weights[i])))
+    wts = {_key_weight(alg, gen_weights, key) for key in vec}
     if len(wts) != 1:
         raise AssertionError(f"syzygy vector is not homogeneous: {sorted(wts)}")
     return next(iter(wts))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Eliminator, SpanSolver, vec_add_term
 from .rootdata import ConvexOrder, RootDatum, build_root_datum
@@ -32,7 +32,6 @@ from .scalars import (
     Localized,
     QFraction,
     q_factorial,
-    q_int,
 )
 
 QQ = Fraction

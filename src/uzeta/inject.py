@@ -24,8 +24,8 @@ Over the local kinds the two routes cross-validate each other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .kernelalg import KernelContext
 from .linalg import Eliminator, LinearSystem, Vec, mat_apply, vec_add_term
@@ -358,6 +358,10 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
         for key in summand.keys:
             by_degree.setdefault(summand.degree(key), []).append((t, key))
 
+    # The unknown s(v_j)'s coordinate at cover key (t, key) is keyed
+    # (last - j, t, key): the solver pivots on the least key, so elimination
+    # starts at the last basis vector, which keeps fill-in low.
+    last = m.dim - 1
     system = LinearSystem()
     # pi . s = id
     pi_cache: Dict[Tuple[int, Tuple], Vec] = {}
@@ -378,7 +382,7 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
         rows: Dict[int, Vec] = {}
         for (t, key) in support:
             for row, c in pi(t, key).items():
-                rows.setdefault(row, {})[(t, key, j)] = c
+                rows.setdefault(row, {})[(last - j, t, key)] = c
         for row in range(m.dim):
             rhs = ctx.field.one if row == j else ctx.field.zero
             system.add(rows.get(row, {}), rhs)
@@ -391,16 +395,16 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
             mu = m.weights[j]
             eqs: Dict[Tuple, Vec] = {}
             for j2, c in mat.get(j, {}).items():
-                # s(v_{j2}) contributes -c on unknown (t, key2, j2)
+                # s(v_{j2}) contributes -c on its unknown at (t, key2)
                 neg = -c
                 for (t, key2) in by_degree.get(m.weights[j2], []):
-                    eqs.setdefault((t, key2), {})[(t, key2, j2)] = neg
+                    eqs.setdefault((t, key2), {})[(last - j2, t, key2)] = neg
             for (t, key) in by_degree.get(mu, []):
                 for key2, c in summands[t].gen_column(gen, key).items():
-                    vec_add_term(eqs.setdefault((t, key2), {}), (t, key, j), c)
+                    vec_add_term(eqs.setdefault((t, key2), {}), (last - j, t, key), c)
             for coeffs in eqs.values():
                 system.add(coeffs, ctx.field.zero)
-    return system.solve(ctx.field.zero) is not None
+    return system.solve() is not None
 
 
 # ---------------------------------------------------------------------------

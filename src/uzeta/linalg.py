@@ -78,46 +78,65 @@ def mat_apply(m: Mat, v: Vec) -> Vec:
 
 
 class Eliminator:
-    """Incremental row echelon structure for span/rank/membership tests.
+    """Incremental sparse reduced row echelon form: the one elimination engine.
 
-    Rows are reduced against stored pivot rows on insertion; each stored
-    row is normalized so its pivot coefficient is one.  Pivot choice is
-    the minimal key present in the reduced row, which keeps the whole
-    computation deterministic.
+    ``eliminate`` reduces a row against the stored pivot rows; ``insert``
+    stores a reduced nonzero row under its minimal key, scaled so that
+    pivot coefficient is one, and eliminates the new pivot from every
+    stored row.  Stored rows stay fully reduced, so ``pivots`` is the
+    canonical reduced echelon basis of the span; pivots are chosen by key
+    order, never by hash order.  A row may carry a companion vector that
+    undergoes the same row operations: the coordinates of the row in terms
+    of the generators (``SpanSolver``, ``kernel_basis``) or its right-hand
+    side (``LinearSystem``).
     """
 
     def __init__(self):
         self.pivots: Dict[Hashable, Vec] = {}
+        self.companions: Dict[Hashable, Vec] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: Vec) -> Vec:
-        row = dict(row)
-        # Repeatedly kill the smallest reducible key to bound fill-in.
-        while row:
-            hit = [k for k in row if k in self.pivots]
-            if not hit:
-                break
-            k = min(hit)
-            vec_isub_scaled(row, self.pivots[k], row[k])
+    def eliminate(self, row: Vec, comp: Optional[Vec] = None) -> Vec:
+        """Reduce row in place (and comp along with it); returns row.
+
+        A stored row holds no pivot but its own, so subtracting it leaves
+        the other pivot coefficients of row as they are: one pass clears
+        them all.
+        """
+        for k in [k for k in row if k in self.pivots]:
+            c = row[k]
+            vec_isub_scaled(row, self.pivots[k], c)
+            if comp is not None:
+                vec_isub_scaled(comp, self.companions[k], c)
         return row
+
+    def insert(self, row: Vec, comp: Optional[Vec] = None) -> Hashable:
+        """Store a reduced nonzero row (with its companion); returns its pivot."""
+        p = min(row)
+        inv = 1 / row[p]
+        row = {k: x * inv for k, x in row.items()}
+        if comp is not None:
+            comp = {k: x * inv for k, x in comp.items()}
+            self.companions[p] = comp
+        for q, prow in self.pivots.items():
+            if p in prow:
+                c = prow[p]
+                vec_isub_scaled(prow, row, c)
+                if comp is not None:
+                    vec_isub_scaled(self.companions[q], comp, c)
+        self.pivots[p] = row
+        return p
+
+    def reduce(self, row: Vec) -> Vec:
+        return self.eliminate(dict(row))
 
     def add(self, row: Vec) -> Optional[Hashable]:
         """Insert a row; returns its pivot key, or None if dependent."""
         red = self.reduce(row)
-        if not red:
-            return None
-        p = min(red.keys())
-        inv = 1 / red[p]
-        red = {k: x * inv for k, x in red.items()}
-        # Keep stored rows fully reduced: eliminate p from older rows.
-        for q, prow in self.pivots.items():
-            if p in prow:
-                vec_isub_scaled(prow, red, prow[p])
-        self.pivots[p] = red
-        return p
+        return self.insert(red) if red else None
 
     def contains(self, row: Vec) -> bool:
         return not self.reduce(row)
@@ -130,67 +149,44 @@ class SpanSolver:
     returns {key: coeff} with sum(coeff * vec) == target, or None.
     Dependent generators never enter the stored basis.  ``one`` is the
     unit of the coefficient field, the coordinate of a new generator.
-
-    Invariant: every stored pivot row equals the combination of original
-    generators recorded in ``_coords`` under the same pivot key.
+    Each stored row's companion is the combination of generators equal
+    to it.
     """
 
     def __init__(self, one):
         self.one = one
-        self.pivots: Dict[Hashable, Vec] = {}
-        self._coords: Dict[Hashable, Vec] = {}
+        self.echelon = Eliminator()
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
-
-    def _reduce_tracked(self, vec: Vec, comb: Vec) -> Tuple[Vec, Vec]:
-        row = dict(vec)
-        while row:
-            hit = [k for k in row if k in self.pivots]
-            if not hit:
-                break
-            k = min(hit)
-            c = row[k]
-            vec_isub_scaled(row, self.pivots[k], c)
-            vec_isub_scaled(comb, self._coords[k], c)
-        return row, comb
-
-    def _insert(self, row: Vec, comb: Vec) -> None:
-        """Store a reduced nonzero row with its coordinates."""
-        p = min(row.keys())
-        inv = 1 / row[p]
-        row = {k: x * inv for k, x in row.items()}
-        comb = {k: x * inv for k, x in comb.items()}
-        for q in self.pivots:
-            prow = self.pivots[q]
-            if p in prow:
-                c = prow[p]
-                vec_isub_scaled(prow, row, c)
-                vec_isub_scaled(self._coords[q], comb, c)
-        self.pivots[p] = row
-        self._coords[p] = comb
+        return self.echelon.rank
 
     def add(self, key: Hashable, vec: Vec) -> bool:
         """Returns True if vec enlarged the span."""
-        row, comb = self._reduce_tracked(vec, {key: self.one})
-        if not row:
-            return False
-        self._insert(row, comb)
-        return True
+        comb = {key: self.one}
+        row = self.echelon.eliminate(dict(vec), comb)
+        if row:
+            self.echelon.insert(row, comb)
+        return bool(row)
 
     def solve(self, target: Vec) -> Optional[Vec]:
-        row, comb = self._reduce_tracked(target, {})
-        if row:
+        comb: Vec = {}
+        if self.echelon.eliminate(dict(target), comb):
             return None
         return {k: -x for k, x in comb.items()}
 
 
 class LinearSystem:
-    """Solve a sparse linear system by forward elimination + back substitution.
+    """Solve a sparse linear system by reduced row echelon form.
 
-    Unknown keys must be orderable.  ``solve`` returns one solution with
-    all free unknowns set to zero, or None if inconsistent.
+    Unknown keys must be orderable.  ``solve`` returns the solution with
+    every free unknown zero, or None if inconsistent.  Rows are eliminated
+    shortest first (stable, so ties keep the order they were added in),
+    the structured-elimination rule of LaMacchia and Odlyzko ("Solving
+    large sparse linear systems over finite fields", 1990): it keeps
+    fill-in low.  The result does not depend on the order: the pivots are
+    the leading keys of the row space, and the solution that vanishes off
+    them is unique.
     """
 
     def __init__(self):
@@ -200,40 +196,18 @@ class LinearSystem:
         if coeffs or rhs:
             self.rows.append((dict(coeffs), rhs))
 
-    def solve(self, zero) -> Optional[Vec]:
-        pivots: Dict[Hashable, Tuple[Vec, Any]] = {}
-        order: List[Hashable] = []
-        for row, rhs in self.rows:
-            row = dict(row)
-            while row:
-                hit = [k for k in row if k in pivots]
-                if not hit:
-                    break
-                k = min(hit)
-                prow, prhs = pivots[k]
-                c = row[k]
-                vec_isub_scaled(row, prow, c)
-                rhs = rhs - c * prhs
-            if not row:
-                if rhs:
-                    return None
-                continue
-            p = min(row.keys())
-            inv = 1 / row[p]
-            row = {k: x * inv for k, x in row.items()}
-            rhs = rhs * inv
-            pivots[p] = (row, rhs)
-            order.append(p)
-        sol: Vec = {}
-        for p in reversed(order):
-            prow, prhs = pivots[p]
-            acc = prhs
-            for k, c in prow.items():
-                if k != p and k in sol:
-                    acc = acc - c * sol[k]
-            if acc:
-                sol[p] = acc
-        return sol
+    def solve(self) -> Optional[Vec]:
+        # the right-hand side is the companion {0: rhs}, empty when zero
+        echelon = Eliminator()
+        for coeffs, rhs in sorted(self.rows, key=lambda r: len(r[0])):
+            comp = {0: rhs} if rhs else {}
+            row = echelon.eliminate(dict(coeffs), comp)
+            if row:
+                echelon.insert(row, comp)
+            elif comp:
+                return None
+        # each stored row is its pivot unknown plus free unknowns
+        return {p: comp[0] for p, comp in echelon.companions.items() if comp}
 
 
 def kernel_basis(columns: List[Tuple[Hashable, Vec]], one) -> List[Vec]:
@@ -243,13 +217,14 @@ def kernel_basis(columns: List[Tuple[Hashable, Vec]], one) -> List[Vec]:
     column order; it has coefficient ``one`` on that column.  Each column
     is reduced once.
     """
-    solver = SpanSolver(one)
+    echelon = Eliminator()
     out: List[Vec] = []
     for key, col in columns:
-        row, comb = solver._reduce_tracked(col, {})
+        comb: Vec = {}
+        row = echelon.eliminate(dict(col), comb)
         comb[key] = one
         if row:
-            solver._insert(row, comb)
+            echelon.insert(row, comb)
         else:
             out.append(comb)
     return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 QQ = Fraction
 

@@ -165,6 +165,21 @@ class TestVerify:
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
 
+    def test_jobs_match_serial(self, tmp_path):
+        # the process pool is imported only when --jobs asks for one
+        r = subprocess.run(
+            [sys.executable, "-c", "import sys, uzeta.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert r.stdout.strip() == "False", r.stderr
+        outs = []
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"jobs{jobs}")
+            r = cli("verify", "--type", "A1", "--ell", "3", "--suite", "zdual", "--jobs", jobs, "--out", out)
+            assert r.returncode == 0, r.stderr
+            outs.append(open(out, "rb").read())
+        assert outs[0] == outs[1]
+
     def test_corrupt_cache_detected(self, tmp_path):
         path = str(tmp_path / "b2.cache")
         write_cache(RunConfig("B2", 5), path)

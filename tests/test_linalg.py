@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction as QQ
 
-from uzeta.linalg import SpanSolver, kernel_basis, rank_of, vec_iadd_scaled, vec_isub_scaled
-from uzeta.scalars import CycloField
+import pytest
+
+from uzeta import inject
+from uzeta.linalg import LinearSystem, SpanSolver, kernel_basis, rank_of, vec_iadd_scaled, vec_isub_scaled
+from uzeta.qmodules import randsub_module, simple_module, tensor_module, trivial_module, verma_module
+from uzeta.scalars import CycloField, GaloisField
 
 
 def _random_vec(rng, field, keys, density=0.5):
@@ -65,3 +69,148 @@ class TestKernelBasis:
     def test_zero_column(self):
         assert kernel_basis([("a", {}), ("b", {0: QQ(1)})], one=QQ(1)) == [{"a": QQ(1)}]
 
+
+
+def _old_solve(rows, zero):
+    """Forward elimination in the order the rows were added, then back substitution."""
+    pivots = {}
+    order = []
+    for row, rhs in rows:
+        row = dict(row)
+        while row:
+            hit = [k for k in row if k in pivots]
+            if not hit:
+                break
+            k = min(hit)
+            prow, prhs = pivots[k]
+            c = row[k]
+            vec_isub_scaled(row, prow, c)
+            rhs = rhs - c * prhs
+        if not row:
+            if rhs:
+                return None
+            continue
+        p = min(row.keys())
+        inv = 1 / row[p]
+        row = {k: x * inv for k, x in row.items()}
+        rhs = rhs * inv
+        pivots[p] = (row, rhs)
+        order.append(p)
+    sol = {}
+    for p in reversed(order):
+        prow, prhs = pivots[p]
+        acc = prhs
+        for k, c in prow.items():
+            if k != p and k in sol:
+                acc = acc - c * sol[k]
+        if acc:
+            sol[p] = acc
+    return sol
+
+
+def _check_solve(rows, zero):
+    """solve() returns what the reference returns, and that solves every row.
+
+    With the least key as pivot, the pivots are the leading keys of the
+    row space whatever the row order, and the solution that vanishes off
+    them is unique: so the two agree exactly, not only on consistency.
+    """
+    system = LinearSystem()
+    for coeffs, rhs in rows:
+        system.add(coeffs, rhs)
+    sol = system.solve()
+    assert sol == _old_solve(system.rows, zero)
+    if sol is not None:
+        for coeffs, rhs in rows:
+            acc = zero
+            for k, c in coeffs.items():
+                if k in sol:
+                    acc = acc + c * sol[k]
+            assert acc == rhs
+    return sol
+
+
+def _random_element(rng, field):
+    return field.from_int(rng.randint(-3, 3)) + field.from_int(rng.randint(-3, 3)) * field.zeta
+
+
+class TestLinearSystem:
+    @pytest.mark.parametrize("field", [CycloField(3), CycloField(5), GaloisField(5, 3)], ids=["Q3", "Q5", "GF25"])
+    def test_order_independent_with_certificates(self, field):
+        rng = random.Random(11)
+        outcomes = set()
+        for trial in range(60):
+            n_keys, n_rows = rng.randint(2, 9), rng.randint(1, 12)
+            keys = [(rng.randint(0, 2), k) for k in range(n_keys)]
+            rows = []
+            for _ in range(n_rows):
+                coeffs = {}
+                for k in keys:
+                    if rng.random() < 0.35:
+                        x = _random_element(rng, field)
+                        if x:
+                            coeffs[k] = x
+                rows.append(coeffs)
+            if trial % 2:
+                # consistent by construction: the right-hand sides of a planted solution
+                planted = {k: _random_element(rng, field) for k in keys}
+                rhss = [sum((c * planted[k] for k, c in row.items()), field.zero) for row in rows]
+            else:
+                rhss = [_random_element(rng, field) if rng.random() < 0.4 else field.zero for _ in rows]
+            sol = _check_solve(list(zip(rows, rhss)), field.zero)
+            outcomes.add(sol is not None)
+        assert outcomes == {True, False}
+
+    def test_empty_row_with_rhs_is_inconsistent(self):
+        system = LinearSystem()
+        system.add({0: QQ(1)}, QQ(1))
+        system.add({}, QQ(2))
+        system.add({}, QQ(0))
+        assert len(system.rows) == 2
+        assert system.solve() is None
+
+    def test_row_order_does_not_change_the_solution(self):
+        rows = [({0: QQ(1), 1: QQ(1), 2: QQ(1)}, QQ(1)), ({1: QQ(1), 2: QQ(2)}, QQ(3)), ({2: QQ(1), 3: QQ(1)}, QQ(0))]
+        want = _check_solve(rows, QQ(0))
+        assert want == {0: QQ(-2), 1: QQ(3)}
+        for perm in ([2, 1, 0], [1, 2, 0], [2, 0, 1]):
+            assert _check_solve([rows[i] for i in perm], QQ(0)) == want
+
+
+def _split_cases(ctx, label):
+    if label == "A1":
+        corpus = [
+            trivial_module(ctx),
+            verma_module(ctx, (0,)),
+            simple_module(ctx, (1,)),
+            simple_module(ctx, (2,)),
+            randsub_module(verma_module(ctx, (1,)), 3),
+            tensor_module(simple_module(ctx, (1,)), simple_module(ctx, (1,))),
+        ]
+        kinds = ["u-", "u+", "Am:1", "root:1:-", "g"]
+    else:
+        corpus = [
+            trivial_module(ctx),
+            simple_module(ctx, (1, 0)),
+            simple_module(ctx, (2, 2)),
+            verma_module(ctx, (0, 1)),
+        ]
+        kinds = ["u-", "Am:2", "root:2:+"]
+    return [(m, kind) for m in corpus for kind in kinds]
+
+
+class TestSplitSystems:
+    @pytest.mark.parametrize("label", ["A1", "A2"])
+    def test_split_systems_solve_like_the_reference(self, ctxmaker, monkeypatch, label):
+        ctx = ctxmaker(label, 3)
+        solved = []
+
+        class Checked(LinearSystem):
+            def solve(self):
+                solved.append(_check_solve(self.rows, ctx.field.zero) is not None)
+                return super().solve()
+
+        monkeypatch.setattr(inject, "LinearSystem", Checked)
+        verdicts = [inject._split_exists(m, kind) for m, kind in _split_cases(ctx, label)]
+        assert len(solved) > 1 and set(solved) == {True, False}
+        assert set(verdicts) == {True, False}
