@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cohomlite, inject, qmodules
@@ -50,7 +50,6 @@ class RunConfig:
     r: int = 0
     w0: Optional[Tuple[int, ...]] = None
     budget: int = 200_000
-    seed: int = 0
     strict: bool = True
     jobs: int = 1
     long_running: bool = False
@@ -371,8 +370,8 @@ def run_case(cfg: RunConfig, suite: str, spec: str, expect) -> Dict:
 
 
 def _pool_case(args):
-    cfg_kwargs, suite, spec, expect = args
-    return run_case(RunConfig(**cfg_kwargs), suite, spec, expect)
+    """run_case on one (config, suite, spec, expect) task of the process pool."""
+    return run_case(*args)
 
 
 def run_suites(cfg: RunConfig, suites: Sequence[str], manifest: List[Dict]) -> List[Dict]:
@@ -383,17 +382,12 @@ def run_suites(cfg: RunConfig, suites: Sequence[str], manifest: List[Dict]) -> L
         for case in manifest:
             tasks.append((suite, case["spec"], case.get("expect_injective")))
     if cfg.jobs > 1 and tasks:
-        cfg_kwargs = dict(
-            type_label=cfg.type_label, ell=cfg.ell, p=cfg.p, r=cfg.r, w0=cfg.w0,
-            budget=cfg.budget, seed=cfg.seed, strict=cfg.strict, jobs=1,
-            long_running=cfg.long_running, timing=cfg.timing,
-            cache_path=cfg.cache_path,
-        )
+        one_job = replace(cfg, jobs=1)
         # imported here: it costs every process memory and start-up time
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_pool_case, [(cfg_kwargs, s, sp, ex) for (s, sp, ex) in tasks]))
+            records = list(pool.map(_pool_case, [(one_job, s, sp, ex) for (s, sp, ex) in tasks]))
     else:
         for suite, spec, expect in tasks:
             records.append(run_case(cfg, suite, spec, expect))
@@ -630,8 +624,6 @@ def cmd_verify(args) -> int:
     else:
         manifest = []
     if args.cache:
-        from dataclasses import replace
-
         cfg = replace(cfg, cache_path=args.cache)
         try:
             _, data = read_cache(args.cache)
@@ -667,7 +659,6 @@ def _config_from(args) -> RunConfig:
         r=args.r,
         w0=w0,
         budget=args.budget,
-        seed=args.seed,
         strict=not args.permissive,
         jobs=getattr(args, "jobs", 1),
         long_running=getattr(args, "long_running", False),
@@ -682,7 +673,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--w0", default=None, help="comma-separated reduced word for w0")
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--permissive", action="store_true")
     p.add_argument("--long-running", action="store_true", dest="long_running")
     p.add_argument("--timing", action="store_true")

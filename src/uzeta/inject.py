@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .kernelalg import KernelContext
-from .linalg import Eliminator, LinearSystem, Vec, mat_apply, vec_add_term
+from .linalg import Eliminator, LinearSystem, Vec, close_span, vec_add_term
 from .qmodules import WeightedModule
 
 Weight = Tuple[int, ...]
@@ -91,19 +91,8 @@ def radical_span(m: WeightedModule, kind: str) -> Eliminator:
     """Echelon span of rad(A) M for a local (augmented) algebra kind."""
     mats = _generator_matrices(m, kind)
     elim = Eliminator()
-    frontier: List[Vec] = []
-    for i in range(m.dim):
-        for mat in mats:
-            red = elim.reduce(mat.get(i, {}))
-            if red and elim.add(red) is not None:
-                frontier.append(red)
-    # close under the algebra action (rad is the ideal the generators make)
-    while frontier:
-        v = frontier.pop()
-        for mat in mats:
-            red = elim.reduce(mat_apply(mat, v))
-            if red and elim.add(red) is not None:
-                frontier.append(red)
+    # rad is the ideal the generators make: close their images under the action
+    close_span(elim, (mat.get(i, {}) for i in range(m.dim) for mat in mats), mats)
     return elim
 
 
@@ -175,97 +164,14 @@ class CoverSummand:
     def degree(self, key) -> Weight:
         return self._deg[key]
 
-    def weight_of_right_part(self, key) -> Weight:
-        """Weight the torus sees standing left of E^{(e)} e_chi."""
-        f, e = key
-        wt = self.ctx.datum.root_to_weight(self.ctx.weight_of_fexp(e))
-        return tuple(a + b for a, b in zip(self.lam, wt))
-
     def gen_column(self, gen, key) -> Vec:
+        """gen times F^{(f)} E^{(e)} e_lam, torus evaluated (``KernelContext.pbw_terms``)."""
         ck = (gen, key)
         hit = self._cols.get(ck)
-        if hit is not None:
-            return hit
-        ctx = self.ctx
-        kind, j = gen
-        f, e = key
-        out: Vec = {}
-
-        def put(f2, e2, c):
-            if not c:
-                return
-            k2 = (tuple(f2), tuple(e2))
-            if k2 not in self._deg:
-                raise ArithmeticError(
-                    f"cover summand over {self.kind} is not closed under {gen}: "
-                    f"{key} goes to {k2}"
-                )
-            vec_add_term(out, k2, c)
-
-        if kind == "F":
-            for f2, c in ctx.lmul_rv("F", ctx.simple_pos[j], f).items():
-                put(f2, e, c)
-        elif kind == "Frv":
-            # the local kinds are one-sided without torus: plain collection
-            for f2, c in ctx.lmul_rv("F", j, f).items():
-                put(f2, e, c)
-        elif kind == "Erv":
-            for e2, c in ctx.lmul_rv("E", j, e).items():
-                put(f, e2, c)
-        elif kind == "Fd0":
-            nn = ctx.ell
-            c = ctx.qbin(f[0] + nn, nn, ctx.d_gamma[0])
-            if f[0] + nn < ctx.cap and c:
-                put((f[0] + nn,), e, c)
-        elif kind == "E":
-            alpha_j = ctx.datum.simple_roots[j]
-            lam_right = self.weight_of_right_part(key)
-            if ctx.r > 0:
-                self._rank1_E_column(1, key, put)
-            elif any(f):
-                for (f2, mu, has_e), c in ctx.push_E_through_F(j, f):
-                    if has_e:
-                        scal = c * ctx.zeta_pow(
-                            ctx.datum.pair_weight_root(lam_right, mu)
-                            + ctx.pair(mu, alpha_j)
-                        )
-                        for e2, ce in ctx.lmul_rv("E", ctx.simple_pos[j], e).items():
-                            put(f2, e2, scal * ce)
-                    else:
-                        scal = c * ctx.zeta_pow(ctx.datum.pair_weight_root(lam_right, mu))
-                        put(f2, e, scal)
-            else:
-                for e2, ce in ctx.lmul_rv("E", ctx.simple_pos[j], e).items():
-                    put(f, e2, ce)
-        elif kind == "Ed0":
-            self._rank1_E_column(ctx.ell, key, put)
-        else:
-            raise ValueError(gen)
-        self._cols[ck] = out
-        return out
-
-    def _rank1_E_column(self, m_e: int, key, put) -> None:
-        """Rank-one E^{(m)} action with torus factors evaluated at weights."""
-        ctx = self.ctx
-        f, e = key
-        d0 = ctx.d_gamma[0]
-        lam_right = self.weight_of_right_part(key)
-        lam_hat = lam_right[0] * d0
-        for f_t, c_off, t, e_t in ctx.mixed_rank1_terms(m_e, f[0]):
-            # [K; c_off over t] stands left of E^{(e_t)} E^{(e)} e_chi
-            val = ctx.gauss_binom(lam_hat + 2 * e_t * 1 + c_off, t)
-            if not val:
-                continue
-            tot = e_t + e[0]
-            if tot >= ctx.cap:
-                continue
-            c = val
-            if e_t and e[0]:
-                cb = ctx.qbin(tot, e_t, d0)
-                if not cb:
-                    continue
-                c = c * cb
-            put((f_t,), (tot,), c)
+        if hit is None:
+            terms = self.ctx.pbw_terms(self.kind, gen, key[0], key[1], self.lam)
+            hit = self._cols[ck] = {(f2, e2): c for (f2, _, e2), c in terms.items()}
+        return hit
 
 
 def module_generators(m: WeightedModule, kind: str) -> List[int]:
@@ -300,17 +206,10 @@ def _greedy_generators(m: WeightedModule, mats, order: Iterable[int]) -> List[in
     elim = Eliminator()
     gens: List[int] = []
     for i in order:
-        if elim.contains({i: one}):
-            continue
-        gens.append(i)
-        frontier = [{i: one}]
-        elim.add({i: one})
-        while frontier:
-            v = frontier.pop()
-            for mat in mats:
-                red = elim.reduce(mat_apply(mat, v))
-                if red and elim.add(red) is not None:
-                    frontier.append(red)
+        rank = elim.rank
+        close_span(elim, [{i: one}], mats)
+        if elim.rank > rank:
+            gens.append(i)
     assert elim.rank == m.dim, "generator closure must exhaust the module"
     return gens
 

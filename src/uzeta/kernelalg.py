@@ -14,6 +14,13 @@ describes each algebra kind once, as an ``AlgebraKind``.  It memoizes all straig
   exponents are < ell (r = 0),
 * the closed rank-one formula for E^{(m)} F^{(n)} used by higher kernels.
 
+One routine, ``KernelContext.pbw_terms``, writes a generator acting on a
+torus-free PBW pair F^{(f)} E^{(e)} as terms F^{(f2)} K^{kv} E^{(e2)}, or
+with the torus evaluated at a weight.  Its callers only handle the torus:
+a kernel algebra shifts the terms by its K^k, a projective cover summand
+u e_lam and the baby Verma module Z(lam) = u e_lam / u u+_{>0} e_lam
+evaluate them at lam (``inject.CoverSummand``, ``qmodules.verma_module``).
+
 Algebras are presented on enumerated divided-power PBW bases.  Elements
 are sparse dicts over basis keys (f_exponents, torus_exponents,
 e_exponents); torus exponents are reduced mod ell since K^ell = 1.
@@ -29,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .genericuq import UqGeneric, generic_uq
@@ -39,7 +47,7 @@ from .scalars import q_binom, q_int
 FExp = Tuple[int, ...]
 KExp = Tuple[int, ...]
 BasisKey = Tuple[FExp, KExp, FExp]
-GenKey = Tuple[str, int]  # ('E', j), ('F', j), ('K', j), ('Ed', j), ('Fd', j)
+GenKey = Tuple[str, int]  # ('E', j), ('F', j), ('K', j), ('Erv', pos), ('Frv', pos), ('Ed0', 0), ('Fd0', 0)
 
 
 class SpecializationError(ArithmeticError):
@@ -422,6 +430,73 @@ class KernelContext:
             (nn - t, 2 * t - m - nn, t, m - t) for t in range(min(m, nn) + 1)
         )
 
+    # -- a generator on a torus-free PBW pair -------------------------------
+
+    def pbw_terms(
+        self, kind: str, gen: GenKey, f: FExp, e: FExp, lam: Optional[Tuple[int, ...]] = None
+    ) -> Dict[BasisKey, object]:
+        """gen * F^{(f)} E^{(e)} as {(f2, kv, e2): c} for sum c F^{(f2)} K^{kv} E^{(e2)}.
+
+        gen is a generator of the algebra kind: F_j, E_j, a plain root vector
+        Frv / Erv, or at r = 1 X^{(ell)}.  E moves right past F^{(f)} by
+        ``push_E_through_F`` at r = 0 and by the rank-one formula for
+        E^{(m)} F^{(n)} at r = 1.  Every torus factor stands left of E^{(e2)}:
+        given a weight lam it is evaluated on E^{(e2)} v_lam, at
+        lam + wt(e2), and kv is 0.  The K-binomials of r = 1 are always
+        evaluated, so there lam is needed once f != 0.  A non-simple Erv
+        needs f = 0.  A term outside the algebra kind raises ArithmeticError.
+        """
+        desc = self.algebra_kind(kind)
+        zero = (0,) * self.rank
+        out: Dict[BasisKey, object] = {}
+
+        def at(e2, x):
+            # (lam + wt e2, x): the torus stands left of E^{(e2)} v_lam
+            return self.datum.pair_weight_root(lam, x) + self.pair(self.weight_of_fexp(e2), x)
+
+        def put(f2, kv, e2, c):
+            if not c:
+                return
+            # exponents stay below cap, so a term lies in the kind iff none
+            # exceeds its cap (0 where the root vector is absent)
+            if not (all(map(le, f2, desc.f_caps)) and all(map(le, e2, desc.e_caps))):
+                raise ArithmeticError(
+                    f"{kind} is not closed under {gen}: F^{f} E^{e} goes to F^{f2} E^{e2}"
+                )
+            if lam is not None and any(kv):
+                c = c * self.zeta_pow(at(e2, kv))
+                kv = zero
+            vec_add_term(out, (f2, kv, e2), c)
+
+        name, j = gen
+        pos = self.simple_pos[j] if name in ("F", "E") else j
+        if name[0] == "F":
+            col = self._letter_times("F", gen, f) if name == "Fd0" else self.lmul_rv("F", pos, f)
+            for f2, c in col.items():
+                put(f2, zero, e, c)
+        elif self.r:
+            # rank one: the [K; c over t] of E^{(m)} F^{(n)} stands left of
+            # E^{(m-t)} E^{(e)} = [e2 over m-t] E^{(e2)}
+            for f_t, c_off, t, e_t in self.mixed_rank1_terms(1 if name == "E" else self.ell, f[0]):
+                e2 = (e_t + e[0],)
+                if e2[0] >= self.cap:
+                    continue
+                c = self.qbin(e2[0], e_t, self.d_gamma[0])
+                if t:
+                    c = c * self.gauss_binom(at(e2, self.datum.simple_roots[0]) + c_off, t)
+                put((f_t,), zero, e2, c)
+        elif not any(f):
+            for e2, c in self.lmul_rv("E", pos, e).items():
+                put(f, zero, e2, c)
+        else:
+            for (f2, kv, has_e), c in self.push_E_through_F(self.simple_pos.index(pos), f):
+                if has_e:
+                    for e2, ce in self.lmul_rv("E", pos, e).items():
+                        put(f2, kv, e2, c * ce)
+                else:
+                    put(f2, kv, e, c)
+        return out
+
     # -- algebras ----------------------------------------------------------
 
     def algebra_kind(self, kind: str) -> "AlgebraKind":
@@ -644,76 +719,30 @@ class KernelAlgebra:
         ctx = self.ctx
         kind, j = gen
         f, k, e = key
-        out: Vec = {}
-
-        def put(fexp, kexp, eexp, c):
-            if not c:
-                return
-            bk = self._check_key(fexp, kexp, eexp)
-            if bk is not None:
-                vec_add_term(out, bk, c)
-
         if kind == "K":
             # K_j slides right past the F-part into its slot
             mu = ctx.datum.simple_roots[j]
             scal = ctx.zeta_pow(-ctx.pair(mu, ctx.weight_of_fexp(f)))
             kk = list(k)
             kk[j] = (kk[j] + 1) % ctx.ell
-            put(f, tuple(kk), e, scal)
+            return {(f, tuple(kk), e): scal}
+        out: Vec = {}
+        if kind == "Erv" and any(f) and j not in ctx.simple_pos:
+            # plain non-simple E root vector past an F part: apply its word expansion
+            for word, c in ctx.rv_words["E"][j]:
+                cur: Vec = {key: c}
+                for i2 in reversed(word):
+                    cur = self.lmul_gen(("E", i2), cur)
+                vec_iadd_scaled(out, cur, ctx.field.one)
             return out
-        if kind == "F":
-            for fexp, c in ctx.lmul_rv("F", ctx.simple_pos[j], f).items():
-                put(fexp, k, e, c)
-            return out
-        if kind == "Frv":
-            for fexp, c in ctx.lmul_rv("F", j, f).items():
-                put(fexp, k, e, c)
-            return out
-        if kind in ("Erv", "E"):
-            pos = ctx.simple_pos[j] if kind == "E" else j
-            if pos not in ctx.simple_pos:
-                # plain non-simple E root vector: apply its word expansion
-                for word, c in ctx.rv_words["E"][pos]:
-                    cur: Vec = {key: c}
-                    for i2 in reversed(word):
-                        cur = self.lmul_gen(("E", i2), cur)
-                    for kk2, cc in cur.items():
-                        put(*kk2, cc)
-                return out
-            j_simple = j if kind == "E" else ctx.simple_pos.index(pos)
-            alpha_j = ctx.datum.simple_roots[j_simple]
-            # E_j past K^k costs zeta^{-(mu_k, alpha_j)}
-            k_cost = (
-                ctx.zeta_pow(-ctx.pair(k, alpha_j))
-                if any(k)
-                else ctx.field.one
-            )
-            if any(f):
-                for (fexp, kv, has_e), c in ctx.push_E_through_F(j_simple, f):
-                    nk = tuple((a + b) % ctx.ell for a, b in zip(kv, k))
-                    if has_e:
-                        scal = c * k_cost
-                        for eexp, ce in ctx.lmul_rv("E", pos, e).items():
-                            put(fexp, nk, eexp, scal * ce)
-                    else:
-                        put(fexp, nk, e, c)
-            else:
-                for eexp, ce in ctx.lmul_rv("E", pos, e).items():
-                    put(f, k, eexp, k_cost * ce)
-            return out
-        if kind in ("Fd0", "Ed0"):
-            # divided power generators X^{(ell)}: rank one, one-sided
-            # algebra kinds only, so this is pure power collection
-            nn = ctx.ell
-            a = f[0] if kind == "Fd0" else e[0]
-            c = ctx.qbin(a + nn, nn, ctx.d_gamma[0])
-            if a + nn < ctx.cap and c:
-                if kind == "Fd0":
-                    put((a + nn,), k, e, c)
-                else:
-                    put(f, k, (a + nn,), c)
-            return out
-        raise ValueError(f"unknown generator {gen}")
+        # F^{(f)} K^k E^{(e)} = zeta^{(k, wt e)} F^{(f)} E^{(e)} K^k, and K^k moves
+        # back left past each E^{(e2)} at the cost zeta^{-(k, wt e2)}
+        shift = any(k)
+        for (f2, kv, e2), c in ctx.pbw_terms(self.kind, gen, f, e).items():
+            if shift and e2 != e:
+                c = c * ctx.zeta_pow(ctx.pair(k, ctx.weight_of_fexp(e)) - ctx.pair(k, ctx.weight_of_fexp(e2)))
+            vec_add_term(out, (f2, ctx.kmod(a + b for a, b in zip(kv, k)), e2), c)
+        return out
 
     def lmul_monomial(self, key: BasisKey, vec: Vec) -> Vec:
         """Left multiply by a basis monomial F^{(f)} K^k E^{(e)}."""

@@ -11,7 +11,7 @@ is deterministic: pivots are chosen by key order, never by hash order.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 Vec = Dict[Hashable, Any]
 Mat = Dict[Hashable, Vec]
@@ -140,6 +140,27 @@ class Eliminator:
 
     def contains(self, row: Vec) -> bool:
         return not self.reduce(row)
+
+
+def close_span(elim: Eliminator, seeds: Iterable[Vec], mats: Sequence[Mat]) -> None:
+    """Grow elim by the seeds and their images under the matrices until closed.
+
+    Each new row goes on a frontier; every matrix is applied to it, and each
+    image is reduced once and kept when it enlarges the span.
+    """
+    frontier: List[Vec] = []
+    for v in seeds:
+        red = elim.reduce(v)
+        if red:
+            elim.insert(red)
+            frontier.append(red)
+    while frontier:
+        v = frontier.pop()
+        for mat in mats:
+            red = elim.eliminate(mat_apply(mat, v))
+            if red:
+                elim.insert(red)
+                frontier.append(red)
 
 
 class SpanSolver:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .kernelalg import BasisKey, GenKey, KernelContext
-from .linalg import Eliminator, Mat, SpanSolver, Vec, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
+from .linalg import Eliminator, Mat, SpanSolver, Vec, close_span, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
 
 Weight = Tuple[int, ...]
 
@@ -213,6 +213,15 @@ def _fexp_list(ctx: KernelContext) -> List[Tuple[int, ...]]:
     return sorted(itertools.product(range(ctx.cap), repeat=ctx.n))
 
 
+def _weights_below(ctx: KernelContext, lam: Weight, exps: List[Tuple[int, ...]]) -> Tuple[Weight, ...]:
+    """lam - wt(a) for each exponent a, in fundamental-weight coordinates."""
+    out = []
+    for a in exps:
+        wt_a = ctx.datum.root_to_weight(ctx.weight_of_fexp(a))
+        out.append(tuple(x - y for x, y in zip(lam, wt_a)))
+    return tuple(out)
+
+
 def trivial_module(ctx: KernelContext) -> WeightedModule:
     zero = (0,) * ctx.rank
     acts: Dict[GenKey, Mat] = {("E", j): {} for j in range(ctx.rank)}
@@ -234,61 +243,27 @@ def onedim_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
 
 
 def verma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
-    """Induced highest-weight module: free rank one over the F side."""
+    """Induced highest-weight module Z(lam), free of rank one over the F side.
+
+    Z(lam) = u e_lam / u u+_{>0} e_lam, so each generator acts as on the g
+    cover at e = 0 (``KernelContext.pbw_terms``) with every term that keeps
+    an E dropped.
+    """
     lam = tuple(lam)
     fexps = _fexp_list(ctx)
     index = {a: i for i, a in enumerate(fexps)}
-    weights = []
-    for a in fexps:
-        wt_a = ctx.datum.root_to_weight(ctx.weight_of_fexp(a))
-        weights.append(tuple(x - y for x, y in zip(lam, wt_a)))
+    top = (0,) * ctx.n
     acts: Dict[GenKey, Mat] = {}
-    for j in range(ctx.rank):
+    for gen in ctx.algebra_kind("g").generators:
         mat: Mat = {}
-        pos = ctx.simple_pos[j]
         for a in fexps:
-            col: Vec = {}
-            for a2, c in ctx.lmul_rv("F", pos, a).items():
-                col[index[a2]] = c
+            terms = ctx.pbw_terms("g", gen, a, top, lam)
+            col = {index[a2]: c for (a2, _, e2), c in terms.items() if not any(e2)}
             if col:
                 mat[index[a]] = col
-        acts[("F", j)] = mat
-    if ctx.r:
-        nn = ctx.ell
-        mat = {}
-        for a in fexps:
-            c = ctx.qbin(a[0] + nn, nn, ctx.d_gamma[0])
-            if a[0] + nn < ctx.cap and c:
-                mat[index[a]] = {index[(a[0] + nn,)]: c}
-        acts[("Fd0", 0)] = mat
-    # E action: push through the F part and evaluate K at the top weight
-    if ctx.r == 0:
-        for j in range(ctx.rank):
-            mat = {}
-            for a in fexps:
-                col: Vec = {}
-                for (a2, mu, has_e), c in ctx.push_E_through_F(j, a):
-                    if has_e:
-                        continue  # E kills the highest vector
-                    scal = c * ctx.zeta_pow(ctx.datum.pair_weight_root(lam, mu))
-                    vec_add_term(col, index[a2], scal)
-                if col:
-                    mat[index[a]] = col
-            acts[("E", j)] = mat
-    else:
-        lam_hat = lam[0] * ctx.d_gamma[0]
-        for gen, m_e in ((("E", 0), 1), (("Ed0", 0), ctx.ell)):
-            mat = {}
-            for a in fexps:
-                col = {}
-                for f_t, c_off, t, e_t in ctx.mixed_rank1_terms(m_e, a[0]):
-                    if not e_t:
-                        vec_add_term(col, index[(f_t,)], ctx.gauss_binom(lam_hat + c_off, t))
-                if col:
-                    mat[index[a]] = col
-            acts[gen] = mat
+        acts[gen] = mat
     return WeightedModule(
-        ctx, tuple(weights), acts, frozenset({"torus", "borel-", "borel+"}),
+        ctx, _weights_below(ctx, lam, fexps), acts, frozenset({"torus", "borel-", "borel+"}),
         f"verma({_lam_str(lam)})",
     )
 
@@ -298,10 +273,6 @@ def coverma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
     lam = tuple(lam)
     eexps = _fexp_list(ctx)
     index = {c: i for i, c in enumerate(eexps)}
-    weights = []
-    for cexp in eexps:
-        wt_c = ctx.datum.root_to_weight(ctx.weight_of_fexp(cexp))
-        weights.append(tuple(x - y for x, y in zip(lam, wt_c)))
     acts: Dict[GenKey, Mat] = {}
     # (E_j . f)(E^{(c')}) = f(E^{(c')} E_j)
     for j in range(ctx.rank):
@@ -350,7 +321,7 @@ def coverma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
                         vec_add_term(mat.setdefault(i2, {}), index[cexp], val)
             acts[gen] = mat
     return WeightedModule(
-        ctx, tuple(weights), acts, frozenset({"torus", "borel-", "borel+"}),
+        ctx, _weights_below(ctx, lam, eexps), acts, frozenset({"torus", "borel-", "borel+"}),
         f"coverma({_lam_str(lam)})",
     )
 
@@ -464,22 +435,7 @@ def twist_module(m: WeightedModule, mu: Weight) -> WeightedModule:
 def cyclic_span(m: WeightedModule, seeds: List[Vec]) -> List[Vec]:
     """Graded basis (echelon rows) of the submodule generated by seeds."""
     elim = Eliminator()
-    frontier: List[Vec] = []
-    basis: List[Vec] = []
-    gens = m.generator_kinds()
-    for v in seeds:
-        red = elim.reduce(v)
-        if red and elim.add(red) is not None:
-            basis.append(red)
-            frontier.append(red)
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = m.act_gen(g, v)
-            red = elim.reduce(w)
-            if red and elim.add(red) is not None:
-                basis.append(red)
-                frontier.append(red)
+    close_span(elim, seeds, [m.generator_matrix(g) for g in m.generator_kinds()])
     return sorted(elim.pivots.values(), key=lambda row: min(row))
 
 
@@ -620,11 +576,8 @@ def simple_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
         for rel in kernel_basis(cols, one=ctx.field.one):
             rad_rows.append({idxs[t]: c for t, c in rel.items() if c})
     elim = Eliminator()
-    hom_rows = []
     for row in rad_rows:
-        red = elim.reduce(row)
-        if red and elim.add(red) is not None:
-            hom_rows.append(red)
+        elim.add(row)
     rows = sorted(elim.pivots.values(), key=lambda r: min(r))
     simple = quotient_module(vm, rows, f"simple({_lam_str(lam)})")
     _certify_simple(simple, lam)
@@ -802,7 +755,7 @@ def verma_character_test(m: WeightedModule) -> bool:
     highest term the top weight, so feasibility has a unique candidate.
     """
     ctx = m.ctx
-    base = verma_module(ctx, (0,) * ctx.rank).character()
+    base = Counter(_weights_below(ctx, (0,) * ctx.rank, _fexp_list(ctx)))
     two_rho = [0] * ctx.rank
     for g in ctx.order.gammas:
         for t in range(ctx.rank):
@@ -887,14 +840,7 @@ def am_weight_basis(m: WeightedModule, level: int) -> Optional[List[Vec]]:
             return None
         chosen.append(found)
         # adjoin the A_m-cyclic span of the found vector
-        frontier = [found]
-        elim.add(dict(found))
-        while frontier:
-            v = frontier.pop()
-            for mat in mats:
-                red = elim.reduce(mat_apply(mat, v))
-                if red and elim.add(red) is not None:
-                    frontier.append(red)
+        close_span(elim, [found], mats)
     if len(chosen) * layer.dim != m.dim:
         return None
     # final certification: monomial translates of the chosen vectors form a basis

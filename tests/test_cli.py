@@ -180,6 +180,16 @@ class TestVerify:
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
 
+    def test_pool_matches_serial(self, tmp_path):
+        # module suites go through the process pool (zdual above does not)
+        outs = []
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"jobs{jobs}")
+            r = cli("verify", "--type", "A1", "--ell", "3", "--suite", "borel", "--jobs", jobs, "--out", out)
+            assert r.returncode == 0, r.stderr
+            outs.append(open(out, "rb").read())
+        assert outs[0] and outs[0] == outs[1]
+
     def test_corrupt_cache_detected(self, tmp_path):
         path = str(tmp_path / "b2.cache")
         write_cache(RunConfig("B2", 5), path)

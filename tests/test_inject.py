@@ -145,9 +145,9 @@ class TestSplitTest:
         # F at position 2 leaves the cover of the first root subalgebra;
         # dropping the product would give a wrong equivariance equation
         ctx = ctxmaker("A2", 3)
-        summand = CoverSummand(ctx, "root:1:-", (0, 0))
+        zero = (0, 0, 0)
         with pytest.raises(ArithmeticError, match="not closed"):
-            summand.gen_column(("Frv", 1), summand.keys[0])
+            ctx.pbw_terms("root:1:-", ("Frv", 1), zero, zero, (0, 0))
 
     def test_generators_greedy(self, ctxmaker):
         ctx = ctxmaker("A1", 3)
@@ -335,3 +335,104 @@ class TestHigherKernel:
         assert rec["agree"] and rec["oracle"]
         rec = verify_root_criterion(verma_module(ctx, (0,)), budget=300_000)
         assert rec["agree"] and not rec["oracle"]
+
+
+# -- reference: the cover column as written before ``KernelContext.pbw_terms`` --
+
+
+def _reference_cover_column(summand, gen, key):
+    """gen on F^{(f)} E^{(e)} e_lam, written out per generator kind."""
+    from uzeta.linalg import vec_add_term
+
+    ctx = summand.ctx
+    kind, j = gen
+    f, e = key
+    out = {}
+    wt = ctx.datum.root_to_weight(ctx.weight_of_fexp(e))
+    lam_right = tuple(a + b for a, b in zip(summand.lam, wt))
+
+    def put(f2, e2, c):
+        if not c:
+            return
+        k2 = (tuple(f2), tuple(e2))
+        if k2 not in summand.keys:
+            raise ArithmeticError(f"not closed under {gen}: {key} goes to {k2}")
+        vec_add_term(out, k2, c)
+
+    def rank1_e(m_e):
+        d0 = ctx.d_gamma[0]
+        lam_hat = lam_right[0] * d0
+        for f_t, c_off, t, e_t in ctx.mixed_rank1_terms(m_e, f[0]):
+            val = ctx.gauss_binom(lam_hat + 2 * e_t + c_off, t)
+            tot = e_t + e[0]
+            if not val or tot >= ctx.cap:
+                continue
+            if e_t and e[0]:
+                val = val * ctx.qbin(tot, e_t, d0)
+            put((f_t,), (tot,), val)
+
+    if kind == "F":
+        for f2, c in ctx.lmul_rv("F", ctx.simple_pos[j], f).items():
+            put(f2, e, c)
+    elif kind == "Frv":
+        for f2, c in ctx.lmul_rv("F", j, f).items():
+            put(f2, e, c)
+    elif kind == "Erv":
+        for e2, c in ctx.lmul_rv("E", j, e).items():
+            put(f, e2, c)
+    elif kind == "Fd0":
+        nn = ctx.ell
+        c = ctx.qbin(f[0] + nn, nn, ctx.d_gamma[0])
+        if f[0] + nn < ctx.cap and c:
+            put((f[0] + nn,), e, c)
+    elif kind == "E" and ctx.r:
+        rank1_e(1)
+    elif kind == "E" and any(f):
+        alpha_j = ctx.datum.simple_roots[j]
+        for (f2, mu, has_e), c in ctx.push_E_through_F(j, f):
+            scal = c * ctx.zeta_pow(ctx.datum.pair_weight_root(lam_right, mu))
+            if has_e:
+                scal = scal * ctx.zeta_pow(ctx.pair(mu, alpha_j))
+                for e2, ce in ctx.lmul_rv("E", ctx.simple_pos[j], e).items():
+                    put(f2, e2, scal * ce)
+            else:
+                put(f2, e, scal)
+    elif kind == "E":
+        for e2, ce in ctx.lmul_rv("E", ctx.simple_pos[j], e).items():
+            put(f, e2, ce)
+    elif kind == "Ed0":
+        rank1_e(ctx.ell)
+    else:
+        raise ValueError(gen)
+    return out
+
+
+_ALL_KINDS = ["g", "b-", "b+", "u-", "u+"]
+
+
+class TestCoverColumns:
+    @pytest.mark.parametrize(
+        "label,ell,p,r,lams",
+        [
+            ("A2", 3, None, 0, [(0, 0), (2, 1)]),
+            ("A1", 5, None, 0, [(0,), (3,)]),
+            ("A1", 3, 7, 1, [(0,), (4,), (-5,)]),
+        ],
+        ids=["A2-l3", "A1-l5", "A1-l3-p7-r1"],
+    )
+    def test_columns_match_reference(self, ctxmaker, label, ell, p, r, lams):
+        # every generator of every algebra kind on every cover key
+        ctx = ctxmaker(label, ell, p=p, r=r)
+        kinds = _ALL_KINDS + [f"Am:{m}" for m in range(1, ctx.n + 1)]
+        kinds += [f"root:{s}:{side}" for s in range(1, ctx.n + 1) for side in "-+"]
+        seen = set()
+        for kind in kinds:
+            gens = ctx.algebra_kind(kind).generators
+            seen.update(g[0] for g in gens)
+            for lam in lams:
+                summand = CoverSummand(ctx, kind, lam)
+                for gen in gens:
+                    for key in summand.keys:
+                        want = _reference_cover_column(summand, gen, key)
+                        assert summand.gen_column(gen, key) == want, (kind, lam, gen, key)
+        assert seen >= ({"Fd0", "Ed0"} if r else {"F", "E", "Frv", "Erv"})

@@ -456,3 +456,20 @@ class TestRootVectorColumns:
                     got = alg.lmul_gen(gen, {key: one})
                     assert got == _word_apply_rv(alg, side, pos, {key: one}), (gen, key)
                 assert alg.lmul_gen(gen, mixed) == _word_apply_rv(alg, side, pos, mixed)
+
+    def test_every_kind_times_every_generator(self, ctxmaker):
+        # a plain non-simple Erv on root:2:+ once left the algebra through
+        # its simple-E words; every product must stay inside its kind and
+        # agree with the same product in g
+        ctx = ctxmaker("A2", 3)
+        one = ctx.field.one
+        g = ctx.algebra("g")
+        kinds = ["g", "b-", "b+", "u-", "u+"] + [f"Am:{m}" for m in range(1, ctx.n + 1)]
+        kinds += [f"root:{s}:{side}" for s in range(1, ctx.n + 1) for side in "-+"]
+        for kind in kinds:
+            alg = ctx.algebra(kind)
+            for gen in alg.generator_keys():
+                for key in alg.basis:
+                    col = alg.lmul_gen(gen, {key: one})
+                    assert all(k in alg.index for k in col), (kind, gen, key)
+                    assert col == g.lmul_gen(gen, {key: one}), (kind, gen, key)

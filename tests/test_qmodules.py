@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -360,3 +361,69 @@ class TestRootVectorMatrices:
                         assert mat.get(j, {}) == ref, (m.label, gen, j)
                         assert m.act_gen(gen, {j: one}) == ref
                     assert m.act_gen(gen, mixed) == _word_act_rv(m, side, pos, mixed)
+
+
+# -- reference: the Verma actions as written before ``KernelContext.pbw_terms`` --
+
+
+def _reference_verma_actions(ctx, lam):
+    """F by collection, E pushed through the F part and evaluated at lam."""
+    from uzeta.linalg import vec_add_term
+
+    fexps = sorted(itertools.product(range(ctx.cap), repeat=ctx.n))
+    index = {a: i for i, a in enumerate(fexps)}
+    acts = {}
+    for j in range(ctx.rank):
+        mat = {}
+        for a in fexps:
+            col = {index[a2]: c for a2, c in ctx.lmul_rv("F", ctx.simple_pos[j], a).items()}
+            if col:
+                mat[index[a]] = col
+        acts[("F", j)] = mat
+    if ctx.r:
+        nn = ctx.ell
+        mat = {}
+        for a in fexps:
+            c = ctx.qbin(a[0] + nn, nn, ctx.d_gamma[0])
+            if a[0] + nn < ctx.cap and c:
+                mat[index[a]] = {index[(a[0] + nn,)]: c}
+        acts[("Fd0", 0)] = mat
+        lam_hat = lam[0] * ctx.d_gamma[0]
+        for gen, m_e in ((("E", 0), 1), (("Ed0", 0), ctx.ell)):
+            mat = {}
+            for a in fexps:
+                col = {}
+                for f_t, c_off, t, e_t in ctx.mixed_rank1_terms(m_e, a[0]):
+                    if not e_t:
+                        vec_add_term(col, index[(f_t,)], ctx.gauss_binom(lam_hat + c_off, t))
+                if col:
+                    mat[index[a]] = col
+            acts[gen] = mat
+        return acts
+    for j in range(ctx.rank):
+        mat = {}
+        for a in fexps:
+            col = {}
+            for (a2, mu, has_e), c in ctx.push_E_through_F(j, a):
+                if not has_e:  # E kills the highest vector
+                    vec_add_term(col, index[a2], c * ctx.zeta_pow(ctx.datum.pair_weight_root(lam, mu)))
+            if col:
+                mat[index[a]] = col
+        acts[("E", j)] = mat
+    return acts
+
+
+class TestVermaReference:
+    @pytest.mark.parametrize(
+        "label,ell,p,r,lam",
+        [
+            ("A2", 3, None, 0, (1, 2)),
+            ("A2", 5, None, 0, (3, 1)),
+            ("B2", 3, None, 0, (1, 1)),
+            ("A1", 3, 7, 1, (4,)),
+        ],
+        ids=["A2-l3", "A2-l5", "B2-l3", "A1-l3-p7-r1"],
+    )
+    def test_actions_match_reference(self, ctxmaker, label, ell, p, r, lam):
+        ctx = ctxmaker(label, ell, p=p, r=r)
+        assert verma_module(ctx, lam).actions == _reference_verma_actions(ctx, lam)
