@@ -28,7 +28,9 @@ from .rootdata import (
     default_w0_word,
 )
 from .scalars import (
+    QFraction,
     is_prime,
+    laurent_from_text,
     laurent_to_text,
     localized_from_text,
     localized_to_text,
@@ -136,6 +138,7 @@ class TableData:
     s_keys: Tuple[int, ...]
     e_entries: Dict
     f_entries: Dict
+    omega_units: Tuple[QFraction, ...]
 
 
 def write_cache(cfg: RunConfig, path: str) -> None:
@@ -185,8 +188,15 @@ def read_cache(path: str) -> Tuple[Dict[str, str], TableData]:
     e_entries: Dict = {}
     f_entries: Dict = {}
     s_keys: Tuple[int, ...] = ()
+    units: List[QFraction] = []
     for ln in lines[1:]:
-        if not ln or ln.startswith("omega_unit"):
+        if not ln:
+            continue
+        if ln.startswith("omega_unit "):
+            _, i_s, text = ln.split(" ", 2)
+            if int(i_s) != len(units) + 1:
+                raise ConfigError(f"cache {path}: omega_unit {i_s} out of order")
+            units.append(QFraction(laurent_from_text(text)))
             continue
         if "=" in ln and "->" not in ln:
             k, _, v = ln.partition("=")
@@ -209,7 +219,9 @@ def read_cache(path: str) -> Tuple[Dict[str, str], TableData]:
             tail[exp] = localized_from_text(coeff_s, s_keys)
         target = e_entries if side == "E" else f_entries
         target[(int(i_s), int(j_s))] = tail
-    return meta, TableData(s_keys, e_entries, f_entries)
+    if not units:
+        raise ConfigError(f"cache {path} has no omega_unit lines")
+    return meta, TableData(s_keys, e_entries, f_entries, tuple(units))
 
 
 # ---------------------------------------------------------------------------

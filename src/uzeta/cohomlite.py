@@ -34,11 +34,6 @@ class GradedBetti:
         return [len(ws) for ws in self.degrees]
 
 
-def _unit_key(alg: KernelAlgebra):
-    n, rank = alg.ctx.n, alg.ctx.rank
-    return ((0,) * n, (0,) * rank, (0,) * n)
-
-
 def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti:
     """Weight-graded minimal free resolution of k over a one-sided algebra.
 
@@ -49,7 +44,7 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
         raise ValueError("resolutions are over the one-sided local algebras")
     alg = ctx.algebra(kind)
     gens = alg.generator_keys()
-    unit = _unit_key(alg)
+    (unit,) = alg.one()
     field = ctx.field
 
     # step 0: P_0 = A -> k; kernel = augmentation ideal

@@ -46,15 +46,6 @@ class FreenessReport:
     verdict: bool
     rank: Optional[int] = None
 
-    def as_record(self) -> Dict:
-        return {
-            "algebra": self.algebra,
-            "dim_m": self.dim_m,
-            "top_dim": self.top_dim,
-            "free": self.verdict,
-            "rank": self.rank,
-        }
-
 
 @dataclass
 class SkeletonReport:
@@ -138,42 +129,6 @@ def free_over_root(m: WeightedModule, pos: int, side: str) -> FreenessReport:
 # projective cover splitting
 
 
-class CoverSummand:
-    """Projective summand A e_chi (or A itself without torus) shifted to
-    make the covering map degree preserving."""
-
-    def __init__(self, ctx: KernelContext, kind: str, lam: Weight):
-        self.ctx = ctx
-        self.kind = kind
-        self.lam = tuple(lam)
-        desc = ctx.algebra_kind(kind)
-        eparts = desc.exponents("E")
-        self.keys = [(f, e) for f in desc.exponents("F") for e in eparts]
-        self._deg = {}
-        for key in self.keys:
-            f, e = key
-            wt = ctx.datum.root_to_weight(
-                tuple(
-                    x - y
-                    for x, y in zip(ctx.weight_of_fexp(e), ctx.weight_of_fexp(f))
-                )
-            )
-            self._deg[key] = tuple(a + b for a, b in zip(self.lam, wt))
-        self._cols: Dict[Tuple, Vec] = {}
-
-    def degree(self, key) -> Weight:
-        return self._deg[key]
-
-    def gen_column(self, gen, key) -> Vec:
-        """gen times F^{(f)} E^{(e)} e_lam, torus evaluated (``KernelContext.pbw_terms``)."""
-        ck = (gen, key)
-        hit = self._cols.get(ck)
-        if hit is None:
-            terms = self.ctx.pbw_terms(self.kind, gen, key[0], key[1], self.lam)
-            hit = self._cols[ck] = {(f2, e2): c for (f2, _, e2), c in terms.items()}
-        return hit
-
-
 def module_generators(m: WeightedModule, kind: str) -> List[int]:
     """Basis indices of a small generating set of M over the algebra kind.
 
@@ -249,13 +204,18 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
     ctx = m.ctx
     desc = ctx.algebra_kind(kind)
     gens = module_generators(m, kind)
-    summands = [CoverSummand(ctx, kind, m.weights[i]) for i in gens]
+    # summand t is A e_lam at lam = the weight of generator t (A itself without
+    # torus); its key F^{(f)} E^{(e)} has degree lam + wt e - wt f
+    eparts = desc.exponents("E")
+    keys = [(f, e) for f in desc.exponents("F") for e in eparts]
+    shift = {key: ctx.datum.root_to_weight(ctx.pbw_weight(*key)) for key in keys}
 
     # quick necessary check: enough cover keys in every degree
     by_degree: Dict[Weight, List[Tuple[int, Tuple]]] = {}
-    for t, summand in enumerate(summands):
-        for key in summand.keys:
-            by_degree.setdefault(summand.degree(key), []).append((t, key))
+    for t, i in enumerate(gens):
+        lam = m.weights[i]
+        for key in keys:
+            by_degree.setdefault(tuple(a + b for a, b in zip(lam, shift[key])), []).append((t, key))
 
     # The unknown s(v_j)'s coordinate at cover key (t, key) is keyed
     # (last - j, t, key): the solver pivots on the least key, so elimination
@@ -271,6 +231,16 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
             f, e = key
             hit = m.act_monomial((f, (0,) * ctx.rank, e), {gens[t]: ctx.field.one})
             pi_cache[(t, key)] = hit
+        return hit
+
+    # gen on F^{(f)} E^{(e)} e_lam in summand t, torus evaluated
+    columns: Dict[Tuple, Vec] = {}
+
+    def column(t: int, gen, key) -> Vec:
+        hit = columns.get((t, gen, key))
+        if hit is None:
+            terms = ctx.pbw_terms(kind, gen, key[0], key[1], m.weights[gens[t]])
+            hit = columns[(t, gen, key)] = {(f2, e2): c for (f2, _, e2), c in terms.items()}
         return hit
 
     for j in range(m.dim):
@@ -299,7 +269,7 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
                 for (t, key2) in by_degree.get(m.weights[j2], []):
                     eqs.setdefault((t, key2), {})[(last - j2, t, key2)] = neg
             for (t, key) in by_degree.get(mu, []):
-                for key2, c in summands[t].gen_column(gen, key).items():
+                for key2, c in column(t, gen, key).items():
                     vec_add_term(eqs.setdefault((t, key2), {}), (last - j, t, key), c)
             for coeffs in eqs.values():
                 system.add(coeffs, ctx.field.zero)
@@ -404,10 +374,9 @@ def highest_root_test(m: WeightedModule, budget: int = 200_000) -> Dict:
     ctx = m.ctx
     assert "big" in m.flags, "highest-root test needs a full lift"
     h = ctx.datum.highest_root
-    pos = ctx.order.gammas.index(h) + 1
-    rep = free_over_root(m, pos, "-")
-    oracle = projective_split_test(m, "g", budget)
     skel = support_skeleton(m, "minus")
+    rep = skel.per_root[h]
+    oracle = projective_split_test(m, "g", budget)
     closure_ok = skel.is_empty() or (h in skel.roots_in_skeleton)
     return {
         "suite": "highest",

@@ -14,12 +14,14 @@ describes each algebra kind once, as an ``AlgebraKind``.  It memoizes all straig
   exponents are < ell (r = 0),
 * the closed rank-one formula for E^{(m)} F^{(n)} used by higher kernels.
 
-One routine, ``KernelContext.pbw_terms``, writes a generator acting on a
+The context holds the action conventions that algebras, modules and
+projective covers share.  ``pbw_terms`` writes a generator acting on a
 torus-free PBW pair F^{(f)} E^{(e)} as terms F^{(f2)} K^{kv} E^{(e2)}, or
-with the torus evaluated at a weight.  Its callers only handle the torus:
-a kernel algebra shifts the terms by its K^k, a projective cover summand
-u e_lam and the baby Verma module Z(lam) = u e_lam / u u+_{>0} e_lam
-evaluate them at lam (``inject.CoverSummand``, ``qmodules.verma_module``).
+with the torus evaluated at a weight: a kernel algebra shifts the terms by
+its K^k, a projective cover u e_lam (``inject.projective_split_test``) and
+the baby Verma module Z(lam) = u e_lam / u u+_{>0} e_lam evaluate them at
+lam.  ``monomial`` and ``root_vector`` apply a PBW monomial and a plain root
+vector through any generator action, and ``pbw_weight`` gives its weight.
 
 Algebras are presented on enumerated divided-power PBW bases.  Elements
 are sparse dicts over basis keys (f_exponents, torus_exponents,
@@ -78,9 +80,11 @@ def specialize_table(table, field):
 class KernelContext:
     """Shared straightening caches for one (type, order, field, r) choice.
 
-    ``table`` may inject an externally loaded structure table (anything
-    with e_entries / f_entries of Localized coefficients); by default the
-    table is computed from scratch.
+    ``table`` may inject an externally loaded structure table.  It must
+    carry e_entries / f_entries, the tails {(i, j): {exp: Localized}} of
+    the commutation relations, and omega_units, one QFraction per
+    convex-order position with omega(E_gamma_i) = unit * F_gamma_i.  By
+    default the table is computed from scratch.
     """
 
     def __init__(self, order: ConvexOrder, field, r: int = 0, table=None):
@@ -100,10 +104,9 @@ class KernelContext:
         self.uq: UqGeneric = generic_uq(self.datum.label)
         gen_table = self.uq.structure_table(order) if table is None else table
         self.tables = specialize_table(gen_table, field)
-        units = getattr(gen_table, "omega_units", None)
-        if units is None:
-            units = self.uq.structure_table(order).omega_units
-        self.omega_units = tuple(field.eval_fraction(u) for u in units)
+        self.omega_units = tuple(field.eval_fraction(u) for u in gen_table.omega_units)
+        if len(self.omega_units) != self.n:
+            raise ValueError(f"table carries {len(self.omega_units)} omega units, not {self.n}")
         # positions of the simple roots inside the convex order
         self.simple_pos = tuple(
             order.gammas.index(self.datum.simple_roots[j]) for j in range(self.rank)
@@ -184,6 +187,15 @@ class KernelContext:
                 g = self.order.gammas[i]
                 for t in range(self.rank):
                     out[t] += a * g[t]
+        return tuple(out)
+
+    def pbw_weight(self, f: FExp, e: FExp) -> Tuple[int, ...]:
+        """wt e - wt f in root coordinates: the weight of F^{(f)} K^k E^{(e)}."""
+        out = [0] * self.rank
+        for i, (a, b) in enumerate(zip(e, f)):
+            if a != b:
+                for t, g in enumerate(self.order.gammas[i]):
+                    out[t] += (a - b) * g
         return tuple(out)
 
     # -- straightening of one-sided plain words ---------------------------
@@ -283,7 +295,7 @@ class KernelContext:
 
     # -- one-letter recursion ------------------------------------------------
 
-    def _letter_times(self, side: str, letter: GenKey, exp: FExp) -> Dict[FExp, object]:
+    def letter_times(self, side: str, letter: GenKey, exp: FExp) -> Dict[FExp, object]:
         """Divided coordinates of x X^{(exp)} (side F) or X^{(exp)} x (side E)."""
         kind, j = letter
         if kind == side:
@@ -312,7 +324,7 @@ class KernelContext:
                 step = 1 if letter[0] == side else self.ell
                 below = tuple(w - step * (t == letter[1]) for t, w in enumerate(wt))
                 for e in self._exps_by_weight().get(below, ()):
-                    solver.add((letter, e), self._letter_times(side, letter, e))
+                    solver.add((letter, e), self.letter_times(side, letter, e))
             for a in self._exps_by_weight()[wt]:
                 sol = solver.solve({a: self.field.one})
                 if sol is None:
@@ -374,7 +386,7 @@ class KernelContext:
                 for k2, c2 in self._push(side, j, e):
                     x, kv, has = k2 if side == "F" else k2[::-1]
                     c2 = c * c2
-                    for x2, c3 in self._letter_times(side, letter, x).items():
+                    for x2, c3 in self.letter_times(side, letter, x).items():
                         vec_add_term(acc, (x2, kv, has), c2 * c3)
                 if letter == (side, j):
                     pairing = self.pair(alpha_j, self.weight_of_fexp(e))
@@ -471,7 +483,7 @@ class KernelContext:
         name, j = gen
         pos = self.simple_pos[j] if name in ("F", "E") else j
         if name[0] == "F":
-            col = self._letter_times("F", gen, f) if name == "Fd0" else self.lmul_rv("F", pos, f)
+            col = self.letter_times("F", gen, f) if name == "Fd0" else self.lmul_rv("F", pos, f)
             for f2, c in col.items():
                 put(f2, zero, e, c)
         elif self.r:
@@ -512,6 +524,38 @@ class KernelContext:
             hit = KernelAlgebra(self, kind)
             self._algebras[kind] = hit
         return hit
+
+    # -- actions through a generator action -----------------------------------
+
+    def monomial(
+        self, key: BasisKey, vec: Vec, apply: Callable[[GenKey, Vec], Vec], apply_k: Callable[[KExp, Vec], Vec]
+    ) -> Vec:
+        """F^{(f)} K^k E^{(e)} on vec: the E part at positions N..1, then K^k, then the F part.
+
+        ``apply(gen, vec)`` acts by a generator, ``apply_k(k, vec)`` by K^k.
+        The unit monomial returns vec itself.
+        """
+        f, k, e = key
+        cur = vec
+        for pos in range(self.n - 1, -1, -1):
+            if e[pos]:
+                cur = self.divided("E", pos, e[pos], cur, apply)
+        if any(k):
+            cur = apply_k(k, cur)
+        for pos in range(self.n - 1, -1, -1):
+            if f[pos]:
+                cur = self.divided("F", pos, f[pos], cur, apply)
+        return cur
+
+    def root_vector(self, side: str, pos: int, vec: Vec, apply: Callable[[GenKey, Vec], Vec]) -> Vec:
+        """The plain root vector X_{gamma_pos} on vec, through its simple-letter words."""
+        out: Vec = {}
+        for word, c in self.rv_words[side][pos]:
+            cur = vec
+            for i in reversed(word):
+                cur = apply((side, i), cur)
+            vec_iadd_scaled(out, cur, c)
+        return out
 
     def divided(self, side: str, pos: int, a: int, vec: Vec, apply: Callable[[GenKey, Vec], Vec]) -> Vec:
         """X_{gamma_pos}^{(a)} on vec, through generator actions ``apply(gen, vec)``.
@@ -671,17 +715,7 @@ class KernelAlgebra:
 
     def weight_of_key(self, key: BasisKey) -> Tuple[int, ...]:
         """Adjoint X-weight (root coordinates) of a basis monomial."""
-        f, _, e = key
-        out = [0] * self.ctx.rank
-        for i, a in enumerate(f):
-            if a:
-                for t in range(self.ctx.rank):
-                    out[t] -= a * self.ctx.order.gammas[i][t]
-        for i, a in enumerate(e):
-            if a:
-                for t in range(self.ctx.rank):
-                    out[t] += a * self.ctx.order.gammas[i][t]
-        return tuple(out)
+        return self.ctx.pbw_weight(key[0], key[2])
 
     # -- multiplication ----------------------------------------------------
 
@@ -720,21 +754,11 @@ class KernelAlgebra:
         kind, j = gen
         f, k, e = key
         if kind == "K":
-            # K_j slides right past the F-part into its slot
-            mu = ctx.datum.simple_roots[j]
-            scal = ctx.zeta_pow(-ctx.pair(mu, ctx.weight_of_fexp(f)))
-            kk = list(k)
-            kk[j] = (kk[j] + 1) % ctx.ell
-            return {(f, tuple(kk), e): scal}
-        out: Vec = {}
+            return self.lmul_k(ctx.datum.simple_roots[j], {key: ctx.field.one})
         if kind == "Erv" and any(f) and j not in ctx.simple_pos:
             # plain non-simple E root vector past an F part: apply its word expansion
-            for word, c in ctx.rv_words["E"][j]:
-                cur: Vec = {key: c}
-                for i2 in reversed(word):
-                    cur = self.lmul_gen(("E", i2), cur)
-                vec_iadd_scaled(out, cur, ctx.field.one)
-            return out
+            return ctx.root_vector("E", j, {key: ctx.field.one}, self.lmul_gen)
+        out: Vec = {}
         # F^{(f)} K^k E^{(e)} = zeta^{(k, wt e)} F^{(f)} E^{(e)} K^k, and K^k moves
         # back left past each E^{(e2)} at the cost zeta^{-(k, wt e2)}
         shift = any(k)
@@ -744,26 +768,18 @@ class KernelAlgebra:
             vec_add_term(out, (f2, ctx.kmod(a + b for a, b in zip(kv, k)), e2), c)
         return out
 
+    def lmul_k(self, k: KExp, vec: Vec) -> Vec:
+        """Left multiply by K^k: it slides right past the F part into its slot."""
+        ctx = self.ctx
+        out: Vec = {}
+        for (f, k2, e), c in vec.items():
+            scal = ctx.zeta_pow(-ctx.pair(k, ctx.weight_of_fexp(f)))
+            vec_add_term(out, (f, ctx.kmod(a + b for a, b in zip(k2, k)), e), c * scal)
+        return out
+
     def lmul_monomial(self, key: BasisKey, vec: Vec) -> Vec:
         """Left multiply by a basis monomial F^{(f)} K^k E^{(e)}."""
-        ctx = self.ctx
-        f, k, e = key
-        cur = vec
-        # rightmost factors first: E part, positions N..1
-        for pos in range(ctx.n - 1, -1, -1):
-            cur = ctx.divided("E", pos, e[pos], cur, self.lmul_gen)
-        if any(k):
-            # K^k slides right past the F-part only (its slot is F | K | E)
-            nxt: Vec = {}
-            for bk, c in cur.items():
-                f2, k2, e2 = bk
-                scal = ctx.zeta_pow(-ctx.pair(k, ctx.weight_of_fexp(f2)))
-                nk = tuple((a + b) % ctx.ell for a, b in zip(k2, k))
-                vec_add_term(nxt, (f2, nk, e2), c * scal)
-            cur = nxt
-        for pos in range(ctx.n - 1, -1, -1):
-            cur = ctx.divided("F", pos, f[pos], cur, self.lmul_gen)
-        return cur
+        return self.ctx.monomial(key, vec, self.lmul_gen, self.lmul_k)
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
         out: Vec = {}
@@ -790,12 +806,8 @@ class KernelAlgebra:
                     out[bk] = c * scal
             return out
         if kind == "Fd0":
-            nn = ctx.ell
-            a = f[0]
-            c = ctx.qbin(a + nn, nn, ctx.d_gamma[0])
-            if a + nn < ctx.cap and c:
-                out[((a + nn,), k, e)] = c
-            return out
+            # rank one: F^{(ell)} commutes with F^{(a)}
+            return {(a2, k, e): c for a2, c in ctx.letter_times("F", gen, f).items()}
         raise ValueError(f"right multiplication by {gen} unsupported")
 
     # -- distinguished elements and checks ----------------------------------

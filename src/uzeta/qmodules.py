@@ -75,13 +75,7 @@ class WeightedModule:
             raise KeyError(f"{self.label} carries no action of {gen}")
         mat = self.rv_mats[gen] = {}
         for j in range(self.dim):
-            col: Vec = {}
-            for word, c in self.ctx.rv_words[kind[0]][pos]:
-                cur = {j: c}
-                for i in reversed(word):
-                    cur = self.act_gen((kind[0], i), cur)
-                for i, x in cur.items():
-                    vec_add_term(col, i, x)
+            col = self.ctx.root_vector(kind[0], pos, {j: self.ctx.field.one}, self.act_gen)
             if col:
                 mat[j] = col
         return mat
@@ -101,17 +95,7 @@ class WeightedModule:
 
     def act_monomial(self, key: BasisKey, vec: Vec) -> Vec:
         """Basis monomial F^{(f)} K^k E^{(e)} acting on a module vector."""
-        f, k, e = key
-        cur = vec
-        for pos in range(self.ctx.n - 1, -1, -1):
-            if e[pos]:
-                cur = self.act_divided("E", pos, e[pos], cur)
-        if any(k):
-            cur = self.act_k(k, cur)
-        for pos in range(self.ctx.n - 1, -1, -1):
-            if f[pos]:
-                cur = self.act_divided("F", pos, f[pos], cur)
-        return cur
+        return self.ctx.monomial(key, vec, self.act_gen, self.act_k)
 
     # -- invariants ---------------------------------------------------------
 
@@ -215,10 +199,11 @@ def _fexp_list(ctx: KernelContext) -> List[Tuple[int, ...]]:
 
 def _weights_below(ctx: KernelContext, lam: Weight, exps: List[Tuple[int, ...]]) -> Tuple[Weight, ...]:
     """lam - wt(a) for each exponent a, in fundamental-weight coordinates."""
+    top = (0,) * ctx.n
     out = []
     for a in exps:
-        wt_a = ctx.datum.root_to_weight(ctx.weight_of_fexp(a))
-        out.append(tuple(x - y for x, y in zip(lam, wt_a)))
+        wt_a = ctx.datum.root_to_weight(ctx.pbw_weight(a, top))
+        out.append(tuple(x + y for x, y in zip(lam, wt_a)))
     return tuple(out)
 
 
@@ -274,25 +259,13 @@ def coverma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
     eexps = _fexp_list(ctx)
     index = {c: i for i, c in enumerate(eexps)}
     acts: Dict[GenKey, Mat] = {}
-    # (E_j . f)(E^{(c')}) = f(E^{(c')} E_j)
-    for j in range(ctx.rank):
+    # (x . f)(E^{(c')}) = f(E^{(c')} x) for the letters x = E_j (and E^{(ell)} at r = 1)
+    for gen in ctx.algebra_kind("u+").generators:
         mat: Mat = {}
-        pos = ctx.simple_pos[j]
         for cexp in eexps:
-            for c2, coeff in ctx.rmul_rv("E", pos, cexp).items():
-                i2 = index.get(c2)
-                if i2 is None:
-                    continue
-                mat.setdefault(i2, {})[index[cexp]] = coeff
-        acts[("E", j)] = mat
-    if ctx.r:
-        nn = ctx.ell
-        mat = {}
-        for cexp in eexps:
-            coeff = ctx.qbin(cexp[0] + nn, nn, ctx.d_gamma[0])
-            if cexp[0] + nn < ctx.cap and coeff:
-                mat.setdefault(index[(cexp[0] + nn,)], {})[index[cexp]] = coeff
-        acts[("Ed0", 0)] = mat
+            for c2, coeff in ctx.letter_times("E", gen, cexp).items():
+                mat.setdefault(index[c2], {})[index[cexp]] = coeff
+        acts[gen] = mat
     # (F_j . f)(E^{(c')}) = f(E^{(c')} F_j); the B-part acts through lam
     if ctx.r == 0:
         for j in range(ctx.rank):
@@ -756,13 +729,10 @@ def verma_character_test(m: WeightedModule) -> bool:
     """
     ctx = m.ctx
     base = Counter(_weights_below(ctx, (0,) * ctx.rank, _fexp_list(ctx)))
-    two_rho = [0] * ctx.rank
-    for g in ctx.order.gammas:
-        for t in range(ctx.rank):
-            two_rho[t] += g[t]
+    two_rho = ctx.weight_of_fexp((1,) * ctx.n)
 
     def height(lam: Weight):
-        return (ctx.datum.pair_weight_root(lam, tuple(two_rho)), lam)
+        return (ctx.datum.pair_weight_root(lam, two_rho), lam)
 
     rem = Counter(m.character())
     while rem:

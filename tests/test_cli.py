@@ -88,6 +88,36 @@ class TestCache:
         )
 
 
+    def test_cached_context_needs_no_structure_table(self, tmp_path, monkeypatch):
+        from uzeta.genericuq import UqGeneric
+
+        path = str(tmp_path / "b2.cache")
+        write_cache(RunConfig("B2", 5), path)
+        fresh = make_context(RunConfig("B2", 5))
+        asked = []
+        real = UqGeneric.structure_table
+
+        def counting(uq, order):
+            asked.append(order)
+            return real(uq, order)
+
+        monkeypatch.setattr(UqGeneric, "structure_table", counting)
+        cached = make_context(RunConfig("B2", 5, cache_path=path))
+        assert asked == []
+        # the two contexts have their own fields: compare the coordinates
+        assert [(u.num, u.den) for u in cached.omega_units] == [(u.num, u.den) for u in fresh.omega_units]
+
+    def test_omega_units_required(self, tmp_path):
+        path = tmp_path / "a2.cache"
+        write_cache(RunConfig(type_label="A2"), str(path))
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("omega_unit")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError):
+            read_cache(str(path))
+        r = cli("verify", "--type", "A2", "--ell", "3", "--cache", str(path), "--suite", "integrals")
+        assert r.returncode == 2 and "omega_unit" in r.stderr
+
+
 class TestManifests:
     def test_sizes(self):
         assert len(default_manifest(RunConfig("A1", 3))) >= 16

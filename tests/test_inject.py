@@ -2,7 +2,6 @@ import pytest
 
 from uzeta.inject import (
     BudgetExceeded,
-    CoverSummand,
     free_over_local,
     free_over_root,
     highest_root_test,
@@ -314,6 +313,31 @@ class TestHarness:
         assert rec["agree"] and not rec["oracle"]
         assert [1, 1] in rec["skeleton"]
 
+    def test_highest_root_reads_skeleton(self, ctxmaker, monkeypatch):
+        # one freeness test per position, the highest root's read off the
+        # skeleton; the records are the ones the separate call gave
+        from uzeta import inject
+        from uzeta.qmodules import realize_text
+
+        calls = []
+        real = inject.free_over_root
+
+        def counting(m, pos, side):
+            calls.append((pos, side))
+            return real(m, pos, side)
+
+        monkeypatch.setattr(inject, "free_over_root", counting)
+        ctx = ctxmaker("A2", 3)
+        every = [[0, 1], [1, 0], [1, 1]]
+        for spec, free, skeleton in [("trivial", False, every), ("simple(2,2)", True, []), ("simple(1,1)", False, every)]:
+            calls.clear()
+            rec = highest_root_test(realize_text(ctx, spec))
+            assert sorted(calls) == [(pos, "-") for pos in range(1, ctx.n + 1)]
+            assert rec == {
+                "suite": "highest", "spec": spec, "highest_root_free": free, "oracle": free,
+                "skeleton": skeleton, "skeleton_contains_highest": True, "agree": True,
+            }
+
     def test_highest_root_needs_big_lift(self, ctxmaker):
         ctx = ctxmaker("A1", 3)
         with pytest.raises(AssertionError):
@@ -340,22 +364,21 @@ class TestHigherKernel:
 # -- reference: the cover column as written before ``KernelContext.pbw_terms`` --
 
 
-def _reference_cover_column(summand, gen, key):
-    """gen on F^{(f)} E^{(e)} e_lam, written out per generator kind."""
+def _reference_cover_column(ctx, lam, keys, gen, key):
+    """gen on F^{(f)} E^{(e)} e_lam, written out per generator kind; keys are the cover's."""
     from uzeta.linalg import vec_add_term
 
-    ctx = summand.ctx
     kind, j = gen
     f, e = key
     out = {}
     wt = ctx.datum.root_to_weight(ctx.weight_of_fexp(e))
-    lam_right = tuple(a + b for a, b in zip(summand.lam, wt))
+    lam_right = tuple(a + b for a, b in zip(lam, wt))
 
     def put(f2, e2, c):
         if not c:
             return
         k2 = (tuple(f2), tuple(e2))
-        if k2 not in summand.keys:
+        if k2 not in keys:
             raise ArithmeticError(f"not closed under {gen}: {key} goes to {k2}")
         vec_add_term(out, k2, c)
 
@@ -426,13 +449,16 @@ class TestCoverColumns:
         kinds = _ALL_KINDS + [f"Am:{m}" for m in range(1, ctx.n + 1)]
         kinds += [f"root:{s}:{side}" for s in range(1, ctx.n + 1) for side in "-+"]
         seen = set()
+        zero = (0,) * ctx.rank
         for kind in kinds:
-            gens = ctx.algebra_kind(kind).generators
+            desc = ctx.algebra_kind(kind)
+            gens = desc.generators
             seen.update(g[0] for g in gens)
+            keys = {(f, e) for f in desc.exponents("F") for e in desc.exponents("E")}
             for lam in lams:
-                summand = CoverSummand(ctx, kind, lam)
                 for gen in gens:
-                    for key in summand.keys:
-                        want = _reference_cover_column(summand, gen, key)
-                        assert summand.gen_column(gen, key) == want, (kind, lam, gen, key)
+                    for f, e in keys:
+                        want = _reference_cover_column(ctx, lam, keys, gen, (f, e))
+                        got = ctx.pbw_terms(kind, gen, f, e, lam)
+                        assert got == {(f2, zero, e2): c for (f2, e2), c in want.items()}, (kind, lam, gen, f, e)
         assert seen >= ({"Fd0", "Ed0"} if r else {"F", "E", "Frv", "Erv"})

@@ -66,6 +66,16 @@ class TestAlgebraStructure:
         with pytest.raises(ValueError):
             ctx.algebra("g")  # the higher-kernel torus is not a group algebra
 
+    @pytest.mark.parametrize(
+        "label,ell,p,r,kind", [("A2", 3, None, 0, "g"), ("A1", 3, 7, 1, "u-")], ids=["A2-l3-g", "A1-l3-p7-r1-u-"]
+    )
+    def test_monomial_times_one_is_the_key(self, ctxmaker, label, ell, p, r, kind):
+        ctx = ctxmaker(label, ell, p=p, r=r)
+        alg = ctx.algebra(kind)
+        one = alg.one()
+        for key in alg.basis:
+            assert alg.lmul_monomial(key, one) == {key: ctx.field.one}, key
+
     def test_higher_kernel_needs_char_p(self):
         order = convex_order("A1", (1,))
         with pytest.raises(ValueError):
@@ -404,7 +414,7 @@ class TestOneLetterRecursion:
                         continue
                     total = {}
                     for (letter, e), c in ctx.letter_terms(side, exp).items():
-                        for x, c2 in ctx._letter_times(side, letter, e).items():
+                        for x, c2 in ctx.letter_times(side, letter, e).items():
                             total[x] = total.get(x, ctx.field.zero) + c * c2
                     assert {x: c for x, c in total.items() if c} == {exp: ctx.field.one}
 

@@ -80,6 +80,21 @@ class TestVerma:
         assert vm.dim == 21
         vm.check()
 
+    @pytest.mark.parametrize(
+        "label,ell,p,r,lam",
+        [("A2", 3, None, 0, (1, 1)), ("B2", 3, None, 0, (1, 0)), ("A1", 3, 7, 1, (4,))],
+        ids=["A2-l3", "B2-l3", "A1-l3-p7-r1"],
+    )
+    def test_monomial_on_top_is_basis_vector(self, ctxmaker, label, ell, p, r, lam):
+        # F^{(a)} v_lam is basis vector a: F_{gamma_1}^{(a_1)} ... F_{gamma_N}^{(a_N)},
+        # rightmost factor first, and at r = 1 with F^{(ell)} parts
+        ctx = ctxmaker(label, ell, p=p, r=r)
+        vm = verma_module(ctx, lam)
+        fexps = sorted(itertools.product(range(ctx.cap), repeat=ctx.n))
+        zk, ze = (0,) * ctx.rank, (0,) * ctx.n
+        for i, a in enumerate(fexps):
+            assert vm.act_monomial((a, zk, ze), {0: ctx.field.one}) == {i: ctx.field.one}, a
+
 
 class TestCoverma:
     def test_character_matches_verma(self, ctxmaker):
