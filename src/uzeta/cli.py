@@ -178,8 +178,12 @@ def write_cache(cfg: RunConfig, path: str) -> None:
 
 
 def read_cache(path: str) -> Tuple[Dict[str, str], TableData]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Parse a structure cache; an unreadable or malformed one is a ConfigError."""
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read cache {path}: {e}") from e
     if not lines or lines[0] != CACHE_VERSION:
         raise ConfigError(
             f"cache version mismatch: expected {CACHE_VERSION!r}, got {lines[:1]!r}"
@@ -189,36 +193,41 @@ def read_cache(path: str) -> Tuple[Dict[str, str], TableData]:
     f_entries: Dict = {}
     s_keys: Tuple[int, ...] = ()
     units: List[QFraction] = []
-    for ln in lines[1:]:
+    for n, ln in enumerate(lines[1:], 2):
         if not ln:
             continue
-        if ln.startswith("omega_unit "):
-            _, i_s, text = ln.split(" ", 2)
-            if int(i_s) != len(units) + 1:
-                raise ConfigError(f"cache {path}: omega_unit {i_s} out of order")
-            units.append(QFraction(laurent_from_text(text)))
-            continue
-        if "=" in ln and "->" not in ln:
-            k, _, v = ln.partition("=")
-            meta[k] = v
-            if k == "s_keys":
-                s_keys = tuple(int(x) for x in v.split(",")) if v else ()
-            continue
-        head, _, rest = ln.partition("->")
-        side, i_s, j_s = head.split()
-        tail: Dict = {}
-        parts = rest.split(";")
-        for part in parts[1:]:
-            part = part.strip()
-            if part.startswith("tail:"):
-                part = part[5:].strip()
-            if not part:
+        try:
+            if ln.startswith("omega_unit "):
+                _, i_s, text = ln.split(" ", 2)
+                if int(i_s) != len(units) + 1:
+                    raise ValueError(f"omega_unit {i_s} out of order")
+                units.append(QFraction(laurent_from_text(text)))
                 continue
-            exp_s, _, coeff_s = part.partition("=")
-            exp = tuple(int(x) for x in exp_s.strip("()").split(","))
-            tail[exp] = localized_from_text(coeff_s, s_keys)
-        target = e_entries if side == "E" else f_entries
-        target[(int(i_s), int(j_s))] = tail
+            if "=" in ln and "->" not in ln:
+                k, _, v = ln.partition("=")
+                meta[k] = v
+                if k == "s_keys":
+                    s_keys = tuple(int(x) for x in v.split(",")) if v else ()
+                continue
+            head, _, rest = ln.partition("->")
+            side, i_s, j_s = head.split()
+            if side not in ("E", "F"):
+                raise ValueError(f"unknown side {side!r}")
+            tail: Dict = {}
+            parts = rest.split(";")
+            for part in parts[1:]:
+                part = part.strip()
+                if part.startswith("tail:"):
+                    part = part[5:].strip()
+                if not part:
+                    continue
+                exp_s, _, coeff_s = part.partition("=")
+                exp = tuple(int(x) for x in exp_s.strip("()").split(","))
+                tail[exp] = localized_from_text(coeff_s, s_keys)
+            target = e_entries if side == "E" else f_entries
+            target[(int(i_s), int(j_s))] = tail
+        except (ValueError, ArithmeticError, LookupError) as e:
+            raise ConfigError(f"cache {path}: line {n} is malformed: {e}") from e
     if not units:
         raise ConfigError(f"cache {path} has no omega_unit lines")
     return meta, TableData(s_keys, e_entries, f_entries, tuple(units))
@@ -536,6 +545,8 @@ def cmd_relations(args) -> int:
         return 2
     if args.cache:
         _, tab = read_cache(args.cache)
+        if (i, j) not in tab.e_entries:
+            raise ConfigError(f"cache {args.cache} has no E entry {i} {j}")
         e_tail = tab.e_entries[(i, j)]
         lead = None
     else:

@@ -133,6 +133,7 @@ class KernelContext:
         self._rmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
         self._kinds: Dict[str, "AlgebraKind"] = {}
         self._algebras: Dict[str, "KernelAlgebra"] = {}
+        self._serre: Optional[Tuple] = None
         # checked modules by spec text, filled by cli.run_case
         self.realized: Dict[str, object] = {}
 
@@ -170,6 +171,19 @@ class KernelContext:
             hit = self.field.one / self.qfact(n, d)
             self._qfact_inv[key] = hit
         return hit
+
+    def serre_relators(self):
+        """The quantum Serre relators as (word, coefficient) pairs in the field.
+
+        Evaluated on first use and then kept, so a module check does not
+        rebuild them in Q(q) for every vector it samples.
+        """
+        if self._serre is None:
+            self._serre = tuple(
+                tuple((word, self.field.eval_fraction(c)) for word, c in rel.items())
+                for _, rel in self.uq.serre_relators()
+            )
+        return self._serre
 
     def zeta_pow(self, e: int):
         return self.field.zeta_power(e)

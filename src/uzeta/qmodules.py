@@ -148,11 +148,10 @@ class WeightedModule:
                     raise ModuleCheckError(
                         f"{self.label}: [E_{i+1}, F_{j+1}] relation fails"
                     )
-        for wt, rel in ctx.uq.serre_relators():
+        for rel in ctx.serre_relators():
             for kind in ("E", "F"):
                 acc: Vec = {}
-                for word, coeff in rel.items():
-                    c = ctx.field.eval_fraction(coeff)
+                for word, c in rel:
                     cur = {k: val * c for k, val in v.items()}
                     for j in reversed(word):
                         cur = self.act_gen((kind, j), cur)

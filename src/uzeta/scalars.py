@@ -13,9 +13,10 @@ Four layers, all exact and immutable:
   Q[q]/Phi_ell(q) and finite fields F_{p^n} with n the multiplicative
   order of p mod ell, so a primitive ell-th root exists in both.  An
   element of the cyclotomic field is a vector of integers over one
-  common denominator, multiplied by integer convolution and inverted
-  through its Galois norm (``CycloField``); no ``Fraction`` arithmetic
-  runs in its product or inverse.
+  common denominator, multiplied by a signed rotation when one factor is
+  a root of unity +-zeta^k and by integer convolution otherwise, and
+  inverted through its Galois norm (``CycloField``); no ``Fraction``
+  arithmetic runs in its product or inverse.
 
 Quantum integers, factorials and binomials live here as well.
 """
@@ -634,10 +635,19 @@ class CycloField:
     (``CycloElement``).  Phi_ell is monic with integer coefficients, so
     every power zeta^k reduces to an integer vector; one table of the
     powers zeta^0 .. zeta^(ell-1) reduces products and applies the Galois
-    automorphisms sigma_k(zeta) = zeta^k, k in (Z/ell)^x.  A product is an
-    integer convolution, reduced through that table, with one gcd to keep
-    the canonical form.  The inverse goes through the norm (Cohen, A
-    Course in Computational Algebraic Number Theory, 1993, 4.2-4.3):
+    automorphisms sigma_k(zeta) = zeta^k, k in (Z/ell)^x.
+
+    Units rotate, everything else convolves.  The power basis is an
+    integral basis of Z[zeta] (Washington, Introduction to Cyclotomic
+    Fields, ch. 1-2), so multiplying by a unit +-zeta^k is an integer
+    change of basis with an integer inverse: it keeps the denominator and
+    the content of the numerator, and needs no gcd.  A product with a
+    +-zeta^k operand is therefore a signed rotation through the power
+    table, and a product of two of them is a lookup.  Any other product is
+    an integer convolution, reduced through that table, with one gcd to
+    keep the canonical form.  The inverse of +-zeta^k is +-zeta^-k; any
+    other inverse goes through the norm (Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, 4.2-4.3):
     a^-1 = prod_{k != 1} sigma_k(a) / N(a), where N(a) = prod_k sigma_k(a)
     is rational.
     """
@@ -663,6 +673,11 @@ class CycloField:
         self.one = self.from_int(1)
         self._zeta_pows = [CycloElement(self, v) for v in pows]
         self.zeta = self._zeta_pows[1 % ell]
+        # the signed units: zeta^k at index k, -zeta^k at index ell + k,
+        # and the numerator of each (over 1) to its (k, sign); for even ell
+        # a unit has two names, and either gives the same products
+        self._units = self._zeta_pows + [-u for u in self._zeta_pows]
+        self._unit_of = {u.num: (i % ell, i // ell) for i, u in enumerate(self._units)}
         self.desc = f"cyclo({ell})"
 
     def coerce(self, x) -> CycloElement:
@@ -717,11 +732,33 @@ class CycloField:
         return out
 
     def _mul(self, a: CycloElement, b: CycloElement) -> CycloElement:
-        return self._reduced(tuple(self._polymul(a.num, b.num)), a.den * b.den)
+        unit_of = self._unit_of
+        ua = unit_of.get(a.num) if a.den == 1 else None
+        ub = unit_of.get(b.num) if b.den == 1 else None
+        if ua is None:
+            if ub is None:
+                return self._reduced(tuple(self._polymul(a.num, b.num)), a.den * b.den)
+            ua, b = ub, a
+        elif ub is not None:
+            return self._units[(ua[0] + ub[0]) % self.ell + self.ell * (ua[1] ^ ub[1])]
+        # b times the unit ua: a signed rotation over the same denominator
+        k, neg = ua
+        out = [0] * self.deg
+        ell, terms = self.ell, self._pow_terms
+        for i, x in enumerate(b.num):
+            if x:
+                if neg:
+                    x = -x
+                for j, y in terms[(i + k) % ell]:
+                    out[j] += x * y
+        return CycloElement(self, tuple(out), b.den)
 
     def _inv(self, a: CycloElement) -> CycloElement:
         if not a:
             raise ZeroDivisionError(f"division by zero in {self.desc}")
+        unit = self._unit_of.get(a.num) if a.den == 1 else None
+        if unit is not None:
+            return self._units[-unit[0] % self.ell + self.ell * unit[1]]
         # a^-1 = den * prod_{k != 1} sigma_k(num) / N(num); a rational
         # num is its own norm
         num = a.num

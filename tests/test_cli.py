@@ -299,3 +299,65 @@ class TestBadInput:
         r = cli(*args)
         assert r.returncode == 2 and "error:" in r.stderr, r.stderr
         assert "FALSIFICATION" not in r.stderr
+
+
+class TestCorruptCache:
+    """Every subcommand that reads a corrupt cache exits 2 with one line."""
+
+    @pytest.fixture(scope="class")
+    def b2_cache(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cache") / "b2.cache"
+        write_cache(RunConfig("B2", 5), str(path))
+        return path.read_text()
+
+    @pytest.fixture
+    def bad_cache(self, b2_cache, tmp_path):
+        # two S-exponents on the E 1 3 tail coefficient, where S has one key
+        (line,) = [ln for ln in b2_cache.splitlines() if ln.startswith("E 1 3 ")]
+        assert line.endswith("|1")
+        path = tmp_path / "bad.cache"
+        path.write_text(b2_cache.replace(line, line + ",7"))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("|1\n", "|1,7\n"),
+            ("omega_unit 1 ", "omega_unit one "),
+            ("E 1 3 ->", "E 1 ->"),
+            ("(0,2,0,0)=", "(0,x,0,0)="),
+            ("=-1:1,0,-2,0,1|1", "=-1:1,0,-2/0,0,1|1"),
+        ],
+        ids=["s-exponents", "unit-index", "entry-head", "exponent", "coefficient"],
+    )
+    def test_read_cache_raises_config_error(self, b2_cache, tmp_path, old, new):
+        assert old in b2_cache
+        path = tmp_path / "bad.cache"
+        path.write_text(b2_cache.replace(old, new, 1))
+        with pytest.raises(ConfigError, match="malformed"):
+            read_cache(str(path))
+
+    def test_relations_entry_missing_from_cache(self, b2_cache, tmp_path):
+        path = tmp_path / "short.cache"
+        path.write_text("".join(ln + "\n" for ln in b2_cache.splitlines() if not ln.startswith("E 1 2 ")))
+        r = cli("relations", "--type", "B2", "--ell", "5", "1", "2", "--cache", str(path))
+        assert r.returncode == 2 and r.stderr.count("\n") == 1 and "no E entry 1 2" in r.stderr, r.stderr
+
+    def test_missing_cache_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            read_cache(str(tmp_path / "absent.cache"))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("cache-info", "{}"),
+            ("relations", "--type", "B2", "--ell", "5", "1", "2", "--cache", "{}"),
+            ("verify", "--type", "B2", "--ell", "5", "--cache", "{}", "--suite", "integrals"),
+        ],
+        ids=["cache-info", "relations", "verify"],
+    )
+    def test_subcommand_exits_2(self, bad_cache, args):
+        r = cli(*(a.format(bad_cache) for a in args))
+        assert r.returncode == 2, r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
+        assert "bad localized scalar" in r.stderr

@@ -442,3 +442,38 @@ class TestVermaReference:
     def test_actions_match_reference(self, ctxmaker, label, ell, p, r, lam):
         ctx = ctxmaker(label, ell, p=p, r=r)
         assert verma_module(ctx, lam).actions == _reference_verma_actions(ctx, lam)
+
+
+class TestSerreRelatorsInField:
+    def test_evaluated_once_per_context(self, monkeypatch):
+        from uzeta.genericuq import UqGeneric
+        from uzeta.kernelalg import KernelContext
+        from uzeta.rootdata import convex_order, default_w0_word
+        from uzeta.scalars import make_field
+
+        ctx = KernelContext(convex_order("A2", default_w0_word("A2")), make_field(3))
+        asked = []
+        real = UqGeneric.serre_relators
+
+        def counting(uq):
+            asked.append(uq)
+            return real(uq)
+
+        monkeypatch.setattr(UqGeneric, "serre_relators", counting)
+        verma_module(ctx, (0, 0)).check()
+        verma_module(ctx, (1, 0)).check()
+        assert len(asked) == 1
+        want = [
+            [(w, ctx.field.eval_fraction(c)) for w, c in rel.items()]
+            for _, rel in real(ctx.uq)
+        ]
+        assert [list(rel) for rel in ctx.serre_relators()] == want
+
+    def test_wrong_relator_is_caught(self, ctxmaker, monkeypatch):
+        ctx = ctxmaker("A2", 3)
+        vm = verma_module(ctx, (0, 0))
+        vm.check()
+        first, *rest = ctx.serre_relators()
+        monkeypatch.setattr(ctx, "_serre", (first[1:],) + tuple(rest))
+        with pytest.raises(ModuleCheckError, match="Serre relator acts"):
+            vm.check()

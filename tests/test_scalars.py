@@ -308,3 +308,53 @@ class TestSubtraction:
             )
             assert a - b == a + (-b)
             assert 2 - a == -(a - 2)
+
+
+def _convolution(F, a, b):
+    """The general product path: integer convolution, then the gcd."""
+    return F._reduced(tuple(F._polymul(a.num, b.num)), a.den * b.den)
+
+
+class TestUnitProducts:
+    """Products and inverses with a root of unity +-zeta^k as an operand."""
+
+    @staticmethod
+    def units(F):
+        # built by integer scaling, not through the field's own unit table
+        return [F.zeta_power(k) * s for k in range(F.ell) for s in (1, -1)]
+
+    @pytest.mark.parametrize("ell", [3, 5, 9, 15])
+    def test_unit_times_element_equals_convolution(self, ell):
+        F = CycloField(ell)
+        rng = random.Random(ell)
+        elems = [F.zero]
+        for _ in range(25):
+            elems.append(
+                sum(
+                    (F.zeta_power(k) * QQ(rng.randint(-9, 9), rng.randint(1, 12)) for k in range(F.deg)),
+                    F.zero,
+                )
+            )
+        assert sum(x.den > 1 for x in elems) > 10
+        for u in self.units(F):
+            for x in elems:
+                for a, b in ((u, x), (x, u)):
+                    got, want = a * b, _convolution(F, a, b)
+                    assert (got.num, got.den) == (want.num, want.den)
+
+    @pytest.mark.parametrize("ell", [3, 5, 9, 15])
+    def test_unit_times_unit_equals_convolution(self, ell):
+        F = CycloField(ell)
+        units = self.units(F)
+        for a in units:
+            for b in units:
+                got, want = a * b, _convolution(F, a, b)
+                assert (got.num, got.den) == (want.num, want.den)
+
+    @pytest.mark.parametrize("ell", [3, 5, 9, 15])
+    def test_unit_inverse(self, ell):
+        F = CycloField(ell)
+        for u in self.units(F):
+            inv = F._inv(u)
+            assert u * inv == F.one and inv * u == F.one
+            assert _convolution(F, u, inv) == F.one
