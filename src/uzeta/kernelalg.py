@@ -20,8 +20,9 @@ torus-free PBW pair F^{(f)} E^{(e)} as terms F^{(f2)} K^{kv} E^{(e2)}, or
 with the torus evaluated at a weight: a kernel algebra shifts the terms by
 its K^k, a projective cover u e_lam (``inject.projective_split_test``) and
 the baby Verma module Z(lam) = u e_lam / u u+_{>0} e_lam evaluate them at
-lam.  ``monomial`` and ``root_vector`` apply a PBW monomial and a plain root
-vector through any generator action, and ``pbw_weight`` gives its weight.
+lam.  The terms are built without lam once per context.  ``monomial`` and
+``root_vector`` apply a PBW monomial and a plain root vector through any
+generator action, and ``pbw_weight`` gives its weight.
 
 Algebras are presented on enumerated divided-power PBW bases.  Elements
 are sparse dicts over basis keys (f_exponents, torus_exponents,
@@ -38,18 +39,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import le
+from operator import le, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .genericuq import UqGeneric, generic_uq
 from .linalg import Eliminator, Mat, SpanSolver, Vec, kernel_basis, vec_add_term, vec_iadd_scaled
 from .rootdata import ConvexOrder
-from .scalars import q_binom, q_int
+from .scalars import q_int
 
 FExp = Tuple[int, ...]
 KExp = Tuple[int, ...]
 BasisKey = Tuple[FExp, KExp, FExp]
 GenKey = Tuple[str, int]  # ('E', j), ('F', j), ('K', j), ('Erv', pos), ('Frv', pos), ('Ed0', 0), ('Fd0', 0)
+# (f2, kv, e2, kd, off, t, c); see KernelContext._pbw_term_list
+PBWTerm = Tuple[FExp, KExp, FExp, Optional[Tuple[int, ...]], Optional[int], int, object]
 
 
 class SpecializationError(ArithmeticError):
@@ -121,14 +124,14 @@ class KernelContext:
                 for rv in rvs
             )
         self._qn: Dict[Tuple[int, int], object] = {}
-        self._qbin: Dict[Tuple[int, int, int], object] = {}
         self._qfact: Dict[Tuple[int, int], object] = {}
         self._qfact_inv: Dict[Tuple[int, int], object] = {}
         self._reduce: Dict[Tuple[str, Tuple[int, ...]], Dict[FExp, object]] = {}
         self._by_weight: Optional[Dict[Tuple[int, ...], List[FExp]]] = None
         self._letter_terms: Dict[Tuple[str, FExp], Dict[Tuple[GenKey, FExp], object]] = {}
         self._pushes: Dict[Tuple[str, int, FExp], Tuple] = {}
-        self._kbinom: Dict[Tuple[int, int], object] = {}
+        self._kbinom: Dict[Tuple[int, int, int], object] = {}
+        self._pbw: Dict[Tuple[str, GenKey, FExp, FExp], Tuple[PBWTerm, ...]] = {}
         self._lmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
         self._rmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
         self._kinds: Dict[str, "AlgebraKind"] = {}
@@ -145,14 +148,6 @@ class KernelContext:
         if hit is None:
             hit = self.field.eval_laurent(q_int(n, d))
             self._qn[key] = hit
-        return hit
-
-    def qbin(self, a: int, b: int, d: int = 1):
-        key = (a, b, d)
-        hit = self._qbin.get(key)
-        if hit is None:
-            hit = self.field.eval_laurent(q_binom(a, b, d))
-            self._qbin[key] = hit
         return hit
 
     def qfact(self, n: int, d: int = 1):
@@ -317,7 +312,7 @@ class KernelContext:
             return mul(side, self.simple_pos[j], exp)
         # X^{(ell)} in rank one: pure divided-power collection
         a = exp[0] + self.ell
-        c = self.qbin(a, self.ell, self.d_gamma[0])
+        c = self.gauss_binom(a, self.ell, self.d_gamma[0])
         return {(a,): c} if a < self.cap and c else {}
 
     def letter_terms(self, side: str, exp: FExp) -> Dict[Tuple[GenKey, FExp], object]:
@@ -420,35 +415,36 @@ class KernelContext:
     # class mod ell), so they are never materialized as algebra elements:
     # modules and covers evaluate them at a weight via gauss_binom.
 
-    def gauss_binom(self, m: int, t: int):
-        """Specialized generalized Gaussian binomial [m choose t], m in Z.
+    def gauss_binom(self, m: int, t: int, d: int = 1):
+        """Specialized generalized Gaussian binomial [m choose t]_{q^d}, m in Z.
 
-        Filled by q-Pascal, [m, t] = zeta^(-t) [m-1, t] + zeta^(m-t) [m-1, t-1],
-        from [m, 0] = 1 and [m, t] = 0 for 0 <= m < t, with
-        [m, t] = (-1)^t [t-m-1, t] for m < 0.  No step divides, so the
-        quantum integers that vanish at zeta do no harm.
+        Filled by q-Pascal with z = zeta^d,
+        [m, t] = z^(-t) [m-1, t] + z^(m-t) [m-1, t-1], from [m, 0] = 1 and
+        [m, t] = 0 for 0 <= m < t, with [m, t] = (-1)^t [t-m-1, t] for
+        m < 0.  No step divides, so the quantum integers that vanish at
+        zeta do no harm.  One memo per context, keyed (m, t, d).
         """
-        hit = self._kbinom.get((m, t))
+        hit = self._kbinom.get((m, t, d))
         if hit is not None:
             return hit
         if m < 0:
-            val = self.gauss_binom(t - m - 1, t)
+            val = self.gauss_binom(t - m - 1, t, d)
             val = -val if t % 2 else val
-            self._kbinom[(m, t)] = val
+            self._kbinom[(m, t, d)] = val
             return val
         memo, zp = self._kbinom, self.field.zeta_power
         for m2 in range(m + 1):
             for t2 in range(t + 1):
-                if (m2, t2) in memo:
+                if (m2, t2, d) in memo:
                     continue
                 if t2 == 0:
                     val = self.field.one
                 elif m2 < t2:
                     val = self.field.zero
                 else:
-                    val = zp(-t2) * memo[(m2 - 1, t2)] + zp(m2 - t2) * memo[(m2 - 1, t2 - 1)]
-                memo[(m2, t2)] = val
-        return memo[(m, t)]
+                    val = zp(-t2 * d) * memo[(m2 - 1, t2, d)] + zp((m2 - t2) * d) * memo[(m2 - 1, t2 - 1, d)]
+                memo[(m2, t2, d)] = val
+        return memo[(m, t, d)]
 
     def mixed_rank1_terms(self, m: int, nn: int) -> Tuple[Tuple[int, int, int, int], ...]:
         """Raw terms (n-t, c, t, m-t) with torus factor [K; c over t]."""
@@ -468,19 +464,52 @@ class KernelContext:
         ``push_E_through_F`` at r = 0 and by the rank-one formula for
         E^{(m)} F^{(n)} at r = 1.  Every torus factor stands left of E^{(e2)}:
         given a weight lam it is evaluated on E^{(e2)} v_lam, at
-        lam + wt(e2), and kv is 0.  The K-binomials of r = 1 are always
-        evaluated, so there lam is needed once f != 0.  A non-simple Erv
-        needs f = 0.  A term outside the algebra kind raises ArithmeticError.
+        lam + wt(e2), and kv is 0.  lam enters each term only through the
+        integer n = sum_j lam_j kd_j + off of ``_pbw_term_list``, whose
+        lam-free terms live as long as the context.  The K-binomials of
+        r = 1 are always evaluated, so there lam is needed once f != 0.  A
+        non-simple Erv needs f = 0.  A term outside the algebra kind raises
+        ArithmeticError.
         """
+        terms = self._pbw_term_list(kind, gen, f, e)
+        out: Dict[BasisKey, object] = {}
+        if lam is None:
+            for f2, kv, e2, _, _, t, c in terms:
+                if t:
+                    raise ValueError(f"{gen} on F^{f} E^{e}: the K-binomials of r = 1 need a weight")
+                vec_add_term(out, (f2, kv, e2), c)
+            return out
+        zero = (0,) * self.rank
+        for f2, _, e2, kd, off, t, c in terms:
+            if kd is not None:
+                n = off + sum(map(mul, lam, kd))
+                c = c * (self.gauss_binom(n, t) if t else self.zeta_pow(n))
+                if not c:
+                    continue
+            vec_add_term(out, (f2, zero, e2), c)
+        return out
+
+    def _pbw_term_list(self, kind: str, gen: GenKey, f: FExp, e: FExp) -> Tuple[PBWTerm, ...]:
+        """The terms of ``pbw_terms`` before the torus is evaluated, in order.
+
+        A term (f2, kv, e2, kd, off, t, c) is c F^{(f2)} K^{kv} E^{(e2)}
+        times a torus factor that, on E^{(e2)} v_lam, depends on lam only
+        through n = sum_j lam_j kd_j + off: zeta^n at r = 0, where kd is kv
+        scaled by the d_j and off = (wt e2, kv), and the K-binomial
+        [n over t] at r = 1, where kd and off come from alpha_1 and off
+        includes the offset of [K; c over t].  kd is None where there is no
+        factor.  Built and checked for closure once per (kind, gen, f, e)
+        and kept as long as the context; a build that raises caches nothing.
+        """
+        key = (kind, gen, f, e)
+        hit = self._pbw.get(key)
+        if hit is not None:
+            return hit
         desc = self.algebra_kind(kind)
         zero = (0,) * self.rank
-        out: Dict[BasisKey, object] = {}
+        terms: List[PBWTerm] = []
 
-        def at(e2, x):
-            # (lam + wt e2, x): the torus stands left of E^{(e2)} v_lam
-            return self.datum.pair_weight_root(lam, x) + self.pair(self.weight_of_fexp(e2), x)
-
-        def put(f2, kv, e2, c):
+        def put(f2, kv, e2, c, root=None, t=0, c_off=0):
             if not c:
                 return
             # exponents stay below cap, so a term lies in the kind iff none
@@ -489,10 +518,12 @@ class KernelContext:
                 raise ArithmeticError(
                     f"{kind} is not closed under {gen}: F^{f} E^{e} goes to F^{f2} E^{e2}"
                 )
-            if lam is not None and any(kv):
-                c = c * self.zeta_pow(at(e2, kv))
-                kv = zero
-            vec_add_term(out, (f2, kv, e2), c)
+            kd = off = None
+            if root is not None:
+                # (lam + wt e2, root): the torus stands left of E^{(e2)} v_lam
+                kd = tuple(x * dj for x, dj in zip(root, self.datum.d))
+                off = self.pair(self.weight_of_fexp(e2), root) + c_off
+            terms.append((f2, kv, e2, kd, off, t, c))
 
         name, j = gen
         pos = self.simple_pos[j] if name in ("F", "E") else j
@@ -503,25 +534,25 @@ class KernelContext:
         elif self.r:
             # rank one: the [K; c over t] of E^{(m)} F^{(n)} stands left of
             # E^{(m-t)} E^{(e)} = [e2 over m-t] E^{(e2)}
+            alpha = self.datum.simple_roots[0]
             for f_t, c_off, t, e_t in self.mixed_rank1_terms(1 if name == "E" else self.ell, f[0]):
                 e2 = (e_t + e[0],)
-                if e2[0] >= self.cap:
-                    continue
-                c = self.qbin(e2[0], e_t, self.d_gamma[0])
-                if t:
-                    c = c * self.gauss_binom(at(e2, self.datum.simple_roots[0]) + c_off, t)
-                put((f_t,), zero, e2, c)
+                if e2[0] < self.cap:
+                    c = self.gauss_binom(e2[0], e_t, self.d_gamma[0])
+                    put((f_t,), zero, e2, c, alpha if t else None, t, c_off)
         elif not any(f):
             for e2, c in self.lmul_rv("E", pos, e).items():
                 put(f, zero, e2, c)
         else:
             for (f2, kv, has_e), c in self.push_E_through_F(self.simple_pos.index(pos), f):
+                root = kv if any(kv) else None
                 if has_e:
                     for e2, ce in self.lmul_rv("E", pos, e).items():
-                        put(f2, kv, e2, c * ce)
+                        put(f2, kv, e2, c * ce, root)
                 else:
-                    put(f2, kv, e, c)
-        return out
+                    put(f2, kv, e, c, root)
+        hit = self._pbw[key] = tuple(terms)
+        return hit
 
     # -- algebras ----------------------------------------------------------
 

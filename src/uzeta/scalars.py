@@ -373,14 +373,30 @@ def q_factorial(n: int, d: int = 1) -> Laurent:
 
 
 def q_binom(a: int, b: int, d: int = 1) -> Laurent:
-    """Gaussian binomial [a choose b]_{q^d}; division is exact by construction."""
+    """Gaussian binomial [a choose b]_{q^d}, by q-Pascal over the integers.
+
+    [a choose b]_{q^d} = q^{-d b (a-b)} G(x) at x = q^{2d}, where the
+    Gaussian polynomial G = G_{b, a-b} in Z[x] satisfies
+    G_{i,j} = G_{i-1,j} + x^i G_{i,j-1} with G_{0,j} = G_{i,0} = 1.  No
+    step divides, and the result becomes a ``Laurent`` once.
+    """
     if b < 0 or b > a:
         return Laurent()
-    b = min(b, a - b)
-    num = L_ONE
+    b, rest = min(b, a - b), max(b, a - b)
+    # row[j] = G_{i,j} as an integer coefficient list, for the current i
+    row = [[1] for _ in range(rest + 1)]
     for i in range(1, b + 1):
-        num = num * q_int(a - b + i, d)
-    return num.exact_div(q_factorial(b, d))
+        for j in range(1, rest + 1):
+            left = row[j - 1]  # G_{i,j-1}, already in row i
+            up = row[j]  # G_{i-1,j}
+            cur = up + [0] * (i + len(left) - len(up))
+            for k, c in enumerate(left):
+                cur[i + k] += c
+            row[j] = cur
+    poly = row[rest]
+    coeffs = [0] * (2 * d * (len(poly) - 1) + 1)
+    coeffs[:: 2 * d] = poly
+    return Laurent(-d * b * rest, coeffs)
 
 
 # --- localization at the two-root-length denominators ----------------------

@@ -238,7 +238,8 @@ class TestGaussBinom:
     def test_laurent_product_formula(self, ctxmaker):
         # [m choose t] = prod_{s=1..t} (q^(m-s+1) - q^-(m-s+1)) / (q^s - q^-s)
         # over Z[q, 1/q], evaluated at zeta, for negative m too; a factor
-        # with m - s + 1 = 0 makes it zero
+        # with m - s + 1 = 0 makes it zero.  [m choose t]_{q^d} is the same
+        # polynomial at q^d, so it is evaluated at zeta^d.
         from uzeta.scalars import Laurent, s_generator
 
         ctxs = [ctxmaker("A1", 3, p=7, r=1), ctxmaker("A1", 5), ctxmaker("A2", 3)]
@@ -255,6 +256,12 @@ class TestGaussBinom:
                     poly = num.exact_div(den)
                 for ctx in ctxs:
                     assert ctx.gauss_binom(m, t) == ctx.field.eval_laurent(poly), (m, t)
+                    for d in (2, 3):
+                        at_d = sum(
+                            (ctx.zeta_pow(d * (poly.lo + i)) * c for i, c in enumerate(poly.c) if c),
+                            ctx.field.zero,
+                        )
+                        assert ctx.gauss_binom(m, t, d) == at_d, (m, t, d)
 
     def test_mixed_relation_on_module_checked(self, ctxmaker):
         # the module checker exercises E^{(l)} F^{(l)} against the raw terms

@@ -399,7 +399,7 @@ def _reference_verma_actions(ctx, lam):
         nn = ctx.ell
         mat = {}
         for a in fexps:
-            c = ctx.qbin(a[0] + nn, nn, ctx.d_gamma[0])
+            c = ctx.gauss_binom(a[0] + nn, nn, ctx.d_gamma[0])
             if a[0] + nn < ctx.cap and c:
                 mat[index[a]] = {index[(a[0] + nn,)]: c}
         acts[("Fd0", 0)] = mat

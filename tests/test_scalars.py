@@ -87,6 +87,55 @@ class TestQuantumNumbers:
                 assert lhs == rhs
 
 
+    def test_matches_product_formula(self):
+        # q-Pascal over the integers against the quotient it replaced, with
+        # the same canonical form (== and hash) for every b, including b
+        # outside 0..a
+        for d in (1, 2, 3):
+            for a in range(-2, 25):
+                for b in range(-1, a + 2):
+                    want = _q_binom_by_division(a, b, d)
+                    got = q_binom(a, b, d)
+                    assert got == want and hash(got) == hash(want), (a, b, d)
+
+
+def _q_int_coeffs(n, d):
+    return [1 if i % (2 * d) == 0 else 0 for i in range(2 * d * (n - 1) + 1)]
+
+
+def _poly_mul(x, y):
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+    return out
+
+
+def _q_binom_by_division(a, b, d=1):
+    """[a choose b]_{q^d} = [a-b+1] ... [a] / [b]!, the product and one exact division.
+
+    This is how ``q_binom`` was computed before q-Pascal, written on
+    integer coefficient lists (every [n]_{q^d} is monic, so the quotient
+    is integral) to keep the comparison fast.
+    """
+    if b < 0 or b > a:
+        return Laurent()
+    b = min(b, a - b)
+    num, den, lo = [1], [1], 0
+    for i in range(1, b + 1):
+        num = _poly_mul(num, _q_int_coeffs(a - b + i, d))
+        den = _poly_mul(den, _q_int_coeffs(i, d))
+        lo += d * (i - 1) - d * (a - b + i - 1)
+    quo, rem = [0] * (len(num) - len(den) + 1), list(num)
+    for k in reversed(range(len(quo))):
+        c = quo[k] = rem[k + len(den) - 1]
+        for i, y in enumerate(den):
+            rem[k + i] -= c * y
+    assert not any(rem), "non-exact division"
+    return Laurent(lo, quo)
+
+
 class TestQFraction:
     @given(laurents, laurents, laurents)
     @settings(max_examples=100, deadline=None)
