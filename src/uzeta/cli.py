@@ -99,33 +99,36 @@ class RunConfig:
             )
 
 
-# contexts built from scratch, one per (type, ell, p, r, word) in a process
+# contexts of a process: one per (type, ell, p, r, word), plus the sha256 of
+# the cache file's bytes when the table comes from a cache
 _CONTEXTS: Dict[Tuple, KernelContext] = {}
 
 
-def make_context(cfg: RunConfig, table=None) -> KernelContext:
-    """The KernelContext of cfg.
+def make_context(cfg: RunConfig) -> KernelContext:
+    """The KernelContext of cfg, built once per configuration and table.
 
-    A context computed from scratch is built once per process and
-    configuration and then shared, so its straightening caches fill once
-    and not once per case.  A context from a given ``table`` or from
-    ``cfg.cache_path`` is built on every call, so every call reads and
-    validates the cache file.
+    A context is shared by every call with the same configuration, so its
+    straightening caches and realized modules fill once and not once per
+    case.  With ``cfg.cache_path`` every call reads the file and hashes its
+    bytes; the file is parsed and validated, and a context built, only
+    when that digest is new, so a rewritten cache gets a context of its
+    own.
     """
     cfg.validate()
-    key = None
-    if table is None and cfg.cache_path:
-        _, table = read_cache(cfg.cache_path)
-    elif table is None:
-        key = (cfg.type_label, cfg.ell, cfg.p, cfg.r, cfg.word())
-        ctx = _CONTEXTS.get(key)
-        if ctx is not None:
-            return ctx
-    fieldk = make_field(cfg.ell, cfg.p)
-    order = convex_order(cfg.type_label, cfg.word())
-    ctx = KernelContext(order, fieldk, r=cfg.r, table=table)
-    if key is not None:
-        _CONTEXTS[key] = ctx
+    key: Tuple = (cfg.type_label, cfg.ell, cfg.p, cfg.r, cfg.word())
+    blob = None
+    if cfg.cache_path:
+        # imported here: only a cache needs it
+        import hashlib
+
+        blob = _read_bytes(cfg.cache_path)
+        key += (hashlib.sha256(blob).hexdigest(),)
+    ctx = _CONTEXTS.get(key)
+    if ctx is None:
+        table = None if blob is None else _parse_cache(blob, cfg.cache_path)[1]
+        fieldk = make_field(cfg.ell, cfg.p)
+        order = convex_order(cfg.type_label, cfg.word())
+        ctx = _CONTEXTS[key] = KernelContext(order, fieldk, r=cfg.r, table=table)
     return ctx
 
 
@@ -177,12 +180,23 @@ def write_cache(cfg: RunConfig, path: str) -> None:
         raise
 
 
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read cache {path}: {e}") from e
+
+
 def read_cache(path: str) -> Tuple[Dict[str, str], TableData]:
     """Parse a structure cache; an unreadable or malformed one is a ConfigError."""
+    return _parse_cache(_read_bytes(path), path)
+
+
+def _parse_cache(blob: bytes, path: str) -> Tuple[Dict[str, str], TableData]:
     try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except (OSError, UnicodeDecodeError) as e:
+        lines = blob.decode().splitlines()
+    except UnicodeDecodeError as e:
         raise ConfigError(f"cannot read cache {path}: {e}") from e
     if not lines or lines[0] != CACHE_VERSION:
         raise ConfigError(
@@ -649,8 +663,7 @@ def cmd_verify(args) -> int:
     if args.cache:
         cfg = replace(cfg, cache_path=args.cache)
         try:
-            _, data = read_cache(args.cache)
-            make_context(cfg, table=data)  # fail early on corruption
+            make_context(cfg)  # fail early on corruption; the suites share it
         except (SpecializationError, ZeroDivisionError, ValueError) as e:
             print(f"cache {args.cache} is corrupt: {e}", file=sys.stderr)
             return 2

@@ -185,6 +185,14 @@ def projective_split_test(m: WeightedModule, kind: str, budget: int = 200_000) -
     linear system: M is projective iff every surjection from a projective
     onto M splits, so the covers of any two generating sets split together.
 
+    The equations come in one batch per basis vector v_j of M, in basis
+    order: pi . s(v_j) = v_j and, for every generator g, g s(v_j) =
+    s(g v_j).  ``LinearSystem.solve`` runs after each batch and eliminates
+    only its rows.  A batch that makes the equations so far inconsistent
+    ends the test with False, since more equations cannot restore a
+    solution; the verdict is the one the whole system gives, and a
+    negative test usually stops before its last batch.
+
     The verdict is kept on the module per kind; the budget is checked
     before that, and a call that raises keeps nothing.
     """
@@ -206,23 +214,16 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
     gens = module_generators(m, kind)
     # summand t is A e_lam at lam = the weight of generator t (A itself without
     # torus); its key F^{(f)} E^{(e)} has degree lam + wt e - wt f
-    eparts = desc.exponents("E")
-    keys = [(f, e) for f in desc.exponents("F") for e in eparts]
-    shift = {key: ctx.datum.root_to_weight(ctx.pbw_weight(*key)) for key in keys}
-
-    # quick necessary check: enough cover keys in every degree
     by_degree: Dict[Weight, List[Tuple[int, Tuple]]] = {}
     for t, i in enumerate(gens):
         lam = m.weights[i]
-        for key in keys:
-            by_degree.setdefault(tuple(a + b for a, b in zip(lam, shift[key])), []).append((t, key))
+        for shift, keys in ctx.cover_keys(kind):
+            degree = tuple(a + b for a, b in zip(lam, shift))
+            by_degree.setdefault(degree, []).extend((t, key) for key in keys)
+    # quick necessary check: enough cover keys in every degree
+    if any(mu not in by_degree for mu in m.weights):
+        return False
 
-    # The unknown s(v_j)'s coordinate at cover key (t, key) is keyed
-    # (last - j, t, key): the solver pivots on the least key, so elimination
-    # starts at the last basis vector, which keeps fill-in low.
-    last = m.dim - 1
-    system = LinearSystem()
-    # pi . s = id
     pi_cache: Dict[Tuple[int, Tuple], Vec] = {}
 
     def pi(t: int, key) -> Vec:
@@ -243,37 +244,41 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
             hit = columns[(t, gen, key)] = {(f2, e2): c for (f2, _, e2), c in terms.items()}
         return hit
 
-    for j in range(m.dim):
-        mu = m.weights[j]
-        support = by_degree.get(mu, [])
-        if not support and m.dim:
-            return False
+    # The unknown s(v_j)'s coordinate at cover key (t, key) is keyed
+    # (last - j, t, key): the solver pivots on the least key, so elimination
+    # starts at the last basis vector, which keeps fill-in low.  One batch of
+    # rows per source v_j; the first inconsistent batch decides.
+    last = m.dim - 1
+    one, zero = ctx.field.one, ctx.field.zero
+    mats = [(gen, m.generator_matrix(gen)) for gen in desc.generators]
+    system = LinearSystem()
+    for j, mu in enumerate(m.weights):
+        support = by_degree[mu]
+        # pi . s = id on v_j
         rows: Dict[int, Vec] = {}
         for (t, key) in support:
             for row, c in pi(t, key).items():
                 rows.setdefault(row, {})[(last - j, t, key)] = c
         for row in range(m.dim):
-            rhs = ctx.field.one if row == j else ctx.field.zero
-            system.add(rows.get(row, {}), rhs)
-    # equivariance for each generator: per (gen, source j), the equation
-    #   g s(v_j) - s(g v_j) = 0 read off in each cover coordinate (t, key2);
-    # the cover coefficients enter as they are, the module column negated once
-    for gen in desc.generators:
-        mat = m.generator_matrix(gen)
-        for j in range(m.dim):
-            mu = m.weights[j]
+            system.add(rows.get(row, {}), one if row == j else zero)
+        # equivariance on v_j for each generator: g s(v_j) - s(g v_j) = 0 read
+        # off in each cover coordinate (t, key2); the cover coefficients enter
+        # as they are, the module column negated once
+        for gen, mat in mats:
             eqs: Dict[Tuple, Vec] = {}
             for j2, c in mat.get(j, {}).items():
                 # s(v_{j2}) contributes -c on its unknown at (t, key2)
                 neg = -c
-                for (t, key2) in by_degree.get(m.weights[j2], []):
+                for (t, key2) in by_degree[m.weights[j2]]:
                     eqs.setdefault((t, key2), {})[(last - j2, t, key2)] = neg
-            for (t, key) in by_degree.get(mu, []):
+            for (t, key) in support:
                 for key2, c in column(t, gen, key).items():
                     vec_add_term(eqs.setdefault((t, key2), {}), (last - j, t, key), c)
             for coeffs in eqs.values():
-                system.add(coeffs, ctx.field.zero)
-    return system.solve() is not None
+                system.add(coeffs, zero)
+        if system.solve() is None:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

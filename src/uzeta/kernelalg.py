@@ -136,6 +136,7 @@ class KernelContext:
         self._rmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
         self._kinds: Dict[str, "AlgebraKind"] = {}
         self._algebras: Dict[str, "KernelAlgebra"] = {}
+        self._cover_keys: Dict[str, Tuple] = {}
         self._serre: Optional[Tuple] = None
         # checked modules by spec text, filled by cli.run_case
         self.realized: Dict[str, object] = {}
@@ -568,6 +569,26 @@ class KernelContext:
         if hit is None:
             hit = KernelAlgebra(self, kind)
             self._algebras[kind] = hit
+        return hit
+
+    def cover_keys(self, kind: str) -> Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[FExp, FExp], ...]], ...]:
+        """The cover keys (f, e) of the kind grouped by degree shift, once per kind.
+
+        F^{(f)} E^{(e)} e_lam has weight lam + shift, in weight coordinates,
+        with shift = wt e - wt f.  Within a shift the keys keep the order of
+        ``exponents``, F exponents major.
+        """
+        hit = self._cover_keys.get(kind)
+        if hit is None:
+            desc = self.algebra_kind(kind)
+            eparts = desc.exponents("E")
+            groups: Dict[Tuple[int, ...], List[Tuple[FExp, FExp]]] = {}
+            for f in desc.exponents("F"):
+                for e in eparts:
+                    shift = self.datum.root_to_weight(self.pbw_weight(f, e))
+                    groups.setdefault(shift, []).append((f, e))
+            hit = tuple((shift, tuple(keys)) for shift, keys in groups.items())
+            self._cover_keys[kind] = hit
         return hit
 
     # -- actions through a generator action -----------------------------------

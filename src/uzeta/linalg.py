@@ -198,34 +198,49 @@ class SpanSolver:
 
 
 class LinearSystem:
-    """Solve a sparse linear system by reduced row echelon form.
+    """Solve a sparse linear system by reduced row echelon form, in batches.
 
-    Unknown keys must be orderable.  ``solve`` returns the solution with
-    every free unknown zero, or None if inconsistent.  Rows are eliminated
-    shortest first (stable, so ties keep the order they were added in),
-    the structured-elimination rule of LaMacchia and Odlyzko ("Solving
-    large sparse linear systems over finite fields", 1990): it keeps
-    fill-in low.  The result does not depend on the order: the pivots are
-    the leading keys of the row space, and the solution that vanishes off
-    them is unique.
+    Unknown keys must be orderable.  Rows may be added between calls to
+    ``solve``; ``rows`` keeps every row added.  Each call eliminates only
+    the rows added since the last one, against the echelon form the
+    earlier calls left, and returns the solution of all rows so far with
+    every free unknown zero, or None once they are inconsistent: rows only
+    add equations, so from then on every call returns None without
+    eliminating anything.  A caller that can stop at the first None need
+    not assemble the rest of the system.
+
+    Each batch is eliminated shortest row first (stable, so ties keep the
+    order they were added in), the structured-elimination rule of
+    LaMacchia and Odlyzko ("Solving large sparse linear systems over
+    finite fields", 1990): it keeps fill-in low.  The result depends
+    neither on the order nor on the batches: the pivots are the leading
+    keys of the row space, and the solution that vanishes off them is
+    unique.
     """
 
     def __init__(self):
         self.rows: List[Tuple[Vec, Any]] = []
+        self._echelon: Optional[Eliminator] = Eliminator()
+        self._solved = 0  # rows eliminated so far
 
     def add(self, coeffs: Vec, rhs) -> None:
         if coeffs or rhs:
             self.rows.append((dict(coeffs), rhs))
 
     def solve(self) -> Optional[Vec]:
+        echelon = self._echelon
+        if echelon is None:
+            return None
+        batch = self.rows[self._solved:]
+        self._solved = len(self.rows)
         # the right-hand side is the companion {0: rhs}, empty when zero
-        echelon = Eliminator()
-        for coeffs, rhs in sorted(self.rows, key=lambda r: len(r[0])):
+        for coeffs, rhs in sorted(batch, key=lambda r: len(r[0])):
             comp = {0: rhs} if rhs else {}
             row = echelon.eliminate(dict(coeffs), comp)
             if row:
                 echelon.insert(row, comp)
             elif comp:
+                self._echelon = None  # inconsistent for good: free the echelon form
                 return None
         # each stored row is its pivot unknown plus free unknowns
         return {p: comp[0] for p, comp in echelon.companions.items() if comp}

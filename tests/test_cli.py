@@ -233,21 +233,35 @@ class TestVerify:
         recs = run_suites(cfg, ["integrals"], [])
         assert all(r["agree"] for r in recs)
 
-    def test_context_shared_per_configuration(self, tmp_path):
+    def test_context_shared_per_configuration(self, tmp_path, monkeypatch):
+        from uzeta import cli as cli_module
+
+        # the same cache bytes in another test must not hand over a context
+        monkeypatch.setattr(cli_module, "_CONTEXTS", {})
         cfg = RunConfig("A1", 3)
         assert make_context(cfg) is make_context(cfg)
         assert make_context(RunConfig("A1", 3, budget=10)) is make_context(cfg)
         assert make_context(RunConfig("A1", 5)) is not make_context(cfg)
-        # a cache file is read and validated on every call
-        path = str(tmp_path / "a1.cache")
-        write_cache(cfg, path)
-        cached = RunConfig("A1", 3, cache_path=path)
-        assert make_context(cached) is not make_context(cached)
+        # one context per cache file content, apart from the one built from
+        # scratch; a rewritten file gets a new one
+        path = tmp_path / "a1.cache"
+        write_cache(cfg, str(path))
+        cached = RunConfig("A1", 3, cache_path=str(path))
+        first = make_context(cached)
+        assert make_context(cached) is first and first is not make_context(cfg)
+        path.write_text(path.read_text() + "\n")
+        second = make_context(cached)
+        assert second is not first and make_context(cached) is second
+        # and a file that no longer parses is refused, not served from memory
+        path.write_text("not a cache\n")
+        with pytest.raises(ConfigError):
+            make_context(cached)
 
     def test_spec_realized_once_per_context(self, tmp_path, monkeypatch):
-        from uzeta import qmodules
+        from uzeta import cli as cli_module, qmodules
         from uzeta.cli import run_case
 
+        monkeypatch.setattr(cli_module, "_CONTEXTS", {})
         realized = []
         real = qmodules.realize_text
 
@@ -263,13 +277,14 @@ class TestVerify:
         assert run_case(cfg, "reduction", spec, None)["agree"]
         assert run_case(cfg, "borel", spec, None) == first
         assert len(realized) == n
-        # a context read from a cache file starts with no modules
+        # a context read from a cache file starts with no modules, and the
+        # cases that read the same file share it
         path = str(tmp_path / "a1.cache")
         write_cache(cfg, path)
         cached = RunConfig("A1", 3, cache_path=path)
         assert run_case(cached, "borel", spec, None) == first
         run_case(cached, "reduction", spec, None)
-        assert len(realized) == n + 2
+        assert len(realized) == n + 1
 
     def test_case_order_does_not_change_records(self):
         # warm straightening caches of a shared context must not leak into

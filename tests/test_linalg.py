@@ -134,32 +134,81 @@ def _random_element(rng, field):
     return field.from_int(rng.randint(-3, 3)) + field.from_int(rng.randint(-3, 3)) * field.zeta
 
 
+FIELDS = [CycloField(3), CycloField(5), GaloisField(5, 3)]
+FIELD_IDS = ["Q3", "Q5", "GF25"]
+
+
+def _random_rows(rng, field, planted):
+    """A random sparse system; with ``planted``, consistent by construction."""
+    n_keys, n_rows = rng.randint(2, 9), rng.randint(1, 12)
+    keys = [(rng.randint(0, 2), k) for k in range(n_keys)]
+    rows = []
+    for _ in range(n_rows):
+        coeffs = {}
+        for k in keys:
+            if rng.random() < 0.35:
+                x = _random_element(rng, field)
+                if x:
+                    coeffs[k] = x
+        rows.append(coeffs)
+    if planted:
+        # the right-hand sides of a planted solution
+        sol = {k: _random_element(rng, field) for k in keys}
+        rhss = [sum((c * sol[k] for k, c in row.items()), field.zero) for row in rows]
+    else:
+        rhss = [_random_element(rng, field) if rng.random() < 0.4 else field.zero for _ in rows]
+    return list(zip(rows, rhss))
+
+
 class TestLinearSystem:
-    @pytest.mark.parametrize("field", [CycloField(3), CycloField(5), GaloisField(5, 3)], ids=["Q3", "Q5", "GF25"])
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     def test_order_independent_with_certificates(self, field):
         rng = random.Random(11)
         outcomes = set()
         for trial in range(60):
-            n_keys, n_rows = rng.randint(2, 9), rng.randint(1, 12)
-            keys = [(rng.randint(0, 2), k) for k in range(n_keys)]
-            rows = []
-            for _ in range(n_rows):
-                coeffs = {}
-                for k in keys:
-                    if rng.random() < 0.35:
-                        x = _random_element(rng, field)
-                        if x:
-                            coeffs[k] = x
-                rows.append(coeffs)
-            if trial % 2:
-                # consistent by construction: the right-hand sides of a planted solution
-                planted = {k: _random_element(rng, field) for k in keys}
-                rhss = [sum((c * planted[k] for k, c in row.items()), field.zero) for row in rows]
-            else:
-                rhss = [_random_element(rng, field) if rng.random() < 0.4 else field.zero for _ in rows]
-            sol = _check_solve(list(zip(rows, rhss)), field.zero)
+            sol = _check_solve(_random_rows(rng, field, planted=trial % 2), field.zero)
             outcomes.add(sol is not None)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_batches_solve_like_one_call(self, field):
+        rng = random.Random(13)
+        outcomes = set()
+        for trial in range(60):
+            rows = _random_rows(rng, field, planted=trial % 2)
+            system = LinearSystem()
+            done = 0
+            answers = []
+            while done < len(rows):
+                # batches of 0..4 rows: a call with nothing new is allowed too
+                batch = rows[done:done + rng.randint(0, 4)]
+                for coeffs, rhs in batch:
+                    system.add(coeffs, rhs)
+                done += len(batch)
+                answers.append(system.solve())
+                # every answer is the one-call answer of the rows so far
+                assert answers[-1] == _check_solve(rows[:done], field.zero)
+            if None in answers:
+                assert set(answers[answers.index(None):]) == {None}
+            whole = LinearSystem()
+            for coeffs, rhs in rows:
+                whole.add(coeffs, rhs)
+            assert system.rows == whole.rows
+            assert answers[-1] == whole.solve()
+            outcomes.add(answers[-1] is not None)
+        assert outcomes == {True, False}
+
+    def test_inconsistent_stays_inconsistent(self):
+        system = LinearSystem()
+        system.add({0: QQ(1), 1: QQ(1)}, QQ(1))
+        assert system.solve() == {0: QQ(1)}
+        system.add({0: QQ(2), 1: QQ(2)}, QQ(1))
+        assert system.solve() is None
+        # more rows cannot restore a solution
+        system.add({1: QQ(1)}, QQ(3))
+        assert system.solve() is None
+        assert system.solve() is None
+        assert len(system.rows) == 3
 
     def test_empty_row_with_rhs_is_inconsistent(self):
         system = LinearSystem()
@@ -195,7 +244,7 @@ def _split_cases(ctx, label):
             simple_module(ctx, (2, 2)),
             verma_module(ctx, (0, 1)),
         ]
-        kinds = ["u-", "Am:2", "root:2:+"]
+        kinds = ["u-", "Am:2", "root:2:+", "g"]
     return [(m, kind) for m in corpus for kind in kinds]
 
 
@@ -214,3 +263,48 @@ class TestSplitSystems:
         verdicts = [inject._split_exists(m, kind) for m, kind in _split_cases(ctx, label)]
         assert len(solved) > 1 and set(solved) == {True, False}
         assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("label, ell, p, r", [("A1", 3, None, 0), ("A2", 3, None, 0), ("A1", 3, 7, 1)])
+    def test_stopping_early_changes_no_verdict(self, ctxmaker, monkeypatch, label, ell, p, r):
+        ctx = ctxmaker(label, ell, p, r)
+        systems = []
+
+        class Exhaustive(LinearSystem):
+            """Never reports None, so the test assembles every row."""
+
+            def solve(self):
+                if self not in systems:
+                    systems.append(self)
+                return {}
+
+        calls = []
+
+        class Counted(LinearSystem):
+            def solve(self):
+                calls.append(self)
+                return super().solve()
+
+        stopped_early = []
+        for m, kind in _split_cases(ctx, label):
+            monkeypatch.setattr(inject, "LinearSystem", Exhaustive)
+            before = len(systems)
+            assembled = inject._split_exists(m, kind)
+            if len(systems) > before:
+                assert assembled
+                whole = LinearSystem()
+                for coeffs, rhs in systems[-1].rows:
+                    whole.add(coeffs, rhs)
+                verdict = whole.solve() is not None
+            else:
+                # the degree check answered before any row was added
+                verdict = assembled
+                assert not verdict
+            monkeypatch.setattr(inject, "LinearSystem", Counted)
+            del calls[:]
+            assert inject._split_exists(m, kind) == verdict
+            if calls and len(calls) < m.dim:
+                assert not verdict
+                stopped_early.append(kind)
+        assert stopped_early
+        if label == "A2":
+            assert "g" in stopped_early
