@@ -121,7 +121,7 @@ def make_context(cfg: RunConfig) -> KernelContext:
         # imported here: only a cache needs it
         import hashlib
 
-        blob = _read_bytes(cfg.cache_path)
+        blob = _read_cache_bytes(cfg.cache_path)
         key += (hashlib.sha256(blob).hexdigest(),)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
@@ -180,7 +180,7 @@ def write_cache(cfg: RunConfig, path: str) -> None:
         raise
 
 
-def _read_bytes(path: str) -> bytes:
+def _read_cache_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
             return fh.read()
@@ -190,7 +190,7 @@ def _read_bytes(path: str) -> bytes:
 
 def read_cache(path: str) -> Tuple[Dict[str, str], TableData]:
     """Parse a structure cache; an unreadable or malformed one is a ConfigError."""
-    return _parse_cache(_read_bytes(path), path)
+    return _parse_cache(_read_cache_bytes(path), path)
 
 
 def _parse_cache(blob: bytes, path: str) -> Tuple[Dict[str, str], TableData]:

@@ -272,16 +272,18 @@ class TestSplitSystems:
         class Exhaustive(LinearSystem):
             """Never reports None, so the test assembles every row."""
 
+            def __init__(self):
+                super().__init__()
+                systems.append(self)
+
             def solve(self):
-                if self not in systems:
-                    systems.append(self)
                 return {}
 
         calls = []
 
         class Counted(LinearSystem):
             def solve(self):
-                calls.append(self)
+                calls.append(1)
                 return super().solve()
 
         stopped_early = []
