@@ -337,6 +337,10 @@ def load_manifest(path: str) -> List[Dict]:
 # ---------------------------------------------------------------------------
 # verification driver
 
+# the suites run on each manifest spec, then the rest, in ``--suite all`` order
+MODULE_SUITES = ("rootcrit", "borel", "reduction", "highest", "filtration")
+SUITES = MODULE_SUITES + ("integrals", "zdual", "betti")
+
 
 def _cfg_record(cfg: RunConfig) -> Dict:
     return {
@@ -410,7 +414,7 @@ def _pool_case(args):
 
 
 def run_suites(cfg: RunConfig, suites: Sequence[str], manifest: List[Dict]) -> List[Dict]:
-    module_suites = [s for s in suites if s in ("rootcrit", "borel", "reduction", "highest", "filtration")]
+    module_suites = [s for s in suites if s in MODULE_SUITES]
     records: List[Dict] = []
     tasks = []
     for suite in module_suites:
@@ -649,14 +653,10 @@ def cmd_betti(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config_from(args)
     cfg.banner(sys.stdout)
-    if args.suite == "all":
-        suites = ["rootcrit", "borel", "reduction", "highest", "filtration", "integrals", "zdual", "betti"]
-    else:
-        suites = [args.suite]
-    module_suites = {"rootcrit", "borel", "reduction", "highest", "filtration"}
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     if args.manifest:
         manifest = load_manifest(args.manifest)
-    elif module_suites & set(suites):
+    elif set(MODULE_SUITES) & set(suites):
         manifest = default_manifest(cfg)
     else:
         manifest = []
@@ -664,6 +664,8 @@ def cmd_verify(args) -> int:
         cfg = replace(cfg, cache_path=args.cache)
         try:
             make_context(cfg)  # fail early on corruption; the suites share it
+        except ConfigError:
+            raise  # a bad configuration or an unreadable cache says so itself
         except (SpecializationError, ZeroDivisionError, ValueError) as e:
             print(f"cache {args.cache} is corrupt: {e}", file=sys.stderr)
             return 2
@@ -749,7 +751,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument(
         "--suite",
         default="all",
-        choices=["rootcrit", "borel", "reduction", "highest", "filtration", "integrals", "zdual", "betti", "all"],
+        choices=SUITES + ("all",),
     )
     p.add_argument("--manifest", default=None)
     p.add_argument("--cache", default=None)

@@ -52,13 +52,6 @@ def q_power(n: int) -> QFraction:
     return QFraction(Laurent.q_power(n))
 
 
-def el_add(a: Elt, b: Elt) -> Elt:
-    out = dict(a)
-    for w, c in b.items():
-        vec_add_term(out, w, c)
-    return out
-
-
 def el_mul(a: Elt, b: Elt) -> Elt:
     out: Elt = {}
     for wa, ca in a.items():
@@ -268,44 +261,31 @@ class UqGeneric:
             if not inverse:
                 return {(("K", tuple(-x for x in al)), ("E", i)): qf(-1)}
             return {(("E", i), ("K", al)): qf(-1)}
-        a = datum.cartan[j][i]
-        r = -a
+        r = -datum.cartan[j][i]
         di = datum.d[i]
+        # X_j goes to sum_s (-1)^s q^{sign s d_i} X_i^{(a)} X_j X_i^{(b)}, with
+        # (a, b) = (r-s, s) for E and (s, r-s) for F; the inverse swaps a and b
+        sign = -1 if kind == "E" else 1
         out: Elt = {}
         for s in range(r + 1):
-            if kind == "E":
-                if not inverse:
-                    w1, c1 = self._divided_word("E", i, r - s)
-                    w2, c2 = self._divided_word("E", i, s)
-                    word = w1 + (("E", j),) + w2
-                else:
-                    w1, c1 = self._divided_word("E", i, s)
-                    w2, c2 = self._divided_word("E", i, r - s)
-                    word = w1 + (("E", j),) + w2
-                coeff = c1 * c2 * q_power(-s * di)
-            else:
-                if not inverse:
-                    w1, c1 = self._divided_word("F", i, s)
-                    w2, c2 = self._divided_word("F", i, r - s)
-                    word = w1 + (("F", j),) + w2
-                else:
-                    w1, c1 = self._divided_word("F", i, r - s)
-                    w2, c2 = self._divided_word("F", i, s)
-                    word = w1 + (("F", j),) + w2
-                coeff = c1 * c2 * q_power(s * di)
+            a, b = (r - s, s) if (kind == "E") != inverse else (s, r - s)
+            w1, c1 = self._divided_word(kind, i, a)
+            w2, c2 = self._divided_word(kind, i, b)
+            coeff = c1 * c2 * q_power(sign * s * di)
             if s % 2:
                 coeff = -coeff
-            vec_add_term(out, word, coeff)
+            vec_add_term(out, w1 + ((kind, j),) + w2, coeff)
         return out
 
-    def braid_apply(self, i: int, elt: Elt, inverse: bool = False, compress: bool = True) -> Elt:
+    def braid_apply(self, i: int, elt: Elt, inverse: bool = False) -> Elt:
         out: Elt = {}
         for w, c in elt.items():
             terms: Elt = {(): c}
             for letter in w:
                 terms = el_mul(terms, self.braid_image(i, letter, inverse))
-            out = el_add(out, terms)
-        return self.compress(out) if compress else out
+            for w2, c2 in terms.items():
+                vec_add_term(out, w2, c2)
+        return self.compress(out)
 
     def compress(self, elt: Elt) -> Elt:
         """Collapse to triangular form with both pure parts reduced mod relators.

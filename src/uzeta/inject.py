@@ -60,12 +60,7 @@ class SkeletonReport:
         return {
             "side": self.side,
             "skeleton": [list(r) for r in self.roots_in_skeleton],
-            "per_root": {
-                "+".join(f"{c}a{i+1}" for i, c in enumerate(root) if c): rep.verdict
-                for (root, rep) in sorted(
-                    ((r, rep) for r, rep in self.per_root.items())
-                )
-            },
+            "per_root": {_root_label(root): rep.verdict for root, rep in sorted(self.per_root.items())},
         }
 
 
@@ -394,10 +389,13 @@ def highest_root_test(m: WeightedModule, budget: int = 200_000) -> Dict:
     }
 
 
+def _root_label(root: Tuple[int, ...]) -> str:
+    """A root in simple-root coordinates as text, e.g. "1a1+1a2"."""
+    return "+".join(f"{c}a{i+1}" for i, c in enumerate(root) if c)
+
+
 def _root_name(ctx: KernelContext, pos: int, side: str) -> str:
-    root = ctx.order.gammas[pos - 1]
-    name = "+".join(f"{c}a{i+1}" for i, c in enumerate(root) if c)
-    return ("f:" if side == "-" else "e:") + name
+    return ("f:" if side == "-" else "e:") + _root_label(ctx.order.gammas[pos - 1])
 
 
 def record_to_line(record: Dict) -> str:

@@ -18,6 +18,12 @@ Four layers, all exact and immutable:
   inverted through its Galois norm (``CycloField``); no ``Fraction``
   arithmetic runs in its product or inverse.
 
+The two residue fields share one layer.  ``_ResidueField`` evaluates
+Laurent polynomials, fractions and localized scalars at zeta, and
+``_ResidueElement`` divides and raises to powers; each field supplies
+only its element type, coercion, product ``_mul`` and inverse ``_inv``.
+Every power, in every layer, is the one square-and-multiply ``_power``.
+
 Quantum integers, factorials and binomials live here as well.
 """
 
@@ -28,6 +34,17 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 QQ = Fraction
+
+
+def _power(x, n: int, one):
+    """x**n for n >= 0 by square-and-multiply, starting from ``one``."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
 
 
 class Laurent:
@@ -130,14 +147,7 @@ class Laurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Laurent":
-        out = Laurent.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, L_ONE)
 
     def shift(self, n: int) -> "Laurent":
         return Laurent(self.lo + n, self.c)
@@ -322,14 +332,8 @@ class QFraction:
 
     def __pow__(self, n: int) -> "QFraction":
         if n < 0:
-            return self.inv() ** (-n)
-        out, base = QFraction.of(1), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return _power(self.inv(), -n, QF_ONE)
+        return _power(self, n, QF_ONE)
 
     def inv(self) -> "QFraction":
         return QFraction(self.den, self.num)
@@ -543,14 +547,34 @@ def cyclotomic_poly(n: int) -> Tuple[int, ...]:
     return tuple(poly)
 
 
-class CycloElement:
+class _ResidueElement:
+    """Division and powers of a residue-field element, through ``ctx``."""
+
+    __slots__ = ("ctx",)
+
+    def __rsub__(self, other):
+        return self.ctx.coerce(other) - self
+
+    def __truediv__(self, other):
+        return self * self.ctx._inv(self.ctx.coerce(other))
+
+    def __rtruediv__(self, other):
+        return self.ctx.coerce(other) / self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return _power(self.ctx.one / self, -n, self.ctx.one)
+        return _power(self, n, self.ctx.one)
+
+
+class CycloElement(_ResidueElement):
     """The element sum(num[i] * zeta**i) / den of Q(zeta_ell), i < deg.
 
     Canonical form: ``den > 0`` and ``gcd(*num, den) == 1`` (zero is the
     zero vector over 1), so ``==`` and ``hash`` compare the integers.
     """
 
-    __slots__ = ("ctx", "num", "den")
+    __slots__ = ("num", "den")
 
     def __init__(self, ctx: "CycloField", num: Tuple[int, ...], den: int = 1):
         self.ctx = ctx
@@ -596,9 +620,6 @@ class CycloElement:
             ad *= bd
         return self.ctx._reduced(num, ad)
 
-    def __rsub__(self, other):
-        return self.ctx.coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, CycloElement):
             return self.ctx._mul(self, other)
@@ -610,25 +631,6 @@ class CycloElement:
         return self.ctx._mul(self, self.ctx.coerce(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self.ctx.coerce(other)
-        return self * self.ctx._inv(other)
-
-    def __rtruediv__(self, other):
-        return self.ctx.coerce(other) / self
-
-    def __pow__(self, n: int):
-        out, base = self.ctx.one, self
-        if n < 0:
-            base = self.ctx.one / base
-            n = -n
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __str__(self):
         names = {0: "", 1: "z"}
@@ -644,7 +646,38 @@ class CycloElement:
     __repr__ = __str__
 
 
-class CycloField:
+class _ResidueField:
+    """Evaluation at zeta; a subclass sets ``_zeta_pows`` = zeta^0 .. zeta^(ell-1)."""
+
+    def zeta_power(self, k: int):
+        return self._zeta_pows[k % self.ell]
+
+    def eval_laurent(self, x: Laurent):
+        out = self.zero
+        for i, c in enumerate(x.c):
+            if c:
+                out = out + self.zeta_power(x.lo + i) * c
+        return out
+
+    def eval_fraction(self, x: QFraction):
+        den = self.eval_laurent(x.den)
+        if not den:
+            raise ZeroDivisionError(f"denominator {x.den} vanishes at zeta in {self.desc}")
+        return self.eval_laurent(x.num) / den
+
+    def eval_localized(self, x: Localized):
+        out = self.eval_laurent(x.num)
+        for k, e in zip(x.s_keys, x.exps):
+            if e:
+                g = self.eval_laurent(s_generator(k))
+                if not g:
+                    raise ZeroDivisionError(f"S-generator q^{k}-q^-{k} vanishes at zeta in {self.desc}")
+                for _ in range(e):
+                    out = out / g
+        return out
+
+
+class CycloField(_ResidueField):
     """Q(zeta) = Q[q] / Phi_ell(q) with zeta the class of q.
 
     An element is an integer vector over one positive denominator
@@ -789,39 +822,12 @@ class CycloField:
             norm = full[0]
         return self._reduced(tuple(a.den * x for x in conj), norm)
 
-    def zeta_power(self, k: int) -> CycloElement:
-        return self._zeta_pows[k % self.ell]
-
-    def eval_laurent(self, x: Laurent) -> CycloElement:
-        out = self.zero
-        for i, c in enumerate(x.c):
-            if c:
-                out = out + self.zeta_power(x.lo + i) * c
-        return out
-
-    def eval_fraction(self, x: QFraction) -> CycloElement:
-        den = self.eval_laurent(x.den)
-        if not den:
-            raise ZeroDivisionError(f"denominator {x.den} vanishes at zeta_{self.ell}")
-        return self.eval_laurent(x.num) / den
-
-    def eval_localized(self, x: Localized) -> CycloElement:
-        out = self.eval_laurent(x.num)
-        for k, e in zip(x.s_keys, x.exps):
-            if e:
-                g = self.eval_laurent(s_generator(k))
-                if not g:
-                    raise ZeroDivisionError(f"S-generator q^{k}-q^-{k} vanishes at zeta_{self.ell}")
-                for _ in range(e):
-                    out = out / g
-        return out
-
     def element_to_text(self, a: CycloElement) -> str:
         return ",".join(str(Fraction(x, a.den)) for x in a.num)
 
 
-class GFElement:
-    __slots__ = ("ctx", "co")
+class GFElement(_ResidueElement):
+    __slots__ = ("co",)
 
     def __init__(self, ctx: "GaloisField", co: Tuple[int, ...]):
         self.ctx = ctx
@@ -852,33 +858,11 @@ class GFElement:
         p = self.ctx.p
         return GFElement(self.ctx, tuple((x - y) % p for x, y in zip(self.co, other.co)))
 
-    def __rsub__(self, other):
-        return self.ctx.coerce(other) - self
-
     def __mul__(self, other):
         other = self.ctx.coerce(other)
         return self.ctx._mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self.ctx.coerce(other)
-        return self * self.ctx._inv(other)
-
-    def __rtruediv__(self, other):
-        return self.ctx.coerce(other) / self
-
-    def __pow__(self, n: int):
-        out, base = self.ctx.one, self
-        if n < 0:
-            base = self.ctx.one / base
-            n = -n
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __str__(self):
         if self.ctx.n == 1:
@@ -917,7 +901,7 @@ def is_prime(n: int) -> bool:
     return n > 1 and _prime_factors(n) == [n]
 
 
-class GaloisField:
+class GaloisField(_ResidueField):
     """F_{p^n} = F_p[x]/(g) containing a distinguished primitive ell-th root.
 
     n is forced to be the multiplicative order of p mod ell; the modulus
@@ -1058,22 +1042,12 @@ class GaloisField:
             eta = GFElement(self, tuple(co))
             if not eta:
                 continue
-            z = self._pow(eta, cof)
+            z = eta ** cof
             if z == self.one:
                 continue
-            if all(self._pow(z, self.ell // r) != self.one for r in primes):
+            if all(z ** (self.ell // r) != self.one for r in primes):
                 return z
         raise RuntimeError("no primitive ell-th root found (unreachable)")
-
-    def _pow(self, a: GFElement, e: int) -> GFElement:
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def coerce(self, x) -> GFElement:
         if isinstance(x, GFElement):
@@ -1112,34 +1086,7 @@ class GaloisField:
             raise ZeroDivisionError(f"division by zero in {self.desc}")
         if self.n == 1:
             return GFElement(self, (pow(a.co[0], -1, self.p),))
-        return self._pow(a, self.p ** self.n - 2)
-
-    def zeta_power(self, k: int) -> GFElement:
-        return self._zeta_pows[k % self.ell]
-
-    def eval_laurent(self, x: Laurent) -> GFElement:
-        out = self.zero
-        for i, c in enumerate(x.c):
-            if c:
-                out = out + self.zeta_power(x.lo + i) * self.coerce(c)
-        return out
-
-    def eval_fraction(self, x: QFraction) -> GFElement:
-        den = self.eval_laurent(x.den)
-        if not den:
-            raise ZeroDivisionError(f"denominator {x.den} vanishes at zeta in {self.desc}")
-        return self.eval_laurent(x.num) / den
-
-    def eval_localized(self, x: Localized) -> GFElement:
-        out = self.eval_laurent(x.num)
-        for k, e in zip(x.s_keys, x.exps):
-            if e:
-                g = self.eval_laurent(s_generator(k))
-                if not g:
-                    raise ZeroDivisionError(f"S-generator q^{k}-q^-{k} vanishes in {self.desc}")
-                for _ in range(e):
-                    out = out / g
-        return out
+        return a ** (self.p ** self.n - 2)
 
     def element_to_text(self, a: GFElement) -> str:
         return ",".join(str(x) for x in a.co)

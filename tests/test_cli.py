@@ -315,6 +315,11 @@ class TestBadInput:
         assert r.returncode == 2 and "error:" in r.stderr, r.stderr
         assert "FALSIFICATION" not in r.stderr
 
+    def test_bad_configuration_is_not_blamed_on_the_cache(self, tmp_path):
+        r = cli("verify", "--type", "A1", "--ell", "3", "--p", "4",
+                "--cache", str(tmp_path / "x.cache"), "--suite", "borel")
+        assert r.returncode == 2 and r.stderr == "error: p = 4 is not a prime\n", r.stderr
+
 
 class TestCorruptCache:
     """Every subcommand that reads a corrupt cache exits 2 with one line."""

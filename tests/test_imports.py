@@ -1,11 +1,15 @@
-"""Every import in ``src/uzeta`` is read by the module that makes it."""
+"""Every import in ``src/uzeta`` is read by the module that makes it, and
+every definition there is named somewhere outside its own ``def`` line."""
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "uzeta"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "uzeta"
 
 
 def _imported_names(tree):
@@ -43,3 +47,28 @@ def test_no_unused_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported_names(tree)) - _read_names(tree))
     assert not unused, f"{path.name} imports {unused} and never reads them"
+
+
+def _definitions(tree):
+    """(name, line) of every function, method and class, dunders left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno
+
+
+def test_no_dead_definition():
+    # a name counts as used wherever it appears as a word, strings included:
+    # uzbench wraps some methods by their dotted names
+    words = Counter()
+    for folder in ("src", "tests", "uzbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            words.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    defs = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs += [(path.name, name, line) for name, line in _definitions(tree)]
+    # each def line names its own definition once; that is not a use
+    words.subtract(name for _, name, _ in defs)
+    dead = [f"{f}:{line} {name}" for f, name, line in defs if words[name] <= 0]
+    assert not dead, f"defined and never named elsewhere: {dead}"

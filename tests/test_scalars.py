@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uzeta.scalars import (
+    QF_ONE,
     CycloField,
     GFElement,
     GaloisField,
@@ -407,3 +408,78 @@ class TestUnitProducts:
             inv = F._inv(u)
             assert u * inv == F.one and inv * u == F.one
             assert _convolution(F, u, inv) == F.one
+
+
+def _schoolbook_mod(G, a, b):
+    """a * b in F_p[x]/(g), g = G.modulus monic: full product, then long division."""
+    n, g = G.n, G.modulus
+    buf = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            buf[i + j] += x * y
+    for k in reversed(range(n, 2 * n - 1)):
+        c = buf[k]
+        for i, y in enumerate(g):
+            buf[k - n + i] -= c * y
+    return tuple(x % G.p for x in buf[:n])
+
+
+class TestResidueLayer:
+    """The square-and-multiply, division and evaluation both fields share."""
+
+    @pytest.mark.parametrize("p,ell,n", [(2, 7, 3), (3, 5, 4)])
+    def test_extension_products(self, p, ell, n):
+        G = GaloisField(p, ell)
+        assert G.n == n and len(G.modulus) == n + 1
+        rng = random.Random(p * ell)
+        for _ in range(400):
+            a, b = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
+            assert (GFElement(G, a) * GFElement(G, b)).co == _schoolbook_mod(G, a, b)
+
+    @pytest.mark.parametrize("p,ell", [(2, 7), (3, 5)])
+    def test_extension_powers(self, p, ell):
+        G = GaloisField(p, ell)
+        rng = random.Random(ell)
+        for _ in range(40):
+            x = GFElement(G, tuple(rng.randrange(p) for _ in range(G.n)))
+            if not x:
+                continue
+            assert x ** (p ** G.n - 1) == G.one
+            want = G.one
+            for k in range(9):
+                assert x ** k == want and x ** -k == (1 / x) ** k
+                want = want * x
+        orders = [j for j in range(1, ell + 1) if G.zeta ** j == G.one]
+        assert orders == [ell]
+
+    @pytest.mark.parametrize(
+        "field", [CycloField(3), GaloisField(7, 3), CycloField(5), GaloisField(3, 5)], ids=lambda f: f.desc
+    )
+    def test_vanishing_at_zeta_raises(self, field):
+        ell = field.ell
+        with pytest.raises(ZeroDivisionError, match="vanishes") as e:
+            field.eval_fraction(QFraction(L_ONE, q_int(ell)))
+        assert field.desc in str(e.value)
+        with pytest.raises(ZeroDivisionError, match="vanishes") as e:
+            field.eval_localized(Localized(L_ONE, (ell,), (1,)))
+        assert field.desc in str(e.value)
+
+    def test_laurent_power(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            x = Laurent(rng.randint(-2, 2), tuple(QQ(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)))
+            want = L_ONE
+            for n in range(7):
+                assert x ** n == want
+                want = want * x
+
+    def test_qfraction_power(self):
+        rng = random.Random(12)
+        for _ in range(15):
+            num, den = (Laurent(rng.randint(-1, 1), (QQ(rng.randint(1, 3)), QQ(rng.randint(-2, 2)))) for _ in range(2))
+            x = QFraction(num, den)
+            inv = QF_ONE / x
+            up = down = QF_ONE
+            for n in range(5):
+                assert x ** n == up and x ** -n == down
+                up, down = up * x, down * inv
