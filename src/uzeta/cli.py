@@ -51,7 +51,7 @@ class RunConfig:
     p: Optional[int] = None
     r: int = 0
     w0: Optional[Tuple[int, ...]] = None
-    budget: int = 200_000
+    budget: int = inject.DEFAULT_BUDGET
     strict: bool = True
     jobs: int = 1
     long_running: bool = False
@@ -325,80 +325,76 @@ def default_manifest(cfg: RunConfig) -> List[Dict]:
 
 
 def load_manifest(path: str) -> List[Dict]:
+    """Cases of a manifest: one JSON object with a "spec" string per line;
+    an unreadable file or a malformed line is a ConfigError."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read manifest {path}: {e}") from e
     out = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if ln and not ln.startswith("#"):
-                out.append(json.loads(ln))
+    for n, ln in enumerate(lines, 1):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        try:
+            case = json.loads(ln)
+        except ValueError as e:
+            raise ConfigError(f"manifest {path}: line {n} is not JSON: {e}") from e
+        if not isinstance(case, dict) or not isinstance(case.get("spec"), str):
+            raise ConfigError(f'manifest {path}: line {n} has no "spec" string')
+        out.append(case)
     return out
 
 
 # ---------------------------------------------------------------------------
 # verification driver
 
-# the suites run on each manifest spec, then the rest, in ``--suite all`` order
-MODULE_SUITES = ("rootcrit", "borel", "reduction", "highest", "filtration")
-SUITES = MODULE_SUITES + ("integrals", "zdual", "betti")
+def checked_module(ctx: KernelContext, spec: str) -> qmodules.WeightedModule:
+    """The module of a spec text, realized and checked once per context; it
+    stays in ``ctx.realized`` with the split verdicts it keeps."""
+    m = ctx.realized.get(spec)
+    if m is None:
+        m = qmodules.realize_text(ctx, spec)
+        m.check()
+        ctx.realized[spec] = m
+    return m
 
 
-def _cfg_record(cfg: RunConfig) -> Dict:
-    return {
-        "type": cfg.type_label,
-        "ell": cfg.ell,
-        "p": cfg.p,
-        "r": cfg.r,
-        "w0": list(cfg.word()),
-    }
+def _highest(m: qmodules.WeightedModule, budget: int) -> Dict:
+    if "big" not in m.flags:
+        return {"skipped": True, "reason": "no full lift", "agree": True}
+    return inject.highest_root_test(m, budget)
+
+
+def _filtration(m: qmodules.WeightedModule, budget: int) -> Dict:
+    borel_plus = inject.projective_split_test(m, "u+", budget)
+    passes = qmodules.verma_character_test(m)
+    return {"oracle": borel_plus, "character_test": passes, "agree": (not borel_plus) or passes}
+
+
+# suite -> (its test of one module, whether its oracle is the big-algebra
+# verdict, which a case's expected injectivity refers to); the suites run on
+# each manifest spec, then the rest, in ``--suite all`` order
+MODULE_SUITES = {
+    "rootcrit": (inject.verify_root_criterion, True),
+    "borel": (inject.verify_borel_criterion, False),
+    "reduction": (inject.verify_reduction_borel, True),
+    "highest": (_highest, True),
+    "filtration": (_filtration, False),
+}
+SUITES = tuple(MODULE_SUITES) + ("integrals", "zdual", "betti")
 
 
 def run_case(cfg: RunConfig, suite: str, spec: str, expect) -> Dict:
-    """Record of one suite on one module spec.
-
-    A spec is realized and checked once per context; the suites then
-    share the module and the split verdicts it keeps.
-    """
+    """Record of one suite on one module spec, without the configuration."""
+    test, big_oracle = MODULE_SUITES[suite]
     ctx = make_context(cfg)
     t0 = time.monotonic()
     record = {"case": f"{suite}:{spec}", "suite": suite, "spec": spec}
-    record.update(_cfg_record(cfg))
     try:
-        m = ctx.realized.get(spec)
-        if m is None:
-            m = qmodules.realize_text(ctx, spec)
-            m.check()
-            ctx.realized[spec] = m
-        if suite == "rootcrit":
-            record.update(inject.verify_root_criterion(m, cfg.budget))
-        elif suite == "borel":
-            record.update(inject.verify_borel_criterion(m, cfg.budget))
-        elif suite == "reduction":
-            record.update(inject.verify_reduction_borel(m, cfg.budget))
-        elif suite == "highest":
-            if "big" not in m.flags:
-                record.update(
-                    {"skipped": True, "reason": "no full lift", "agree": True}
-                )
-            else:
-                record.update(inject.highest_root_test(m, cfg.budget))
-        elif suite == "filtration":
-            borel_plus = inject.projective_split_test(m, "u+", cfg.budget)
-            passes = qmodules.verma_character_test(m)
-            record.update(
-                {
-                    "oracle": borel_plus,
-                    "character_test": passes,
-                    "agree": (not borel_plus) or passes,
-                }
-            )
-        else:
-            raise ConfigError(f"unknown suite {suite!r}")
-        # expected injectivity refers to the big-algebra verdict only
-        if (
-            expect is not None
-            and suite in ("rootcrit", "reduction", "highest")
-            and "oracle" in record
-        ):
+        record.update(test(checked_module(ctx, spec), cfg.budget))
+        if expect is not None and big_oracle and "oracle" in record:
             record["expected"] = expect
             record["agree"] = record["agree"] and (record["oracle"] == expect)
     except inject.BudgetExceeded as e:
@@ -414,12 +410,13 @@ def _pool_case(args):
 
 
 def run_suites(cfg: RunConfig, suites: Sequence[str], manifest: List[Dict]) -> List[Dict]:
-    module_suites = [s for s in suites if s in MODULE_SUITES]
+    """Records of the suites over the manifest, each with its configuration."""
     records: List[Dict] = []
     tasks = []
-    for suite in module_suites:
-        for case in manifest:
-            tasks.append((suite, case["spec"], case.get("expect_injective")))
+    for suite in suites:
+        if suite in MODULE_SUITES:
+            for case in manifest:
+                tasks.append((suite, case["spec"], case.get("expect_injective")))
     if cfg.jobs > 1 and tasks:
         one_job = replace(cfg, jobs=1)
         # imported here: it costs every process memory and start-up time
@@ -436,6 +433,8 @@ def run_suites(cfg: RunConfig, suites: Sequence[str], manifest: List[Dict]) -> L
         records.append(run_betti(cfg))
     if "zdual" in suites:
         records.extend(run_zdual(cfg))
+    for rec in records:
+        rec.update(type=cfg.type_label, ell=cfg.ell, p=cfg.p, r=cfg.r, w0=list(cfg.word()))
     records.sort(key=lambda r: r["case"])
     return records
 
@@ -456,14 +455,18 @@ def run_integrals(cfg: RunConfig) -> List[Dict]:
             "normal_in_next": normal,
             "agree": dim == 1 and spans and normal,
         }
-        rec.update(_cfg_record(cfg))
         out.append(rec)
     return out
 
 
+def betti_degree(type_label: str) -> int:
+    """Top cohomological degree of a Betti table when none is asked for."""
+    return 6 if type_label == "A1" else 4
+
+
 def run_betti(cfg: RunConfig) -> Dict:
     ctx = make_context(cfg)
-    n_max = 6 if cfg.type_label == "A1" else 4
+    n_max = betti_degree(cfg.type_label)
     dims = cohomlite.borel_cohomology_dims(ctx, "plus", n_max)
     n_pos = ctx.n
     want = [
@@ -480,7 +483,6 @@ def run_betti(cfg: RunConfig) -> Dict:
         # (the symmetric-algebra description needs ell strictly above it)
         "ell_equals_coxeter": cfg.ell == COXETER_NUMBER[cfg.type_label],
     }
-    rec.update(_cfg_record(cfg))
     return rec
 
 
@@ -507,7 +509,6 @@ def run_zdual(cfg: RunConfig) -> List[Dict]:
             "dual_coverma_matches": rep["dual_coverma"],
             "agree": ok,
         }
-        rec.update(_cfg_record(cfg))
         out.append(rec)
     stable = resolved == {True}
     rec = {
@@ -517,7 +518,6 @@ def run_zdual(cfg: RunConfig) -> List[Dict]:
         "stable_across_lambda": stable,
         "agree": stable,
     }
-    rec.update(_cfg_record(cfg))
     out.append(rec)
     return out
 
@@ -526,9 +526,7 @@ def run_zdual(cfg: RunConfig) -> List[Dict]:
 # command implementations
 
 
-def cmd_build(args) -> int:
-    cfg = _config_from(args)
-    cfg.banner(sys.stdout)
+def cmd_build(args, cfg: RunConfig) -> int:
     path = args.out or f"{cfg.type_label.lower()}-structure.cache"
     write_cache(cfg, path)
     meta, data = read_cache(path)
@@ -553,9 +551,7 @@ def cmd_cache_info(args) -> int:
     return 0
 
 
-def cmd_relations(args) -> int:
-    cfg = _config_from(args)
-    cfg.banner(sys.stdout)
+def cmd_relations(args, cfg: RunConfig) -> int:
     i, j = args.i, args.j
     order = convex_order(cfg.type_label, cfg.word())
     if not (1 <= i < j <= order.datum.n_positive):
@@ -579,12 +575,9 @@ def cmd_relations(args) -> int:
     return 0
 
 
-def cmd_module(args) -> int:
-    cfg = _config_from(args)
-    cfg.banner(sys.stdout)
+def cmd_module(args, cfg: RunConfig) -> int:
     ctx = make_context(cfg)
-    m = qmodules.realize_text(ctx, args.spec)
-    m.check()
+    m = checked_module(ctx, args.spec)
     lines = [f"dim {m.dim}"]
     lines.append("weights " + ";".join(",".join(str(x) for x in w) for w in m.weights))
     lines.append("flags " + ",".join(sorted(m.flags)))
@@ -610,23 +603,18 @@ def cmd_module(args) -> int:
     return 0
 
 
-def cmd_skeleton(args) -> int:
-    cfg = _config_from(args)
-    cfg.banner(sys.stdout)
-    ctx = make_context(cfg)
-    m = qmodules.realize_text(ctx, args.spec)
-    m.check()
+def cmd_skeleton(args, cfg: RunConfig) -> int:
+    m = checked_module(make_context(cfg), args.spec)
     rep = inject.support_skeleton(m, "minus" if args.side == "-" else "plus")
     print(json.dumps(rep.as_record(), sort_keys=True))
     return 0
 
 
-def cmd_betti(args) -> int:
-    cfg = _config_from(args)
-    cfg.banner(sys.stdout)
+def cmd_betti(args, cfg: RunConfig) -> int:
     ctx = make_context(cfg)
     kind = "u+" if args.side == "+" else "u-"
-    res = cohomlite.minimal_resolution(ctx, kind, args.nmax)
+    nmax = betti_degree(cfg.type_label) if args.nmax is None else args.nmax
+    res = cohomlite.minimal_resolution(ctx, kind, nmax)
     dims = [
         sum(1 for w in ws if cohomlite.weight_has_trivial_character(ctx, w))
         for ws in res.degrees
@@ -650,9 +638,7 @@ def cmd_betti(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _config_from(args)
-    cfg.banner(sys.stdout)
+def cmd_verify(args, cfg: RunConfig) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     if args.manifest:
         manifest = load_manifest(args.manifest)
@@ -689,18 +675,18 @@ def cmd_verify(args) -> int:
 
 
 def _config_from(args) -> RunConfig:
-    w0 = tuple(int(x) for x in args.w0.split(",")) if getattr(args, "w0", None) else None
+    w0 = tuple(int(x) for x in args.w0.split(",")) if args.w0 else None
+    # only verify takes --budget, --jobs and --timing
+    knobs = {k: v for k, v in vars(args).items() if k in ("budget", "jobs", "timing")}
     return RunConfig(
         type_label=args.type,
         ell=args.ell,
         p=args.p,
         r=args.r,
         w0=w0,
-        budget=args.budget,
         strict=not args.permissive,
-        jobs=getattr(args, "jobs", 1),
-        long_running=getattr(args, "long_running", False),
-        timing=getattr(args, "timing", False),
+        long_running=args.long_running,
+        **knobs,
     )
 
 
@@ -710,11 +696,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--w0", default=None, help="comma-separated reduced word for w0")
-    p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--permissive", action="store_true")
     p.add_argument("--long-running", action="store_true", dest="long_running")
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -756,6 +739,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--manifest", default=None)
     p.add_argument("--cache", default=None)
     p.add_argument("--out", default=None)
+    p.add_argument("--budget", type=int, default=inject.DEFAULT_BUDGET)
+    p.add_argument("--timing", action="store_true")
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("skeleton", help="support skeleton of a module")
@@ -772,10 +758,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(func=cmd_betti)
 
     args = parser.parse_args(argv)
-    if getattr(args, "nmax", 0) is None:
-        args.nmax = 6 if args.type == "A1" else 4
     try:
-        return args.func(args)
+        if args.func is cmd_cache_info:
+            return cmd_cache_info(args)
+        cfg = _config_from(args)
+        cfg.banner(sys.stdout)
+        return args.func(args, cfg)
     except (ConfigError, qmodules.SpecSyntaxError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .kernelalg import KernelContext
 from .linalg import Eliminator, LinearSystem, Vec, close_span, vec_add_term
 from .qmodules import WeightedModule
 
 Weight = Tuple[int, ...]
+
+# largest algebra dim x module dim a split test takes on
+DEFAULT_BUDGET = 200_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -164,7 +167,7 @@ def _greedy_generators(m: WeightedModule, mats, order: Iterable[int]) -> List[in
     return gens
 
 
-def projective_split_test(m: WeightedModule, kind: str, budget: int = 200_000) -> bool:
+def projective_split_test(m: WeightedModule, kind: str, budget: int = DEFAULT_BUDGET) -> bool:
     """Existence of a splitting of a projective cover over the algebra kind.
 
     Every kind that ``parse_kind`` accepts is handled; ``AlgebraKind``
@@ -294,17 +297,21 @@ def support_skeleton(m: WeightedModule, side: str) -> SkeletonReport:
     return SkeletonReport(side, sorted(skeleton), per_root)
 
 
-def verify_root_criterion(m: WeightedModule, budget: int = 200_000) -> Dict:
-    """Per-root freeness on both sides against the big-algebra oracle."""
+def _per_root(m: WeightedModule, sides: Sequence[str]) -> Tuple[Dict[str, bool], bool]:
+    """Freeness over each root subalgebra, side by side and positions
+    1..n within a side, by root name; and whether every one is free."""
     ctx = m.ctx
-    all_free = True
-    per_root: Dict[str, bool] = {}
-    for side in ("-", "+"):
-        for pos in range(1, ctx.n + 1):
-            rep = free_over_root(m, pos, side)
-            name = _root_name(ctx, pos, side)
-            per_root[name] = rep.verdict
-            all_free = all_free and rep.verdict
+    per_root = {
+        _root_name(ctx, pos, side): free_over_root(m, pos, side).verdict
+        for side in sides
+        for pos in range(1, ctx.n + 1)
+    }
+    return per_root, all(per_root.values())
+
+
+def verify_root_criterion(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> Dict:
+    """Per-root freeness on both sides against the big-algebra oracle."""
+    per_root, all_free = _per_root(m, ("-", "+"))
     oracle = projective_split_test(m, "g", budget)
     if oracle and not all_free:
         # unconditional direction: injective over the big algebra forces
@@ -320,7 +327,7 @@ def verify_root_criterion(m: WeightedModule, budget: int = 200_000) -> Dict:
     }
 
 
-def verify_borel_criterion(m: WeightedModule, budget: int = 200_000) -> Dict:
+def verify_borel_criterion(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> Dict:
     """Positive-root freeness against the unipotent split oracle.
 
     Over a torus-graded module the Borel oracle is the same question:
@@ -332,13 +339,7 @@ def verify_borel_criterion(m: WeightedModule, budget: int = 200_000) -> Dict:
     construction.  Only the budget's algebra dimension differs, so only
     the u- test runs.
     """
-    ctx = m.ctx
-    per_root = {}
-    all_free = True
-    for pos in range(1, ctx.n + 1):
-        rep = free_over_root(m, pos, "-")
-        per_root[_root_name(ctx, pos, "-")] = rep.verdict
-        all_free = all_free and rep.verdict
+    per_root, all_free = _per_root(m, ("-",))
     oracle = projective_split_test(m, "u-", budget)
     return {
         "suite": "borel",
@@ -350,7 +351,7 @@ def verify_borel_criterion(m: WeightedModule, budget: int = 200_000) -> Dict:
     }
 
 
-def verify_reduction_borel(m: WeightedModule, budget: int = 200_000) -> Dict:
+def verify_reduction_borel(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> Dict:
     """Pair of Borel verdicts against the big-algebra verdict."""
     minus = projective_split_test(m, "u-", budget)
     plus = projective_split_test(m, "u+", budget)
@@ -365,7 +366,7 @@ def verify_reduction_borel(m: WeightedModule, budget: int = 200_000) -> Dict:
     }
 
 
-def highest_root_test(m: WeightedModule, budget: int = 200_000) -> Dict:
+def highest_root_test(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> Dict:
     """Single-root detection at the highest root, plus skeleton closure.
 
     Only meaningful for modules restricting from the full quantized

@@ -138,7 +138,7 @@ class KernelContext:
         self._algebras: Dict[str, "KernelAlgebra"] = {}
         self._cover_keys: Dict[str, Tuple] = {}
         self._serre: Optional[Tuple] = None
-        # checked modules by spec text, filled by cli.run_case
+        # checked modules by spec text, filled by cli.checked_module
         self.realized: Dict[str, object] = {}
 
     # -- scalar helpers --------------------------------------------------

@@ -5,9 +5,11 @@ import sys
 import pytest
 
 from uzeta.cli import (
+    SUITES,
     ConfigError,
     RunConfig,
     default_manifest,
+    load_manifest,
     main,
     make_context,
     read_cache,
@@ -286,6 +288,13 @@ class TestVerify:
         run_case(cached, "reduction", spec, None)
         assert len(realized) == n + 1
 
+    def test_every_record_carries_its_configuration(self):
+        cfg = RunConfig("A1", 3, p=7)
+        recs = run_suites(cfg, SUITES, [{"spec": "simple(2)", "expect_injective": True}])
+        assert {r["suite"] for r in recs} == set(SUITES)
+        for rec in recs:
+            assert (rec["type"], rec["ell"], rec["p"], rec["r"], rec["w0"]) == ("A1", 3, 7, 0, [1]), rec
+
     def test_case_order_does_not_change_records(self):
         # warm straightening caches of a shared context must not leak into
         # a verdict: every record is the same in either order
@@ -307,13 +316,59 @@ class TestBadInput:
             ("skeleton", "--type", "A2", "--ell", "3", "--p", "7", "--r", "1", "trivial"),
             ("verify", "--type", "A1", "--ell", "3", "--p", "25", "--suite", "rootcrit"),
             ("verify", "--type", "A1", "--ell", "5", "--p", "9", "--suite", "rootcrit"),
+            ("module", "--type", "A1", "--ell", "3", "verma(-)"),
+            ("module", "--type", "A1", "--ell", "3", "randsub(verma(1),-)"),
+            # weights that a constructor refuses
+            ("module", "--type", "A1", "--ell", "3", "onedim(1)"),
+            ("module", "--type", "A1", "--ell", "3", "twist(verma(1),1)"),
+            ("module", "--type", "A1", "--ell", "3", "simple(7)"),
         ],
-        ids=["r2", "a2-r1", "p25", "p9"],
+        ids=["r2", "a2-r1", "p25", "p9", "lone-minus", "lone-minus-seed",
+             "onedim-weight", "twist-weight", "simple-weight"],
     )
     def test_exits_with_config_error(self, args):
         r = cli(*args)
-        assert r.returncode == 2 and "error:" in r.stderr, r.stderr
+        assert r.returncode == 2 and r.stderr.startswith("error:"), r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
         assert "FALSIFICATION" not in r.stderr
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, "cannot read manifest"),
+            ('{"spec": "trivial"}\nnot json\n', "line 2 is not JSON"),
+            ('# a comment\n{"expect_injective": false}\n', 'line 2 has no "spec"'),
+        ],
+        ids=["missing", "not-json", "no-spec"],
+    )
+    def test_malformed_manifest(self, tmp_path, text, message):
+        path = tmp_path / "cases.jsonl"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_manifest(str(path))
+        r = cli("verify", "--type", "A1", "--ell", "3", "--suite", "borel", "--manifest", str(path))
+        assert r.returncode == 2 and r.stderr.startswith("error:"), r.stderr
+        assert len(r.stderr.splitlines()) == 1 and message in r.stderr, r.stderr
+
+    def test_refused_weight_in_a_manifest(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        path.write_text('{"spec": "trivial"}\n{"spec": "twist(verma(1),1)"}\n')
+        r = cli("verify", "--type", "A1", "--ell", "3", "--suite", "borel", "--manifest", str(path))
+        assert r.returncode == 2 and r.stderr == "error: twist weight (1,) is not in 3X\n", r.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("build", "--jobs", "7"),
+            ("module", "--budget", "1", "trivial"),
+            ("betti", "--timing"),
+        ],
+        ids=["build-jobs", "module-budget", "betti-timing"],
+    )
+    def test_verify_options_only_on_verify(self, args):
+        r = cli(*args)
+        assert r.returncode == 2 and "unrecognized arguments" in r.stderr, r.stderr
 
     def test_bad_configuration_is_not_blamed_on_the_cache(self, tmp_path):
         r = cli("verify", "--type", "A1", "--ell", "3", "--p", "4",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uzeta.qmodules import (
+    CONSTRUCTORS,
     ModuleCheckError,
     SpecSyntaxError,
     am_weight_basis,
@@ -216,26 +217,36 @@ class TestSubQuot:
         assert "big" not in s.flags and "torus" in s.flags
 
 
+# one spec text per constructor head, at A1 ell = 3
+SPEC_TEXTS = [
+    "trivial",
+    "onedim(3)",
+    "verma(2)",
+    "coverma(0)",
+    "simple(1)",
+    "dual(simple(2))",
+    "tensor(simple(2),dual(simple(2)))",
+    "sum(verma(0),simple(1))",
+    "twist(verma(1),3)",
+    "randsub(verma(1),42)",
+    "quot(sum(verma(0),simple(1)),7)",
+]
+
+
 class TestSpecDSL:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "trivial",
-            "verma(2)",
-            "coverma(0)",
-            "simple(1)",
-            "dual(simple(2))",
-            "tensor(simple(2),dual(simple(2)))",
-            "sum(verma(0),simple(1))",
-            "twist(verma(1),3)",
-            "randsub(verma(1),42)",
-            "quot(sum(verma(0),simple(1)),7)",
-        ],
-    )
+    @pytest.mark.parametrize("text", SPEC_TEXTS)
     def test_roundtrip(self, ctxmaker, text):
         spec = parse_module_spec(text, 1)
         assert str(spec) == text
         realize(ctxmaker("A1", 3), spec).check()
+
+    def test_every_constructor_round_trips(self, ctxmaker):
+        # the table, the printer and each constructor's label agree
+        specs = [parse_module_spec(text, 1) for text in SPEC_TEXTS]
+        assert sorted(spec.head for spec in specs) == sorted(CONSTRUCTORS)
+        ctx = ctxmaker("A1", 3)
+        for spec in specs:
+            assert realize(ctx, spec).label == str(spec)
 
     def test_rank_two_weights(self, ctxmaker):
         m = realize_text(ctxmaker("A2", 3), "verma(1,2)")
@@ -250,6 +261,11 @@ class TestSpecDSL:
             parse_module_spec("verma(1,2)", 1)
         with pytest.raises(SpecSyntaxError):
             parse_module_spec("verma(1)x", 1)
+        # a sign with no digits is no integer
+        with pytest.raises(SpecSyntaxError, match="expected integer at position 7"):
+            parse_module_spec("verma(-)", 1)
+        with pytest.raises(SpecSyntaxError, match="expected integer"):
+            parse_module_spec("randsub(verma(1),-)", 1)
 
     def test_twist_needs_invisible_weight(self, ctxmaker):
         ctx = ctxmaker("A1", 3)
