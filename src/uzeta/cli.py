@@ -368,7 +368,7 @@ def _highest(m: qmodules.WeightedModule, budget: int) -> Dict:
 
 
 def _filtration(m: qmodules.WeightedModule, budget: int) -> Dict:
-    borel_plus = inject.projective_split_test(m, "u+", budget)
+    borel_plus = inject.projective(m, "u+", budget)
     passes = qmodules.verma_character_test(m)
     return {"oracle": borel_plus, "character_test": passes, "agree": (not borel_plus) or passes}
 
@@ -675,7 +675,13 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def _config_from(args) -> RunConfig:
-    w0 = tuple(int(x) for x in args.w0.split(",")) if args.w0 else None
+    w0 = None
+    if args.w0:
+        try:
+            w0 = tuple(int(x) for x in args.w0.split(","))
+            convex_order(args.type, w0)  # raises unless w0 is a reduced word of the longest element
+        except ValueError as e:
+            raise ConfigError(f"--w0 {args.w0}: {e}") from e
     # only verify takes --budget, --jobs and --timing
     knobs = {k: v for k, v in vars(args).items() if k in ("budget", "jobs", "timing")}
     return RunConfig(
@@ -762,6 +768,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.func is cmd_cache_info:
             return cmd_cache_info(args)
         cfg = _config_from(args)
+        out = getattr(args, "out", None)
+        if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise ConfigError(f"cannot write {out}: its directory does not exist")
         cfg.banner(sys.stdout)
         return args.func(args, cfg)
     except (ConfigError, qmodules.SpecSyntaxError) as e:

@@ -9,9 +9,9 @@ normalization (the grading/relation checker enforces it).
 
 Construction of simple heads uses the contravariant pairing against the
 transpose twist sigma with sigma(E) = F, sigma(F) = E, sigma(K) = K;
-the resulting radical quotient is certified after the fact (nondegenerate
-induced pairing, one-dimensional highest weight line, cyclicity from
-every spanning weight vector).
+the resulting radical quotient is certified after the fact: its highest
+weight line is one-dimensional, spans the vectors that u+ kills, and
+generates it.
 """
 
 from __future__ import annotations
@@ -561,14 +561,24 @@ def simple_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
 
 
 def _certify_simple(m: WeightedModule, lam: Weight) -> None:
+    """M is simple: its highest weight line is one-dimensional, the joint
+    kernel of the u+ generators is that line, and one vector of it
+    generates M.
+
+    The augmentation ideal of u+ is nilpotent, so every nonzero submodule
+    N holds a nonzero vector that every u+ generator kills (E^{(ell)} too,
+    at r = 1).  By the second check it is a multiple of v_lam, and by the
+    third N is then all of M.
+    """
     top = [i for i, w in enumerate(m.weights) if w == tuple(lam)]
     if len(top) != 1:
         raise ModuleCheckError(f"{m.label}: highest weight line has dim {len(top)}")
-    full_dim = m.dim
-    for i in range(m.dim):
-        rows = cyclic_span(m, [{i: m.ctx.field.one}])
-        if len(rows) != full_dim:
-            raise ModuleCheckError(f"{m.label}: basis vector {i} fails to generate")
+    primitive = joint_kernel(m, m.ctx.algebra_kind("u+").generators)
+    # a kernel vector lies in one weight space
+    if len(primitive) != 1 or top[0] not in primitive[0]:
+        raise ModuleCheckError(f"{m.label}: the vectors u+ kills are not the highest weight line")
+    if len(cyclic_span(m, [{top[0]: m.ctx.field.one}])) != m.dim:
+        raise ModuleCheckError(f"{m.label}: the highest weight vector fails to generate")
 
 
 # --------------------------------------------------------------------------
@@ -724,31 +734,24 @@ def verma_character_test(m: WeightedModule) -> bool:
     return True
 
 
-def socle_over_unipotent(m: WeightedModule) -> List[Vec]:
-    """Joint kernel of the negative generators (socle over the F side)."""
-    ctx = m.ctx
-    cols = []
-    gens = [g for g in m.generator_kinds() if g[0].startswith("F")]
-    for i in range(m.dim):
-        col: Vec = {}
-        for g in gens:
-            for row, c in m.act_gen(g, {i: ctx.field.one}).items():
-                col[(g, row)] = c
-        cols.append((i, col))
-    return kernel_basis(cols, one=ctx.field.one)
+def joint_kernel(m: WeightedModule, gens: Sequence[GenKey]) -> List[Vec]:
+    """Basis of the vectors of M that every generator in gens kills.
 
-
-def head_over_unipotent(m: WeightedModule) -> List[Weight]:
-    """Weights of M / (sum of F-generator images)."""
-    ctx = m.ctx
-    elim = Eliminator()
-    gens = [g for g in m.generator_kinds() if g[0].startswith("F")]
-    for g in gens:
-        for i in range(m.dim):
-            img = m.act_gen(g, {i: ctx.field.one})
-            if img:
-                elim.add(img)
-    return [m.weights[i] for i in range(m.dim) if i not in elim.pivots]
+    Each generator moves weights by a fixed amount, so the joint kernel is
+    the sum of its pieces in the weight spaces; it is computed one weight
+    space at a time, in the order the weights first occur.  Over the F (E)
+    generators of u- (u+) it is the socle of M over that algebra.
+    """
+    mats = [m.generator_matrix(g) for g in gens]
+    blocks: Dict[Weight, List[int]] = {}
+    for i, lam in enumerate(m.weights):
+        blocks.setdefault(lam, []).append(i)
+    out: List[Vec] = []
+    for idxs in blocks.values():
+        cols = [(i, {(t, row): c for t, mat in enumerate(mats) for row, c in mat.get(i, {}).items()})
+                for i in idxs]
+        out.extend(kernel_basis(cols, one=m.ctx.field.one))
+    return out
 
 
 def am_weight_basis(m: WeightedModule, level: int) -> Optional[List[Vec]]:

@@ -322,9 +322,18 @@ class TestBadInput:
             ("module", "--type", "A1", "--ell", "3", "onedim(1)"),
             ("module", "--type", "A1", "--ell", "3", "twist(verma(1),1)"),
             ("module", "--type", "A1", "--ell", "3", "simple(7)"),
+            # a --w0 that is not a word, or not a reduced word for w0
+            ("skeleton", "--w0", "a,b", "trivial"),
+            ("skeleton", "--type", "A2", "--w0", "1,1,1", "trivial"),
+            # --out into a directory that does not exist
+            ("module", "verma(1)", "--out", "/nonexistent/x"),
+            ("verify", "--suite", "borel", "--out", "/nonexistent/x"),
+            ("betti", "--nmax", "1", "--out", "/nonexistent/x"),
+            ("build", "--out", "/nonexistent/x"),
         ],
         ids=["r2", "a2-r1", "p25", "p9", "lone-minus", "lone-minus-seed",
-             "onedim-weight", "twist-weight", "simple-weight"],
+             "onedim-weight", "twist-weight", "simple-weight", "w0-letters",
+             "w0-not-reduced", "module-out", "verify-out", "betti-out", "build-out"],
     )
     def test_exits_with_config_error(self, args):
         r = cli(*args)

@@ -6,6 +6,7 @@ from uzeta.inject import (
     free_over_root,
     highest_root_test,
     module_generators,
+    projective,
     projective_split_test,
     record_to_line,
     support_skeleton,
@@ -94,6 +95,56 @@ class TestLocalFreeness:
             simple_module(ctx, (20,)),
         ]
         self._cross_validate(corpus, ["Am:1", "root:1:-", "root:1:+"])
+
+
+def _panel_specs(label, ell, p, r):
+    """Specs of the default manifest at seed 0 and at the benchmark's panel
+    seeds (randsub and quot reseeded as the benchmark does), each once."""
+    import os
+    import sys
+
+    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "uzbench")
+    if here not in sys.path:
+        sys.path.insert(0, here)
+    from workloads import WORKLOADS, Workload, manifest
+
+    seeds = sorted({0, *range(max(w.panel for w in WORKLOADS.values()))})
+    workload = Workload("agreement", label, ell, ("borel",), p=p, r=r)
+    return list(dict.fromkeys(case["spec"] for seed in seeds for case in manifest(workload, seed)))
+
+
+class TestSocleCount:
+    @pytest.mark.parametrize(
+        "label,ell,p,r",
+        [("A1", 3, None, 0), ("A1", 5, None, 0), ("A2", 3, None, 0), ("A1", 3, 7, 1)],
+        ids=["A1-l3", "A1-l5", "A2-l3", "A1-l3-p7-r1"],
+    )
+    def test_agrees_with_split_test_and_top_count(self, ctxmaker, label, ell, p, r):
+        # three routes per local kind: the socle count, the cover splitting
+        # and the Nakayama top count; fresh modules for the split test,
+        # since a module keeps its split verdicts
+        from uzeta.qmodules import realize_text
+
+        ctx = ctxmaker(label, ell, p=p, r=r)
+        kinds = ("u-", "u+", "root:1:-", "root:1:+", "Am:1")
+        verdicts = {kind: set() for kind in kinds}
+        for spec in _panel_specs(label, ell, p, r):
+            m, fresh = realize_text(ctx, spec), realize_text(ctx, spec)
+            for kind in kinds:
+                count = projective(m, kind)
+                assert count == projective_split_test(fresh, kind, budget=10**7), (spec, kind)
+                assert count == free_over_local(m, kind).verdict, (spec, kind)
+                verdicts[kind].add(count)
+        # every count reads both verdicts somewhere, so none can pass by being constant
+        assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+    def test_local_kinds_skip_the_budget(self, ctxmaker):
+        ctx = ctxmaker("A2", 3)
+        m = verma_module(ctx, (1, 2))
+        assert projective(m, "u-", budget=10) and not projective(m, "u+", budget=10)
+        assert m.split_verdicts == {}
+        with pytest.raises(BudgetExceeded):
+            projective(m, "g", budget=10)
 
 
 class TestRootFreeness:

@@ -14,7 +14,7 @@ from uzeta.qmodules import (
     coverma_module,
     dual_module,
     find_isomorphism,
-    head_over_unipotent,
+    joint_kernel,
     onedim_module,
     parse_module_spec,
     quot_module,
@@ -22,7 +22,6 @@ from uzeta.qmodules import (
     realize,
     realize_text,
     simple_module,
-    socle_over_unipotent,
     sum_module,
     tensor_module,
     trivial_module,
@@ -49,15 +48,18 @@ class TestVerma:
 
     def test_head_is_highest_weight_line(self, ctxmaker):
         # as a Borel module the induced module is the projective cover
+        from uzeta.inject import radical_span
+
         ctx = ctxmaker("A2", 3)
         vm = verma_module(ctx, (2, 1))
-        assert head_over_unipotent(vm) == [(2, 1)]
+        head = radical_span(vm, "u-")
+        assert [vm.weights[i] for i in range(vm.dim) if i not in head.pivots] == [(2, 1)]
 
     def test_socle_weight(self, ctxmaker):
         # one-dimensional socle of weight lam - 2(l-1)rho
         ctx = ctxmaker("A1", 3)
         vm = verma_module(ctx, (2,))
-        soc = socle_over_unipotent(vm)
+        soc = joint_kernel(vm, ctx.algebra_kind("u-").generators)
         assert len(soc) == 1
         ((idx, _),) = list(soc[0].items())
         assert vm.weights[idx] == (-2,)
@@ -65,7 +67,7 @@ class TestVerma:
     def test_socle_weight_a2(self, ctxmaker):
         ctx = ctxmaker("A2", 3)
         vm = verma_module(ctx, (0, 0))
-        soc = socle_over_unipotent(vm)
+        soc = joint_kernel(vm, ctx.algebra_kind("u-").generators)
         assert len(soc) == 1
         idx = min(soc[0])
         assert vm.weights[idx] == (-4, -4)  # -2(l-1)rho
@@ -193,6 +195,27 @@ class TestSimple:
         ctx = ctxmaker("A1", 3)
         assert "big" in simple_module(ctx, (2,)).flags
         assert "big" not in verma_module(ctx, (2,)).flags
+
+    @pytest.mark.parametrize(
+        "label,ell,p,r,lam",
+        [("A2", 3, None, 0, (1, 1)), ("A2", 3, None, 0, (0, 0)), ("A1", 3, 7, 1, (8,)), ("A1", 3, 7, 1, (2,))],
+        ids=["A2-l3-11", "A2-l3-00", "A1-l3-p7-r1-8", "A1-l3-p7-r1-2"],
+    )
+    def test_certificate_rejects_non_simple_verma_quotients(self, ctxmaker, label, ell, p, r, lam):
+        # a Verma module and its quotient by its socle line are non-simple
+        # quotients of the Verma module; the simple head passes
+        from uzeta.qmodules import _certify_simple, quotient_module
+
+        ctx = ctxmaker(label, ell, p=p, r=r)
+        vm = verma_module(ctx, lam)
+        soc = joint_kernel(vm, ctx.algebra_kind("u-").generators)
+        top = quotient_module(vm, soc, "top")
+        head = simple_module(ctx, lam)
+        _certify_simple(head, lam)
+        for m in (vm, top):
+            assert m.dim > head.dim
+            with pytest.raises(ModuleCheckError, match="u\\+ kills"):
+                _certify_simple(m, lam)
 
 
 class TestSubQuot:
