@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -611,9 +612,11 @@ def cmd_skeleton(args, cfg: RunConfig) -> int:
 
 
 def cmd_betti(args, cfg: RunConfig) -> int:
+    nmax = betti_degree(cfg.type_label) if args.nmax is None else args.nmax
+    if nmax < 0:
+        raise ConfigError(f"--nmax {nmax} is negative")
     ctx = make_context(cfg)
     kind = "u+" if args.side == "+" else "u-"
-    nmax = betti_degree(cfg.type_label) if args.nmax is None else args.nmax
     res = cohomlite.minimal_resolution(ctx, kind, nmax)
     dims = [
         sum(1 for w in ws if cohomlite.weight_has_trivial_character(ctx, w))
@@ -664,9 +667,12 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         for ln in lines:
             print(ln)
     bad = [r for r in records if not r.get("agree", True) and not r.get("skipped")]
-    skipped = [r for r in records if r.get("skipped")]
+    skipped = Counter("over budget" if "exceeds budget" in r["reason"] else r["reason"]
+                      for r in records if r.get("skipped"))
+    why = ", ".join(f"{n} {reason}" for reason, n in sorted(skipped.items()))
     print(
-        f"# {len(records)} records, {len(bad)} disagreements, {len(skipped)} skipped",
+        f"# {len(records)} records, {len(bad)} disagreements, {skipped.total()} skipped"
+        + (f" ({why})" if why else ""),
         file=sys.stdout if args.out else sys.stderr,
     )
     for r in bad:

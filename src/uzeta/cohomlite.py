@@ -6,7 +6,9 @@ homogeneous minimal generators of the kernel of the previous differential
 (minimality means the differentials land in the radical, which is checked
 explicitly).  Every differential column is homogeneous, so each kernel is
 solved one weight block at a time; that gives the same kernel vectors, in
-the same order, as one elimination over the whole free module.  Borel
+the same order, as one elimination over the whole free module.  Each
+column a.h is built as x.(rest.h), from the column of the shorter PBW
+monomial rest, with x the outermost divided factor of a.  Borel
 cohomology dimensions are read off by torus-weight selection: a
 resolution generator of weight mu contributes to
 H^n(borel, k) exactly when the K-character of mu is trivial, i.e.
@@ -42,6 +44,8 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
     """
     if kind not in ("u-", "u+"):
         raise ValueError("resolutions are over the one-sided local algebras")
+    if n_max < 0:
+        raise ValueError(f"resolution degree {n_max} is negative")
     alg = ctx.algebra(kind)
     gens = alg.generator_keys()
     (unit,) = alg.one()
@@ -103,15 +107,34 @@ def _next_kernel(alg: KernelAlgebra, new_gens: List[Tuple[RootVec, Vec]], one) -
     """
     blocks: Dict[RootVec, List[Tuple[Tuple[int, BasisKey], Vec]]] = {}
     for gj, (wt, h) in enumerate(new_gens):
+        parts: Dict[int, Vec] = {}
+        for (i, bkey), c in h.items():
+            parts.setdefault(i, {})[bkey] = c
+        by_part = [(i, _columns(alg, part)) for i, part in parts.items()]
         for akey in alg.basis:
-            img: Vec = {}
-            for (i, bkey), c in h.items():
-                prod = alg.lmul_monomial(akey, {bkey: c})
-                for bk2, c2 in prod.items():
-                    vec_add_term(img, (i, bk2), c2)
+            img = {(i, bk): c for i, cols in by_part for bk, c in cols[akey].items()}
             cw = tuple(a + b for a, b in zip(alg.weight_of_key(akey), wt))
             blocks.setdefault(cw, []).append(((gj, akey), img))
     return sorted((rel for cols in blocks.values() for rel in kernel_basis(cols, one=one)), key=max)
+
+
+def _columns(alg: KernelAlgebra, part: Vec) -> Dict[BasisKey, Vec]:
+    """a.part for every basis monomial a, as x.(rest.part): x is the divided
+    factor ``KernelContext.monomial`` applies last (the F factor at the first
+    nonzero position, else K^k, else the E factor there), and rest, a with
+    x's entry zeroed, sorts before a in the basis, which starts at the unit."""
+    (unit,) = alg.one()
+    cols: Dict[BasisKey, Vec] = {unit: part}
+    for key in alg.basis[1:]:
+        zero = [(0,) * len(t) for t in key]
+        s = next(s for s, t in enumerate(key) if any(t))
+        i = next(i for i, x in enumerate(key[s]) if x)
+        j = len(key[s]) if s == 1 else i + 1  # K^k is one factor
+        factor, rest = list(zero), list(key)
+        factor[s] = zero[s][:i] + key[s][i:j] + zero[s][j:]
+        rest[s] = key[s][:i] + zero[s][i:j] + key[s][j:]
+        cols[key] = alg.lmul_monomial(tuple(factor), cols[tuple(rest)])
+    return cols
 
 
 def _apply_gen(alg: KernelAlgebra, gen, vec: Vec) -> Vec:

@@ -230,6 +230,19 @@ class TestVerify:
         r = cli("verify", "--type", "B2", "--ell", "5", "--cache", bad, "--suite", "integrals")
         assert r.returncode == 2 and "vanishes" in r.stderr
 
+    def test_summary_counts_skips_by_reason(self, tmp_path, capsys):
+        out = str(tmp_path / "report.jsonl")
+        main(["verify", "--type", "A1", "--ell", "3", "--suite", "highest", "--budget", "1", "--out", out])
+        recs = [json.loads(l) for l in open(out)]
+        lift = sum(1 for r in recs if r.get("reason") == "no full lift")
+        budget = sum(1 for r in recs if "exceeds budget" in r.get("reason", ""))
+        assert lift and budget and lift + budget == len(recs)
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary == (
+            f"# {len(recs)} records, 0 disagreements, {len(recs)} skipped"
+            f" ({lift} no full lift, {budget} over budget)"
+        )
+
     def test_run_suites_in_process(self):
         cfg = RunConfig("A1", 3)
         recs = run_suites(cfg, ["integrals"], [])
@@ -330,10 +343,12 @@ class TestBadInput:
             ("verify", "--suite", "borel", "--out", "/nonexistent/x"),
             ("betti", "--nmax", "1", "--out", "/nonexistent/x"),
             ("build", "--out", "/nonexistent/x"),
+            ("betti", "--nmax", "-1"),
         ],
         ids=["r2", "a2-r1", "p25", "p9", "lone-minus", "lone-minus-seed",
              "onedim-weight", "twist-weight", "simple-weight", "w0-letters",
-             "w0-not-reduced", "module-out", "verify-out", "betti-out", "build-out"],
+             "w0-not-reduced", "module-out", "verify-out", "betti-out", "build-out",
+             "betti-nmax-negative"],
     )
     def test_exits_with_config_error(self, args):
         r = cli(*args)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from uzeta import cohomlite
@@ -25,6 +27,51 @@ class TestResolutionA1:
     def test_rejects_other_kinds(self, ctxmaker):
         with pytest.raises(ValueError):
             minimal_resolution(ctxmaker("A1", 3), "g", 2)
+
+    def test_rejects_negative_degree(self, ctxmaker):
+        with pytest.raises(ValueError, match="negative"):
+            minimal_resolution(ctxmaker("A1", 3), "u+", -1)
+
+
+class TestResolutionHigherKernel:
+    def test_kunneth_degrees(self, ctxmaker):
+        # At A1 ell=3 p=7 r=1, u+ = k[E]/(E^3) (x) k[E^(3)]/((E^(3))^7): E and
+        # E^(3) commute, E^3 = [3]! E^(3) = 0 and (E^(3))^7 = 7!/(3!)^7 E^(21)
+        # up to a unit, which is 0 in characteristic 7.  Over k[x]/(x^m) with
+        # x of weight w the minimal resolution of k is periodic, with one
+        # generator in each degree n, of weight (n/2) m w for even n and
+        # ((n-1)/2) m w + w for odd n: weights 0, 1, 3, 4 for E (m=3, w=1)
+        # and 0, 3, 21, 24 for E^(3) (m=7, w=3).  By Kunneth the tensor
+        # product of the two resolutions is a minimal resolution over u+;
+        # its degree-n generators are the pairs (i, n - i), of weight the sum:
+        # n=1: 1, 3; n=2: 3, 1+3, 21; n=3: 4, 3+3, 1+21, 24.
+        res = minimal_resolution(ctxmaker("A1", 3, 7, 1), "u+", 3)
+        assert res.degrees == [[(0,)], [(1,), (3,)], [(3,), (4,), (21,)], [(4,), (6,), (22,), (24,)]]
+
+
+class TestPrefixColumns:
+    @pytest.mark.parametrize("label,kind", [("A2", "u+"), ("A2", "u-"), ("A1", "g")])
+    def test_columns_match_lmul_monomial(self, ctxmaker, label, kind):
+        # every column built from a shorter monomial's column is a.part;
+        # over g the K^k factor is exercised as well
+        ctx = ctxmaker(label, 3)
+        alg = ctx.algebra(kind)
+        F = ctx.field
+        rng = random.Random(7)
+        by_weight = {}
+        for key in alg.basis:
+            by_weight.setdefault(alg.weight_of_key(key), []).append(key)
+        for _ in range(3):
+            keys = rng.choice([ks for ks in by_weight.values() if len(ks) > 1])
+            part = {
+                key: F.from_int(rng.randint(1, 6)) + ctx.zeta_pow(rng.randrange(3)) * F.from_int(rng.randint(-6, 6))
+                for key in rng.sample(keys, rng.randint(1, len(keys)))
+            }
+            part = {key: c for key, c in part.items() if c}
+            cols = cohomlite._columns(alg, part)
+            assert list(cols) == alg.basis
+            for akey in alg.basis:
+                assert cols[akey] == alg.lmul_monomial(akey, part), akey
 
 
 class TestWeightBlocks:
