@@ -4,7 +4,9 @@ corpus manifests and report emission.
 Subcommands: build, relations, module, verify, skeleton, betti,
 cache-info.  Reports are line-delimited JSON records (deterministic:
 sorted keys, no timestamps unless --timing); a human summary goes to
-standard output.  Exit status is nonzero iff any agreement fails.
+standard output.  Exit status is nonzero iff any agreement fails or, for
+verify, any case is skipped over its budget (a skip for want of a full
+lift is not a failure).
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ class RunConfig:
                 raise ConfigError("p = 3 is excluded in type G2")
             if self.ell % self.p == 0:
                 raise ConfigError("p must not divide ell")
+        if self.r < 0:
+            raise ConfigError(f"r = {self.r} is negative")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs = {self.jobs} is below 1")
         if self.r > 0 and self.p is None:
             raise ConfigError("higher kernels (r >= 1) need a finite field (--p)")
         if self.r > 1 or (self.r == 1 and self.type_label != "A1"):
@@ -423,7 +429,8 @@ def run_suites(cfg: RunConfig, suites: Sequence[str], manifest: List[Dict]) -> L
         # imported here: it costs every process memory and start-up time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the pool starts all its workers at the first submit: no more than tasks
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
             records = list(pool.map(_pool_case, [(one_job, s, sp, ex) for (s, sp, ex) in tasks]))
     else:
         for suite, spec, expect in tasks:
@@ -677,7 +684,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     )
     for r in bad:
         print(f"# FALSIFICATION CANDIDATE: {inject.record_to_line(r)}", file=sys.stderr)
-    return 1 if bad else 0
+    return 1 if bad or skipped["over budget"] else 0
 
 
 def _config_from(args) -> RunConfig:

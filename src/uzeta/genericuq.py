@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Eliminator, SpanSolver, vec_add_term
+from .linalg import Eliminator, SpanSolver, memoized, vec_add_term
 from .rootdata import ConvexOrder, RootDatum, build_root_datum
 from .scalars import (
     L_ONE,
@@ -69,11 +69,6 @@ class UqGeneric:
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
-        self._no_memo: Dict[Word, Triangular] = {}
-        self._weight_spaces: Dict[Tuple[int, ...], "WeightSpace"] = {}
-        self._pbw: Dict[Tuple, "PBWContext"] = {}
-        self._root_vectors: Dict[Tuple, Tuple[SideElt, ...]] = {}
-        self._tables: Dict[Tuple, "StructureTable"] = {}
 
     # ------------------------------------------------------------------
     # generators and defining relations
@@ -124,11 +119,8 @@ class UqGeneric:
     # ------------------------------------------------------------------
     # triangular normal ordering of mixed words
 
+    @memoized
     def normal_order_word(self, word: Word) -> Triangular:
-        memo = self._no_memo
-        hit = memo.get(word)
-        if hit is not None:
-            return hit
         datum = self.datum
         cls = {"F": 0, "K": 1, "E": 2}
         bad = -1
@@ -144,9 +136,7 @@ class UqGeneric:
                 if l[0] == "K":
                     for n, x in enumerate(l[1]):
                         kv[n] += x
-            out: Triangular = {(fw, tuple(kv), ew): qf(1)}
-            memo[word] = out
-            return out
+            return {(fw, tuple(kv), ew): qf(1)}
 
         left, a, b, right = word[:bad], word[bad], word[bad + 1], word[bad + 2:]
         acc: Triangular = {}
@@ -180,7 +170,6 @@ class UqGeneric:
             assert a[0] == "K" and b[0] == "K"
             mu = tuple(x + y for x, y in zip(a[1], b[1]))
             absorb([((("K", mu),), qf(1))])
-        memo[word] = acc
         return acc
 
     def normal_order(self, elt: Elt) -> Triangular:
@@ -317,11 +306,8 @@ class UqGeneric:
     # ------------------------------------------------------------------
     # root vectors
 
+    @memoized
     def root_vectors(self, order: ConvexOrder, side: str) -> Tuple[SideElt, ...]:
-        key = (order.word, side)
-        hit = self._root_vectors.get(key)
-        if hit is not None:
-            return hit
         out: List[SideElt] = []
         for idx in range(len(order.word)):
             beta = order.word[idx] - 1
@@ -334,9 +320,7 @@ class UqGeneric:
                     tuple((side, n) for n in w): c for w, c in pure.items()
                 }
             out.append(self.project_side(elt, side))
-        res = tuple(out)
-        self._root_vectors[key] = res
-        return res
+        return tuple(out)
 
     # ------------------------------------------------------------------
     # abstract word spaces modulo Serre relators
@@ -370,7 +354,7 @@ class UqGeneric:
     def kostant_partitions(self, nu: Tuple[int, ...]) -> int:
         roots = self.datum.positive_roots
 
-        @lru_cache(maxsize=None)
+        @cache
         def count(idx: int, rem: Tuple[int, ...]) -> int:
             if all(x == 0 for x in rem):
                 return 1
@@ -386,13 +370,9 @@ class UqGeneric:
 
         return count(0, tuple(nu))
 
+    @memoized
     def weight_space(self, nu: Tuple[int, ...]) -> "WeightSpace":
-        nu = tuple(nu)
-        hit = self._weight_spaces.get(nu)
-        if hit is None:
-            hit = WeightSpace(self, nu)
-            self._weight_spaces[nu] = hit
-        return hit
+        return WeightSpace(self, nu)
 
     def weight_basis(self, nu: Tuple[int, ...], height_bound: Optional[int] = None) -> List[AbstractWord]:
         """Basis words of the weight-nu component of the one-sided algebra.
@@ -434,13 +414,9 @@ class UqGeneric:
         rec(0, tuple(nu), [])
         return sorted(out)
 
+    @memoized
     def pbw_context(self, order: ConvexOrder, side: str, nu: Tuple[int, ...]) -> "PBWContext":
-        key = (order.word, side, tuple(nu))
-        hit = self._pbw.get(key)
-        if hit is None:
-            hit = PBWContext(self, order, side, tuple(nu))
-            self._pbw[key] = hit
-        return hit
+        return PBWContext(self, order, side, nu)
 
     def monomial_words(self, order: ConvexOrder, side: str, exp: Tuple[int, ...]) -> SideElt:
         """Word expansion of the plain-power monomial prod_i X_{gamma_i}^{a_i}."""
@@ -470,13 +446,9 @@ class UqGeneric:
     # ------------------------------------------------------------------
     # structure constants
 
+    @memoized
     def structure_table(self, order: ConvexOrder) -> "StructureTable":
-        key = (order.word,)
-        hit = self._tables.get(key)
-        if hit is None:
-            hit = build_structure_table(self, order)
-            self._tables[key] = hit
-        return hit
+        return build_structure_table(self, order)
 
     # ------------------------------------------------------------------
     # comultiplication on the plus side
@@ -768,6 +740,6 @@ def build_structure_table(uq: UqGeneric, order: ConvexOrder) -> StructureTable:
     return StructureTable(order, s_keys, e_entries, f_entries, tuple(units))
 
 
-@lru_cache(maxsize=None)
+@cache
 def generic_uq(label: str) -> UqGeneric:
     return UqGeneric(build_root_datum(label))

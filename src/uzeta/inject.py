@@ -27,6 +27,7 @@ a disagreement: a mismatch is data for a falsification report.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -246,25 +247,16 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
     if any(mu not in by_degree for mu in m.weights):
         return False
 
-    pi_cache: Dict[Tuple[int, Tuple], Vec] = {}
-
+    @functools.cache
     def pi(t: int, key) -> Vec:
-        hit = pi_cache.get((t, key))
-        if hit is None:
-            f, e = key
-            hit = m.act_monomial((f, (0,) * ctx.rank, e), {gens[t]: ctx.field.one})
-            pi_cache[(t, key)] = hit
-        return hit
+        f, e = key
+        return m.act_monomial((f, (0,) * ctx.rank, e), {gens[t]: ctx.field.one})
 
     # gen on F^{(f)} E^{(e)} e_lam in summand t, torus evaluated
-    columns: Dict[Tuple, Vec] = {}
-
+    @functools.cache
     def column(t: int, gen, key) -> Vec:
-        hit = columns.get((t, gen, key))
-        if hit is None:
-            terms = ctx.pbw_terms(kind, gen, key[0], key[1], m.weights[gens[t]])
-            hit = columns[(t, gen, key)] = {(f2, e2): c for (f2, _, e2), c in terms.items()}
-        return hit
+        terms = ctx.pbw_terms(kind, gen, key[0], key[1], m.weights[gens[t]])
+        return {(f2, e2): c for (f2, _, e2), c in terms.items()}
 
     # The unknown s(v_j)'s coordinate at cover key (t, key) is keyed
     # (last - j, t, key): the solver pivots on the least key, so elimination

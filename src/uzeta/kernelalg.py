@@ -3,7 +3,9 @@
 A ``KernelContext`` fixes a root system, a convex order, a residue field
 containing the primitive root, and the kernel level r (r = 1 needs
 positive characteristic and type A1; r >= 2 is not built).  It also
-describes each algebra kind once, as an ``AlgebraKind``.  It memoizes all straightening data:
+describes each algebra kind once, as an ``AlgebraKind``.  It memoizes all
+straightening data, each method through ``linalg.memoized`` (one
+``functools.cache`` per context, freed with it):
 
 * specialized commutation tables for plain root vectors,
 * root-vector expansions into words of simple generators,
@@ -43,7 +45,7 @@ from operator import le, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .genericuq import UqGeneric, generic_uq
-from .linalg import Eliminator, Mat, SpanSolver, Vec, kernel_basis, vec_add_term, vec_iadd_scaled
+from .linalg import Eliminator, Mat, SpanSolver, Vec, kernel_basis, memoized, vec_add_term, vec_iadd_scaled
 from .rootdata import ConvexOrder
 from .scalars import q_int
 
@@ -96,6 +98,8 @@ class KernelContext:
         self.field = field
         self.ell = field.ell
         self.r = r
+        if r < 0:
+            raise ValueError(f"kernel level r = {r} is negative")
         if r > 0 and field.char == 0:
             raise ValueError("higher kernels need positive characteristic")
         if r > 1 or (r == 1 and order.datum.label != "A1"):
@@ -123,63 +127,38 @@ class KernelContext:
                 tuple((w, field.eval_fraction(c)) for w, c in sorted(rv.items()))
                 for rv in rvs
             )
-        self._qn: Dict[Tuple[int, int], object] = {}
-        self._qfact: Dict[Tuple[int, int], object] = {}
-        self._qfact_inv: Dict[Tuple[int, int], object] = {}
-        self._reduce: Dict[Tuple[str, Tuple[int, ...]], Dict[FExp, object]] = {}
-        self._by_weight: Optional[Dict[Tuple[int, ...], List[FExp]]] = None
-        self._letter_terms: Dict[Tuple[str, FExp], Dict[Tuple[GenKey, FExp], object]] = {}
-        self._pushes: Dict[Tuple[str, int, FExp], Tuple] = {}
+        # gauss_binom fills a whole q-Pascal triangle per call, without
+        # recursion, so its memo is one shared table and not ``memoized``
         self._kbinom: Dict[Tuple[int, int, int], object] = {}
-        self._pbw: Dict[Tuple[str, GenKey, FExp, FExp], Tuple[PBWTerm, ...]] = {}
-        self._lmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
-        self._rmul_rv: Dict[Tuple[str, int, FExp], Dict[FExp, object]] = {}
-        self._kinds: Dict[str, "AlgebraKind"] = {}
-        self._algebras: Dict[str, "KernelAlgebra"] = {}
-        self._cover_keys: Dict[str, Tuple] = {}
-        self._serre: Optional[Tuple] = None
         # checked modules by spec text, filled by cli.checked_module
         self.realized: Dict[str, object] = {}
 
     # -- scalar helpers --------------------------------------------------
 
+    @memoized
     def qn(self, n: int, d: int = 1):
-        key = (n, d)
-        hit = self._qn.get(key)
-        if hit is None:
-            hit = self.field.eval_laurent(q_int(n, d))
-            self._qn[key] = hit
-        return hit
+        return self.field.eval_laurent(q_int(n, d))
 
+    @memoized
     def qfact(self, n: int, d: int = 1):
-        key = (n, d)
-        hit = self._qfact.get(key)
-        if hit is None:
-            hit = self.qfact(n - 1, d) * self.qn(n, d) if n > 1 else self.field.one
-            self._qfact[key] = hit
-        return hit
+        return self.qfact(n - 1, d) * self.qn(n, d) if n > 1 else self.field.one
 
+    @memoized
     def qfact_inv(self, n: int, d: int = 1):
         """1 / [n]_d!, inverted once per (n, d)."""
-        key = (n, d)
-        hit = self._qfact_inv.get(key)
-        if hit is None:
-            hit = self.field.one / self.qfact(n, d)
-            self._qfact_inv[key] = hit
-        return hit
+        return self.field.one / self.qfact(n, d)
 
+    @memoized
     def serre_relators(self):
         """The quantum Serre relators as (word, coefficient) pairs in the field.
 
         Evaluated on first use and then kept, so a module check does not
         rebuild them in Q(q) for every vector it samples.
         """
-        if self._serre is None:
-            self._serre = tuple(
-                tuple((word, self.field.eval_fraction(c)) for word, c in rel.items())
-                for _, rel in self.uq.serre_relators()
-            )
-        return self._serre
+        return tuple(
+            tuple((word, self.field.eval_fraction(c)) for word, c in rel.items())
+            for _, rel in self.uq.serre_relators()
+        )
 
     def zeta_pow(self, e: int):
         return self.field.zeta_power(e)
@@ -210,12 +189,9 @@ class KernelContext:
 
     # -- straightening of one-sided plain words ---------------------------
 
+    @memoized
     def reduce_word(self, side: str, word: Tuple[int, ...]) -> Dict[FExp, object]:
         """Plain-power PBW coordinates of a word in root-vector positions."""
-        key = (side, word)
-        hit = self._reduce.get(key)
-        if hit is not None:
-            return hit
         bad = -1
         for t in range(len(word) - 1):
             if word[t] > word[t + 1]:
@@ -225,9 +201,7 @@ class KernelContext:
             exp = [0] * self.n
             for s in word:
                 exp[s] += 1
-            out = {tuple(exp): self.field.one}
-            self._reduce[key] = out
-            return out
+            return {tuple(exp): self.field.one}
         hi, lo = word[bad], word[bad + 1]
         pre, post = word[:bad], word[bad + 2:]
         gl, gh = self.order.gammas[lo], self.order.gammas[hi]
@@ -246,7 +220,6 @@ class KernelContext:
                 s for s in range(self.n) for _ in range(exp[s])
             )
             absorb(pre + mid + post, -(lead * c))
-        self._reduce[key] = acc
         return acc
 
     def plain_to_divided(self, coords: Dict[FExp, object]) -> Dict[FExp, object]:
@@ -266,24 +239,14 @@ class KernelContext:
                 vec_add_term(out, exp, c * f)
         return out
 
+    @memoized
     def lmul_rv(self, side: str, s: int, exp: FExp) -> Dict[FExp, object]:
         """Divided coordinates of (plain root vector at position s) * X^{(exp)}."""
-        key = (side, s, exp)
-        hit = self._lmul_rv.get(key)
-        if hit is not None:
-            return hit
-        out = self._mul_rv(side, s, exp, left=True)
-        self._lmul_rv[key] = out
-        return out
+        return self._mul_rv(side, s, exp, left=True)
 
+    @memoized
     def rmul_rv(self, side: str, s: int, exp: FExp) -> Dict[FExp, object]:
-        key = (side, s, exp)
-        hit = self._rmul_rv.get(key)
-        if hit is not None:
-            return hit
-        out = self._mul_rv(side, s, exp, left=False)
-        self._rmul_rv[key] = out
-        return out
+        return self._mul_rv(side, s, exp, left=False)
 
     def _mul_rv(self, side: str, s: int, exp: FExp, left: bool) -> Dict[FExp, object]:
         if self.n == 1:
@@ -316,6 +279,7 @@ class KernelContext:
         c = self.gauss_binom(a, self.ell, self.d_gamma[0])
         return {(a,): c} if a < self.cap and c else {}
 
+    @memoized
     def letter_terms(self, side: str, exp: FExp) -> Dict[Tuple[GenKey, FExp], object]:
         """Nonzero X^{(exp)} as sum c * x X^{(e)} (side F) or sum c * X^{(e)} x (side E).
 
@@ -325,29 +289,32 @@ class KernelContext:
         monomial one letter lower"; one ``SpanSolver`` per weight solves all
         its monomials.
         """
-        key = (side, exp)
-        if key not in self._letter_terms:
-            wt = self.weight_of_fexp(exp)
-            solver = SpanSolver(self.field.one)
-            letters = [(side, j) for j in range(self.rank)] + ([(side + "d0", 0)] if self.r else [])
-            for letter in letters:
-                step = 1 if letter[0] == side else self.ell
-                below = tuple(w - step * (t == letter[1]) for t, w in enumerate(wt))
-                for e in self._exps_by_weight().get(below, ()):
-                    solver.add((letter, e), self.letter_times(side, letter, e))
-            for a in self._exps_by_weight()[wt]:
-                sol = solver.solve({a: self.field.one})
-                if sol is None:
-                    raise ArithmeticError(f"{side}^({a}) is not a sum of letter products")
-                self._letter_terms[(side, a)] = sol
-        return self._letter_terms[key]
+        return self._letter_terms_of_weight(side, self.weight_of_fexp(exp))[exp]
 
+    @memoized
+    def _letter_terms_of_weight(self, side: str, wt: Tuple[int, ...]) -> Dict[FExp, Dict]:
+        """``letter_terms`` of every monomial of weight wt, from one ``SpanSolver``."""
+        solver = SpanSolver(self.field.one)
+        letters = [(side, j) for j in range(self.rank)] + ([(side + "d0", 0)] if self.r else [])
+        for letter in letters:
+            step = 1 if letter[0] == side else self.ell
+            below = tuple(w - step * (t == letter[1]) for t, w in enumerate(wt))
+            for e in self._exps_by_weight().get(below, ()):
+                solver.add((letter, e), self.letter_times(side, letter, e))
+        out = {}
+        for a in self._exps_by_weight()[wt]:
+            sol = solver.solve({a: self.field.one})
+            if sol is None:
+                raise ArithmeticError(f"{side}^({a}) is not a sum of letter products")
+            out[a] = sol
+        return out
+
+    @memoized
     def _exps_by_weight(self) -> Dict[Tuple[int, ...], List[FExp]]:
-        if self._by_weight is None:
-            self._by_weight = {}
-            for exp in itertools.product(range(self.cap), repeat=self.n):
-                self._by_weight.setdefault(self.weight_of_fexp(exp), []).append(exp)
-        return self._by_weight
+        out: Dict[Tuple[int, ...], List[FExp]] = {}
+        for exp in itertools.product(range(self.cap), repeat=self.n):
+            out.setdefault(self.weight_of_fexp(exp), []).append(exp)
+        return out
 
     # -- mixed pushes ------------------------------------------------------
 
@@ -366,6 +333,7 @@ class KernelContext:
         """
         return self._push("E", j, exp)
 
+    @memoized
     def _push(self, side: str, j: int, exp: FExp) -> Tuple:
         """E_j X^{(exp)} (side F) or X^{(exp)} F_j (side E), by recursion on one letter.
 
@@ -381,10 +349,6 @@ class KernelContext:
         nonzero only on commutator terms.  Valid while all exponents are
         < ell (r = 0), where the letters are the simple X_i.
         """
-        key = (side, j, exp)
-        hit = self._pushes.get(key)
-        if hit is not None:
-            return hit
         acc: Dict[Tuple[FExp, KExp, int], object] = {}
         if not any(exp):
             acc[(exp, (0,) * self.rank, 1)] = self.field.one
@@ -404,9 +368,7 @@ class KernelContext:
                         kv = self.kmod(tuple(sign * x for x in alpha_j))
                         scal = self.zeta_pow(-sign * pairing) * inv_denom
                         vec_add_term(acc, (e, kv, 0), c * scal if sign > 0 else -(c * scal))
-        out = tuple(sorted((k if side == "F" else k[::-1], c) for k, c in acc.items()))
-        self._pushes[key] = out
-        return out
+        return tuple(sorted((k if side == "F" else k[::-1], c) for k, c in acc.items()))
 
     # -- rank one: closed divided-power commutation ------------------------
     #
@@ -490,6 +452,7 @@ class KernelContext:
             vec_add_term(out, (f2, zero, e2), c)
         return out
 
+    @memoized
     def _pbw_term_list(self, kind: str, gen: GenKey, f: FExp, e: FExp) -> Tuple[PBWTerm, ...]:
         """The terms of ``pbw_terms`` before the torus is evaluated, in order.
 
@@ -502,10 +465,6 @@ class KernelContext:
         factor.  Built and checked for closure once per (kind, gen, f, e)
         and kept as long as the context; a build that raises caches nothing.
         """
-        key = (kind, gen, f, e)
-        hit = self._pbw.get(key)
-        if hit is not None:
-            return hit
         desc = self.algebra_kind(kind)
         zero = (0,) * self.rank
         terms: List[PBWTerm] = []
@@ -552,25 +511,19 @@ class KernelContext:
                         put(f2, kv, e2, c * ce, root)
                 else:
                     put(f2, kv, e, c, root)
-        hit = self._pbw[key] = tuple(terms)
-        return hit
+        return tuple(terms)
 
     # -- algebras ----------------------------------------------------------
 
+    @memoized
     def algebra_kind(self, kind: str) -> "AlgebraKind":
-        hit = self._kinds.get(kind)
-        if hit is None:
-            hit = AlgebraKind.of(self, kind)
-            self._kinds[kind] = hit
-        return hit
+        return AlgebraKind.of(self, kind)
 
+    @memoized
     def algebra(self, kind: str) -> "KernelAlgebra":
-        hit = self._algebras.get(kind)
-        if hit is None:
-            hit = KernelAlgebra(self, kind)
-            self._algebras[kind] = hit
-        return hit
+        return KernelAlgebra(self, kind)
 
+    @memoized
     def cover_keys(self, kind: str) -> Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[FExp, FExp], ...]], ...]:
         """The cover keys (f, e) of the kind grouped by degree shift, once per kind.
 
@@ -578,18 +531,14 @@ class KernelContext:
         with shift = wt e - wt f.  Within a shift the keys keep the order of
         ``exponents``, F exponents major.
         """
-        hit = self._cover_keys.get(kind)
-        if hit is None:
-            desc = self.algebra_kind(kind)
-            eparts = desc.exponents("E")
-            groups: Dict[Tuple[int, ...], List[Tuple[FExp, FExp]]] = {}
-            for f in desc.exponents("F"):
-                for e in eparts:
-                    shift = self.datum.root_to_weight(self.pbw_weight(f, e))
-                    groups.setdefault(shift, []).append((f, e))
-            hit = tuple((shift, tuple(keys)) for shift, keys in groups.items())
-            self._cover_keys[kind] = hit
-        return hit
+        desc = self.algebra_kind(kind)
+        eparts = desc.exponents("E")
+        groups: Dict[Tuple[int, ...], List[Tuple[FExp, FExp]]] = {}
+        for f in desc.exponents("F"):
+            for e in eparts:
+                shift = self.datum.root_to_weight(self.pbw_weight(f, e))
+                groups.setdefault(shift, []).append((f, e))
+        return tuple((shift, tuple(keys)) for shift, keys in groups.items())
 
     # -- actions through a generator action -----------------------------------
 

@@ -11,10 +11,29 @@ is deterministic: pivots are chosen by key order, never by hash order.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 Vec = Dict[Hashable, Any]
 Mat = Dict[Hashable, Vec]
+
+
+def memoized(method):
+    """Memoize a method per instance, keyed on its (hashable) arguments.
+
+    The first call stores ``functools.cache(method.__get__(self))`` in the
+    instance's ``__dict__``, which later lookups reach before the class:
+    they go straight to the C-level cache, a class-level patch of the
+    method no longer reaches them, and the memo dies with its instance.
+    A call that raises caches nothing.
+    """
+
+    @functools.wraps(method)
+    def first_call(self, *args, **kwargs):
+        bound = self.__dict__[method.__name__] = functools.cache(method.__get__(self))
+        return bound(*args, **kwargs)
+
+    return first_call
 
 
 def vec_add_term(u: Vec, k: Hashable, c) -> None:

@@ -16,6 +16,7 @@ generates it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -512,23 +513,22 @@ def contravariant_gram(m: WeightedModule, verma_of: Weight) -> Dict[Weight, Tupl
     blocks: Dict[Weight, List[int]] = {}
     for i, lam in enumerate(m.weights):
         blocks.setdefault(lam, []).append(i)
-    functionals: Dict[int, Vec] = {top: {top: ctx.field.one}}
 
+    @functools.cache
     def functional(ia: int) -> Vec:
-        hit = functionals.get(ia)
-        if hit is None:
-            hit = {}
-            for ((kind, j), e), c in ctx.letter_terms("F", fexps[ia]).items():
-                low = functional(index[e])
-                mat = m.actions[("E" + kind[1:], j)]
-                for k in blocks[m.weights[ia]]:
-                    val = ctx.field.zero
-                    for k2, x in mat.get(k, {}).items():
-                        if k2 in low:
-                            val = val + low[k2] * x
-                    vec_add_term(hit, k, c * val)
-            functionals[ia] = hit
-        return hit
+        if ia == top:
+            return {top: ctx.field.one}
+        acc: Vec = {}
+        for ((kind, j), e), c in ctx.letter_terms("F", fexps[ia]).items():
+            low = functional(index[e])
+            mat = m.actions[("E" + kind[1:], j)]
+            for k in blocks[m.weights[ia]]:
+                val = ctx.field.zero
+                for k2, x in mat.get(k, {}).items():
+                    if k2 in low:
+                        val = val + low[k2] * x
+                vec_add_term(acc, k, c * val)
+        return acc
 
     out = {}
     for lam, idxs in blocks.items():

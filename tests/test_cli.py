@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -45,6 +46,8 @@ class TestConfig:
             RunConfig(type_label="A2", ell=3, p=7, r=1),
             RunConfig(type_label="A1", ell=3, p=25),
             RunConfig(type_label="A1", ell=5, p=9),
+            RunConfig(type_label="A1", ell=3, p=7, r=-1),
+            RunConfig(type_label="A1", ell=3, jobs=0),
         ):
             with pytest.raises(ConfigError):
                 cfg.validate()
@@ -91,19 +94,18 @@ class TestCache:
 
 
     def test_cached_context_needs_no_structure_table(self, tmp_path, monkeypatch):
-        from uzeta.genericuq import UqGeneric
-
         path = str(tmp_path / "b2.cache")
         write_cache(RunConfig("B2", 5), path)
         fresh = make_context(RunConfig("B2", 5))
         asked = []
-        real = UqGeneric.structure_table
+        real = fresh.uq.structure_table
 
-        def counting(uq, order):
+        def counting(order):
             asked.append(order)
-            return real(uq, order)
+            return real(order)
 
-        monkeypatch.setattr(UqGeneric, "structure_table", counting)
+        # on the shared instance: its memo shadows a patch of the class
+        monkeypatch.setattr(fresh.uq, "structure_table", counting)
         cached = make_context(RunConfig("B2", 5, cache_path=path))
         assert asked == []
         # the two contexts have their own fields: compare the coordinates
@@ -232,7 +234,8 @@ class TestVerify:
 
     def test_summary_counts_skips_by_reason(self, tmp_path, capsys):
         out = str(tmp_path / "report.jsonl")
-        main(["verify", "--type", "A1", "--ell", "3", "--suite", "highest", "--budget", "1", "--out", out])
+        # a case skipped over budget decided nothing, so the run fails
+        assert main(["verify", "--type", "A1", "--ell", "3", "--suite", "highest", "--budget", "1", "--out", out]) == 1
         recs = [json.loads(l) for l in open(out)]
         lift = sum(1 for r in recs if r.get("reason") == "no full lift")
         budget = sum(1 for r in recs if "exceeds budget" in r.get("reason", ""))
@@ -247,6 +250,31 @@ class TestVerify:
         cfg = RunConfig("A1", 3)
         recs = run_suites(cfg, ["integrals"], [])
         assert all(r["agree"] for r in recs)
+
+    def test_pool_no_larger_than_the_tasks(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = RunConfig("A1", 3)
+        manifest = [{"spec": "trivial"}, {"spec": "verma(1)"}]
+        recs = run_suites(replace(cfg, jobs=64), ["borel"], manifest)
+        assert started == [2]
+        assert recs == run_suites(cfg, ["borel"], manifest)
 
     def test_context_shared_per_configuration(self, tmp_path, monkeypatch):
         from uzeta import cli as cli_module
@@ -344,11 +372,15 @@ class TestBadInput:
             ("betti", "--nmax", "1", "--out", "/nonexistent/x"),
             ("build", "--out", "/nonexistent/x"),
             ("betti", "--nmax", "-1"),
+            # a negative kernel level, and no worker process
+            ("betti", "--type", "A1", "--ell", "3", "--r", "-1"),
+            ("module", "--type", "A1", "--ell", "3", "--p", "7", "--r", "-1", "verma(0)"),
+            ("verify", "--suite", "borel", "--jobs", "0"),
         ],
         ids=["r2", "a2-r1", "p25", "p9", "lone-minus", "lone-minus-seed",
              "onedim-weight", "twist-weight", "simple-weight", "w0-letters",
              "w0-not-reduced", "module-out", "verify-out", "betti-out", "build-out",
-             "betti-nmax-negative"],
+             "betti-nmax-negative", "betti-r-negative", "module-r-negative", "verify-jobs-0"],
     )
     def test_exits_with_config_error(self, args):
         r = cli(*args)

@@ -306,6 +306,8 @@ class TestAlgebraKind:
             KernelContext(convex_order("A1", (1,)), GaloisField(7, 3), r=2)
         with pytest.raises(ValueError):
             KernelContext(convex_order("A2", (1, 2, 1)), GaloisField(7, 3), r=1)
+        with pytest.raises(ValueError, match="negative"):
+            KernelContext(convex_order("A1", (1,)), GaloisField(7, 3), r=-1)
 
 
 # -- simple-word reference for the one-letter recursion ----------------------

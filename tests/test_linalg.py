@@ -1,10 +1,12 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as QQ
 
 import pytest
 
 from uzeta import inject
-from uzeta.linalg import LinearSystem, SpanSolver, kernel_basis, rank_of, vec_iadd_scaled, vec_isub_scaled
+from uzeta.linalg import LinearSystem, SpanSolver, kernel_basis, memoized, rank_of, vec_iadd_scaled, vec_isub_scaled
 from uzeta.qmodules import randsub_module, simple_module, tensor_module, trivial_module, verma_module
 from uzeta.scalars import CycloField, GaloisField
 
@@ -32,6 +34,56 @@ def _old_kernel_basis(columns, one):
         else:
             solver.add(key, col)
     return out
+
+
+class _Counted:
+    """A memoized method that counts its evaluations and fails on request."""
+
+    def __init__(self, offset):
+        self.offset = offset
+        self.calls = 0
+        self.fail = False
+
+    @memoized
+    def shifted(self, x, scale=1):
+        self.calls += 1
+        if self.fail:
+            raise ArithmeticError("asked to fail")
+        return [scale * x + self.offset]
+
+
+class TestMemoized:
+    def test_repeat_call_returns_the_same_object(self):
+        obj = _Counted(1)
+        first = obj.shifted(2)
+        assert first == [3] and obj.shifted(2) is first and obj.calls == 1
+        assert obj.shifted(2, scale=5) == [11] and obj.calls == 2
+
+    def test_instances_do_not_share_entries(self):
+        a, b = _Counted(1), _Counted(10)
+        assert a.shifted(2) == [3] and b.shifted(2) == [12]
+        assert (a.calls, b.calls) == (1, 1)
+
+    def test_a_call_that_raises_caches_nothing(self):
+        obj = _Counted(0)
+        obj.fail = True
+        with pytest.raises(ArithmeticError):
+            obj.shifted(4)
+        obj.fail = False
+        assert obj.shifted(4) == [4] and obj.calls == 2
+
+    def test_context_is_collected_with_its_memos(self, ctxmaker):
+        from uzeta.kernelalg import KernelContext
+
+        shared = ctxmaker("A2", 3)
+        ctx = KernelContext(shared.order, shared.field)
+        verma_module(ctx, (1, 0)).check()
+        ctx.algebra("u-")
+        assert ctx.lmul_rv("F", 0, (0, 0, 0)) is ctx.lmul_rv("F", 0, (0, 0, 0))
+        ref = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert ref() is None
 
 
 class TestSubtractScaled:

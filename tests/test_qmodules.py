@@ -513,6 +513,6 @@ class TestSerreRelatorsInField:
         vm = verma_module(ctx, (0, 0))
         vm.check()
         first, *rest = ctx.serre_relators()
-        monkeypatch.setattr(ctx, "_serre", (first[1:],) + tuple(rest))
+        monkeypatch.setattr(ctx, "serre_relators", lambda: (first[1:],) + tuple(rest))
         with pytest.raises(ModuleCheckError, match="Serre relator acts"):
             vm.check()
