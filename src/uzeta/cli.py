@@ -1,6 +1,10 @@
 """Command-line surface: configuration, structure-constant cache,
 corpus manifests and report emission.
 
+A cache reads back into the ``genericuq.StructureTable`` it was written
+from, its convex order from the ``type=`` and ``w0=`` header lines; a
+command refuses a cache of another order than its own.
+
 Subcommands: build, relations, module, verify, skeleton, betti,
 cache-info.  Reports are line-delimited JSON records (deterministic:
 sorted keys, no timestamps unless --timing); a human summary goes to
@@ -22,11 +26,12 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cohomlite, inject, qmodules
-from .genericuq import generic_uq
+from .genericuq import StructureTable, generic_uq
 from .kernelalg import KernelContext, SpecializationError
 from .rootdata import (
     BAD_PRIMES,
     COXETER_NUMBER,
+    ConvexOrder,
     convex_order,
     default_w0_word,
 )
@@ -132,23 +137,14 @@ def make_context(cfg: RunConfig) -> KernelContext:
         key += (hashlib.sha256(blob).hexdigest(),)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
-        table = None if blob is None else _parse_cache(blob, cfg.cache_path)[1]
-        fieldk = make_field(cfg.ell, cfg.p)
         order = convex_order(cfg.type_label, cfg.word())
-        ctx = _CONTEXTS[key] = KernelContext(order, fieldk, r=cfg.r, table=table)
+        table = None if blob is None else _table_of(order, blob, cfg.cache_path)
+        ctx = _CONTEXTS[key] = KernelContext(order, make_field(cfg.ell, cfg.p), r=cfg.r, table=table)
     return ctx
 
 
 # ---------------------------------------------------------------------------
 # structure-constant cache
-
-
-@dataclass
-class TableData:
-    s_keys: Tuple[int, ...]
-    e_entries: Dict
-    f_entries: Dict
-    omega_units: Tuple[QFraction, ...]
 
 
 def write_cache(cfg: RunConfig, path: str) -> None:
@@ -163,7 +159,6 @@ def write_cache(cfg: RunConfig, path: str) -> None:
     lines.append("s_keys=" + ",".join(str(k) for k in tab.s_keys))
     for i, u in enumerate(tab.omega_units):
         lines.append(f"omega_unit {i + 1} {laurent_to_text(u.as_laurent())}")
-    n = order.datum.n_positive
     for side, entries in (("E", tab.e_entries), ("F", tab.f_entries)):
         for (i, j) in sorted(entries):
             lead = tab.leading_exponent(i, j)
@@ -195,12 +190,26 @@ def _read_cache_bytes(path: str) -> bytes:
         raise ConfigError(f"cannot read cache {path}: {e}") from e
 
 
-def read_cache(path: str) -> Tuple[Dict[str, str], TableData]:
+def read_cache(path: str) -> Tuple[Dict[str, str], StructureTable]:
     """Parse a structure cache; an unreadable or malformed one is a ConfigError."""
     return _parse_cache(_read_cache_bytes(path), path)
 
 
-def _parse_cache(blob: bytes, path: str) -> Tuple[Dict[str, str], TableData]:
+def _order_text(order: ConvexOrder) -> str:
+    return f"{order.datum.label} with w0 {','.join(str(x) for x in order.word)}"
+
+
+def _table_of(order: ConvexOrder, blob: bytes, path: str) -> StructureTable:
+    """The table of a cache's bytes, which must be written for ``order``."""
+    table = _parse_cache(blob, path)[1]
+    if table.order != order:
+        raise ConfigError(
+            f"cache {path} was built for {_order_text(table.order)}, not for {_order_text(order)}"
+        )
+    return table
+
+
+def _parse_cache(blob: bytes, path: str) -> Tuple[Dict[str, str], StructureTable]:
     try:
         lines = blob.decode().splitlines()
     except UnicodeDecodeError as e:
@@ -249,9 +258,16 @@ def _parse_cache(blob: bytes, path: str) -> Tuple[Dict[str, str], TableData]:
             target[(int(i_s), int(j_s))] = tail
         except (ValueError, ArithmeticError, LookupError) as e:
             raise ConfigError(f"cache {path}: line {n} is malformed: {e}") from e
-    if not units:
-        raise ConfigError(f"cache {path} has no omega_unit lines")
-    return meta, TableData(s_keys, e_entries, f_entries, tuple(units))
+    try:
+        word = tuple(int(x) for x in meta.get("w0", "").split(","))
+        order = convex_order(meta.get("type", ""), word)
+    except ValueError as e:
+        raise ConfigError(f"cache {path} names no valid order: {e}") from e
+    if len(units) != order.datum.n_positive:
+        raise ConfigError(
+            f"cache {path} has {len(units)} omega_unit lines, not {order.datum.n_positive}"
+        )
+    return meta, StructureTable(order, s_keys, e_entries, f_entries, tuple(units))
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +564,7 @@ def cmd_cache_info(args) -> int:
     for k, v in sorted(meta.items()):
         print(f"{k} = {v}")
     print(f"entries = {len(data.e_entries)} (E side) + {len(data.f_entries)} (F side)")
-    nontrivial = sum(
-        1
-        for entries in (data.e_entries, data.f_entries)
-        for tail in entries.values()
-        for c in tail.values()
-        if c.denominator_nontrivial()
-    )
-    print(f"coefficients with S-denominators = {nontrivial}")
+    print(f"coefficients with S-denominators = {data.denominator_count()}")
     return 0
 
 
@@ -566,15 +575,12 @@ def cmd_relations(args, cfg: RunConfig) -> int:
         print(f"need 1 <= i < j <= {order.datum.n_positive}", file=sys.stderr)
         return 2
     if args.cache:
-        _, tab = read_cache(args.cache)
-        if (i, j) not in tab.e_entries:
-            raise ConfigError(f"cache {args.cache} has no E entry {i} {j}")
-        e_tail = tab.e_entries[(i, j)]
-        lead = None
+        table = _table_of(order, _read_cache_bytes(args.cache), args.cache)
     else:
         table = generic_uq(cfg.type_label).structure_table(order)
-        e_tail = table.e_entries[(i, j)]
-        lead = table.leading_exponent(i, j)
+    if (i, j) not in table.e_entries:
+        raise ConfigError(f"cache {args.cache} has no E entry {i} {j}")
+    e_tail = table.e_entries[(i, j)]
     gi, gj = order.gammas[i - 1], order.gammas[j - 1]
     pairing = order.datum.pair_roots(gi, gj)
     print(f"E_g{i} E_g{j} = q^{pairing} E_g{j} E_g{i}" + (" + tail" if e_tail else ""))
@@ -658,13 +664,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         manifest = []
     if args.cache:
         cfg = replace(cfg, cache_path=args.cache)
-        try:
-            make_context(cfg)  # fail early on corruption; the suites share it
-        except ConfigError:
-            raise  # a bad configuration or an unreadable cache says so itself
-        except (SpecializationError, ZeroDivisionError, ValueError) as e:
-            print(f"cache {args.cache} is corrupt: {e}", file=sys.stderr)
-            return 2
+        make_context(cfg)  # fail early on a bad cache; the suites share it
     records = run_suites(cfg, suites, manifest)
     lines = [inject.record_to_line(r) for r in records]
     if args.out:

@@ -11,9 +11,9 @@ column a.h is built as x.(rest.h), from the column of the shorter PBW
 monomial rest, with x the outermost divided factor of a.  Borel
 cohomology dimensions are read off by torus-weight selection: a
 resolution generator of weight mu contributes to
-H^n(borel, k) exactly when the K-character of mu is trivial, i.e.
-(mu, alpha_j) = 0 mod ell for every simple root.  The lattice shortcut is
-asserted against the field-level eigenvalue on every use.
+H^n(borel, k) exactly when the torus acts trivially on mu, i.e.
+(mu, alpha_j) = 0 mod cap for every simple root, where cap = ell p^r is
+the torus period of the kernel (the period ``onedim`` weights obey).
 """
 
 from __future__ import annotations
@@ -169,22 +169,17 @@ def _check_strict_grading(res: GradedBetti) -> None:
 
 
 def weight_has_trivial_character(ctx: KernelContext, mu: RootVec) -> bool:
-    """mu in ell X, by the pairing criterion, cross-checked in the field.
+    """Whether the torus of the kernel acts trivially on the root-lattice
+    weight mu: (mu, alpha_j) = 0 mod cap for every simple root alpha_j.
 
-    (mu, alpha_j) = 0 mod ell for all simple alpha_j iff every K-eigenvalue
-    zeta^{(mu, alpha_j)} is one; both routes are evaluated and compared.
+    At r = 1 the torus of the kernel has period cap = ell p, the period
+    ``onedim_module`` and ``twist_module`` use; the K-eigenvalue
+    zeta^{(mu, alpha_j)} alone has period ell and cannot see it.
     """
-    lattice = all(
-        ctx.pair(mu, ctx.datum.simple_roots[j]) % ctx.ell == 0
+    return all(
+        ctx.pair(mu, ctx.datum.simple_roots[j]) % ctx.cap == 0
         for j in range(ctx.rank)
     )
-    eigen = all(
-        ctx.zeta_pow(ctx.pair(mu, ctx.datum.simple_roots[j])) == ctx.field.one
-        for j in range(ctx.rank)
-    )
-    if lattice != eigen:
-        raise AssertionError(f"lattice criterion disagrees with eigenvalues at {mu}")
-    return lattice
 
 
 def borel_cohomology_dims(ctx: KernelContext, side: str, n_max: int) -> List[int]:

@@ -663,13 +663,14 @@ class StructureTable:
         g = self.order.gammas
         return self.order.datum.pair_roots(g[i - 1], g[j - 1])
 
-    def has_nontrivial_denominator(self) -> bool:
-        for entries in (self.e_entries, self.f_entries):
-            for tail in entries.values():
-                for c in tail.values():
-                    if c.denominator_nontrivial():
-                        return True
-        return False
+    def denominator_count(self) -> int:
+        """How many tail coefficients, E and F side, have an S-denominator."""
+        return sum(
+            c.denominator_nontrivial()
+            for entries in (self.e_entries, self.f_entries)
+            for tail in entries.values()
+            for c in tail.values()
+        )
 
 
 def build_structure_table(uq: UqGeneric, order: ConvexOrder) -> StructureTable:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from operator import le, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .genericuq import UqGeneric, generic_uq
+from .genericuq import StructureTable, UqGeneric, generic_uq
 from .linalg import Eliminator, Mat, SpanSolver, Vec, kernel_basis, memoized, vec_add_term, vec_iadd_scaled
 from .rootdata import ConvexOrder
 from .scalars import q_int
@@ -61,11 +61,10 @@ class SpecializationError(ArithmeticError):
     pass
 
 
-def specialize_table(table, field):
-    """Field-coefficient commutation data from a generic structure table.
+def specialize_table(table: StructureTable, field):
+    """The tails {side: {(i, j): {exp: coeff}}} of a structure table in the field.
 
-    Returns {side: {(i, j): {exp: coeff}}} tails plus leading powers; a
-    vanishing S-generator denominator raises SpecializationError (the
+    A vanishing S-generator denominator raises SpecializationError (the
     cached table would have to be corrupt: the S generators do not
     vanish at a primitive root of odd order coprime to the bad primes).
     """
@@ -85,14 +84,12 @@ def specialize_table(table, field):
 class KernelContext:
     """Shared straightening caches for one (type, order, field, r) choice.
 
-    ``table`` may inject an externally loaded structure table.  It must
-    carry e_entries / f_entries, the tails {(i, j): {exp: Localized}} of
-    the commutation relations, and omega_units, one QFraction per
-    convex-order position with omega(E_gamma_i) = unit * F_gamma_i.  By
-    default the table is computed from scratch.
+    ``table`` may supply the ``StructureTable`` of ``order``, such as one
+    read from a cache by ``cli.read_cache``; by default it is computed from
+    scratch.
     """
 
-    def __init__(self, order: ConvexOrder, field, r: int = 0, table=None):
+    def __init__(self, order: ConvexOrder, field, r: int = 0, table: Optional[StructureTable] = None):
         self.order = order
         self.datum = order.datum
         self.field = field
@@ -109,11 +106,7 @@ class KernelContext:
         self.n = self.datum.n_positive
         self.rank = self.datum.rank
         self.uq: UqGeneric = generic_uq(self.datum.label)
-        gen_table = self.uq.structure_table(order) if table is None else table
-        self.tables = specialize_table(gen_table, field)
-        self.omega_units = tuple(field.eval_fraction(u) for u in gen_table.omega_units)
-        if len(self.omega_units) != self.n:
-            raise ValueError(f"table carries {len(self.omega_units)} omega units, not {self.n}")
+        self.tables = specialize_table(self.uq.structure_table(order) if table is None else table, field)
         # positions of the simple roots inside the convex order
         self.simple_pos = tuple(
             order.gammas.index(self.datum.simple_roots[j]) for j in range(self.rank)

@@ -13,7 +13,7 @@ The Cartan matrix convention is cartan[i][j] = 2(a_i, a_j)/(a_j, a_j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import List, Sequence, Tuple
@@ -51,10 +51,6 @@ class RootDatum:
     positive_roots: Tuple[Root, ...]     # sorted by (height, coords)
     gram: Tuple[Tuple[int, ...], ...]    # gram[i][j] = (a_i, a_j)
     fundamental_weights: Tuple[Vector, ...]  # in root coordinates
-    rho_weight: Weight = field(init=False, default=None)  # type: ignore
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho_weight", (1,) * self.rank)
 
     # -- pairings ------------------------------------------------------
 
@@ -194,7 +190,6 @@ def build_root_datum(label: str) -> RootDatum:
     object.__setattr__(datum, "d", tuple(d))
     object.__setattr__(datum, "gram", gram)
     object.__setattr__(datum, "positive_roots", ())
-    object.__setattr__(datum, "rho_weight", (1,) * rank)
 
     # close the simple roots under the reflection orbit
     roots = set()

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -86,11 +87,7 @@ class TestCache:
         path = str(tmp_path / "b2.cache")
         write_cache(RunConfig(type_label="B2", ell=5), path)
         _, data = read_cache(path)
-        assert any(
-            c.denominator_nontrivial()
-            for tail in data.e_entries.values()
-            for c in tail.values()
-        )
+        assert data.denominator_count()
 
 
     def test_cached_context_needs_no_structure_table(self, tmp_path, monkeypatch):
@@ -109,7 +106,12 @@ class TestCache:
         cached = make_context(RunConfig("B2", 5, cache_path=path))
         assert asked == []
         # the two contexts have their own fields: compare the coordinates
-        assert [(u.num, u.den) for u in cached.omega_units] == [(u.num, u.den) for u in fresh.omega_units]
+        def coords(ctx):
+            return {side: {key: {exp: (c.num, c.den) for exp, c in tail.items()}
+                           for key, tail in entries.items()}
+                    for side, entries in ctx.tables.items()}
+
+        assert coords(cached) == coords(fresh) and coords(fresh)["E"][(1, 3)]
 
     def test_omega_units_required(self, tmp_path):
         path = tmp_path / "a2.cache"
@@ -467,6 +469,54 @@ class TestCorruptCache:
         path.write_text(b2_cache.replace(old, new, 1))
         with pytest.raises(ConfigError, match="malformed"):
             read_cache(str(path))
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("omega_unit 4 .*\n", "", "has 3 omega_unit lines, not 4"),
+            ("type=B2\n", "type=X9\n", "unsupported root system type 'X9'"),
+            ("type=B2\n", "", "unsupported root system type ''"),
+            ("w0=1,2,1,2\n", "w0=1,2,x,2\n", "invalid literal"),
+            ("w0=1,2,1,2\n", "w0=1,2,1\n", "length 4"),
+            ("w0=1,2,1,2\n", "w0=1,1,2,2\n", "not a reduced expression"),
+        ],
+        ids=["units-short", "type-unknown", "type-missing", "w0-letter", "w0-short", "w0-not-reduced"],
+    )
+    def test_header_without_order_or_units(self, b2_cache, tmp_path, old, new, message):
+        text = re.sub(old, new, b2_cache, count=1)
+        assert text != b2_cache
+        path = tmp_path / "bad.cache"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            read_cache(str(path))
+        r = cli("verify", "--type", "B2", "--ell", "5", "--cache", str(path), "--suite", "integrals")
+        assert r.returncode == 2 and r.stderr.startswith("error:"), r.stderr
+        assert len(r.stderr.splitlines()) == 1 and message in r.stderr, r.stderr
+
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (("verify", "--type", "B2", "--ell", "5", "--w0", "2,1,2,1", "--suite", "borel",
+              "--manifest", "{manifest}"), ("B2 with w0 1,2,1,2", "B2 with w0 2,1,2,1")),
+            (("relations", "--type", "B2", "--ell", "5", "--w0", "2,1,2,1", "1", "3"),
+             ("B2 with w0 1,2,1,2", "B2 with w0 2,1,2,1")),
+            (("verify", "--type", "A2", "--ell", "3", "--suite", "borel"),
+             ("B2 with w0 1,2,1,2", "A2 with w0 1,2,1")),
+            (("relations", "--type", "A2", "--ell", "5", "1", "3"),
+             ("B2 with w0 1,2,1,2", "A2 with w0 1,2,1")),
+        ],
+        ids=["verify-w0", "relations-w0", "verify-type", "relations-type"],
+    )
+    def test_cache_of_another_order(self, b2_cache, tmp_path, args, named):
+        # a well-formed cache written for another type or word: its tails
+        # would print or compute a wrong relation, so it is refused
+        cache, manifest = tmp_path / "b2.cache", tmp_path / "cases.jsonl"
+        cache.write_text(b2_cache)
+        manifest.write_text('{"spec": "verma(1,0)"}\n{"spec": "simple(1,1)"}\n{"spec": "trivial"}\n')
+        r = cli(*(a.format(manifest=manifest) for a in args), "--cache", str(cache))
+        assert r.returncode == 2 and r.stderr.startswith("error:"), r.stderr
+        assert len(r.stderr.splitlines()) == 1 and "corrupt" not in r.stderr, r.stderr
+        assert f"built for {named[0]}, not for {named[1]}" in r.stderr, r.stderr
 
     def test_relations_entry_missing_from_cache(self, b2_cache, tmp_path):
         path = tmp_path / "short.cache"

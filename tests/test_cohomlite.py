@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from uzeta import cohomlite
+from uzeta import cohomlite, qmodules
 from uzeta.cohomlite import (
     borel_cohomology_dims,
     minimal_resolution,
@@ -108,6 +109,12 @@ class TestBorelDims:
     def test_a1_alternating(self, ctxmaker):
         assert borel_cohomology_dims(ctxmaker("A1", 3), "plus", 6) == [1, 0, 1, 0, 1, 0, 1]
 
+    def test_higher_kernel_alternating(self, ctxmaker):
+        # the torus of the r = 1 kernel has period ell p = 21: of the
+        # Kunneth weights in TestResolutionHigherKernel only 0, 21, 42, 63
+        # are torus-trivial, one in each even degree
+        assert borel_cohomology_dims(ctxmaker("A1", 3, 7, 1), "plus", 6) == [1, 0, 1, 0, 1, 0, 1]
+
     def test_a2_above_coxeter(self, ctxmaker):
         # odd vanishing and the polynomial Hilbert function on N generators
         dims = borel_cohomology_dims(ctxmaker("A2", 5), "plus", 4)
@@ -140,6 +147,24 @@ class TestLatticeCriterion:
         assert weight_has_trivial_character(ctx, (0, 5))
         assert not weight_has_trivial_character(ctx, (2, 1))
         assert not weight_has_trivial_character(ctx, (1, 1))
+
+    @pytest.mark.parametrize(
+        "args", [("A1", 3), ("A1", 5), ("A2", 3), ("A1", 3, 7, 1)], ids=["A1-3", "A1-5", "A2-3", "A1-3-p7-r1"]
+    )
+    def test_agrees_with_onedim(self, ctxmaker, args):
+        # mu has trivial character iff the one-dimensional module of weight
+        # mu exists: both read the torus period of the kernel
+        ctx = ctxmaker(*args)
+        seen = set()
+        for mu in itertools.product(range(-2 * ctx.cap, 2 * ctx.cap + 1), repeat=ctx.rank):
+            try:
+                qmodules.onedim_module(ctx, ctx.datum.root_to_weight(mu))
+                accepted = True
+            except qmodules.SpecSyntaxError:
+                accepted = False
+            assert weight_has_trivial_character(ctx, mu) == accepted, mu
+            seen.add(accepted)
+        assert seen == {True, False}
 
     def test_a1_bar_complex_cross_check(self, ctxmaker):
         # independent route: reduced bar complex of the 3-dim algebra

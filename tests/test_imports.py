@@ -1,5 +1,6 @@
-"""Every import in ``src/uzeta`` is read by the module that makes it, and
-every definition there is named somewhere outside its own ``def`` line."""
+"""Every import in ``src/uzeta`` is read by the module that makes it,
+every definition there is named somewhere outside its own ``def`` line,
+and every field or attribute it stores is read somewhere."""
 
 import ast
 import pathlib
@@ -57,13 +58,19 @@ def _definitions(tree):
                 yield node.name, node.lineno
 
 
-def test_no_dead_definition():
-    # a name counts as used wherever it appears as a word, strings included:
-    # uzbench wraps some methods by their dotted names
+def _words():
+    """How often each word appears in src, tests and uzbench, strings
+    included: uzbench wraps some methods by their dotted names."""
     words = Counter()
     for folder in ("src", "tests", "uzbench"):
         for path in (ROOT / folder).rglob("*.py"):
             words.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    return words
+
+
+def test_no_dead_definition():
+    # a name counts as used wherever it appears as a word
+    words = _words()
     defs = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -72,3 +79,33 @@ def test_no_dead_definition():
     words.subtract(name for _, name, _ in defs)
     dead = [f"{f}:{line} {name}" for f, name, line in defs if words[name] <= 0]
     assert not dead, f"defined and never named elsewhere: {dead}"
+
+
+def _stores(tree):
+    """Every dataclass field, ``self.x = ...`` and ``object.__setattr__(obj,
+    "x", ...)`` of a module, by name, once per store."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield stmt.target.id
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__setattr__" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def test_no_unread_state():
+    # a field or attribute is read if its name appears as a word more often
+    # than the program stores it
+    words = _words()
+    stores = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        stores.update(_stores(ast.parse(path.read_text(), filename=str(path))))
+    unread = sorted(name for name, n in stores.items() if words[name] <= n)
+    assert not unread, f"stored and never read: {unread}"

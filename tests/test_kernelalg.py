@@ -208,7 +208,7 @@ class TestOmegaMirror:
     def test_tail_unit_conjugation(self, ctxmaker):
         # f tail = e tail * prod(units^exp) / (unit_i unit_j), specialized
         ctx = ctxmaker("B2", 5)
-        units = ctx.omega_units
+        units = [ctx.field.eval_fraction(u) for u in ctx.uq.structure_table(ctx.order).omega_units]
         for (i, j), tail in ctx.tables["E"].items():
             for exp, c in tail.items():
                 expect = c
