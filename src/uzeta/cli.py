@@ -223,6 +223,7 @@ def _parse_cache(blob: bytes, path: str) -> Tuple[Dict[str, str], StructureTable
     f_entries: Dict = {}
     s_keys: Tuple[int, ...] = ()
     units: List[QFraction] = []
+    counts = {"E": Counter(), "F": Counter()}
     for n, ln in enumerate(lines[1:], 2):
         if not ln:
             continue
@@ -254,8 +255,9 @@ def _parse_cache(blob: bytes, path: str) -> Tuple[Dict[str, str], StructureTable
                 exp_s, _, coeff_s = part.partition("=")
                 exp = tuple(int(x) for x in exp_s.strip("()").split(","))
                 tail[exp] = localized_from_text(coeff_s, s_keys)
-            target = e_entries if side == "E" else f_entries
-            target[(int(i_s), int(j_s))] = tail
+            key = (int(i_s), int(j_s))
+            (e_entries if side == "E" else f_entries)[key] = tail
+            counts[side][key] += 1
         except (ValueError, ArithmeticError, LookupError) as e:
             raise ConfigError(f"cache {path}: line {n} is malformed: {e}") from e
     try:
@@ -263,10 +265,23 @@ def _parse_cache(blob: bytes, path: str) -> Tuple[Dict[str, str], StructureTable
         order = convex_order(meta.get("type", ""), word)
     except ValueError as e:
         raise ConfigError(f"cache {path} names no valid order: {e}") from e
-    if len(units) != order.datum.n_positive:
-        raise ConfigError(
-            f"cache {path} has {len(units)} omega_unit lines, not {order.datum.n_positive}"
-        )
+    npos = order.datum.n_positive
+    if len(units) != npos:
+        raise ConfigError(f"cache {path} has {len(units)} omega_unit lines, not {npos}")
+    # each side holds one entry for every pair 1 <= i < j <= npos and no other
+    pairs = {(i, j) for j in range(2, npos + 1) for i in range(1, j)}
+    for side, seen in counts.items():
+        for i, j in sorted(pairs | set(seen)):
+            count = seen[(i, j)]
+            if (i, j) not in pairs:
+                fault = f"an {side} entry {i} {j} outside 1 <= i < j <= {npos}"
+            elif not count:
+                fault = f"no {side} entry {i} {j}"
+            elif count > 1:
+                fault = f"{count} {side} entries {i} {j}"
+            else:
+                continue
+            raise ConfigError(f"cache {path} has {fault}")
     return meta, StructureTable(order, s_keys, e_entries, f_entries, tuple(units))
 
 
@@ -578,8 +593,6 @@ def cmd_relations(args, cfg: RunConfig) -> int:
         table = _table_of(order, _read_cache_bytes(args.cache), args.cache)
     else:
         table = generic_uq(cfg.type_label).structure_table(order)
-    if (i, j) not in table.e_entries:
-        raise ConfigError(f"cache {args.cache} has no E entry {i} {j}")
     e_tail = table.e_entries[(i, j)]
     gi, gj = order.gammas[i - 1], order.gammas[j - 1]
     pairing = order.datum.pair_roots(gi, gj)

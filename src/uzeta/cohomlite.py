@@ -29,7 +29,6 @@ RootVec = Tuple[int, ...]
 
 @dataclass
 class GradedBetti:
-    kind: str
     degrees: List[List[RootVec]]  # generator weights (root coordinates) per step
 
     def betti(self) -> List[int]:
@@ -92,7 +91,7 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
         kernel = _next_kernel(alg, new_gens, field.one)
         gen_weights = [wt for wt, _ in new_gens]
 
-    res = GradedBetti(kind, degrees)
+    res = GradedBetti(degrees)
     _check_strict_grading(res)
     return res
 

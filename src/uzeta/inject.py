@@ -48,7 +48,6 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class FreenessReport:
-    algebra: str
     top_dim: int
     verdict: bool
     rank: Optional[int] = None
@@ -100,7 +99,7 @@ def free_over_local(m: WeightedModule, kind: str) -> FreenessReport:
         raise ValueError(f"{kind} is not in the local family")
     top = m.dim - radical_span(m, kind).rank
     verdict = m.dim == desc.dim * top
-    return FreenessReport(kind, top, verdict, rank=top if verdict else None)
+    return FreenessReport(top, verdict, rank=top if verdict else None)
 
 
 def free_over_root(m: WeightedModule, pos: int, side: str) -> FreenessReport:

@@ -12,8 +12,8 @@ straightening data, each method through ``linalg.memoized`` (one
 * reduction of one-sided words to divided-power PBW coordinates,
 * each one-sided divided monomial as letters times monomials one letter
   lower, and from it, by recursion on that letter, the mixed pushes of a
-  simple E past a divided F-monomial (and mirrored), valid while all
-  exponents are < ell (r = 0),
+  simple E past a divided F-monomial, valid while all exponents are < ell
+  (r = 0),
 * the closed rank-one formula for E^{(m)} F^{(n)} used by higher kernels.
 
 The context holds the action conventions that algebras, modules and
@@ -261,44 +261,42 @@ class KernelContext:
 
     # -- one-letter recursion ------------------------------------------------
 
-    def letter_times(self, side: str, letter: GenKey, exp: FExp) -> Dict[FExp, object]:
-        """Divided coordinates of x X^{(exp)} (side F) or X^{(exp)} x (side E)."""
+    def letter_times(self, letter: GenKey, exp: FExp) -> Dict[FExp, object]:
+        """Divided coordinates of x F^{(exp)} for a letter x."""
         kind, j = letter
-        if kind == side:
-            mul = self.lmul_rv if side == "F" else self.rmul_rv
-            return mul(side, self.simple_pos[j], exp)
-        # X^{(ell)} in rank one: pure divided-power collection
+        if kind == "F":
+            return self.lmul_rv("F", self.simple_pos[j], exp)
+        # F^{(ell)} in rank one: pure divided-power collection
         a = exp[0] + self.ell
         c = self.gauss_binom(a, self.ell, self.d_gamma[0])
         return {(a,): c} if a < self.cap and c else {}
 
     @memoized
-    def letter_terms(self, side: str, exp: FExp) -> Dict[Tuple[GenKey, FExp], object]:
-        """Nonzero X^{(exp)} as sum c * x X^{(e)} (side F) or sum c * X^{(e)} x (side E).
+    def letter_terms(self, exp: FExp) -> Dict[Tuple[GenKey, FExp], object]:
+        """Nonzero F^{(exp)} as sum c * x F^{(e)}.
 
-        Returns {(x, e): c} over the letters x: the simple X_j, and X^{(ell)}
-        at r = 1.  They generate the one-sided kernel, so every monomial of
-        nonzero weight lies in the span of the columns "letter times a
-        monomial one letter lower"; one ``SpanSolver`` per weight solves all
-        its monomials.
+        Returns {(x, e): c} over the letters x: the simple F_j, and F^{(ell)}
+        at r = 1.  They generate u-, so every monomial of nonzero weight
+        lies in the span of the columns "letter times a monomial one letter
+        lower"; one ``SpanSolver`` per weight solves all its monomials.
         """
-        return self._letter_terms_of_weight(side, self.weight_of_fexp(exp))[exp]
+        return self._letter_terms_of_weight(self.weight_of_fexp(exp))[exp]
 
     @memoized
-    def _letter_terms_of_weight(self, side: str, wt: Tuple[int, ...]) -> Dict[FExp, Dict]:
+    def _letter_terms_of_weight(self, wt: Tuple[int, ...]) -> Dict[FExp, Dict]:
         """``letter_terms`` of every monomial of weight wt, from one ``SpanSolver``."""
         solver = SpanSolver(self.field.one)
-        letters = [(side, j) for j in range(self.rank)] + ([(side + "d0", 0)] if self.r else [])
+        letters = [("F", j) for j in range(self.rank)] + ([("Fd0", 0)] if self.r else [])
         for letter in letters:
-            step = 1 if letter[0] == side else self.ell
+            step = 1 if letter[0] == "F" else self.ell
             below = tuple(w - step * (t == letter[1]) for t, w in enumerate(wt))
             for e in self._exps_by_weight().get(below, ()):
-                solver.add((letter, e), self.letter_times(side, letter, e))
+                solver.add((letter, e), self.letter_times(letter, e))
         out = {}
         for a in self._exps_by_weight()[wt]:
             sol = solver.solve({a: self.field.one})
             if sol is None:
-                raise ArithmeticError(f"{side}^({a}) is not a sum of letter products")
+                raise ArithmeticError(f"F^({a}) is not a sum of letter products")
             out[a] = sol
         return out
 
@@ -311,36 +309,20 @@ class KernelContext:
 
     # -- mixed pushes ------------------------------------------------------
 
-    def push_E_through_F(self, j: int, exp: FExp) -> Tuple:
-        """E_j * F^{(exp)} as sum F^{(exp')} K^{kv} (E_j or 1).
-
-        Returns a tuple of ((exp', kv mod ell, has_e), coeff); see ``_push``.
-        """
-        return self._push("F", j, exp)
-
-    def push_F_through_E(self, j: int, exp: FExp) -> Tuple:
-        """E^{(exp)} * F_j as sum (F_j or 1) K^{kv} E^{(exp')}.
-
-        Mirrored push used by coinduced modules.  Returns a tuple of
-        ((has_f, kv mod ell, exp'), coeff); see ``_push``.
-        """
-        return self._push("E", j, exp)
-
     @memoized
-    def _push(self, side: str, j: int, exp: FExp) -> Tuple:
-        """E_j X^{(exp)} (side F) or X^{(exp)} F_j (side E), by recursion on one letter.
+    def push_E_through_F(self, j: int, exp: FExp) -> Tuple:
+        """E_j * F^{(exp)} as sum F^{(exp')} K^{kv} (E_j or 1), by recursion on one letter.
 
-        With F^{(a)} = sum c F_i F^{(e)} (``letter_terms``) and the relation
+        Returns a sorted tuple of ((exp', kv mod ell, has_e), coeff); kv is
+        nonzero only on commutator terms.  With F^{(a)} = sum c F_i F^{(e)}
+        (``letter_terms``) and the relation
         E_j F_i = F_i E_j + delta_ij (K_j - K_j^-1)/(q_j - q_j^-1),
 
             E_j F^{(a)} = sum c (F_i E_j F^{(e)} + delta_ij (K_j - K_j^-1)/(q_j - q_j^-1) F^{(e)}),
 
         and K_j^{+-1} moves right past F^{(e)} at the cost zeta^{-+(alpha_j, wt e)}.
-        The mirror E^{(a)} = sum c E^{(e)} E_i gives E^{(a)} F_j, with K moved
-        left past E^{(e)} at the same cost.  Terms are sorted keys
-        (exp', kv, has_e) on side F and (has_f, kv, exp') on side E; kv is
-        nonzero only on commutator terms.  Valid while all exponents are
-        < ell (r = 0), where the letters are the simple X_i.
+        Valid while all exponents are < ell (r = 0), where the letters are
+        the simple F_i.
         """
         acc: Dict[Tuple[FExp, KExp, int], object] = {}
         if not any(exp):
@@ -349,19 +331,18 @@ class KernelContext:
             alpha_j = self.datum.simple_roots[j]
             dj = self.datum.d[j]
             inv_denom = self.field.one / (self.zeta_pow(dj) - self.zeta_pow(-dj))
-            for (letter, e), c in self.letter_terms(side, exp).items():
-                for k2, c2 in self._push(side, j, e):
-                    x, kv, has = k2 if side == "F" else k2[::-1]
+            for (letter, e), c in self.letter_terms(exp).items():
+                for (x, kv, has), c2 in self.push_E_through_F(j, e):
                     c2 = c * c2
-                    for x2, c3 in self.letter_times(side, letter, x).items():
+                    for x2, c3 in self.letter_times(letter, x).items():
                         vec_add_term(acc, (x2, kv, has), c2 * c3)
-                if letter == (side, j):
+                if letter == ("F", j):
                     pairing = self.pair(alpha_j, self.weight_of_fexp(e))
                     for sign in (1, -1):
                         kv = self.kmod(tuple(sign * x for x in alpha_j))
                         scal = self.zeta_pow(-sign * pairing) * inv_denom
                         vec_add_term(acc, (e, kv, 0), c * scal if sign > 0 else -(c * scal))
-        return tuple(sorted((k if side == "F" else k[::-1], c) for k, c in acc.items()))
+        return tuple(sorted(acc.items()))
 
     # -- rank one: closed divided-power commutation ------------------------
     #
@@ -481,7 +462,7 @@ class KernelContext:
         name, j = gen
         pos = self.simple_pos[j] if name in ("F", "E") else j
         if name[0] == "F":
-            col = self.letter_times("F", gen, f) if name == "Fd0" else self.lmul_rv("F", pos, f)
+            col = self.letter_times(gen, f) if name == "Fd0" else self.lmul_rv("F", pos, f)
             for f2, c in col.items():
                 put(f2, zero, e, c)
         elif self.r:
@@ -815,7 +796,7 @@ class KernelAlgebra:
             return out
         if kind == "Fd0":
             # rank one: F^{(ell)} commutes with F^{(a)}
-            return {(a2, k, e): c for a2, c in ctx.letter_times("F", gen, f).items()}
+            return {(a2, k, e): c for a2, c in ctx.letter_times(gen, f).items()}
         raise ValueError(f"right multiplication by {gen} unsupported")
 
     # -- distinguished elements and checks ----------------------------------

@@ -256,49 +256,22 @@ def verma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
 
 
 def coverma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
-    """Coinduced module: functions on the E side, socle weight lam on top."""
+    """Coinduced module Hom_{u<=0}(u, k_lam), socle weight lam on top.
+
+    It is Z(nu)^omega with nu = 2(cap-1)rho - lam: the Verma module twisted
+    by the Chevalley involution omega: E <-> F, K -> K^-1 (Jantzen,
+    Lectures on Quantum Groups, 4.6), so its E and F matrices are those of
+    F and E on Z(nu) and its weights are negated.  The function dual to
+    E^{(top)} has weight mu = lam - 2(cap-1)rho and no F lowers it, and the
+    Frobenius form of u+ makes its E-translates a basis, so the module is
+    u (x)_{u<=0} k_mu = Z(-mu)^omega.
+    """
     lam = tuple(lam)
-    eexps = _fexp_list(ctx)
-    index = {c: i for i, c in enumerate(eexps)}
-    acts: Dict[GenKey, Mat] = {}
-    # (x . f)(E^{(c')}) = f(E^{(c')} x) for the letters x = E_j (and E^{(ell)} at r = 1)
-    for gen in ctx.algebra_kind("u+").generators:
-        mat: Mat = {}
-        for cexp in eexps:
-            for c2, coeff in ctx.letter_times("E", gen, cexp).items():
-                mat.setdefault(index[c2], {})[index[cexp]] = coeff
-        acts[gen] = mat
-    # (F_j . f)(E^{(c')}) = f(E^{(c')} F_j); the B-part acts through lam
-    if ctx.r == 0:
-        for j in range(ctx.rank):
-            mat = {}
-            for cexp in eexps:
-                for (has_f, mu, c2), coeff in ctx.push_F_through_E(j, cexp):
-                    if has_f:
-                        continue  # lam kills the F part
-                    i2 = index.get(c2)
-                    if i2 is None:
-                        continue
-                    scal = coeff * ctx.zeta_pow(ctx.datum.pair_weight_root(lam, mu))
-                    vec_add_term(mat.setdefault(i2, {}), index[cexp], scal)
-            acts[("F", j)] = mat
-    else:
-        lam_hat = lam[0] * ctx.d_gamma[0]
-        for gen, n_f in ((("F", 0), 1), (("Fd0", 0), ctx.ell)):
-            mat = {}
-            for cexp in eexps:
-                for f_t, c_off, t, e_t in ctx.mixed_rank1_terms(cexp[0], n_f):
-                    i2 = index.get((e_t,))
-                    if f_t or i2 is None:
-                        continue
-                    val = ctx.gauss_binom(lam_hat + c_off, t)
-                    if val:
-                        vec_add_term(mat.setdefault(i2, {}), index[cexp], val)
-            acts[gen] = mat
-    return WeightedModule(
-        ctx, _weights_below(ctx, lam, eexps), acts, frozenset({"torus", "borel-", "borel+"}),
-        f"coverma({_lam_str(lam)})",
-    )
+    vm = verma_module(ctx, tuple(2 * (ctx.cap - 1) - x for x in lam))
+    swap = {"E": "F", "F": "E"}
+    acts = {(swap[kind[0]] + kind[1:], j): mat for (kind, j), mat in vm.actions.items()}
+    weights = tuple(tuple(-x for x in w) for w in vm.weights)
+    return WeightedModule(ctx, weights, acts, vm.flags, f"coverma({_lam_str(lam)})")
 
 
 def dual_module(m: WeightedModule) -> WeightedModule:
@@ -519,7 +492,7 @@ def contravariant_gram(m: WeightedModule, verma_of: Weight) -> Dict[Weight, Tupl
         if ia == top:
             return {top: ctx.field.one}
         acc: Vec = {}
-        for ((kind, j), e), c in ctx.letter_terms("F", fexps[ia]).items():
+        for ((kind, j), e), c in ctx.letter_terms(fexps[ia]).items():
             low = functional(index[e])
             mat = m.actions[("E" + kind[1:], j)]
             for k in blocks[m.weights[ia]]:

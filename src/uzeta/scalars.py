@@ -923,7 +923,6 @@ class GaloisField(_ResidueField):
         self.modulus = self._find_irreducible(n)
         self.zero = GFElement(self, (0,) * n)
         self.one = self.from_int(1)
-        self._red = self._reduction_rows()
         self.zeta = self._find_zeta()
         self._zeta_pows = [self.one]
         for _ in range(ell - 1):
@@ -1013,21 +1012,6 @@ class GaloisField(_ResidueField):
                 return tuple(g)
         raise RuntimeError("no irreducible polynomial found (unreachable)")
 
-    def _reduction_rows(self):
-        n = self.n
-        if n == 1:
-            return []
-        rows = []
-        cur = [(-x) % self.p for x in self.modulus[:-1]]
-        rows.append(tuple(cur))
-        for _ in range(n - 2):
-            cur = [0] + cur
-            lead = cur.pop()
-            if lead:
-                cur = [(x + lead * y) % self.p for x, y in zip(cur, rows[0])]
-            rows.append(tuple(cur))
-        return rows
-
     def _find_zeta(self) -> GFElement:
         order = self.p ** self.n - 1
         assert order % self.ell == 0
@@ -1062,24 +1046,9 @@ class GaloisField(_ResidueField):
         return GFElement(self, (k % self.p,) + (0,) * (self.n - 1))
 
     def _mul(self, a: GFElement, b: GFElement) -> GFElement:
-        n = self.n
-        p = self.p
-        if n == 1:
-            return GFElement(self, (a.co[0] * b.co[0] % p,))
-        buf = [0] * (2 * n - 1)
-        for i, x in enumerate(a.co):
-            if x:
-                for j, y in enumerate(b.co):
-                    if y:
-                        buf[i + j] = (buf[i + j] + x * y) % p
-        out = buf[:n]
-        for k in range(n, 2 * n - 1):
-            c = buf[k]
-            if c:
-                row = self._red[k - n]
-                for i, y in enumerate(row):
-                    out[i] = (out[i] + c * y) % p
-        return GFElement(self, tuple(out))
+        if self.n == 1:
+            return GFElement(self, (a.co[0] * b.co[0] % self.p,))
+        return GFElement(self, tuple(self._polmulmod(a.co, b.co, self.modulus)))
 
     def _inv(self, a: GFElement) -> GFElement:
         if not a:

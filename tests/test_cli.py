@@ -524,6 +524,37 @@ class TestCorruptCache:
         r = cli("relations", "--type", "B2", "--ell", "5", "1", "2", "--cache", str(path))
         assert r.returncode == 2 and r.stderr.count("\n") == 1 and "no E entry 1 2" in r.stderr, r.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--type", "B2", "--ell", "5", "--cache", "{}", "--suite", "integrals"),
+            ("relations", "--type", "B2", "--ell", "5", "1", "2", "--cache", "{}"),
+            ("cache-info", "{}"),
+        ],
+        ids=["verify", "relations", "cache-info"],
+    )
+    @pytest.mark.parametrize(
+        "old,new,fault",
+        [
+            (r"(?m)^E 1 3 .*\n", "", "has no E entry 1 3"),
+            (r"(?m)^F 1 2 (.*\n)", r"F 1 2 \1F 4 5 \1", "has an F entry 4 5 outside 1 <= i < j <= 4"),
+            (r"(?m)^(F 2 3 .*\n)", r"\1\1", "has 2 F entries 2 3"),
+        ],
+        ids=["missing", "extra", "repeated"],
+    )
+    def test_entry_for_each_pair_once(self, b2_cache, tmp_path, args, old, new, fault):
+        # without the check a missing entry raised KeyError deep in a
+        # straightening step, and cache-info accepted the file
+        text = re.sub(old, new, b2_cache, count=1)
+        assert text != b2_cache
+        path = tmp_path / "pairs.cache"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(fault)):
+            read_cache(str(path))
+        r = cli(*(a.format(path) for a in args))
+        assert r.returncode == 2 and r.stderr.startswith("error:"), r.stderr
+        assert len(r.stderr.splitlines()) == 1 and fault in r.stderr, r.stderr
+
     def test_missing_cache_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             read_cache(str(tmp_path / "absent.cache"))

@@ -1,10 +1,13 @@
 """Every import in ``src/uzeta`` is read by the module that makes it,
 every definition there is named somewhere outside its own ``def`` line,
-and every field or attribute it stores is read somewhere."""
+and every field or attribute it stores is read somewhere.  A name in a
+comment or docstring does not count."""
 
 import ast
+import io
 import pathlib
 import re
+import tokenize
 from collections import Counter
 
 import pytest
@@ -58,18 +61,31 @@ def _definitions(tree):
                 yield node.name, node.lineno
 
 
+def _code_words(text):
+    """The words of a file outside its comments and docstrings; other
+    string literals count: uzbench wraps some methods by their dotted names."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.add((node.body[0].lineno, node.body[0].col_offset))
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type != tokenize.COMMENT and not (tok.type == tokenize.STRING and tok.start in docstrings):
+            yield from re.findall(r"[A-Za-z_]\w*", tok.string)
+
+
 def _words():
-    """How often each word appears in src, tests and uzbench, strings
-    included: uzbench wraps some methods by their dotted names."""
+    """How often each word appears in the code and string literals of src,
+    tests and uzbench; comments and docstrings are not a use."""
     words = Counter()
     for folder in ("src", "tests", "uzbench"):
         for path in (ROOT / folder).rglob("*.py"):
-            words.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+            words.update(_code_words(path.read_text()))
     return words
 
 
 def test_no_dead_definition():
-    # a name counts as used wherever it appears as a word
+    # a name counts as used wherever code or a string literal names it
     words = _words()
     defs = []
     for path in sorted(SRC.glob("*.py")):

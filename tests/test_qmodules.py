@@ -105,23 +105,27 @@ class TestCoverma:
         assert coverma_module(ctx, (1, 0)).character() == verma_module(ctx, (1, 0)).character()
 
     def test_socle_is_top_line(self, ctxmaker):
-        # over the plus Borel the coinduced module has socle lam on top
-        ctx = ctxmaker("A1", 3)
-        cv = coverma_module(ctx, (1,))
-        cv.check()
-        ctxf = ctx.field
-        # E-socle: joint kernel of E-generators
-        cols = []
-        for i in range(cv.dim):
-            col = {}
-            for row, c in cv.act_gen(("E", 0), {i: ctxf.one}).items():
-                col[row] = c
-            cols.append((i, col))
-        from uzeta.linalg import kernel_basis
+        # over u+ the coinduced module has socle lam on top
+        from uzeta.linalg import Eliminator, close_span
 
-        soc = kernel_basis(cols, one=ctxf.one)
-        assert len(soc) == 1
-        assert cv.weights[min(soc[0])] == (1,)
+        for ctx, lam in (
+            (ctxmaker("A1", 3), (1,)),
+            (ctxmaker("A2", 3), (1, 2)),
+            (ctxmaker("A1", 3, p=7, r=1), (4,)),
+        ):
+            cv = coverma_module(ctx, lam)
+            cv.check()
+            plus = ctx.algebra_kind("u+").generators
+            (soc,) = joint_kernel(cv, plus)
+            assert {cv.weights[i] for i in soc} == {lam}
+            # the line of weight mu = lam - 2(cap-1)rho: u- kills it and its
+            # u+-translates are a basis, so the module is u (x)_{u<=0} k_mu
+            mu = tuple(x - 2 * (ctx.cap - 1) for x in lam)
+            (low,) = [i for i, w in enumerate(cv.weights) if w == mu]
+            assert [low] in [list(v) for v in joint_kernel(cv, ctx.algebra_kind("u-").generators)]
+            elim = Eliminator()
+            close_span(elim, [{low: ctx.field.one}], [cv.generator_matrix(g) for g in plus])
+            assert elim.rank == cv.dim
 
 
 class TestDualTensor:
