@@ -13,10 +13,9 @@ Four layers, all exact and immutable:
   Q[q]/Phi_ell(q) and finite fields F_{p^n} with n the multiplicative
   order of p mod ell, so a primitive ell-th root exists in both.  An
   element of the cyclotomic field is a vector of integers over one
-  common denominator, multiplied by a signed rotation when one factor is
-  a root of unity +-zeta^k and by integer convolution otherwise, and
-  inverted through its Galois norm (``CycloField``); no ``Fraction``
-  arithmetic runs in its product or inverse.
+  common denominator, multiplied by integer convolution and inverted
+  through its Galois norm (``CycloField``); no ``Fraction`` arithmetic
+  runs in its product or inverse.
 
 The two residue fields share one layer.  ``_ResidueField`` evaluates
 Laurent polynomials, fractions and localized scalars at zeta, and
@@ -24,16 +23,25 @@ Laurent polynomials, fractions and localized scalars at zeta, and
 only its element type, coercion, product ``_mul`` and inverse ``_inv``.
 Every power, in every layer, is the one square-and-multiply ``_power``.
 
+A verdict multiplies the same few field values over and over, so each
+field memoizes its products and its inverses, keyed on the operands'
+integer coordinates, in two ``functools.lru_cache`` of ``MEMO_SIZE``
+entries that it owns (``_ResidueField``).
+
 Quantum integers, factorials and binomials live here as well.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 QQ = Fraction
+
+# entries in each residue field's product memo, and in its inverse memo
+MEMO_SIZE = 4096
 
 
 def _power(x, n: int, one):
@@ -647,7 +655,16 @@ class CycloElement(_ResidueElement):
 
 
 class _ResidueField:
-    """Evaluation at zeta; a subclass sets ``_zeta_pows`` = zeta^0 .. zeta^(ell-1)."""
+    """Evaluation at zeta, and the product and inverse memos of one field.
+
+    A subclass sets ``_zeta_pows`` = zeta^0 .. zeta^(ell-1) and defines
+    ``_raw_mul`` and ``_raw_inv`` on integer coordinates; its ``_mul`` and
+    ``_inv`` reach them through ``_product`` and ``_inverse``.
+    """
+
+    def __init__(self):
+        self._product = functools.lru_cache(maxsize=MEMO_SIZE)(self._raw_mul)
+        self._inverse = functools.lru_cache(maxsize=MEMO_SIZE)(self._raw_inv)
 
     def zeta_power(self, k: int):
         return self._zeta_pows[k % self.ell]
@@ -686,22 +703,18 @@ class CycloField(_ResidueField):
     powers zeta^0 .. zeta^(ell-1) reduces products and applies the Galois
     automorphisms sigma_k(zeta) = zeta^k, k in (Z/ell)^x.
 
-    Units rotate, everything else convolves.  The power basis is an
-    integral basis of Z[zeta] (Washington, Introduction to Cyclotomic
-    Fields, ch. 1-2), so multiplying by a unit +-zeta^k is an integer
-    change of basis with an integer inverse: it keeps the denominator and
-    the content of the numerator, and needs no gcd.  A product with a
-    +-zeta^k operand is therefore a signed rotation through the power
-    table, and a product of two of them is a lookup.  Any other product is
-    an integer convolution, reduced through that table, with one gcd to
-    keep the canonical form.  The inverse of +-zeta^k is +-zeta^-k; any
-    other inverse goes through the norm (Cohen, A Course in Computational
-    Algebraic Number Theory, 1993, 4.2-4.3):
-    a^-1 = prod_{k != 1} sigma_k(a) / N(a), where N(a) = prod_k sigma_k(a)
-    is rational.
+    A product is an integer convolution, reduced through that table, with
+    one gcd to keep the canonical form.  An inverse goes through the norm
+    (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    4.2-4.3): a^-1 = prod_{k != 1} sigma_k(a) / N(a), where
+    N(a) = prod_k sigma_k(a) is rational.  Both are memoized per field on
+    the ``(num, den)`` of their operands (``_ResidueField``), so a
+    product that recurs, such as a root of unity +-zeta^k times a
+    recurring value, is a lookup.
     """
 
     def __init__(self, ell: int):
+        super().__init__()
         self.ell = ell
         self.char = 0
         phi = cyclotomic_poly(ell)
@@ -722,11 +735,6 @@ class CycloField(_ResidueField):
         self.one = self.from_int(1)
         self._zeta_pows = [CycloElement(self, v) for v in pows]
         self.zeta = self._zeta_pows[1 % ell]
-        # the signed units: zeta^k at index k, -zeta^k at index ell + k,
-        # and the numerator of each (over 1) to its (k, sign); for even ell
-        # a unit has two names, and either gives the same products
-        self._units = self._zeta_pows + [-u for u in self._zeta_pows]
-        self._unit_of = {u.num: (i % ell, i // ell) for i, u in enumerate(self._units)}
         self.desc = f"cyclo({ell})"
 
     def coerce(self, x) -> CycloElement:
@@ -781,36 +789,19 @@ class CycloField(_ResidueField):
         return out
 
     def _mul(self, a: CycloElement, b: CycloElement) -> CycloElement:
-        unit_of = self._unit_of
-        ua = unit_of.get(a.num) if a.den == 1 else None
-        ub = unit_of.get(b.num) if b.den == 1 else None
-        if ua is None:
-            if ub is None:
-                return self._reduced(tuple(self._polymul(a.num, b.num)), a.den * b.den)
-            ua, b = ub, a
-        elif ub is not None:
-            return self._units[(ua[0] + ub[0]) % self.ell + self.ell * (ua[1] ^ ub[1])]
-        # b times the unit ua: a signed rotation over the same denominator
-        k, neg = ua
-        out = [0] * self.deg
-        ell, terms = self.ell, self._pow_terms
-        for i, x in enumerate(b.num):
-            if x:
-                if neg:
-                    x = -x
-                for j, y in terms[(i + k) % ell]:
-                    out[j] += x * y
-        return CycloElement(self, tuple(out), b.den)
+        return self._product(a.num, a.den, b.num, b.den)
 
     def _inv(self, a: CycloElement) -> CycloElement:
         if not a:
             raise ZeroDivisionError(f"division by zero in {self.desc}")
-        unit = self._unit_of.get(a.num) if a.den == 1 else None
-        if unit is not None:
-            return self._units[-unit[0] % self.ell + self.ell * unit[1]]
+        return self._inverse(a.num, a.den)
+
+    def _raw_mul(self, anum: Tuple[int, ...], aden: int, bnum: Tuple[int, ...], bden: int) -> CycloElement:
+        return self._reduced(tuple(self._polymul(anum, bnum)), aden * bden)
+
+    def _raw_inv(self, num: Tuple[int, ...], den: int) -> CycloElement:
         # a^-1 = den * prod_{k != 1} sigma_k(num) / N(num); a rational
         # num is its own norm
-        num = a.num
         conj = [1] + [0] * (self.deg - 1)
         norm = num[0]
         if any(num[1:]):
@@ -818,9 +809,9 @@ class CycloField(_ResidueField):
                 conj = self._polymul(conj, self._conjugate(num, k))
             full = self._polymul(num, conj)
             if any(full[1:]):
-                raise ArithmeticError(f"norm of {a} in {self.desc} is not rational")
+                raise ArithmeticError(f"norm of {CycloElement(self, num, den)} in {self.desc} is not rational")
             norm = full[0]
-        return self._reduced(tuple(a.den * x for x in conj), norm)
+        return self._reduced(tuple(den * x for x in conj), norm)
 
     def element_to_text(self, a: CycloElement) -> str:
         return ",".join(str(Fraction(x, a.den)) for x in a.num)
@@ -915,6 +906,7 @@ class GaloisField(_ResidueField):
             raise ValueError(f"p = {p} is not a prime")
         if ell % p == 0:
             raise ValueError("p must not divide ell")
+        super().__init__()
         self.p = p
         self.ell = ell
         self.char = p
@@ -1046,16 +1038,18 @@ class GaloisField(_ResidueField):
         return GFElement(self, (k % self.p,) + (0,) * (self.n - 1))
 
     def _mul(self, a: GFElement, b: GFElement) -> GFElement:
-        if self.n == 1:
-            return GFElement(self, (a.co[0] * b.co[0] % self.p,))
-        return GFElement(self, tuple(self._polmulmod(a.co, b.co, self.modulus)))
+        return self._product(a.co, b.co)
 
     def _inv(self, a: GFElement) -> GFElement:
         if not a:
             raise ZeroDivisionError(f"division by zero in {self.desc}")
-        if self.n == 1:
-            return GFElement(self, (pow(a.co[0], -1, self.p),))
-        return a ** (self.p ** self.n - 2)
+        return self._inverse(a.co)
+
+    def _raw_mul(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> GFElement:
+        return GFElement(self, tuple(self._polmulmod(a, b, self.modulus)))
+
+    def _raw_inv(self, co: Tuple[int, ...]) -> GFElement:
+        return GFElement(self, tuple(self._polpowmod(co, self.p ** self.n - 2, self.modulus)))
 
     def element_to_text(self, a: GFElement) -> str:
         return ",".join(str(x) for x in a.co)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from uzeta import cohomlite
 from uzeta.cli import (
     SUITES,
     ConfigError,
@@ -15,6 +16,7 @@ from uzeta.cli import (
     main,
     make_context,
     read_cache,
+    run_betti,
     run_suites,
     write_cache,
 )
@@ -247,6 +249,34 @@ class TestVerify:
             f"# {len(recs)} records, 0 disagreements, {len(recs)} skipped"
             f" ({lift} no full lift, {budget} over budget)"
         )
+
+    @pytest.mark.parametrize(
+        "config",
+        ["--type A1 --ell 3", "--type A1 --ell 5", "--type A2 --ell 3", "--type A1 --ell 3 --p 7 --r 1"],
+        ids=["A1-3", "A1-5", "A2-3", "A1-3-p7-r1"],
+    )
+    def test_default_configuration_all_green(self, tmp_path, config):
+        out = str(tmp_path / "report.jsonl")
+        r = cli("verify", *config.split(), "--suite", "all", "--jobs", "2", "--out", out)
+        assert r.returncode == 0, r.stdout + r.stderr
+        recs = [json.loads(l) for l in open(out)]
+        assert {rec["suite"] for rec in recs} == set(SUITES)
+        assert not [rec for rec in recs if "exceeds budget" in rec.get("reason", "")]
+        assert "over budget" not in r.stdout and "FALSIFICATION" not in r.stderr
+
+    def test_betti_skipped_unless_ell_above_coxeter(self, monkeypatch):
+        # A2 at ell = h = 3 has extra classes, [1, 0, 5, 0, 12]: nothing to compare
+        rec = run_betti(RunConfig("A2", 3))
+        assert rec["dims"] == [1, 0, 5, 0, 12] and rec["skipped"] and rec["agree"]
+        assert rec["reason"].startswith("ell <= Coxeter number 3")
+        assert run_betti(RunConfig("A1", 3)) == {
+            "case": "betti:b+", "suite": "betti", "dims": [1, 0, 1, 0, 1, 0, 1],
+            "expected": [1, 0, 1, 0, 1, 0, 1], "agree": True,
+        }
+        # above h a wrong count stays a disagreement
+        monkeypatch.setattr(cohomlite, "borel_cohomology_dims", lambda ctx, side, n: [1, 0, 2, 0, 1, 0, 1])
+        rec = run_betti(RunConfig("A1", 3))
+        assert not rec["agree"] and "skipped" not in rec
 
     def test_run_suites_in_process(self):
         cfg = RunConfig("A1", 3)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as QQ
 from math import gcd
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uzeta.scalars import (
+    MEMO_SIZE,
     QF_ONE,
     CycloField,
     GFElement,
@@ -370,7 +373,7 @@ class TestUnitProducts:
 
     @staticmethod
     def units(F):
-        # built by integer scaling, not through the field's own unit table
+        # built by integer scaling of the power table
         return [F.zeta_power(k) * s for k in range(F.ell) for s in (1, -1)]
 
     @pytest.mark.parametrize("ell", [3, 5, 9, 15])
@@ -422,6 +425,96 @@ def _schoolbook_mod(G, a, b):
         for i, y in enumerate(g):
             buf[k - n + i] -= c * y
     return tuple(x % G.p for x in buf[:n])
+
+
+def _cyclo_sample(F, rng):
+    """Random elements of F: the signed units +-zeta^k, small integers, and
+    random vectors, each of the last also over denominators 2, 3 and 6, so
+    that several elements share a numerator and differ in ``den``."""
+    out = [F.zeta_power(k) * s for k in range(F.ell) for s in (1, -1)]
+    out += [F.from_int(k) for k in (2, -3)]
+    for _ in range(8):
+        num = [rng.randint(-9, 9) for _ in range(F.deg)]
+        num[-1] = 1  # content 1, so num/2, num/3 and num/6 keep num
+        x = F.zero
+        for k, c in enumerate(num):
+            x = x + F.zeta_power(k) * c
+        out += [x * QQ(1, d) for d in (1, 2, 3, 6)]
+    return out
+
+
+class TestProductMemo:
+    """Each residue field memoizes its products and inverses, per field,
+    keyed on the operands' integer coordinates, within MEMO_SIZE entries."""
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_cyclo_products_and_inverses(self, ell):
+        F = CycloField(ell)
+        elems = _cyclo_sample(F, random.Random(ell))
+        assert {x.num for x in elems if x.den == 6} <= {x.num for x in elems if x.den == 1}
+        # the second pass reads every product back from the memo
+        for _ in range(2):
+            for a in elems:
+                for b in elems:
+                    got, want = a * b, _convolution(F, a, b)
+                    assert (got.num, got.den) == (want.num, want.den)
+                inv = F._inv(a)
+                assert a * inv == F.one and _convolution(F, a, inv) == F.one
+        assert F._product.cache_info().hits >= len(elems) ** 2
+
+    @pytest.mark.parametrize("p,ell", [(5, 3), (2, 7), (3, 5)])
+    def test_galois_products_and_inverses(self, p, ell):
+        G = GaloisField(p, ell)
+        assert G.n > 1
+        rng = random.Random(p + ell)
+        elems = [GFElement(G, tuple(rng.randrange(p) for _ in range(G.n))) for _ in range(30)]
+        for _ in range(2):
+            for a in elems:
+                for b in elems:
+                    assert (a * b).co == _schoolbook_mod(G, a.co, b.co)
+                if a:
+                    assert _schoolbook_mod(G, a.co, G._inv(a).co) == G.one.co
+        assert G._product.cache_info().hits >= len(elems) ** 2
+
+    def test_memo_is_bounded(self):
+        F = CycloField(5)
+        pairs = [(F.from_int(k) + F.zeta, F.zeta_power(k % 5) * (k % 7 - 3)) for k in range(MEMO_SIZE + 300)]
+        invs = [F.from_int(k) + F.zeta for k in range(MEMO_SIZE + 300)]
+        # the first round fills the memos past their bound; the second
+        # recomputes the entries evicted first
+        for _ in range(2):
+            for a, b in pairs:
+                got, want = a * b, _convolution(F, a, b)
+                assert (got.num, got.den) == (want.num, want.den)
+            for a in invs:
+                assert _convolution(F, a, F._inv(a)) == F.one
+            assert F._product.cache_info().currsize == MEMO_SIZE
+            assert F._inverse.cache_info().currsize == MEMO_SIZE
+        G = GaloisField(3, 5)  # GF(3^4): 6,561 products, past the bound
+        elems = [GFElement(G, co) for co in itertools.product(range(3), repeat=4)]
+        for _ in range(2):
+            for a in elems:
+                for b in elems:
+                    assert (a * b).co == _schoolbook_mod(G, a.co, b.co)
+            assert G._product.cache_info().currsize == MEMO_SIZE
+
+    @pytest.mark.parametrize("make", [lambda: CycloField(5), lambda: GaloisField(3, 5)], ids=["cyclo", "gf"])
+    def test_fields_share_no_entries(self, make):
+        F1, F2 = make(), make()
+        # GaloisField fills its memo while it finds zeta
+        before = F2._product.cache_info(), F2._inverse.cache_info()
+        x = F1.zeta + 2
+        assert x * x / (F1.zeta + 1) == (F1.zeta * F1.zeta + F1.zeta * 4 + 4) / (F1.zeta + 1)
+        assert F1._product.cache_info().misses and F1._inverse.cache_info().misses
+        assert (F2._product.cache_info(), F2._inverse.cache_info()) == before
+        # the same coordinates in the second field give its own elements
+        y = F2.zeta + 2
+        assert (y * y).ctx is F2 and (y / (F2.zeta + 1)).ctx is F2 and y * y != x * x
+        # and the memo, which refers to its field, dies with it
+        ref = weakref.ref(F1)
+        del F1, x
+        gc.collect()
+        assert ref() is None
 
 
 class TestResidueLayer:
