@@ -363,8 +363,9 @@ def default_manifest(cfg: RunConfig) -> List[Dict]:
 
 
 def load_manifest(path: str) -> List[Dict]:
-    """Cases of a manifest: one JSON object with a "spec" string per line;
-    an unreadable file or a malformed line is a ConfigError."""
+    """Cases of a manifest: one JSON object with a "spec" string per line
+    and an optional "expect_injective" of true, false or null; an
+    unreadable file or a malformed line is a ConfigError."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -381,6 +382,13 @@ def load_manifest(path: str) -> List[Dict]:
             raise ConfigError(f"manifest {path}: line {n} is not JSON: {e}") from e
         if not isinstance(case, dict) or not isinstance(case.get("spec"), str):
             raise ConfigError(f'manifest {path}: line {n} has no "spec" string')
+        expect = case.get("expect_injective")
+        # 1 == True and 0 == False, so test the type, not membership
+        if expect is not None and not isinstance(expect, bool):
+            raise ConfigError(
+                f'manifest {path}: line {n}: "expect_injective" is {json.dumps(expect)}, '
+                "not true, false or null"
+            )
         out.append(case)
     return out
 
@@ -390,7 +398,7 @@ def load_manifest(path: str) -> List[Dict]:
 
 def checked_module(ctx: KernelContext, spec: str) -> qmodules.WeightedModule:
     """The module of a spec text, realized and checked once per context; it
-    stays in ``ctx.realized`` with the split verdicts it keeps."""
+    stays in ``ctx.realized``."""
     m = ctx.realized.get(spec)
     if m is None:
         m = qmodules.realize_text(ctx, spec)

@@ -17,7 +17,9 @@ weight of a module generator, for the kinds without torus.  Either way a
 splitting exists iff a weight-degree-zero splitting exists (the graded
 pieces of an equivariant map are equivariant), which keeps the linear
 systems small.  The split test handles every kind and is the reference
-the counts are tested against.
+the counts are tested against.  Its verdicts live on the context, keyed
+on the kind and the module's exact content (weights and action matrices),
+so modules that differ only in label or flags share one run.
 
 The harness compares per-root freeness (the top count over each root
 subalgebra) with the oracle of a bigger algebra: the split test over g,
@@ -214,22 +216,31 @@ def projective_split_test(m: WeightedModule, kind: str, budget: int = DEFAULT_BU
     solution; the verdict is the one the whole system gives, and a
     negative test usually stops before its last batch.
 
-    The verdict is kept on the module per kind; the budget is checked
-    before that, and a call that raises keeps nothing.
+    The verdict is kept once per context, in ``ctx.split_verdicts``, keyed
+    on the kind and the module's ``content_key``: a second module with the
+    same weights and actions, such as Z(lambda) and L(lambda) at the
+    Steinberg weight, reads it without a second run.  The budget is
+    checked before the lookup, and a call that raises keeps nothing.
     """
-    desc = m.ctx.algebra_kind(kind)
+    ctx = m.ctx
+    desc = ctx.algebra_kind(kind)
     if desc.dim * m.dim > budget:
         raise BudgetExceeded(
             f"split test over {kind}: {desc.dim} x {m.dim} exceeds budget {budget}"
         )
-    verdict = m.split_verdicts.get(kind)
+    key = (kind, m.content_key())
+    verdict = ctx.split_verdicts.get(key)
     if verdict is None:
-        verdict = _split_exists(m, kind)
-        m.split_verdicts[kind] = verdict
+        verdict = ctx.split_verdicts[key] = _split_exists(m, kind)
     return verdict
 
 
 def _split_exists(m: WeightedModule, kind: str) -> bool:
+    """The split test itself, with no budget and no memo.  It reads the
+    module only through ``m.ctx``, ``m.weights`` and ``m.actions`` (also via
+    ``generator_matrix``, the ``act_*`` methods and ``module_generators``),
+    which is what makes the content key of ``projective_split_test`` exact;
+    ``flags`` and ``label`` never enter."""
     ctx = m.ctx
     desc = ctx.algebra_kind(kind)
     gens = module_generators(m, kind)

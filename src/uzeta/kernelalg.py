@@ -125,6 +125,9 @@ class KernelContext:
         self._kbinom: Dict[Tuple[int, int, int], object] = {}
         # checked modules by spec text, filled by cli.checked_module
         self.realized: Dict[str, object] = {}
+        # split-test verdicts by (kind, module content key), filled by
+        # inject.projective_split_test
+        self.split_verdicts: Dict[Tuple, bool] = {}
 
     # -- scalar helpers --------------------------------------------------
 

@@ -44,10 +44,6 @@ class WeightedModule:
     actions: Dict[GenKey, Mat]
     flags: FrozenSet[str]  # subset of {torus, borel-, borel+, full}
     label: str = "module"
-    # projectivity verdict per algebra kind, kept by inject.projective_split_test
-    split_verdicts: Dict[str, bool] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     # plain root vector matrices by generator key, filled by generator_matrix
     rv_mats: Dict[GenKey, Mat] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -56,6 +52,22 @@ class WeightedModule:
     @property
     def dim(self) -> int:
         return len(self.weights)
+
+    def content_key(self) -> Tuple:
+        """The weights and the action matrices as one exact, hashable value.
+
+        Each matrix is a sorted ``(gen, ((col, ((row, coeff), ...)), ...))``
+        tuple.  Only generator keys, columns and rows are sorted, so no
+        coefficient is ever compared; ``flags`` and ``label`` stay out.
+        Two modules with equal keys over one context are the same module
+        in the same basis.
+        """
+        def frozen(mat: Mat) -> Tuple:
+            return tuple(
+                (col, tuple((row, mat[col][row]) for row in sorted(mat[col]))) for col in sorted(mat)
+            )
+
+        return self.weights, tuple((gen, frozen(self.actions[gen])) for gen in sorted(self.actions))
 
     # -- actions ----------------------------------------------------------
 

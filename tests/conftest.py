@@ -16,3 +16,9 @@ def get_context(label: str, ell: int, p=None, r: int = 0, w0=None) -> KernelCont
 @pytest.fixture(scope="session")
 def ctxmaker():
     return get_context
+
+
+@pytest.fixture(scope="session")
+def freshctx():
+    """A new context per call, for tests that read what a context keeps."""
+    return get_context.__wrapped__

@@ -426,8 +426,11 @@ class TestBadInput:
             (None, "cannot read manifest"),
             ('{"spec": "trivial"}\nnot json\n', "line 2 is not JSON"),
             ('# a comment\n{"expect_injective": false}\n', 'line 2 has no "spec"'),
+            ('{"spec": "verma(1)", "expect_injective": "yes"}\n', 'line 1: "expect_injective" is "yes",'),
+            ('{"spec": "verma(1)", "expect_injective": 1}\n', 'line 1: "expect_injective" is 1,'),
+            ('{"spec": "verma(1)", "expect_injective": 0}\n', 'line 1: "expect_injective" is 0,'),
         ],
-        ids=["missing", "not-json", "no-spec"],
+        ids=["missing", "not-json", "no-spec", "expect-text", "expect-one", "expect-zero"],
     )
     def test_malformed_manifest(self, tmp_path, text, message):
         path = tmp_path / "cases.jsonl"

@@ -121,28 +121,29 @@ class TestSocleCount:
     )
     def test_agrees_with_split_test_and_top_count(self, ctxmaker, label, ell, p, r):
         # three routes per local kind: the socle count, the cover splitting
-        # and the Nakayama top count; fresh modules for the split test,
-        # since a module keeps its split verdicts
+        # and the Nakayama top count; the splitting runs through
+        # _split_exists, since the context keeps split verdicts by content
+        from uzeta.inject import _split_exists
         from uzeta.qmodules import realize_text
 
         ctx = ctxmaker(label, ell, p=p, r=r)
         kinds = ("u-", "u+", "root:1:-", "root:1:+", "Am:1")
         verdicts = {kind: set() for kind in kinds}
         for spec in _panel_specs(label, ell, p, r):
-            m, fresh = realize_text(ctx, spec), realize_text(ctx, spec)
+            m = realize_text(ctx, spec)
             for kind in kinds:
                 count = projective(m, kind)
-                assert count == projective_split_test(fresh, kind, budget=10**7), (spec, kind)
+                assert count == _split_exists(m, kind), (spec, kind)
                 assert count == free_over_local(m, kind).verdict, (spec, kind)
                 verdicts[kind].add(count)
         # every count reads both verdicts somewhere, so none can pass by being constant
         assert all(v == {True, False} for v in verdicts.values()), verdicts
 
-    def test_local_kinds_skip_the_budget(self, ctxmaker):
-        ctx = ctxmaker("A2", 3)
+    def test_local_kinds_skip_the_budget(self, freshctx):
+        ctx = freshctx("A2", 3)
         m = verma_module(ctx, (1, 2))
         assert projective(m, "u-", budget=10) and not projective(m, "u+", budget=10)
-        assert m.split_verdicts == {}
+        assert ctx.split_verdicts == {}
         with pytest.raises(BudgetExceeded):
             projective(m, "g", budget=10)
 
@@ -279,10 +280,11 @@ class TestGeneratorChoice:
             "tensor(simple(1,0),simple(0,1))",
         ]
         kinds = ("g", "u-", "u+")
-        # fresh modules per route: a module keeps its verdicts
-        ours = {(s, k): projective_split_test(realize_text(ctx, s), k) for s in specs for k in kinds}
+        # both routes run _split_exists: the context keeps split verdicts by
+        # content, and a verdict of a patched run must not be kept
+        ours = {(s, k): inject._split_exists(realize_text(ctx, s), k) for s in specs for k in kinds}
         monkeypatch.setattr(inject, "module_generators", _basis_order_generators)
-        ref = {(s, k): projective_split_test(realize_text(ctx, s), k) for s in specs for k in kinds}
+        ref = {(s, k): inject._split_exists(realize_text(ctx, s), k) for s in specs for k in kinds}
         assert ours == ref
         assert set(ours.values()) == {True, False}
         smaller = [
@@ -294,19 +296,79 @@ class TestGeneratorChoice:
         ]
         assert smaller
 
-    def test_verdict_kept_per_kind_after_budget(self, ctxmaker):
-        ctx = ctxmaker("A2", 3)
+    def test_verdict_kept_per_kind_after_budget(self, freshctx):
+        ctx = freshctx("A2", 3)
         m = verma_module(ctx, (1, 2))
+        key = m.content_key()
         with pytest.raises(BudgetExceeded):
             projective_split_test(m, "u-", budget=10)
-        assert m.split_verdicts == {}
+        assert ctx.split_verdicts == {}
         assert projective_split_test(m, "u-")
-        assert m.split_verdicts == {"u-": True}
+        assert ctx.split_verdicts == {("u-", key): True}
         # the budget is checked before the kept verdict is read
         with pytest.raises(BudgetExceeded):
             projective_split_test(m, "u-", budget=10)
         assert not projective_split_test(m, "u+")
-        assert m.split_verdicts == {"u-": True, "u+": False}
+        assert ctx.split_verdicts == {("u-", key): True, ("u+", key): False}
+
+
+class TestSplitMemo:
+    @staticmethod
+    def _count_runs(monkeypatch):
+        import uzeta.inject as inject
+
+        runs = []
+        real = inject._split_exists
+
+        def counting(m, kind):
+            runs.append((m.label, kind))
+            return real(m, kind)
+
+        monkeypatch.setattr(inject, "_split_exists", counting)
+        return runs
+
+    @pytest.mark.parametrize(
+        "label,ell,p,r,verma,simple",
+        [("A2", 3, None, 0, "verma(2,2)", "simple(2,2)"), ("A1", 3, 7, 1, "verma(20)", "simple(20)")],
+        ids=["A2-l3", "A1-l3-p7-r1"],
+    )
+    def test_steinberg_verma_and_simple_share_one_run(
+        self, freshctx, monkeypatch, label, ell, p, r, verma, simple
+    ):
+        # Z(lambda) is simple at the Steinberg weight (cap - 1) rho: the two
+        # specs give the same weights and matrices, and only simple() is big
+        from uzeta.inject import _split_exists
+        from uzeta.qmodules import realize_text
+
+        ctx = freshctx(label, ell, p=p, r=r)
+        z, st = realize_text(ctx, verma), realize_text(ctx, simple)
+        assert z.content_key() == st.content_key() and z.flags != st.flags
+        runs = self._count_runs(monkeypatch)
+        verdicts = [projective_split_test(z, "g"), projective_split_test(st, "g")]
+        assert runs == [(verma, "g")]
+        monkeypatch.undo()
+        assert verdicts == [_split_exists(z, "g"), _split_exists(st, "g")] == [True, True]
+
+    def test_one_changed_entry_runs_its_own_split_test(self, freshctx, monkeypatch):
+        # Z(0) with F v0 -> v1 dropped is k_0 + the submodule F Z(0): the
+        # same weights, one action entry apart, and a module of its own
+        from dataclasses import replace
+
+        from uzeta.inject import _split_exists
+
+        ctx = freshctx("A1", 3)
+        z = verma_module(ctx, (0,))
+        f = ("F", 0)
+        split = replace(z, actions={**z.actions, f: {1: z.actions[f][1]}}, label="split")
+        split.check()
+        assert split.weights == z.weights and split.content_key() != z.content_key()
+        cases = [(m, kind) for m in (z, split) for kind in ("g", "u-")]
+        runs = self._count_runs(monkeypatch)
+        verdicts = [projective_split_test(m, kind) for m, kind in cases]
+        assert runs == [(m.label, kind) for m, kind in cases]
+        monkeypatch.undo()
+        # Z(0) is free over u-, and k_0 + F Z(0) is not
+        assert verdicts == [_split_exists(m, kind) for m, kind in cases] == [False, True, False, False]
 
 
 class TestHarness:
