@@ -652,10 +652,7 @@ def cmd_betti(args, cfg: RunConfig) -> int:
     ctx = make_context(cfg)
     kind = "u+" if args.side == "+" else "u-"
     res = cohomlite.minimal_resolution(ctx, kind, nmax)
-    dims = [
-        sum(1 for w in ws if cohomlite.weight_has_trivial_character(ctx, w))
-        for ws in res.degrees
-    ]
+    dims = cohomlite.borel_dims(ctx, res)
     print("degree  betti  H^n(borel)  generator weights")
     for n, ws in enumerate(res.degrees):
         wtxt = " ".join("(" + ",".join(str(x) for x in w) + ")" for w in ws)

@@ -2,22 +2,26 @@
 cohomology dimensions of the Borel subalgebras.
 
 The trivial module is resolved by weight-graded syzygies: each step picks
-homogeneous minimal generators of the kernel of the previous differential
-(minimality means the differentials land in the radical, which is checked
-explicitly).  Every differential column is homogeneous, so each kernel is
-solved one weight block at a time; that gives the same kernel vectors, in
-the same order, as one elimination over the whole free module.  Each
-column a.h is built as x.(rest.h), from the column of the shorter PBW
-monomial rest, with x the outermost divided factor of a.  Borel
-cohomology dimensions are read off by torus-weight selection: a
-resolution generator of weight mu contributes to
-H^n(borel, k) exactly when the torus acts trivially on mu, i.e.
-(mu, alpha_j) = 0 mod cap for every simple root, where cap = ell p^r is
-the torus period of the kernel (the period ``onedim`` weights obey).
+homogeneous minimal generators of the kernel K of the previous
+differential, a basis of K / rad(A) K (minimality means the differentials
+land in the radical, which is checked explicitly).  Every differential
+column is homogeneous, so each kernel is solved one weight block at a
+time; that gives the same kernel vectors, in the same order, as one
+elimination over the whole free module.  The radical is spanned block by
+block too, and a block whose rank reaches dim K_w is full: it holds no
+generator, so no image aimed at it is built and no kernel vector of its
+weight is reduced.  Each column a.h is built with one root-vector step,
+X^{(a)} h = X (X^{(a-1)} h) / [a], from the column of the monomial with
+one less in a's outermost exponent.  Borel cohomology dimensions are read
+off by torus-weight selection: a resolution generator of weight mu
+contributes to H^n(borel, k) exactly when the torus acts trivially on mu,
+i.e. (mu, alpha_j) = 0 mod cap for every simple root, where cap = ell p^r
+is the torus period of the kernel (the period ``onedim`` weights obey).
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -46,8 +50,9 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
     if n_max < 0:
         raise ValueError(f"resolution degree {n_max} is negative")
     alg = ctx.algebra(kind)
-    gens = alg.generator_keys()
     (unit,) = alg.one()
+    # each algebra generator g with its weight, that of the monomial g.1
+    gens = [(g, alg.weight_of_key(min(alg.gen_column(g, unit)))) for g in alg.generator_keys()]
     field = ctx.field
 
     # step 0: P_0 = A -> k; kernel = augmentation ideal
@@ -58,28 +63,35 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
     gen_weights = [(0,) * ctx.rank]
 
     for step in range(1, n_max + 1):
-        # minimal homogeneous generators: kernel / rad(A) kernel, where
-        # rad(A) kernel = sum of g kernel over the algebra generators g
-        # (rad(A) = sum g A, and A kernel = kernel).  Each g.v is
-        # homogeneous and different weights share no key, so the span is
-        # kept as one Eliminator per weight block: together their reduced
-        # echelon forms are that of the whole span.
-        rad: Dict[RootVec, Eliminator] = {}
-        for vec in kernel:
-            for gen in gens:
-                img = _apply_gen(alg, gen, vec)
-                if img:
-                    wt = _key_weight(alg, gen_weights, next(iter(img)))
-                    rad.setdefault(wt, Eliminator()).add(img)
+        # minimal homogeneous generators: a basis of K / rad(A) K, with K the
+        # kernel and rad(A) K = sum of g K over the algebra generators g
+        # (rad(A) = sum g A, and A K = K).  The block of weight w of
+        # rad(A) K lies in K_w, so once its rank reaches dim K_w (room) it
+        # holds no generator: no image g.v of weight wt(v) + wt(g) = w is
+        # built after that, and no kernel vector of weight w is reduced.
+        # A block below its room receives every image, so its reduced
+        # echelon form, and with it each generator, is that of the whole span.
+        wts = [_vec_weight(alg, gen_weights, vec) for vec in kernel]
+        room = Counter(wts)
+        rad: Dict[RootVec, Eliminator] = defaultdict(Eliminator)
+
+        def full(wt: RootVec) -> bool:
+            return rad[wt].rank >= room[wt]
+
+        for vec, wt in zip(kernel, wts):
+            for gen, gwt in gens:
+                target = tuple(a + b for a, b in zip(wt, gwt))
+                if not full(target):
+                    rad[target].add(_apply_gen(alg, gen, vec))
         # each block is kept fully reduced with min-key pivots, so kernel
         # vectors are reduced against it directly and the survivors join it
         new_gens: List[Tuple[RootVec, Vec]] = []
-        for vec in kernel:
-            wt = _vec_weight(alg, gen_weights, vec)
-            block = rad.setdefault(wt, Eliminator())
-            red = block.reduce(vec)
+        for vec, wt in zip(kernel, wts):
+            if full(wt):
+                continue
+            red = rad[wt].reduce(vec)
             if red:
-                block.insert(red)
+                rad[wt].insert(red)
                 new_gens.append((wt, red))
                 # minimality: the generator has no unit coordinate
                 if any(key == unit for (_, key) in red):
@@ -118,30 +130,40 @@ def _next_kernel(alg: KernelAlgebra, new_gens: List[Tuple[RootVec, Vec]], one) -
 
 
 def _columns(alg: KernelAlgebra, part: Vec) -> Dict[BasisKey, Vec]:
-    """a.part for every basis monomial a, as x.(rest.part): x is the divided
-    factor ``KernelContext.monomial`` applies last (the F factor at the first
-    nonzero position, else K^k, else the E factor there), and rest, a with
-    x's entry zeroed, sorts before a in the basis, which starts at the unit."""
+    """a.part for every basis monomial a, each from the column of a shorter one.
+
+    The divided factor X^{(a)} that ``KernelContext.monomial`` applies last
+    (the F factor at the first nonzero position, else K^k, else the E factor
+    there) takes one step of ``KernelContext.divided_step`` from the column
+    of the monomial with a lower exponent there; K^k is one factor, applied
+    to the column with no K part.  Either column sorts before a in the
+    basis, which starts at the unit.
+    """
+    ctx = alg.ctx
+    one = ctx.field.one
     (unit,) = alg.one()
     cols: Dict[BasisKey, Vec] = {unit: part}
     for key in alg.basis[1:]:
-        zero = [(0,) * len(t) for t in key]
         s = next(s for s, t in enumerate(key) if any(t))
+        if s == 1:
+            cols[key] = alg.lmul_k(key[1], cols[(key[0], (0,) * len(key[1]), key[2])])
+            continue
         i = next(i for i, x in enumerate(key[s]) if x)
-        j = len(key[s]) if s == 1 else i + 1  # K^k is one factor
-        factor, rest = list(zero), list(key)
-        factor[s] = zero[s][:i] + key[s][i:j] + zero[s][j:]
-        rest[s] = key[s][:i] + zero[s][i:j] + key[s][j:]
-        cols[key] = alg.lmul_monomial(tuple(factor), cols[tuple(rest)])
+        gen, drop, c = ctx.divided_step("F" if s == 0 else "E", i, key[s][i])
+        prev = list(key)
+        prev[s] = key[s][:i] + (key[s][i] - drop,) + key[s][i + 1:]
+        img = alg.lmul_gen(gen, cols[tuple(prev)])
+        cols[key] = img if c == one else {k: x * c for k, x in img.items()}
     return cols
 
 
 def _apply_gen(alg: KernelAlgebra, gen, vec: Vec) -> Vec:
-    """Left action of an algebra generator on a free-module element."""
+    """Left action of an algebra generator on a free-module element, read
+    off the algebra's cached generator columns."""
     out: Vec = {}
     for (i, key), c in vec.items():
-        for k2, c2 in alg.lmul_gen(gen, {key: c}).items():
-            vec_add_term(out, (i, k2), c2)
+        for k2, c2 in alg.gen_column(gen, key).items():
+            vec_add_term(out, (i, k2), c * c2)
     return out
 
 
@@ -181,14 +203,18 @@ def weight_has_trivial_character(ctx: KernelContext, mu: RootVec) -> bool:
     )
 
 
-def borel_cohomology_dims(ctx: KernelContext, side: str, n_max: int) -> List[int]:
-    """dim H^n(borel, k) for n = 0..n_max via torus-invariant generators."""
-    kind = "u+" if side == "plus" else "u-"
-    res = minimal_resolution(ctx, kind, n_max)
+def borel_dims(ctx: KernelContext, res: GradedBetti) -> List[int]:
+    """dim H^n(borel, k) for each degree n of a finished resolution: the
+    number of its degree-n generators of torus-trivial weight."""
     return [
         sum(1 for w in ws if weight_has_trivial_character(ctx, w))
         for ws in res.degrees
     ]
+
+
+def borel_cohomology_dims(ctx: KernelContext, side: str, n_max: int) -> List[int]:
+    """dim H^n(borel, k) for n = 0..n_max via torus-invariant generators."""
+    return borel_dims(ctx, minimal_resolution(ctx, "u+" if side == "plus" else "u-", n_max))
 
 
 def polynomial_hilbert(n_gens: int, half_degree: int) -> int:

@@ -45,7 +45,7 @@ from operator import le, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .genericuq import StructureTable, UqGeneric, generic_uq
-from .linalg import Eliminator, Mat, SpanSolver, Vec, kernel_basis, memoized, vec_add_term, vec_iadd_scaled
+from .linalg import Eliminator, SpanSolver, Vec, kernel_basis, memoized, vec_add_term, vec_iadd_scaled
 from .rootdata import ConvexOrder
 from .scalars import q_int
 
@@ -576,6 +576,22 @@ class KernelContext:
         inv = self.field.one / unit
         return {k: v * inv for k, v in cur.items()}
 
+    @memoized
+    def divided_step(self, side: str, pos: int, a: int) -> Tuple[GenKey, int, object]:
+        """(gen, drop, c) with X_{gamma_pos}^{(a)} = c * gen * X_{gamma_pos}^{(a - drop)}, a >= 1.
+
+        At r = 0, X^{(a)} = X * X^{(a-1)} / [a] with X the plain root vector.
+        At r = 1, [a]_zeta vanishes when ell | a, so with a = a1*ell + a0:
+        X^{(a)} = X * X^{(a-1)} / [a0] when a0 > 0, and
+        X^{(a)} = X^{(ell)} * X^{(a-ell)} / a1 when a0 = 0 (a1 < p).
+        """
+        if not self.r:
+            return (side + "rv", pos), 1, self.field.one / self.qn(a, self.d_gamma[pos])
+        a1, a0 = divmod(a, self.ell)
+        if a0:
+            return (side, 0), 1, self.field.one / self.qn(a0, self.d_gamma[0])
+        return (side + "d0", 0), self.ell, self.field.one / self.field.from_int(a1)
+
 
 def parse_kind(kind: str) -> Tuple[str, Optional[int], Optional[str]]:
     """Descriptor strings: g, b-, b+, u-, u+, Am:<m>, root:<s>:<side>."""
@@ -681,7 +697,6 @@ class KernelAlgebra:
         self.basis.sort()
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self._gen_mats: Dict[GenKey, Mat] = {}
 
     # -- structural data ---------------------------------------------------
 
@@ -705,6 +720,7 @@ class KernelAlgebra:
         assert key in self.index, f"{key} not a basis monomial of {self.kind}"
         return {key: self.ctx.field.one}
 
+    @memoized
     def weight_of_key(self, key: BasisKey) -> Tuple[int, ...]:
         """Adjoint X-weight (root coordinates) of a basis monomial."""
         return self.ctx.pbw_weight(key[0], key[2])
@@ -727,21 +743,15 @@ class KernelAlgebra:
         return (tuple(fexp), self.ctx.kmod(kexp), tuple(eexp))
 
     def lmul_gen(self, gen: GenKey, vec: Vec) -> Vec:
-        """Left multiply by a generator, column-cached."""
-        mat = self._gen_mats.get(gen)
-        if mat is None:
-            mat = {}
-            self._gen_mats[gen] = mat
+        """Left multiply by a generator, column by cached column."""
         out: Vec = {}
         for key, c in vec.items():
-            col = mat.get(key)
-            if col is None:
-                col = self._gen_column(gen, key)
-                mat[key] = col
-            vec_iadd_scaled(out, col, c)
+            vec_iadd_scaled(out, self.gen_column(gen, key), c)
         return out
 
-    def _gen_column(self, gen: GenKey, key: BasisKey) -> Vec:
+    @memoized
+    def gen_column(self, gen: GenKey, key: BasisKey) -> Vec:
+        """The generator times one basis monomial, built once per algebra."""
         ctx = self.ctx
         kind, j = gen
         f, k, e = key
