@@ -264,6 +264,13 @@ class TestVerify:
         assert not [rec for rec in recs if "exceeds budget" in rec.get("reason", "")]
         assert "over budget" not in r.stdout and "FALSIFICATION" not in r.stderr
 
+    def test_a2_ell5_zdual_green(self, tmp_path):
+        # the zdual half of the A2 ell = 5 configuration; rootcrit, reduction
+        # and highest are still over budget there
+        r = cli("verify", "--type", "A2", "--ell", "5", "--suite", "zdual", "--out", str(tmp_path / "z.jsonl"))
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert "FALSIFICATION" not in r.stdout + r.stderr
+
     def test_betti_skipped_unless_ell_above_coxeter(self, monkeypatch):
         # A2 at ell = h = 3 has extra classes, [1, 0, 5, 0, 12]: nothing to compare
         rec = run_betti(RunConfig("A2", 3))

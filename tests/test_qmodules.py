@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uzeta import qmodules
 from uzeta.qmodules import (
     CONSTRUCTORS,
     ModuleCheckError,
@@ -14,6 +15,7 @@ from uzeta.qmodules import (
     coverma_module,
     dual_module,
     find_isomorphism,
+    is_verma,
     joint_kernel,
     onedim_module,
     parse_module_spec,
@@ -378,6 +380,52 @@ class TestZdual:
         rep = zdual_check(ctxmaker("A1", 3, p=7, r=1), (1,))
         assert "verma" in rep["dual_verma"]
         assert rep["reflected"] == (39,)
+
+    @pytest.mark.parametrize(
+        "label,ell,p,r",
+        [("A1", 3, None, 0), ("A1", 5, None, 0), ("A2", 3, None, 0), ("A1", 3, 7, 1)],
+        ids=["A1-3", "A1-5", "A2-3", "A1-3-p7-r1"],
+    )
+    def test_lists_match_isomorphism_search(self, ctxmaker, label, ell, p, r):
+        # the whole lists, at every suite weight, against find_isomorphism;
+        # dual(coverma(lam)) and, off the Steinberg weight, coverma(nu) have
+        # the character of Z(nu) without being Z(nu)
+        ctx = ctxmaker(label, ell, p=p, r=r)
+        impostors = 0
+        for lam in itertools.product(range(3), repeat=ctx.rank):
+            rep = zdual_check(ctx, lam)
+            nu = rep["reflected"]
+            vm, cm = verma_module(ctx, nu), coverma_module(ctx, nu)
+            targets = (("verma", vm), ("coverma", cm))
+            for name, build in (("dual_verma", verma_module), ("dual_coverma", coverma_module)):
+                dualmod = dual_module(build(ctx, lam))
+                assert dualmod.character() == vm.character()
+                expected = [t for t, target in targets if find_isomorphism(dualmod, target) is not None]
+                assert rep[name] == expected, (lam, name)
+                impostors += "verma" not in expected
+            assert is_verma(cm, nu) == (find_isomorphism(cm, vm) is not None), lam
+            impostors += not is_verma(cm, nu)
+        assert impostors
+
+    def test_a2_ell5_lists(self, ctxmaker):
+        # computed once by the find_isomorphism search (about 23 s of CPU);
+        # no suite weight is the Steinberg weight (4, 4), so each dual is one
+        # of the two, and coverma(nu) is not Z(nu)
+        ctx = ctxmaker("A2", 5)
+        for lam in itertools.product(range(3), repeat=2):
+            rep = zdual_check(ctx, lam)
+            assert (rep["dual_verma"], rep["dual_coverma"]) == (["verma"], ["coverma"]), lam
+            assert not is_verma(coverma_module(ctx, rep["reflected"]), rep["reflected"])
+
+    def test_solves_no_hom_space(self, ctxmaker, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("zdual_check solved a Hom space")
+
+        monkeypatch.setattr(qmodules, "hom_space", refuse)
+        ctx = ctxmaker("A2", 3)
+        for lam in itertools.product(range(3), repeat=2):
+            rep = zdual_check(ctx, lam)
+            assert "verma" in rep["dual_verma"] and "coverma" in rep["dual_coverma"]
 
 
 def _word_act_rv(m, side, pos, vec):
