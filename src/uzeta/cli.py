@@ -409,20 +409,21 @@ def checked_module(ctx: KernelContext, spec: str) -> qmodules.WeightedModule:
 
 
 def _highest(m: qmodules.WeightedModule, budget: int) -> Dict:
-    if "big" not in m.flags:
+    if not m.lifts:
         return {"skipped": True, "reason": "no full lift", "agree": True}
     return inject.highest_root_test(m, budget)
 
 
-def _filtration(m: qmodules.WeightedModule, budget: int) -> Dict:
-    borel_plus = inject.projective(m, "u+", budget)
+def _filtration(m: qmodules.WeightedModule) -> Dict:
+    borel_plus = inject.projective(m, "u+")
     passes = qmodules.verma_character_test(m)
     return {"oracle": borel_plus, "character_test": passes, "agree": (not borel_plus) or passes}
 
 
 # suite -> (its test of one module, whether its oracle is the big-algebra
-# verdict, which a case's expected injectivity refers to); the suites run on
-# each manifest spec, then the rest, in ``--suite all`` order
+# verdict, which a case's expected injectivity refers to and whose split test
+# takes the budget); the suites run on each manifest spec, then the rest, in
+# ``--suite all`` order
 MODULE_SUITES = {
     "rootcrit": (inject.verify_root_criterion, True),
     "borel": (inject.verify_borel_criterion, False),
@@ -440,7 +441,8 @@ def run_case(cfg: RunConfig, suite: str, spec: str, expect) -> Dict:
     t0 = time.monotonic()
     record = {"case": f"{suite}:{spec}", "suite": suite, "spec": spec}
     try:
-        record.update(test(checked_module(ctx, spec), cfg.budget))
+        m = checked_module(ctx, spec)
+        record.update(test(m, cfg.budget) if big_oracle else test(m))
         if expect is not None and big_oracle and "oracle" in record:
             record["expected"] = expect
             record["agree"] = record["agree"] and (record["oracle"] == expect)
@@ -609,7 +611,7 @@ def cmd_module(args, cfg: RunConfig) -> int:
     m = checked_module(ctx, args.spec)
     lines = [f"dim {m.dim}"]
     lines.append("weights " + ";".join(",".join(str(x) for x in w) for w in m.weights))
-    lines.append("flags " + ",".join(sorted(m.flags)))
+    lines.append("lifts " + ("true" if m.lifts else "false"))
     for gen in m.generator_kinds():
         mat = m.actions[gen]
         rows = []
@@ -634,8 +636,13 @@ def cmd_module(args, cfg: RunConfig) -> int:
 
 def cmd_skeleton(args, cfg: RunConfig) -> int:
     m = checked_module(make_context(cfg), args.spec)
-    rep = inject.support_skeleton(m, "minus" if args.side == "-" else "plus")
-    print(json.dumps(rep.as_record(), sort_keys=True))
+    free = inject.root_freeness(m, args.side)
+    rec = {
+        "side": "minus" if args.side == "-" else "plus",
+        "skeleton": sorted(list(r) for r, ok in free.items() if not ok),
+        "per_root": {inject.root_label(r): ok for r, ok in free.items()},
+    }
+    print(json.dumps(rec, sort_keys=True))
     return 0
 
 

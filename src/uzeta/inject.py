@@ -19,7 +19,7 @@ pieces of an equivariant map are equivariant), which keeps the linear
 systems small.  The split test handles every kind and is the reference
 the counts are tested against.  Its verdicts live on the context, keyed
 on the kind and the module's exact content (weights and action matrices),
-so modules that differ only in label or flags share one run.
+so modules that differ only in label or lift share one run.
 
 The harness compares per-root freeness (the top count over each root
 subalgebra) with the oracle of a bigger algebra: the split test over g,
@@ -31,10 +31,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .kernelalg import KernelContext
 from .linalg import Eliminator, LinearSystem, Vec, close_span, vec_add_term
 from .qmodules import WeightedModule, joint_kernel
 
@@ -46,30 +44,6 @@ DEFAULT_BUDGET = 200_000
 
 class BudgetExceeded(RuntimeError):
     pass
-
-
-@dataclass
-class FreenessReport:
-    top_dim: int
-    verdict: bool
-    rank: Optional[int] = None
-
-
-@dataclass
-class SkeletonReport:
-    side: str
-    roots_in_skeleton: List[Weight]
-    per_root: Dict[Tuple, FreenessReport]
-
-    def is_empty(self) -> bool:
-        return not self.roots_in_skeleton
-
-    def as_record(self) -> Dict:
-        return {
-            "side": self.side,
-            "skeleton": [list(r) for r in self.roots_in_skeleton],
-            "per_root": {_root_label(root): rep.verdict for root, rep in sorted(self.per_root.items())},
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +68,16 @@ def radical_span(m: WeightedModule, kind: str) -> Eliminator:
     return elim
 
 
-def free_over_local(m: WeightedModule, kind: str) -> FreenessReport:
+def free_over_local(m: WeightedModule, kind: str) -> bool:
     """Nakayama freeness test over a local kernel algebra kind."""
     desc = m.ctx.algebra_kind(kind)
     if not desc.is_local:
         raise ValueError(f"{kind} is not in the local family")
     top = m.dim - radical_span(m, kind).rank
-    verdict = m.dim == desc.dim * top
-    return FreenessReport(top, verdict, rank=top if verdict else None)
+    return m.dim == desc.dim * top
 
 
-def free_over_root(m: WeightedModule, pos: int, side: str) -> FreenessReport:
+def free_over_root(m: WeightedModule, pos: int, side: str) -> bool:
     """Freeness over one root subalgebra, two routes asserted equal.
 
     pos is the 1-based convex-order position; side '-' tests the F root
@@ -113,7 +86,7 @@ def free_over_root(m: WeightedModule, pos: int, side: str) -> FreenessReport:
     """
     ctx = m.ctx
     kind = f"root:{pos}:{side}"
-    rep = free_over_local(m, kind)
+    verdict = free_over_local(m, kind)
     sd = "F" if side == "-" else "E"
     top_power = {}
     for i in range(m.dim):
@@ -124,12 +97,12 @@ def free_over_root(m: WeightedModule, pos: int, side: str) -> FreenessReport:
     for col in top_power.values():
         elim.add(col)
     shortcut = m.dim == ctx.cap * elim.rank
-    if shortcut != rep.verdict:
+    if shortcut != verdict:
         raise AssertionError(
             f"rank shortcut and Nakayama disagree over {kind}: "
-            f"{shortcut} vs {rep.verdict} on {m.label}"
+            f"{shortcut} vs {verdict} on {m.label}"
         )
-    return rep
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +155,12 @@ def _greedy_generators(m: WeightedModule, mats, order: Iterable[int]) -> List[in
     return gens
 
 
-def projective(m: WeightedModule, kind: str, budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether M is projective (equivalently injective) over the algebra kind:
-    the socle count over a local kind, with no budget (see the module
-    docstring), and ``projective_split_test`` over the others."""
+def projective(m: WeightedModule, kind: str) -> bool:
+    """Whether M is projective (equivalently injective) over a local
+    algebra kind: the socle count (see the module docstring)."""
     desc = m.ctx.algebra_kind(kind)
     if not desc.is_local:
-        return projective_split_test(m, kind, budget)
+        raise ValueError(f"{kind} is not in the local family")
     return m.dim == desc.dim * len(joint_kernel(m, desc.generators))
 
 
@@ -240,7 +212,7 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
     module only through ``m.ctx``, ``m.weights`` and ``m.actions`` (also via
     ``generator_matrix``, the ``act_*`` methods and ``module_generators``),
     which is what makes the content key of ``projective_split_test`` exact;
-    ``flags`` and ``label`` never enter."""
+    ``lifts`` and ``label`` never enter."""
     ctx = m.ctx
     desc = ctx.algebra_kind(kind)
     gens = module_generators(m, kind)
@@ -308,28 +280,20 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
 # theorem-level verifications
 
 
-def support_skeleton(m: WeightedModule, side: str) -> SkeletonReport:
-    """Roots whose subalgebra fails freeness: the rank-variety shadow."""
-    ctx = m.ctx
-    per_root = {}
-    skeleton = []
-    for pos in range(1, ctx.n + 1):
-        root = ctx.order.gammas[pos - 1]
-        rep = free_over_root(m, pos, "-" if side == "minus" else "+")
-        per_root[root] = rep
-        if not rep.verdict:
-            skeleton.append(root)
-    return SkeletonReport(side, sorted(skeleton), per_root)
+def root_freeness(m: WeightedModule, side: str) -> Dict[Weight, bool]:
+    """Freeness over the root subalgebra of each positive root, in convex
+    order; side '-' tests the F root vectors, '+' the E ones.  The roots
+    that fail form the support skeleton, the rank-variety shadow."""
+    return {root: free_over_root(m, pos, side) for pos, root in enumerate(m.ctx.order.gammas, 1)}
 
 
 def _per_root(m: WeightedModule, sides: Sequence[str]) -> Tuple[Dict[str, bool], bool]:
-    """Freeness over each root subalgebra, side by side and positions
-    1..n within a side, by root name; and whether every one is free."""
-    ctx = m.ctx
+    """Freeness over each root subalgebra, side by side, by root name
+    ("f:" or "e:" and ``root_label``); and whether every one is free."""
     per_root = {
-        _root_name(ctx, pos, side): free_over_root(m, pos, side).verdict
+        ("f:" if side == "-" else "e:") + root_label(root): free
         for side in sides
-        for pos in range(1, ctx.n + 1)
+        for root, free in root_freeness(m, side).items()
     }
     return per_root, all(per_root.values())
 
@@ -343,8 +307,6 @@ def verify_root_criterion(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> Di
         # freeness over every root subalgebra
         raise AssertionError(f"{m.label}: oracle injective but some root fails")
     return {
-        "suite": "rootcrit",
-        "spec": m.label,
         "per_root": per_root,
         "roots_free": all_free,
         "oracle": oracle,
@@ -352,7 +314,7 @@ def verify_root_criterion(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> Di
     }
 
 
-def verify_borel_criterion(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> Dict:
+def verify_borel_criterion(m: WeightedModule) -> Dict:
     """Positive-root freeness against the socle count over u-.
 
     Over a torus-graded module the Borel oracle is the same question:
@@ -361,13 +323,11 @@ def verify_borel_criterion(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> D
     local algebra, M is projective iff dim M = dim u- * dim soc M, with
     soc M the joint kernel of the F generators; that count is the oracle.
     The per-root verdicts count tops over root subalgebras, so the two
-    sides compute different things.  ``budget`` bounds nothing here.
+    sides compute different things.
     """
     per_root, all_free = _per_root(m, ("-",))
-    oracle = projective(m, "u-", budget)
+    oracle = projective(m, "u-")
     return {
-        "suite": "borel",
-        "spec": m.label,
         "per_root": per_root,
         "roots_free": all_free,
         "oracle": oracle,
@@ -377,12 +337,10 @@ def verify_borel_criterion(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> D
 
 def verify_reduction_borel(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> Dict:
     """Pair of Borel verdicts against the big-algebra verdict."""
-    minus = projective(m, "u-", budget)
-    plus = projective(m, "u+", budget)
+    minus = projective(m, "u-")
+    plus = projective(m, "u+")
     oracle = projective_split_test(m, "g", budget)
     return {
-        "suite": "reduction",
-        "spec": m.label,
         "borel_minus": minus,
         "borel_plus": plus,
         "oracle": oracle,
@@ -396,31 +354,24 @@ def highest_root_test(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> Dict:
     Only meaningful for modules restricting from the full quantized
     algebra; the skeleton closure property needs that lift.
     """
-    ctx = m.ctx
-    assert "big" in m.flags, "highest-root test needs a full lift"
-    h = ctx.datum.highest_root
-    skel = support_skeleton(m, "minus")
-    rep = skel.per_root[h]
+    assert m.lifts, "highest-root test needs a full lift"
+    h = m.ctx.datum.highest_root
+    free = root_freeness(m, "-")
+    skeleton = sorted(root for root, ok in free.items() if not ok)
     oracle = projective_split_test(m, "g", budget)
-    closure_ok = skel.is_empty() or (h in skel.roots_in_skeleton)
+    closure_ok = not skeleton or h in skeleton
     return {
-        "suite": "highest",
-        "spec": m.label,
-        "highest_root_free": rep.verdict,
+        "highest_root_free": free[h],
         "oracle": oracle,
-        "skeleton": [list(r) for r in skel.roots_in_skeleton],
+        "skeleton": [list(r) for r in skeleton],
         "skeleton_contains_highest": closure_ok,
-        "agree": (rep.verdict == oracle) and closure_ok,
+        "agree": (free[h] == oracle) and closure_ok,
     }
 
 
-def _root_label(root: Tuple[int, ...]) -> str:
+def root_label(root: Tuple[int, ...]) -> str:
     """A root in simple-root coordinates as text, e.g. "1a1+1a2"."""
     return "+".join(f"{c}a{i+1}" for i, c in enumerate(root) if c)
-
-
-def _root_name(ctx: KernelContext, pos: int, side: str) -> str:
-    return ("f:" if side == "-" else "e:") + _root_label(ctx.order.gammas[pos - 1])
 
 
 def record_to_line(record: Dict) -> str:

@@ -563,18 +563,24 @@ class KernelContext:
             for _ in range(a):
                 cur = apply((side + "rv", pos), cur)
             inv = self.qfact_inv(a, self.d_gamma[pos])
-            return {k: v * inv for k, v in cur.items()}
+        else:
+            a1, a0 = divmod(a, self.ell)
+            for _ in range(a0):
+                cur = apply((side, 0), cur)
+            for _ in range(a1):
+                cur = apply((side + "d0", 0), cur)
+            inv = self.divided_inv(a)
+        return {k: v * inv for k, v in cur.items()}
+
+    @memoized
+    def divided_inv(self, a: int):
+        """1 / (a1! [a0]!) with a = a1*ell + a0: the scalar of X^{(a)} at r = 1,
+        inverted once per a."""
         a1, a0 = divmod(a, self.ell)
-        for _ in range(a0):
-            cur = apply((side, 0), cur)
-        for _ in range(a1):
-            cur = apply((side + "d0", 0), cur)
         unit = self.field.one
         for i in range(2, a1 + 1):
             unit = unit * self.field.from_int(i)
-        unit = unit * self.qfact(a0, self.d_gamma[0])
-        inv = self.field.one / unit
-        return {k: v * inv for k, v in cur.items()}
+        return self.field.one / (unit * self.qfact(a0, self.d_gamma[0]))
 
     @memoized
     def divided_step(self, side: str, pos: int, a: int) -> Tuple[GenKey, int, object]:

@@ -21,7 +21,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernelalg import BasisKey, GenKey, KernelContext
 from .linalg import Eliminator, Mat, SpanSolver, Vec, close_span, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
@@ -42,7 +42,7 @@ class WeightedModule:
     ctx: KernelContext
     weights: Tuple[Weight, ...]
     actions: Dict[GenKey, Mat]
-    flags: FrozenSet[str]  # subset of {torus, borel-, borel+, full}
+    lifts: bool  # restricts from a module over the full quantized algebra
     label: str = "module"
     # plain root vector matrices by generator key, filled by generator_matrix
     rv_mats: Dict[GenKey, Mat] = field(
@@ -58,7 +58,7 @@ class WeightedModule:
 
         Each matrix is a sorted ``(gen, ((col, ((row, coeff), ...)), ...))``
         tuple.  Only generator keys, columns and rows are sorted, so no
-        coefficient is ever compared; ``flags`` and ``label`` stay out.
+        coefficient is ever compared; ``lifts`` and ``label`` stay out.
         Two modules with equal keys over one context are the same module
         in the same basis.
         """
@@ -227,7 +227,7 @@ def trivial_module(ctx: KernelContext) -> WeightedModule:
     acts.update({("F", j): {} for j in range(ctx.rank)})
     if ctx.r:
         acts.update({("Ed0", 0): {}, ("Fd0", 0): {}})
-    return WeightedModule(ctx, (zero,), acts, frozenset({"torus", "borel-", "borel+", "big"}), "trivial")
+    return WeightedModule(ctx, (zero,), acts, True, "trivial")
 
 
 def onedim_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
@@ -235,10 +235,7 @@ def onedim_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
     period = ctx.cap
     if any((lam[j] * ctx.datum.d[j]) % period for j in range(ctx.rank)):
         raise SpecSyntaxError(f"onedim weight {lam} does not kill the kernel algebra")
-    flags = {"torus", "borel-", "borel+"}
-    if not any(lam):
-        flags.add("big")
-    return WeightedModule(ctx, (tuple(lam),), m.actions, frozenset(flags), f"onedim({_lam_str(lam)})")
+    return WeightedModule(ctx, (tuple(lam),), m.actions, not any(lam), f"onedim({_lam_str(lam)})")
 
 
 def verma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
@@ -262,8 +259,7 @@ def verma_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
                 mat[index[a]] = col
         acts[gen] = mat
     return WeightedModule(
-        ctx, _weights_below(ctx, lam, fexps), acts, frozenset({"torus", "borel-", "borel+"}),
-        f"verma({_lam_str(lam)})",
+        ctx, _weights_below(ctx, lam, fexps), acts, False, f"verma({_lam_str(lam)})",
     )
 
 
@@ -288,7 +284,7 @@ def omega_twist(m: WeightedModule) -> WeightedModule:
     swap = {"E": "F", "F": "E"}
     acts = {(swap[kind[0]] + kind[1:], j): mat for (kind, j), mat in m.actions.items()}
     weights = tuple(tuple(-x for x in w) for w in m.weights)
-    return WeightedModule(m.ctx, weights, acts, m.flags, f"omega({m.label})")
+    return WeightedModule(m.ctx, weights, acts, m.lifts, f"omega({m.label})")
 
 
 def dual_module(m: WeightedModule) -> WeightedModule:
@@ -318,7 +314,7 @@ def dual_module(m: WeightedModule) -> WeightedModule:
                 # transpose
                 smat.setdefault(row, {})[col] = val
         acts[(kind, j)] = smat
-    return WeightedModule(ctx, weights, acts, m.flags, f"dual({m.label})")
+    return WeightedModule(ctx, weights, acts, m.lifts, f"dual({m.label})")
 
 
 def tensor_module(a: WeightedModule, b: WeightedModule) -> WeightedModule:
@@ -362,8 +358,7 @@ def tensor_module(a: WeightedModule, b: WeightedModule) -> WeightedModule:
                             for ib, cb in vb.items():
                                 vec_add_term(mat.setdefault(col, {}), pair(ia, ib), scal * keig * ca * cb)
         acts[(kind, j)] = mat
-    flags = a.flags & b.flags
-    return WeightedModule(ctx, weights, acts, flags, f"tensor({a.label},{b.label})")
+    return WeightedModule(ctx, weights, acts, a.lifts and b.lifts, f"tensor({a.label},{b.label})")
 
 
 def sum_module(a: WeightedModule, b: WeightedModule) -> WeightedModule:
@@ -378,7 +373,7 @@ def sum_module(a: WeightedModule, b: WeightedModule) -> WeightedModule:
         for col, column in b.actions.get(kind, {}).items():
             mat[col + off] = {row + off: c for row, c in column.items()}
         acts[kind] = mat
-    return WeightedModule(ctx, weights, acts, a.flags & b.flags, f"sum({a.label},{b.label})")
+    return WeightedModule(ctx, weights, acts, a.lifts and b.lifts, f"sum({a.label},{b.label})")
 
 
 def twist_module(m: WeightedModule, mu: Weight) -> WeightedModule:
@@ -387,10 +382,9 @@ def twist_module(m: WeightedModule, mu: Weight) -> WeightedModule:
     if any((mu[j] * ctx.datum.d[j]) % period for j in range(ctx.rank)):
         raise SpecSyntaxError(f"twist weight {mu} is not in {period}X")
     weights = tuple(tuple(x + y for x, y in zip(lam, mu)) for lam in m.weights)
-    flags = set(m.flags)
-    if any(mu):
-        flags.discard("big")  # nontrivial grading shifts do not extend upstairs
-    return WeightedModule(ctx, weights, m.actions, frozenset(flags), f"twist({m.label},{_lam_str(mu)})")
+    # nontrivial grading shifts do not extend upstairs
+    lifts = m.lifts and not any(mu)
+    return WeightedModule(ctx, weights, m.actions, lifts, f"twist({m.label},{_lam_str(mu)})")
 
 
 # --------------------------------------------------------------------------
@@ -428,11 +422,12 @@ def submodule(m: WeightedModule, rows: List[Vec], label: str) -> WeightedModule:
                 raise ModuleCheckError(f"{label}: span is not {g}-stable")
             mat[t] = {k: v for k, v in sol.items() if v}
         acts[g] = mat
-    return WeightedModule(m.ctx, tuple(weights), acts, m.flags, label)
+    return WeightedModule(m.ctx, tuple(weights), acts, m.lifts, label)
 
 
 def quotient_module(m: WeightedModule, rows: List[Vec], label: str) -> WeightedModule:
-    """Quotient by the homogeneous submodule spanned by echelon rows."""
+    """Quotient by the submodule that homogeneous rows span; the rows are
+    echelonized here, so any spanning set gives the same module."""
     elim = Eliminator()
     for row in rows:
         elim.add(row)
@@ -451,7 +446,7 @@ def quotient_module(m: WeightedModule, rows: List[Vec], label: str) -> WeightedM
             if col:
                 mat[t] = col
         acts[g] = mat
-    return WeightedModule(m.ctx, weights, acts, m.flags, label)
+    return WeightedModule(m.ctx, weights, acts, m.lifts, label)
 
 
 def random_weight_vector(m: WeightedModule, seed: int) -> Vec:
@@ -475,14 +470,14 @@ def randsub_module(m: WeightedModule, seed: int) -> WeightedModule:
     rows = cyclic_span(m, [random_weight_vector(m, seed)])
     sub = submodule(m, rows, f"randsub({m.label},{seed})")
     # stability under the divided powers upstairs is not certified
-    sub.flags = frozenset(sub.flags - {"big"})
+    sub.lifts = False
     return sub
 
 
 def quot_module(m: WeightedModule, seed: int) -> WeightedModule:
     rows = cyclic_span(m, [random_weight_vector(m, seed)])
     quo = quotient_module(m, rows, f"quot({m.label},{seed})")
-    quo.flags = frozenset(quo.flags - {"big"})
+    quo.lifts = False
     return quo
 
 
@@ -539,14 +534,10 @@ def simple_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
         cols = [(t, {s: gram[s][t] for s in range(size) if gram[s][t]}) for t in range(size)]
         for rel in kernel_basis(cols, one=ctx.field.one):
             rad_rows.append({idxs[t]: c for t, c in rel.items() if c})
-    elim = Eliminator()
-    for row in rad_rows:
-        elim.add(row)
-    rows = sorted(elim.pivots.values(), key=lambda r: min(r))
-    simple = quotient_module(vm, rows, f"simple({_lam_str(lam)})")
+    simple = quotient_module(vm, rad_rows, f"simple({_lam_str(lam)})")
     _certify_simple(simple, lam)
     # restricted simple heads restrict from the full quantized algebra
-    simple.flags = frozenset(simple.flags | {"big"})
+    simple.lifts = True
     return simple
 
 

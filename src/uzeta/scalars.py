@@ -363,7 +363,6 @@ class QFraction:
 
 
 QF_ONE = QFraction.of(1)
-QF_ZERO = QFraction.of(0)
 
 
 # --- quantum combinatorics -------------------------------------------------
@@ -412,13 +411,6 @@ def q_binom(a: int, b: int, d: int = 1) -> Laurent:
 
 
 # --- localization at the two-root-length denominators ----------------------
-
-S_GENERATORS = {
-    "ADE": (),
-    "BCF": (2,),
-    "G": (2, 3),
-}
-
 
 def s_generator(k: int) -> Laurent:
     """The Laurent polynomial q^k - q^{-k}."""

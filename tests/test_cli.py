@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from uzeta import cohomlite
 from uzeta.cli import (
+    MODULE_SUITES,
     SUITES,
     ConfigError,
     RunConfig,
@@ -20,6 +22,31 @@ from uzeta.cli import (
     run_suites,
     write_cache,
 )
+
+
+# (spec, side "-" line, side "+" line) of uzeta skeleton --type A2 --ell 3
+SKELETON_LINES = [
+    (
+        "trivial",
+        '{"per_root": {"1a1": false, "1a1+1a2": false, "1a2": false}, "side": "minus", "skeleton": [[0, 1], [1, 0], [1, 1]]}',
+        '{"per_root": {"1a1": false, "1a1+1a2": false, "1a2": false}, "side": "plus", "skeleton": [[0, 1], [1, 0], [1, 1]]}',
+    ),
+    (
+        "simple(1,1)",
+        '{"per_root": {"1a1": false, "1a1+1a2": false, "1a2": false}, "side": "minus", "skeleton": [[0, 1], [1, 0], [1, 1]]}',
+        '{"per_root": {"1a1": false, "1a1+1a2": false, "1a2": false}, "side": "plus", "skeleton": [[0, 1], [1, 0], [1, 1]]}',
+    ),
+    (
+        "verma(0,0)",
+        '{"per_root": {"1a1": true, "1a1+1a2": true, "1a2": true}, "side": "minus", "skeleton": []}',
+        '{"per_root": {"1a1": false, "1a1+1a2": false, "1a2": false}, "side": "plus", "skeleton": [[0, 1], [1, 0], [1, 1]]}',
+    ),
+    (
+        "tensor(simple(1,0),simple(0,1))",
+        '{"per_root": {"1a1": false, "1a1+1a2": false, "1a2": false}, "side": "minus", "skeleton": [[0, 1], [1, 0], [1, 1]]}',
+        '{"per_root": {"1a1": false, "1a1+1a2": false, "1a2": false}, "side": "plus", "skeleton": [[0, 1], [1, 0], [1, 1]]}',
+    ),
+]
 
 
 def cli(*args):
@@ -154,6 +181,13 @@ class TestSubcommands:
         rec = json.loads(r.stdout.strip().splitlines()[-1])
         assert rec["skeleton"] == []
 
+    @pytest.mark.parametrize("spec,minus,plus", SKELETON_LINES, ids=[s for s, _, _ in SKELETON_LINES])
+    def test_skeleton_lines(self, capsys, spec, minus, plus):
+        # the JSON lines of uzeta skeleton at A2 ell = 3, byte for byte
+        for side, line in (("-", minus), ("+", plus)):
+            assert main(["skeleton", "--type", "A2", "--ell", "3", f"--side={side}", spec]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == line
+
     def test_module_export(self, tmp_path):
         out = str(tmp_path / "m.txt")
         r = cli("module", "--type", "A1", "--ell", "3", "verma(1)", "--out", out)
@@ -251,11 +285,16 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize(
-        "config",
-        ["--type A1 --ell 3", "--type A1 --ell 5", "--type A2 --ell 3", "--type A1 --ell 3 --p 7 --r 1"],
+        "config,digest",
+        [
+            ("--type A1 --ell 3", "362c5a042c325dff885780f41619830837d0861efd31618a72c410436a6c6e7d"),
+            ("--type A1 --ell 5", "1dcf190d66f38a643e0d4764a71bc721a90b58af8d472b4ac281b939f6b1f79e"),
+            ("--type A2 --ell 3", "ec081865833c1efe1b655920f8b913375b0bae01f960c16b9f7d9d5c09abe736"),
+            ("--type A1 --ell 3 --p 7 --r 1", "0fec9a65e0e731d03274373aa9bb68d160db17af84772f41d14d03918a1fc178"),
+        ],
         ids=["A1-3", "A1-5", "A2-3", "A1-3-p7-r1"],
     )
-    def test_default_configuration_all_green(self, tmp_path, config):
+    def test_default_configuration_all_green(self, tmp_path, config, digest):
         out = str(tmp_path / "report.jsonl")
         r = cli("verify", *config.split(), "--suite", "all", "--jobs", "2", "--out", out)
         assert r.returncode == 0, r.stdout + r.stderr
@@ -263,6 +302,20 @@ class TestVerify:
         assert {rec["suite"] for rec in recs} == set(SUITES)
         assert not [rec for rec in recs if "exceeds budget" in rec.get("reason", "")]
         assert "over budget" not in r.stdout and "FALSIFICATION" not in r.stderr
+        # every record of every suite, byte for byte, as the reports were
+        # before the verify layer returned plain verdicts
+        with open(out, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+    def test_spec_is_the_manifest_text_in_every_suite(self, tmp_path):
+        # a spec that is not printed canonically: each record carries the
+        # manifest's text, as its case does, and not the module's label
+        path = tmp_path / "cases.jsonl"
+        path.write_text('{"spec": "verma( 1)"}\n')
+        recs = run_suites(RunConfig("A1", 3), list(MODULE_SUITES), load_manifest(str(path)))
+        assert sorted(rec["suite"] for rec in recs) == sorted(MODULE_SUITES)
+        assert [rec["spec"] for rec in recs] == ["verma( 1)"] * len(MODULE_SUITES)
+        assert all(rec["case"] == f"{rec['suite']}:verma( 1)" for rec in recs)
 
     def test_a2_ell5_zdual_green(self, tmp_path):
         # the zdual half of the A2 ell = 5 configuration; rootcrit, reduction

@@ -1,5 +1,6 @@
 """Every import in ``src/uzeta`` is read by the module that makes it,
-every definition there is named somewhere outside its own ``def`` line,
+every definition there (function, class or module-level name) is named
+somewhere outside the line that defines it,
 and every field or attribute it stores is read somewhere.  A name in a
 comment or docstring does not count."""
 
@@ -54,11 +55,20 @@ def test_no_unused_import(path):
 
 
 def _definitions(tree):
-    """(name, line) of every function, method and class, dunders left out."""
+    """(name, line) of every function, method, class and name bound at
+    module level, dunders left out."""
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield node.name, node.lineno
+            found.append((node.name, node.lineno))
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                found += [(n.id, n.lineno) for n in ast.walk(target) if isinstance(n, ast.Name)]
+    for name, line in found:
+        if not (name.startswith("__") and name.endswith("__")):
+            yield name, line
 
 
 def _code_words(text):
@@ -91,7 +101,7 @@ def test_no_dead_definition():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         defs += [(path.name, name, line) for name, line in _definitions(tree)]
-    # each def line names its own definition once; that is not a use
+    # each def line or binding names its own definition once; that is not a use
     words.subtract(name for _, name, _ in defs)
     dead = [f"{f}:{line} {name}" for f, name, line in defs if words[name] <= 0]
     assert not dead, f"defined and never named elsewhere: {dead}"

@@ -484,7 +484,7 @@ def _coinduced_reference(ctx, lam):
     weights = tuple(
         tuple(a - b for a, b in zip(lam, ctx.datum.root_to_weight(ctx.weight_of_fexp(c)))) for c in exps
     )
-    return WeightedModule(ctx, weights, acts, frozenset(), f"coinduced{lam}")
+    return WeightedModule(ctx, weights, acts, False, f"coinduced{lam}")
 
 
 class TestCoinducedModule:

@@ -163,7 +163,7 @@ class TestDualTensor:
         ctx = ctxmaker("A2", 3)
         t = tensor_module(simple_module(ctx, (1, 0)), dual_module(simple_module(ctx, (1, 0))))
         t.check()
-        assert "big" in t.flags
+        assert t.lifts
 
     def test_tensor_divided_powers_r1(self, ctxmaker):
         ctx = ctxmaker("A1", 3, p=7, r=1)
@@ -197,10 +197,10 @@ class TestSimple:
         with pytest.raises(ValueError):
             simple_module(ctx, (3,))
 
-    def test_flags(self, ctxmaker):
+    def test_lifts(self, ctxmaker):
         ctx = ctxmaker("A1", 3)
-        assert "big" in simple_module(ctx, (2,)).flags
-        assert "big" not in verma_module(ctx, (2,)).flags
+        assert simple_module(ctx, (2,)).lifts
+        assert not verma_module(ctx, (2,)).lifts
 
     @pytest.mark.parametrize(
         "label,ell,p,r,lam",
@@ -240,10 +240,10 @@ class TestSubQuot:
         s.check()
         q.check()
 
-    def test_flags_dropped(self, ctxmaker):
+    def test_lift_dropped(self, ctxmaker):
         ctx = ctxmaker("A1", 3)
-        s = randsub_module(tensor_module(simple_module(ctx, (2,)), simple_module(ctx, (2,))), 5)
-        assert "big" not in s.flags and "torus" in s.flags
+        t = tensor_module(simple_module(ctx, (2,)), simple_module(ctx, (2,)))
+        assert t.lifts and not randsub_module(t, 5).lifts and not quot_module(t, 5).lifts
 
 
 # one spec text per constructor head, at A1 ell = 3
