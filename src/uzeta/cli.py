@@ -1,9 +1,9 @@
-"""Command-line surface: configuration, structure-constant cache,
-corpus manifests and report emission.
+"""Command-line surface: configuration, corpus manifests and report
+emission.
 
-A cache reads back into the ``genericuq.StructureTable`` it was written
-from, its convex order from the ``type=`` and ``w0=`` header lines; a
-command refuses a cache of another order than its own.
+``qmodules``, ``inject``, ``cohomlite`` and the structure-cache I/O
+(``cache``) are imported inside the functions that use them, so a
+process compiles only the modules its command runs.
 
 Subcommands: build, relations, module, verify, skeleton, betti,
 cache-info.  Reports are line-delimited JSON records (deterministic:
@@ -20,37 +20,15 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import cohomlite, inject, qmodules
-from .genericuq import StructureTable, generic_uq
-from .kernelalg import KernelContext, SpecializationError
-from .rootdata import (
-    BAD_PRIMES,
-    COXETER_NUMBER,
-    ConvexOrder,
-    convex_order,
-    default_w0_word,
-)
-from .scalars import (
-    QFraction,
-    is_prime,
-    laurent_from_text,
-    laurent_to_text,
-    localized_from_text,
-    localized_to_text,
-    make_field,
-)
-
-CACHE_VERSION = "uzeta-structure-cache v1"
-
-
-class ConfigError(ValueError):
-    pass
+from .genericuq import generic_uq
+from .kernelalg import DEFAULT_BUDGET, ConfigError, KernelContext, SpecializationError
+from .rootdata import BAD_PRIMES, COXETER_NUMBER, convex_order, default_w0_word
+from .scalars import is_prime, make_field
 
 
 @dataclass(frozen=True)
@@ -60,7 +38,7 @@ class RunConfig:
     p: Optional[int] = None
     r: int = 0
     w0: Optional[Tuple[int, ...]] = None
-    budget: int = inject.DEFAULT_BUDGET
+    budget: int = DEFAULT_BUDGET
     strict: bool = True
     jobs: int = 1
     long_running: bool = False
@@ -131,159 +109,19 @@ def make_context(cfg: RunConfig) -> KernelContext:
     key: Tuple = (cfg.type_label, cfg.ell, cfg.p, cfg.r, cfg.word())
     blob = None
     if cfg.cache_path:
-        # imported here: only a cache needs it
+        # imported here: only a cache needs them
         import hashlib
 
-        blob = _read_cache_bytes(cfg.cache_path)
+        from . import cache
+
+        blob = cache.read_cache_bytes(cfg.cache_path)
         key += (hashlib.sha256(blob).hexdigest(),)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
         order = convex_order(cfg.type_label, cfg.word())
-        table = None if blob is None else _table_of(order, blob, cfg.cache_path)
+        table = None if blob is None else cache.table_of(order, blob, cfg.cache_path)
         ctx = _CONTEXTS[key] = KernelContext(order, make_field(cfg.ell, cfg.p), r=cfg.r, table=table)
     return ctx
-
-
-# ---------------------------------------------------------------------------
-# structure-constant cache
-
-
-def write_cache(cfg: RunConfig, path: str) -> None:
-    uq = generic_uq(cfg.type_label)
-    order = convex_order(cfg.type_label, cfg.word())
-    tab = uq.structure_table(order)
-    lines = [CACHE_VERSION]
-    lines.append(f"type={cfg.type_label}")
-    lines.append("w0=" + ",".join(str(x) for x in cfg.word()))
-    lines.append("ell_independent=true")
-    lines.append("convention=braid operators per the validation suite; root vector units recorded below")
-    lines.append("s_keys=" + ",".join(str(k) for k in tab.s_keys))
-    for i, u in enumerate(tab.omega_units):
-        lines.append(f"omega_unit {i + 1} {laurent_to_text(u.as_laurent())}")
-    for side, entries in (("E", tab.e_entries), ("F", tab.f_entries)):
-        for (i, j) in sorted(entries):
-            lead = tab.leading_exponent(i, j)
-            tails = " ; ".join(
-                f"({','.join(str(x) for x in exp)})={localized_to_text(c)}"
-                for exp, c in sorted(entries[(i, j)].items())
-            )
-            lines.append(
-                f"{side} {i} {j} -> leading:{lead}:1" + (f" ; tail: {tails}" if tails else "")
-            )
-    blob = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _read_cache_bytes(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read cache {path}: {e}") from e
-
-
-def read_cache(path: str) -> Tuple[Dict[str, str], StructureTable]:
-    """Parse a structure cache; an unreadable or malformed one is a ConfigError."""
-    return _parse_cache(_read_cache_bytes(path), path)
-
-
-def _order_text(order: ConvexOrder) -> str:
-    return f"{order.datum.label} with w0 {','.join(str(x) for x in order.word)}"
-
-
-def _table_of(order: ConvexOrder, blob: bytes, path: str) -> StructureTable:
-    """The table of a cache's bytes, which must be written for ``order``."""
-    table = _parse_cache(blob, path)[1]
-    if table.order != order:
-        raise ConfigError(
-            f"cache {path} was built for {_order_text(table.order)}, not for {_order_text(order)}"
-        )
-    return table
-
-
-def _parse_cache(blob: bytes, path: str) -> Tuple[Dict[str, str], StructureTable]:
-    try:
-        lines = blob.decode().splitlines()
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"cannot read cache {path}: {e}") from e
-    if not lines or lines[0] != CACHE_VERSION:
-        raise ConfigError(
-            f"cache version mismatch: expected {CACHE_VERSION!r}, got {lines[:1]!r}"
-        )
-    meta: Dict[str, str] = {}
-    e_entries: Dict = {}
-    f_entries: Dict = {}
-    s_keys: Tuple[int, ...] = ()
-    units: List[QFraction] = []
-    counts = {"E": Counter(), "F": Counter()}
-    for n, ln in enumerate(lines[1:], 2):
-        if not ln:
-            continue
-        try:
-            if ln.startswith("omega_unit "):
-                _, i_s, text = ln.split(" ", 2)
-                if int(i_s) != len(units) + 1:
-                    raise ValueError(f"omega_unit {i_s} out of order")
-                units.append(QFraction(laurent_from_text(text)))
-                continue
-            if "=" in ln and "->" not in ln:
-                k, _, v = ln.partition("=")
-                meta[k] = v
-                if k == "s_keys":
-                    s_keys = tuple(int(x) for x in v.split(",")) if v else ()
-                continue
-            head, _, rest = ln.partition("->")
-            side, i_s, j_s = head.split()
-            if side not in ("E", "F"):
-                raise ValueError(f"unknown side {side!r}")
-            tail: Dict = {}
-            parts = rest.split(";")
-            for part in parts[1:]:
-                part = part.strip()
-                if part.startswith("tail:"):
-                    part = part[5:].strip()
-                if not part:
-                    continue
-                exp_s, _, coeff_s = part.partition("=")
-                exp = tuple(int(x) for x in exp_s.strip("()").split(","))
-                tail[exp] = localized_from_text(coeff_s, s_keys)
-            key = (int(i_s), int(j_s))
-            (e_entries if side == "E" else f_entries)[key] = tail
-            counts[side][key] += 1
-        except (ValueError, ArithmeticError, LookupError) as e:
-            raise ConfigError(f"cache {path}: line {n} is malformed: {e}") from e
-    try:
-        word = tuple(int(x) for x in meta.get("w0", "").split(","))
-        order = convex_order(meta.get("type", ""), word)
-    except ValueError as e:
-        raise ConfigError(f"cache {path} names no valid order: {e}") from e
-    npos = order.datum.n_positive
-    if len(units) != npos:
-        raise ConfigError(f"cache {path} has {len(units)} omega_unit lines, not {npos}")
-    # each side holds one entry for every pair 1 <= i < j <= npos and no other
-    pairs = {(i, j) for j in range(2, npos + 1) for i in range(1, j)}
-    for side, seen in counts.items():
-        for i, j in sorted(pairs | set(seen)):
-            count = seen[(i, j)]
-            if (i, j) not in pairs:
-                fault = f"an {side} entry {i} {j} outside 1 <= i < j <= {npos}"
-            elif not count:
-                fault = f"no {side} entry {i} {j}"
-            elif count > 1:
-                fault = f"{count} {side} entries {i} {j}"
-            else:
-                continue
-            raise ConfigError(f"cache {path} has {fault}")
-    return meta, StructureTable(order, s_keys, e_entries, f_entries, tuple(units))
 
 
 # ---------------------------------------------------------------------------
@@ -397,46 +235,39 @@ def load_manifest(path: str) -> List[Dict]:
 # ---------------------------------------------------------------------------
 # verification driver
 
-def checked_module(ctx: KernelContext, spec: str) -> qmodules.WeightedModule:
-    """The module of a spec text, realized and checked once per context; it
-    stays in ``ctx.realized``."""
+def checked_module(ctx: KernelContext, spec: str):
+    """The ``qmodules.WeightedModule`` of a spec text, realized and checked
+    once per context; it stays in ``ctx.realized``."""
     m = ctx.realized.get(spec)
     if m is None:
+        from . import qmodules
+
         m = qmodules.realize_text(ctx, spec)
         m.check()
         ctx.realized[spec] = m
     return m
 
 
-def _highest(m: qmodules.WeightedModule, budget: int) -> Dict:
-    if not m.lifts:
-        return {"skipped": True, "reason": "no full lift", "agree": True}
-    return inject.highest_root_test(m, budget)
-
-
-def _filtration(m: qmodules.WeightedModule) -> Dict:
-    borel_plus = inject.projective(m, "u+")
-    passes = qmodules.verma_character_test(m)
-    return {"oracle": borel_plus, "character_test": passes, "agree": (not borel_plus) or passes}
-
-
-# suite -> (its test of one module, whether its oracle is the big-algebra
-# verdict, which a case's expected injectivity refers to and whose split test
-# takes the budget); the suites run on each manifest spec, then the rest, in
-# ``--suite all`` order
+# suite -> (the name of its test of one module in ``inject``, whether its
+# oracle is the big-algebra verdict, which a case's expected injectivity
+# refers to and whose split test takes the budget); the suites run on each
+# manifest spec, then the rest, in ``--suite all`` order
 MODULE_SUITES = {
-    "rootcrit": (inject.verify_root_criterion, True),
-    "borel": (inject.verify_borel_criterion, False),
-    "reduction": (inject.verify_reduction_borel, True),
-    "highest": (_highest, True),
-    "filtration": (_filtration, False),
+    "rootcrit": ("verify_root_criterion", True),
+    "borel": ("verify_borel_criterion", False),
+    "reduction": ("verify_reduction_borel", True),
+    "highest": ("verify_highest_root", True),
+    "filtration": ("verify_filtration", False),
 }
 SUITES = tuple(MODULE_SUITES) + ("integrals", "zdual", "betti")
 
 
 def run_case(cfg: RunConfig, suite: str, spec: str, expect) -> Dict:
     """Record of one suite on one module spec, without the configuration."""
-    test, big_oracle = MODULE_SUITES[suite]
+    from . import inject
+
+    name, big_oracle = MODULE_SUITES[suite]
+    test = getattr(inject, name)
     ctx = make_context(cfg)
     t0 = time.monotonic()
     record = {"case": f"{suite}:{spec}", "suite": suite, "spec": spec}
@@ -519,6 +350,8 @@ def run_betti(cfg: RunConfig) -> Dict:
     count, a benign skip where ell is not above the Coxeter number h: the
     count needs ell > h (Ginzburg and Kumar, Duke Math. J. 69, 1993), and
     at ell = h extra invariant classes appear."""
+    from . import cohomlite
+
     ctx = make_context(cfg)
     n_max = betti_degree(cfg.type_label)
     dims = cohomlite.borel_cohomology_dims(ctx, "plus", n_max)
@@ -537,6 +370,8 @@ def run_betti(cfg: RunConfig) -> Dict:
 
 
 def run_zdual(cfg: RunConfig) -> List[Dict]:
+    from . import qmodules
+
     ctx = make_context(cfg)
     out = []
     for lam in itertools.product(range(3), repeat=ctx.rank):
@@ -570,16 +405,20 @@ def run_zdual(cfg: RunConfig) -> List[Dict]:
 
 
 def cmd_build(args, cfg: RunConfig) -> int:
+    from . import cache
+
     path = args.out or f"{cfg.type_label.lower()}-structure.cache"
-    write_cache(cfg, path)
-    meta, data = read_cache(path)
+    cache.write_cache(cfg, path)
+    meta, data = cache.read_cache(path)
     n_entries = len(data.e_entries) + len(data.f_entries)
     print(f"wrote {path}: {meta['type']}, w0 = {meta['w0']}, {n_entries} entries")
     return 0
 
 
 def cmd_cache_info(args) -> int:
-    meta, data = read_cache(args.path)
+    from . import cache
+
+    meta, data = cache.read_cache(args.path)
     for k, v in sorted(meta.items()):
         print(f"{k} = {v}")
     print(f"entries = {len(data.e_entries)} (E side) + {len(data.f_entries)} (F side)")
@@ -594,7 +433,9 @@ def cmd_relations(args, cfg: RunConfig) -> int:
         print(f"need 1 <= i < j <= {order.datum.n_positive}", file=sys.stderr)
         return 2
     if args.cache:
-        table = _table_of(order, _read_cache_bytes(args.cache), args.cache)
+        from . import cache
+
+        table = cache.table_of(order, cache.read_cache_bytes(args.cache), args.cache)
     else:
         table = generic_uq(cfg.type_label).structure_table(order)
     e_tail = table.e_entries[(i, j)]
@@ -635,6 +476,8 @@ def cmd_module(args, cfg: RunConfig) -> int:
 
 
 def cmd_skeleton(args, cfg: RunConfig) -> int:
+    from . import inject
+
     m = checked_module(make_context(cfg), args.spec)
     free = inject.root_freeness(m, args.side)
     rec = {
@@ -650,6 +493,8 @@ def cmd_betti(args, cfg: RunConfig) -> int:
     nmax = betti_degree(cfg.type_label) if args.nmax is None else args.nmax
     if nmax < 0:
         raise ConfigError(f"--nmax {nmax} is negative")
+    from . import cohomlite
+
     ctx = make_context(cfg)
     kind = "u+" if args.side == "+" else "u-"
     res = cohomlite.minimal_resolution(ctx, kind, nmax)
@@ -674,6 +519,8 @@ def cmd_betti(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
+    from . import inject
+
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     if args.manifest:
         manifest = load_manifest(args.manifest)
@@ -777,7 +624,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--manifest", default=None)
     p.add_argument("--cache", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--budget", type=int, default=inject.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
@@ -805,7 +652,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"cannot write {out}: its directory does not exist")
         cfg.banner(sys.stdout)
         return args.func(args, cfg)
-    except (ConfigError, qmodules.SpecSyntaxError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SpecializationError as e:

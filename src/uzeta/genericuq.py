@@ -14,7 +14,9 @@ data: quantum Serre relators, braid operator images on generators, and
 the Hopf structure on generators.  These inputs are pinned down by the
 validation suite (weight-space dimensions against Kostant partition
 counts, braid relations, anti-automorphism conjugations), which is the
-reason this module exposes so many cross-checkable primitives.
+reason this module exposes so many cross-checkable primitives; the
+checks that only the suite runs (Kostant counts, tau, the coproduct) live
+in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .linalg import Eliminator, SpanSolver, memoized, vec_add_term
 from .rootdata import ConvexOrder, RootDatum, build_root_datum
@@ -80,9 +82,6 @@ class UqGeneric:
 
     def gen(self, side: str, i: int) -> Elt:
         return {((side, i),): qf(1)}
-
-    def k_elt(self, mu: Tuple[int, ...]) -> Elt:
-        return {(("K", mu),): qf(1)}
 
     def serre_relators(self) -> List[Tuple[Tuple[int, ...], SideElt]]:
         """Quantum Serre relators as abstract words, with their weights.
@@ -213,19 +212,6 @@ class UqGeneric:
             out[tuple(nw)] = c
         return out
 
-    def tau(self, elt: Elt) -> Elt:
-        """Word-reversing anti-automorphism fixing E_i, F_i; K_mu -> K_{-mu}."""
-        out: Elt = {}
-        for w, c in elt.items():
-            nw = []
-            for l in reversed(w):
-                if l[0] == "K":
-                    nw.append(("K", tuple(-x for x in l[1])))
-                else:
-                    nw.append(l)
-            vec_add_term(out, tuple(nw), c)
-        return out
-
     # ------------------------------------------------------------------
     # braid operators
 
@@ -351,44 +337,9 @@ class UqGeneric:
         rec(sorted(letters), [])
         return sorted(out)
 
-    def kostant_partitions(self, nu: Tuple[int, ...]) -> int:
-        roots = self.datum.positive_roots
-
-        @cache
-        def count(idx: int, rem: Tuple[int, ...]) -> int:
-            if all(x == 0 for x in rem):
-                return 1
-            if idx >= len(roots):
-                return 0
-            r = roots[idx]
-            total = 0
-            cur = rem
-            while all(x >= 0 for x in cur):
-                total += count(idx + 1, cur)
-                cur = tuple(x - y for x, y in zip(cur, r))
-            return total
-
-        return count(0, tuple(nu))
-
     @memoized
     def weight_space(self, nu: Tuple[int, ...]) -> "WeightSpace":
         return WeightSpace(self, nu)
-
-    def weight_basis(self, nu: Tuple[int, ...], height_bound: Optional[int] = None) -> List[AbstractWord]:
-        """Basis words of the weight-nu component of the one-sided algebra.
-
-        The dimension is asserted to equal the Kostant partition count,
-        which simultaneously validates the Serre relator input.
-        """
-        if height_bound is not None and sum(nu) > height_bound:
-            raise ValueError(f"height {sum(nu)} above bound {height_bound}")
-        ws = self.weight_space(nu)
-        expect = self.kostant_partitions(nu)
-        if ws.dim != expect:
-            raise AssertionError(
-                f"weight {nu}: dim {ws.dim} != Kostant count {expect}"
-            )
-        return ws.basis_words
 
     # ------------------------------------------------------------------
     # PBW expansion
@@ -449,128 +400,6 @@ class UqGeneric:
     @memoized
     def structure_table(self, order: ConvexOrder) -> "StructureTable":
         return build_structure_table(self, order)
-
-    # ------------------------------------------------------------------
-    # comultiplication on the plus side
-
-    def comultiply_word(self, word: AbstractWord) -> Dict[Tuple[Tuple[int, ...], AbstractWord, AbstractWord], QFraction]:
-        """Delta of an E-word as sum K_{wt(right)} E-left (x) E-right.
-
-        Keys are (k weight vector, left word, right word).
-        """
-        datum = self.datum
-        n = len(word)
-        out: Dict[Tuple[Tuple[int, ...], AbstractWord, AbstractWord], QFraction] = {}
-        for mask in range(1 << n):
-            left = tuple(word[s] for s in range(n) if not (mask >> s) & 1)
-            right = tuple(word[s] for s in range(n) if (mask >> s) & 1)
-            power = 0
-            for t in range(n):
-                if (mask >> t) & 1:
-                    for s in range(t):
-                        if not (mask >> s) & 1:
-                            power -= datum.pair_roots(
-                                self.alpha(word[t]), self.alpha(word[s])
-                            )
-            kv = self.word_weight(right)
-            vec_add_term(out, (kv, left, right), q_power(power))
-        return out
-
-    def comultiply_E(self, order: ConvexOrder, m: int):
-        """Delta(E_{gamma_m}) in PBW (x) PBW coordinates, grouped by bi-weight.
-
-        Returns {(mu, nu): {(expL, expR): coeff}} with mu + nu = gamma_m.
-        """
-        rv = self.root_vectors(order, "E")[m - 1]
-        grouped: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict] = {}
-        for w, c in rv.items():
-            for (kv, left, right), c2 in self.comultiply_word(w).items():
-                mu = self.word_weight(left)
-                nu = kv
-                vec_add_term(grouped.setdefault((mu, nu), {}), (left, right), c * c2)
-        out: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict] = {}
-        for (mu, nu), terms in grouped.items():
-            ctxL = self.pbw_context(order, "E", mu)
-            ctxR = self.pbw_context(order, "E", nu)
-            mat: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], QFraction] = {}
-            # expand left and right words in PBW coordinates
-            for (left, right), c in terms.items():
-                el = ctxL.expand({left: qf(1)})
-                er = ctxR.expand({right: qf(1)})
-                for eL, cL in el.items():
-                    for eR, cR in er.items():
-                        vec_add_term(mat, (eL, eR), c * cL * cR)
-            if mat:
-                out[(mu, nu)] = mat
-        return out
-
-    def coideal_membership(self, order: ConvexOrder, m: int) -> bool:
-        """Delta(E_{gamma_m}) in V_m (x) W_m: support condition on PBW blocks.
-
-        V_m is spanned (in each E-weight) by PBW monomials supported on
-        positions <= m; W_m by monomials supported on positions >= m.
-        """
-        for (mu, nu), mat in self.comultiply_E(order, m).items():
-            for (eL, eR), c in mat.items():
-                if not c:
-                    continue
-                if any(a and (idx + 1) > m for idx, a in enumerate(eL)):
-                    return False
-                if any(a and (idx + 1) < m for idx, a in enumerate(eR)):
-                    return False
-        return True
-
-    # ------------------------------------------------------------------
-    # permuted-order basis check
-
-    def reorder_basis_check(self, order: ConvexOrder, perm: Sequence[int], height_bound: int) -> bool:
-        """Monomials in permuted root-vector order still form bases.
-
-        perm is a permutation of 1..N; monomials are taken in the order
-        gamma_{perm(1)}, ..., gamma_{perm(N)} with exponents summing to
-        each weight of height <= height_bound.
-        """
-        datum = self.datum
-        n = datum.n_positive
-        assert sorted(perm) == list(range(1, n + 1))
-        rvs = self.root_vectors(order, "E")
-        weights = weights_up_to_height(datum, height_bound)
-        for nu in weights:
-            exps = self.pbw_monomials(order, nu)
-            ws = self.weight_space(nu)
-            elim = Eliminator()
-            rank = 0
-            for exp in exps:
-                term: SideElt = {(): qf(1)}
-                for pos in perm:
-                    a = exp[pos - 1]
-                    for _ in range(a):
-                        nxt: SideElt = {}
-                        for w, c in term.items():
-                            for w2, c2 in rvs[pos - 1].items():
-                                vec_add_term(nxt, w + w2, c * c2)
-                        term = nxt
-                red = ws.reduce(term)
-                if elim.add(red) is not None:
-                    rank += 1
-            if rank != len(exps) or rank != ws.dim:
-                return False
-        return True
-
-
-def weights_up_to_height(datum: RootDatum, bound: int) -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = []
-
-    def rec(idx: int, cur: List[int], left: int):
-        if idx == datum.rank:
-            if any(cur):
-                out.append(tuple(cur))
-            return
-        for c in range(left + 1):
-            rec(idx + 1, cur + [c], left - c)
-
-    rec(0, [], bound)
-    return sorted(out, key=lambda nu: (sum(nu), nu))
 
 
 class WeightSpace:

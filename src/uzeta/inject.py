@@ -33,13 +33,12 @@ import functools
 import json
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .kernelalg import DEFAULT_BUDGET
 from .linalg import Eliminator, LinearSystem, Vec, close_span, vec_add_term
-from .qmodules import WeightedModule, joint_kernel
+from .qmodules import WeightedModule, joint_kernel, verma_character_test
+from .rootdata import RootDatum
 
 Weight = Tuple[int, ...]
-
-# largest algebra dim x module dim a split test takes on
-DEFAULT_BUDGET = 200_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -348,25 +347,54 @@ def verify_reduction_borel(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> D
     }
 
 
+def skeleton_shape_ok(datum: RootDatum, minus: Sequence[Weight], plus: Sequence[Weight]) -> bool:
+    """Whether the skeletons of a lifting module, on the ``-`` and ``+``
+    sides, have the shape its G-stable support variety forces: equal on
+    both sides, a union of whole root-length classes and, unless empty,
+    holding every long root (so the highest root).  Root vectors of one
+    length are conjugate under N_G(T), and the closure of the short-root
+    orbit contains the long-root one."""
+    length = {r: datum.pair_roots(r, r) for r in datum.positive_roots}
+    lengths = {length[r] for r in minus}
+    whole = set(minus) == {r for r, n in length.items() if n in lengths}
+    return set(minus) == set(plus) and whole and (not minus or max(length.values()) in lengths)
+
+
 def highest_root_test(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> Dict:
-    """Single-root detection at the highest root, plus skeleton closure.
+    """Single-root detection at the highest root, plus the skeleton shape.
 
     Only meaningful for modules restricting from the full quantized
-    algebra; the skeleton closure property needs that lift.
+    algebra; the shape of the skeleton (``skeleton_shape_ok``) needs that
+    lift.
     """
     assert m.lifts, "highest-root test needs a full lift"
     h = m.ctx.datum.highest_root
     free = root_freeness(m, "-")
     skeleton = sorted(root for root, ok in free.items() if not ok)
+    plus = [root for root, ok in root_freeness(m, "+").items() if not ok]
     oracle = projective_split_test(m, "g", budget)
-    closure_ok = not skeleton or h in skeleton
+    shape_ok = skeleton_shape_ok(m.ctx.datum, skeleton, plus)
     return {
         "highest_root_free": free[h],
         "oracle": oracle,
         "skeleton": [list(r) for r in skeleton],
-        "skeleton_contains_highest": closure_ok,
-        "agree": (free[h] == oracle) and closure_ok,
+        "skeleton_contains_highest": shape_ok,
+        "agree": (free[h] == oracle) and shape_ok,
     }
+
+
+def verify_highest_root(m: WeightedModule, budget: int = DEFAULT_BUDGET) -> Dict:
+    """``highest_root_test``, or a benign skip for a module without a full lift."""
+    if not m.lifts:
+        return {"skipped": True, "reason": "no full lift", "agree": True}
+    return highest_root_test(m, budget)
+
+
+def verify_filtration(m: WeightedModule) -> Dict:
+    """Projectivity over u+ against the Verma-filtration character test."""
+    borel_plus = projective(m, "u+")
+    passes = verma_character_test(m)
+    return {"oracle": borel_plus, "character_test": passes, "agree": (not borel_plus) or passes}
 
 
 def root_label(root: Tuple[int, ...]) -> str:

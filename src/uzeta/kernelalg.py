@@ -57,6 +57,15 @@ GenKey = Tuple[str, int]  # ('E', j), ('F', j), ('K', j), ('Erv', pos), ('Frv', 
 PBWTerm = Tuple[FExp, KExp, FExp, Optional[Tuple[int, ...]], Optional[int], int, object]
 
 
+# largest algebra dim x module dim a split test takes on
+DEFAULT_BUDGET = 200_000
+
+
+class ConfigError(ValueError):
+    """Bad input: a configuration, manifest, cache or module spec; the
+    command line reports it and exits with status 2."""
+
+
 class SpecializationError(ArithmeticError):
     pass
 
@@ -85,7 +94,7 @@ class KernelContext:
     """Shared straightening caches for one (type, order, field, r) choice.
 
     ``table`` may supply the ``StructureTable`` of ``order``, such as one
-    read from a cache by ``cli.read_cache``; by default it is computed from
+    read from a cache by ``cache.read_cache``; by default it is computed from
     scratch.
     """
 
@@ -878,12 +887,3 @@ class KernelAlgebra:
             if not right.contains(row):
                 return False
         return True
-
-    def omega_mirror_kind(self) -> str:
-        flip = {"u-": "u+", "u+": "u-", "b-": "b+", "b+": "b-", "g": "g"}
-        if self.kind in flip:
-            return flip[self.kind]
-        if self.desc.base == "root":
-            side = "+" if self.desc.side == "-" else "-"
-            return f"root:{self.desc.m}:{side}"
-        raise ValueError(f"omega mirror of {self.kind} undefined")

@@ -283,10 +283,3 @@ def kernel_basis(columns: List[Tuple[Hashable, Vec]], one) -> List[Vec]:
         else:
             out.append(comb)
     return out
-
-
-def rank_of(vectors: Iterable[Vec]) -> int:
-    e = Eliminator()
-    for v in vectors:
-        e.add(v)
-    return e.rank

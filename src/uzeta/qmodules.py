@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .kernelalg import BasisKey, GenKey, KernelContext
+from .kernelalg import BasisKey, ConfigError, GenKey, KernelContext
 from .linalg import Eliminator, Mat, SpanSolver, Vec, close_span, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
 
 Weight = Tuple[int, ...]
@@ -33,7 +33,7 @@ class ModuleCheckError(AssertionError):
     pass
 
 
-class SpecSyntaxError(ValueError):
+class SpecSyntaxError(ConfigError):
     """A module spec that does not parse, or whose arguments no module has."""
 
 
@@ -751,125 +751,6 @@ def joint_kernel(m: WeightedModule, gens: Sequence[GenKey]) -> List[Vec]:
                 for i in idxs]
         out.extend(kernel_basis(cols, one=m.ctx.field.one))
     return out
-
-
-def am_weight_basis(m: WeightedModule, level: int) -> Optional[List[Vec]]:
-    """Weight-vector basis of M as a free module over the m-th unipotent layer.
-
-    Implements the peel-off argument: pick a weight vector not killed by
-    the layer integral modulo the span already built, adjoin its cyclic
-    span, recurse.  Returns None when M is not free over the layer.
-    """
-    ctx = m.ctx
-    layer = ctx.algebra_kind(f"Am:{level}")
-    top_exp = tuple(c - 1 if c else 0 for c in layer.f_caps)
-    mats = [m.generator_matrix(g) for g in layer.generators]
-
-    def act_integral(vec: Vec) -> Vec:
-        return m.act_monomial((top_exp, (0,) * ctx.rank, (0,) * ctx.n), vec)
-
-    elim = Eliminator()
-    chosen: List[Vec] = []
-    while elim.rank < m.dim:
-        found = None
-        for i in range(m.dim):
-            if i in elim.pivots:
-                continue
-            cand = elim.reduce({i: ctx.field.one})
-            if not cand:
-                continue
-            img = elim.reduce(act_integral(cand))
-            if img:
-                found = cand
-                break
-        if found is None:
-            return None
-        chosen.append(found)
-        # adjoin the A_m-cyclic span of the found vector
-        close_span(elim, [found], mats)
-    if len(chosen) * layer.dim != m.dim:
-        return None
-    # final certification: monomial translates of the chosen vectors form a basis
-    conf = Eliminator()
-    count = 0
-    for v in chosen:
-        for full in layer.exponents("F"):
-            w = m.act_monomial((full, (0,) * ctx.rank, (0,) * ctx.n), v)
-            if conf.add(w) is not None:
-                count += 1
-    if count != m.dim:
-        return None
-    return chosen
-
-
-def hom_space(a: WeightedModule, b: WeightedModule) -> List[Mat]:
-    """Graded intertwiners a -> b (equivariant for all shared generators)."""
-    ctx = a.ctx
-    gens = sorted(set(a.generator_kinds()) & set(b.generator_kinds()))
-    by_weight: Dict[Weight, List[int]] = {}
-    for i, lam in enumerate(b.weights):
-        by_weight.setdefault(lam, []).append(i)
-    unknowns = []
-    for j, lam in enumerate(a.weights):
-        for i in by_weight.get(lam, ()):
-            unknowns.append((i, j))
-    columns = []
-    for (i, j) in unknowns:
-        col: Vec = {}
-        # constraints rho_b(g) T - T rho_a(g) = 0, equations keyed by
-        # (g, target row, source column)
-        for g in gens:
-            for row, c in b.act_gen(g, {i: ctx.field.one}).items():
-                col[(g, row, j)] = c
-            for c_src, column in a.actions.get(g, {}).items():
-                c = column.get(j)
-                if c:
-                    vec_add_term(col, (g, i, c_src), -c)
-        columns.append(((i, j), col))
-    rels = kernel_basis(columns, one=ctx.field.one)
-    mats = []
-    for rel in rels:
-        mat: Mat = {}
-        for (i, j), c in rel.items():
-            if c:
-                mat.setdefault(j, {})[i] = c
-        mats.append(mat)
-    return mats
-
-
-def find_isomorphism(a: WeightedModule, b: WeightedModule) -> Optional[Mat]:
-    """Invertible graded intertwiner, or None (tests check ``is_verma`` by it)."""
-    if a.dim != b.dim or a.character() != b.character():
-        return None
-    mats = hom_space(a, b)
-    if not mats:
-        return None
-    rng = random.Random(11)
-
-    def invertible(mat: Mat) -> bool:
-        elim = Eliminator()
-        cnt = 0
-        for col in mat.values():
-            if elim.add(col) is not None:
-                cnt += 1
-        return cnt == a.dim
-
-    for mat in mats:
-        if invertible(mat):
-            return mat
-    for _ in range(24):  # random combinations of the Hom basis; a miss reads as None
-        mat: Mat = {}
-        for t, basis_mat in enumerate(mats):
-            c = a.ctx.field.from_int(rng.randint(-3, 3))
-            if not c:
-                continue
-            for colk, col in basis_mat.items():
-                tgt = mat.setdefault(colk, {})
-                for row, v in col.items():
-                    vec_add_term(tgt, row, c * v)
-        if mat and invertible(mat):
-            return mat
-    return None
 
 
 def zdual_check(ctx: KernelContext, lam: Weight) -> Dict[str, object]:

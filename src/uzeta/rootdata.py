@@ -99,16 +99,6 @@ class RootDatum:
         out[j] = out[j] - c
         return tuple(out)
 
-    def reflect_root(self, r: Root, v: Sequence) -> Tuple:
-        """s_r(v) for an arbitrary root r, exact rational arithmetic."""
-        num = 2 * self.pair_roots(v, r)
-        den = self.pair_roots(r, r)
-        c = QQ(num, den)
-        out = [QQ(x) - c * ri for x, ri in zip(v, r)]
-        if all(x.denominator == 1 for x in out):
-            return tuple(int(x) for x in out)
-        return tuple(out)
-
     def weyl_apply(self, word: Sequence[int], v: Sequence) -> Tuple:
         """Apply s_{b_1}...s_{b_k} to v (1-based simple indices, rightmost first)."""
         out = tuple(v)
@@ -155,19 +145,6 @@ class RootDatum:
 
     def s_keys(self) -> Tuple[int, ...]:
         return S_KEYS[self.label]
-
-    def describe(self) -> str:
-        lines = [f"type {self.label}  rank {self.rank}  N = {self.n_positive}"]
-        lines.append("cartan: " + "; ".join(" ".join(f"{x:3d}" for x in row) for row in self.cartan))
-        lines.append("d: " + " ".join(str(x) for x in self.d))
-        for r in self.positive_roots:
-            mark = " (highest)" if r == self.highest_root else ""
-            lines.append(
-                "root " + "+".join(f"{c}a{i+1}" for i, c in enumerate(r) if c)
-                + f"  len2={self.pair_roots(r, r)}{mark}"
-            )
-        return "\n".join(lines)
-
 
 @lru_cache(maxsize=None)
 def build_root_datum(label: str) -> RootDatum:
@@ -317,80 +294,3 @@ def default_w0_word(label: str) -> Tuple[int, ...]:
         "A3": (1, 2, 1, 3, 2, 1),
     }
     return words[label]
-
-
-def all_reduced_w0_words(datum: RootDatum) -> List[Tuple[int, ...]]:
-    """Exhaustive depth-first enumeration of reduced w_0 expressions."""
-    n = datum.n_positive
-    out: List[Tuple[int, ...]] = []
-
-    def walk(word: List[int], gammas: List[Root]):
-        if len(word) == n:
-            out.append(tuple(word))
-            return
-        for j in range(1, datum.rank + 1):
-            beta = datum.simple_roots[j - 1]
-            g = datum.weyl_apply(word, beta)
-            if all(x >= 0 for x in g):  # length goes up
-                word.append(j)
-                gammas.append(g)
-                walk(word, gammas)
-                word.pop()
-                gammas.pop()
-
-    walk([], [])
-    return out
-
-
-@dataclass(frozen=True)
-class OrderFunctional:
-    """Rational vector v with (v, gamma_i) > 0 iff i <= m, nonzero on all roots."""
-
-    order: ConvexOrder
-    m: int
-    vector: Vector
-
-    def sign_of(self, r: Root) -> int:
-        val = self.order.datum.pair_roots(self.vector, r)
-        if val > 0:
-            return 1
-        if val < 0:
-            return -1
-        return 0
-
-    def check(self) -> None:
-        datum = self.order.datum
-        for i, g in enumerate(self.order.gammas):
-            s = self.sign_of(g)
-            want = 1 if i < self.m else -1
-            if s != want:
-                raise AssertionError(f"sign pattern fails at gamma_{i+1}: {s} != {want}")
-        for r in datum.positive_roots:
-            if self.sign_of(r) == 0:
-                raise AssertionError(f"functional vanishes on root {r}")
-
-    def positive_system(self) -> Tuple[Root, ...]:
-        """Roots positive for the functional, as a sorted tuple."""
-        datum = self.order.datum
-        pos = []
-        for r in datum.positive_roots:
-            pos.append(r if self.sign_of(r) > 0 else tuple(-x for x in r))
-        return tuple(sorted(pos))
-
-
-def order_functional(order: ConvexOrder, m: int) -> OrderFunctional:
-    """Constructive separating functional: flip -rho by the first m reflections.
-
-    v_m = s_{gamma_m} ... s_{gamma_1}(-rho); the positive system of v_m
-    meets Phi+ exactly in {gamma_1, ..., gamma_m}.
-    """
-    datum = order.datum
-    if not (0 <= m <= datum.n_positive):
-        raise ValueError(f"m must lie in 0..{datum.n_positive}")
-    v = tuple(-x for x in datum.rho)
-    for i in range(m):
-        v = datum.reflect_root(order.gammas[i], v)
-    v = tuple(QQ(x) for x in v)
-    fun = OrderFunctional(order, m, v)
-    fun.check()
-    return fun

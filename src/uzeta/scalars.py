@@ -160,10 +160,6 @@ class Laurent:
     def shift(self, n: int) -> "Laurent":
         return Laurent(self.lo + n, self.c)
 
-    def bar(self) -> "Laurent":
-        """The substitution q -> q^{-1}."""
-        return Laurent(-self.hi, tuple(reversed(self.c)))
-
     def divmod_by(self, other: "Laurent") -> Tuple["Laurent", "Laurent"]:
         """Division with remainder, ignoring overall q-powers."""
         if not other:

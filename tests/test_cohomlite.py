@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from reference import rank_of
 from uzeta import cohomlite, qmodules
 from uzeta.cohomlite import (
     borel_cohomology_dims,
@@ -11,7 +12,7 @@ from uzeta.cohomlite import (
     polynomial_hilbert,
     weight_has_trivial_character,
 )
-from uzeta.linalg import Eliminator, kernel_basis, rank_of
+from uzeta.linalg import Eliminator, kernel_basis
 from uzeta.scalars import CycloField
 
 

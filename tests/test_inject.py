@@ -11,6 +11,7 @@ from uzeta.inject import (
     radical_span,
     record_to_line,
     root_freeness,
+    skeleton_shape_ok,
     verify_borel_criterion,
     verify_reduction_borel,
     verify_root_criterion,
@@ -253,7 +254,7 @@ class TestGeneratorChoice:
         # rad(A) = sum g A over the generators g, so rad(A) M is spanned by
         # the columns of every generator matrix and M / rad(A) M counts the
         # fewest generators
-        from uzeta.linalg import rank_of
+        from reference import rank_of
 
         for m in _manifest_modules(ctxmaker, label, ell, p, r):
             for kind in ("u-", "u+", "b-", "b+", "Am:1", "root:1:+"):
@@ -433,8 +434,9 @@ class TestHarness:
         assert [1, 1] in rec["skeleton"]
 
     def test_highest_root_reads_skeleton(self, ctxmaker, monkeypatch):
-        # one freeness test per position, the highest root's read off the
-        # skeleton; the records are the ones the separate call gave
+        # one freeness test per position and side (the "+" side for the
+        # skeleton shape), the highest root's read off the skeleton; the
+        # records are the ones the separate call gave
         from uzeta import inject
         from uzeta.qmodules import realize_text
 
@@ -451,11 +453,51 @@ class TestHarness:
         for spec, free, skeleton in [("trivial", False, every), ("simple(2,2)", True, []), ("simple(1,1)", False, every)]:
             calls.clear()
             rec = highest_root_test(realize_text(ctx, spec))
-            assert sorted(calls) == [(pos, "-") for pos in range(1, ctx.n + 1)]
+            assert sorted(calls) == [(pos, side) for pos in range(1, ctx.n + 1) for side in "+-"]
             assert rec == {
                 "highest_root_free": free, "oracle": free,
                 "skeleton": skeleton, "skeleton_contains_highest": True, "agree": True,
             }
+
+    @pytest.mark.parametrize(
+        "label,ell,p,r",
+        [("A1", 3, None, 0), ("A1", 5, None, 0), ("A2", 3, None, 0), ("A2", 5, None, 0), ("A1", 3, 7, 1)],
+    )
+    def test_lifting_skeletons_have_the_forced_shape(self, ctxmaker, label, ell, p, r):
+        # the support variety of a lifting module is G-stable: its skeleton
+        # is the same on both sides, whole root-length classes and, unless
+        # empty, every long root; in type A that is none or every root
+        lifting = [m for m in _manifest_modules(ctxmaker, label, ell, p, r) if m.lifts]
+        assert lifting
+        for m in lifting:
+            minus, plus = ([root for root, ok in root_freeness(m, side).items() if not ok] for side in "-+")
+            assert skeleton_shape_ok(m.ctx.datum, minus, plus), m.label
+            assert sorted(minus) in ([], sorted(m.ctx.datum.positive_roots)), m.label
+
+    def test_skeleton_shape_planted_failure(self, ctxmaker, monkeypatch):
+        # Z(1,2) at A2 ell = 3 does not lift; with its lift forced the skeleton
+        # is empty on the "-" side and {a1, a1+a2} on the "+" side, which is
+        # neither one length class (a2 is missing) nor the same on both sides
+        ctx = ctxmaker("A2", 3)
+        m = verma_module(ctx, (1, 2))
+        monkeypatch.setattr(m, "lifts", True)
+        assert not [root for root, ok in root_freeness(m, "-").items() if not ok]
+        assert sorted(root for root, ok in root_freeness(m, "+").items() if not ok) == [(1, 0), (1, 1)]
+        rec = highest_root_test(m)
+        assert not rec["skeleton_contains_highest"] and not rec["agree"]
+        # each condition fails on its own
+        datum = ctx.datum
+        every = list(datum.positive_roots)
+        assert skeleton_shape_ok(datum, every, every) and skeleton_shape_ok(datum, [], [])
+        assert not skeleton_shape_ok(datum, [], [(1, 0), (1, 1)])
+        assert not skeleton_shape_ok(datum, [(1, 0), (1, 1)], [(1, 0), (1, 1)])
+        b2 = ctxmaker("B2", 5).datum
+        long = [root for root in b2.positive_roots if b2.pair_roots(root, root) == 4]
+        short = [root for root in b2.positive_roots if b2.pair_roots(root, root) == 2]
+        assert len(long) == len(short) == 2
+        assert skeleton_shape_ok(b2, long, long)
+        assert not skeleton_shape_ok(b2, short, short)
+        assert not skeleton_shape_ok(b2, long + short[:1], long + short[:1])
 
     def test_highest_root_needs_big_lift(self, ctxmaker):
         ctx = ctxmaker("A1", 3)

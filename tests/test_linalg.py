@@ -5,8 +5,9 @@ from fractions import Fraction as QQ
 
 import pytest
 
+from reference import rank_of
 from uzeta import inject
-from uzeta.linalg import LinearSystem, SpanSolver, kernel_basis, memoized, rank_of, vec_iadd_scaled, vec_isub_scaled
+from uzeta.linalg import LinearSystem, SpanSolver, kernel_basis, memoized, vec_iadd_scaled, vec_isub_scaled
 from uzeta.qmodules import randsub_module, simple_module, tensor_module, trivial_module, verma_module
 from uzeta.scalars import CycloField, GaloisField
 

