@@ -400,6 +400,11 @@ def run_zdual(cfg: RunConfig) -> List[Dict]:
     return out
 
 
+def record_to_line(record: Dict) -> str:
+    """One line of the verify report: a record as compact JSON, keys sorted."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -519,8 +524,6 @@ def cmd_betti(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    from . import inject
-
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     if args.manifest:
         manifest = load_manifest(args.manifest)
@@ -532,7 +535,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         cfg = replace(cfg, cache_path=args.cache)
         make_context(cfg)  # fail early on a bad cache; the suites share it
     records = run_suites(cfg, suites, manifest)
-    lines = [inject.record_to_line(r) for r in records]
+    lines = [record_to_line(r) for r in records]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -549,7 +552,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         file=sys.stdout if args.out else sys.stderr,
     )
     for r in bad:
-        print(f"# FALSIFICATION CANDIDATE: {inject.record_to_line(r)}", file=sys.stderr)
+        print(f"# FALSIFICATION CANDIDATE: {record_to_line(r)}", file=sys.stderr)
     return 1 if bad or skipped["over budget"] else 0
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Dict, List, Tuple
 
-from .linalg import Eliminator, SpanSolver, memoized, vec_add_term
+from .linalg import Eliminator, memoized, vec_add_term
 from .rootdata import ConvexOrder, RootDatum, build_root_datum
 from .scalars import (
     L_ONE,
@@ -193,24 +193,6 @@ class UqGeneric:
                     raise NotOneSided(f"element has E/K part: K{kv} {ew}")
                 out[fw] = c
         return {w: c for w, c in out.items() if c}
-
-    # ------------------------------------------------------------------
-    # (anti)automorphisms on mixed elements
-
-    def omega(self, elt: Elt) -> Elt:
-        """E_i <-> F_i, K_mu -> K_{-mu}; an algebra automorphism."""
-        out: Elt = {}
-        for w, c in elt.items():
-            nw = []
-            for l in w:
-                if l[0] == "E":
-                    nw.append(("F", l[1]))
-                elif l[0] == "F":
-                    nw.append(("E", l[1]))
-                else:
-                    nw.append(("K", tuple(-x for x in l[1])))
-            out[tuple(nw)] = c
-        return out
 
     # ------------------------------------------------------------------
     # braid operators
@@ -452,22 +434,23 @@ class PBWContext:
         self.nu = nu
         self.ws = uq.weight_space(nu)
         self.exps = uq.pbw_monomials(order, nu)
-        self.solver = SpanSolver(QFraction(L_ONE))
+        self.echelon = Eliminator()
+        one = QFraction(L_ONE)
         for exp in self.exps:
             vec = uq.monomial_words(order, side, exp)
             red = self.ws.reduce(vec)
-            if not self.solver.add(exp, red):
+            if self.echelon.add(red, {exp: one}) is None:
                 raise AssertionError(
                     f"PBW monomial {exp} dependent in weight {nu}: relators inconsistent"
                 )
-        if self.solver.rank != self.ws.dim:
+        if self.echelon.rank != self.ws.dim:
             raise AssertionError(
-                f"PBW monomials of weight {nu} span {self.solver.rank} < dim {self.ws.dim}"
+                f"PBW monomials of weight {nu} span {self.echelon.rank} < dim {self.ws.dim}"
             )
 
     def expand(self, vec: SideElt) -> Dict[Tuple[int, ...], QFraction]:
         red = self.ws.reduce(vec)
-        sol = self.solver.solve(red)
+        sol = self.echelon.solve(red)
         if sol is None:
             raise AssertionError("element not expressible in PBW basis (bug)")
         return {exp: c for exp, c in sol.items() if c}

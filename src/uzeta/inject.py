@@ -30,9 +30,9 @@ a disagreement: a mismatch is data for a falsification report.
 from __future__ import annotations
 
 import functools
-import json
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from . import cli
 from .kernelalg import DEFAULT_BUDGET
 from .linalg import Eliminator, LinearSystem, Vec, close_span, vec_add_term
 from .qmodules import WeightedModule, joint_kernel, verma_character_test
@@ -70,7 +70,7 @@ def radical_span(m: WeightedModule, kind: str) -> Eliminator:
 def free_over_local(m: WeightedModule, kind: str) -> bool:
     """Nakayama freeness test over a local kernel algebra kind."""
     desc = m.ctx.algebra_kind(kind)
-    if not desc.is_local:
+    if desc.torus:
         raise ValueError(f"{kind} is not in the local family")
     top = m.dim - radical_span(m, kind).rank
     return m.dim == desc.dim * top
@@ -158,7 +158,7 @@ def projective(m: WeightedModule, kind: str) -> bool:
     """Whether M is projective (equivalently injective) over a local
     algebra kind: the socle count (see the module docstring)."""
     desc = m.ctx.algebra_kind(kind)
-    if not desc.is_local:
+    if desc.torus:
         raise ValueError(f"{kind} is not in the local family")
     return m.dim == desc.dim * len(joint_kernel(m, desc.generators))
 
@@ -402,5 +402,5 @@ def root_label(root: Tuple[int, ...]) -> str:
     return "+".join(f"{c}a{i+1}" for i, c in enumerate(root) if c)
 
 
-def record_to_line(record: Dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# the verify report's line format, for callers that hold records of this module
+record_to_line = cli.record_to_line

@@ -45,7 +45,7 @@ from operator import le, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .genericuq import StructureTable, UqGeneric, generic_uq
-from .linalg import Eliminator, SpanSolver, Vec, kernel_basis, memoized, vec_add_term, vec_iadd_scaled
+from .linalg import Eliminator, Vec, kernel_basis, memoized, vec_add_term, vec_iadd_scaled
 from .rootdata import ConvexOrder
 from .scalars import q_int
 
@@ -290,23 +290,24 @@ class KernelContext:
         Returns {(x, e): c} over the letters x: the simple F_j, and F^{(ell)}
         at r = 1.  They generate u-, so every monomial of nonzero weight
         lies in the span of the columns "letter times a monomial one letter
-        lower"; one ``SpanSolver`` per weight solves all its monomials.
+        lower"; one ``Eliminator`` per weight solves all its monomials.
         """
         return self._letter_terms_of_weight(self.weight_of_fexp(exp))[exp]
 
     @memoized
     def _letter_terms_of_weight(self, wt: Tuple[int, ...]) -> Dict[FExp, Dict]:
-        """``letter_terms`` of every monomial of weight wt, from one ``SpanSolver``."""
-        solver = SpanSolver(self.field.one)
+        """``letter_terms`` of every monomial of weight wt, from one ``Eliminator``."""
+        echelon = Eliminator()
+        one = self.field.one
         letters = [("F", j) for j in range(self.rank)] + ([("Fd0", 0)] if self.r else [])
         for letter in letters:
             step = 1 if letter[0] == "F" else self.ell
             below = tuple(w - step * (t == letter[1]) for t, w in enumerate(wt))
             for e in self._exps_by_weight().get(below, ()):
-                solver.add((letter, e), self.letter_times(letter, e))
+                echelon.add(self.letter_times(letter, e), {(letter, e): one})
         out = {}
         for a in self._exps_by_weight()[wt]:
-            sol = solver.solve({a: self.field.one})
+            sol = echelon.solve({a: one})
             if sol is None:
                 raise ArithmeticError(f"F^({a}) is not a sum of letter products")
             out[a] = sol
@@ -563,33 +564,28 @@ class KernelContext:
 
         At r = 0 it is X^a / [a]! with X the plain root vector key
         (side + "rv", pos).  At r = 1 (rank one) it is
-        X^{(a)} = (1/(a1! [a0]!)) (X^{(ell)})^{a1} X^{a0} with a = a1*ell + a0.
+        X^{(a)} = (1/(a1! [a0]!)) X^{a0} (X^{(ell)})^{a1} with a = a1*ell + a0.
+        Both are the ``divided_chain`` of a: its generators act in turn, and
+        the product of their scalars scales once.
         """
         if not a:
             return dict(vec)
+        gens, c = self.divided_chain(side, pos, a)
         cur = vec
-        if not self.r:
-            for _ in range(a):
-                cur = apply((side + "rv", pos), cur)
-            inv = self.qfact_inv(a, self.d_gamma[pos])
-        else:
-            a1, a0 = divmod(a, self.ell)
-            for _ in range(a0):
-                cur = apply((side, 0), cur)
-            for _ in range(a1):
-                cur = apply((side + "d0", 0), cur)
-            inv = self.divided_inv(a)
-        return {k: v * inv for k, v in cur.items()}
+        for gen in gens:
+            cur = apply(gen, cur)
+        return {k: v * c for k, v in cur.items()}
 
     @memoized
-    def divided_inv(self, a: int):
-        """1 / (a1! [a0]!) with a = a1*ell + a0: the scalar of X^{(a)} at r = 1,
-        inverted once per a."""
-        a1, a0 = divmod(a, self.ell)
-        unit = self.field.one
-        for i in range(2, a1 + 1):
-            unit = unit * self.field.from_int(i)
-        return self.field.one / (unit * self.qfact(a0, self.d_gamma[0]))
+    def divided_chain(self, side: str, pos: int, a: int) -> Tuple[Tuple[GenKey, ...], object]:
+        """(gens, c) with X_{gamma_pos}^{(a)} = c * gens[-1] ... gens[0]: the
+        ``divided_step`` generators from a down to 0, in the order they act,
+        and the product of their scalars."""
+        if not a:
+            return (), self.field.one
+        gen, drop, c = self.divided_step(side, pos, a)
+        gens, below = self.divided_chain(side, pos, a - drop)
+        return gens + (gen,), below * c
 
     @memoized
     def divided_step(self, side: str, pos: int, a: int) -> Tuple[GenKey, int, object]:
@@ -642,7 +638,6 @@ class AlgebraKind:
     e_caps: Tuple[int, ...]
     torus: bool
     dim: int
-    is_local: bool
     generators: Tuple[GenKey, ...]
 
     @classmethod
@@ -677,7 +672,7 @@ class AlgebraKind:
             gens += [(kd + "d0", j) for kd, j in gens]
         dim = math.prod(c for c in f_caps + e_caps if c) * (ctx.ell ** ctx.rank if torus else 1)
         side = None if any(f_caps) and any(e_caps) else ("-" if any(f_caps) else "+")
-        return cls(base, m, side, f_caps, e_caps, torus, dim, not torus, tuple(gens))
+        return cls(base, m, side, f_caps, e_caps, torus, dim, tuple(gens))
 
     def exponents(self, side: str) -> List[FExp]:
         """Every divided-power exponent vector of the F or E part, in order."""

@@ -106,8 +106,8 @@ class Eliminator:
     canonical reduced echelon basis of the span; pivots are chosen by key
     order, never by hash order.  A row may carry a companion vector that
     undergoes the same row operations: the coordinates of the row in terms
-    of the generators (``SpanSolver``, ``kernel_basis``) or its right-hand
-    side (``LinearSystem``).
+    of the generators (``solve``, ``kernel_basis``) or its right-hand side
+    (``LinearSystem``).
     """
 
     def __init__(self):
@@ -152,10 +152,22 @@ class Eliminator:
     def reduce(self, row: Vec) -> Vec:
         return self.eliminate(dict(row))
 
-    def add(self, row: Vec) -> Optional[Hashable]:
-        """Insert a row; returns its pivot key, or None if dependent."""
-        red = self.reduce(row)
-        return self.insert(red) if red else None
+    def add(self, row: Vec, comp: Optional[Vec] = None) -> Optional[Hashable]:
+        """Insert a row, reduced along with its companion; returns its pivot
+        key, or None if dependent, and then comp holds the relation."""
+        red = self.eliminate(dict(row), comp)
+        return self.insert(red, comp) if red else None
+
+    def solve(self, target: Vec) -> Optional[Vec]:
+        """Coordinates of target over the companions, or None outside the span.
+
+        Every stored row must carry a companion: the combination of
+        generators (such as ``{key: one}`` at ``add``) that it equals.
+        """
+        comb: Vec = {}
+        if self.eliminate(dict(target), comb):
+            return None
+        return {k: -x for k, x in comb.items()}
 
     def contains(self, row: Vec) -> bool:
         return not self.reduce(row)
@@ -180,40 +192,6 @@ def close_span(elim: Eliminator, seeds: Iterable[Vec], mats: Sequence[Mat]) -> N
             if red:
                 elim.insert(red)
                 frontier.append(red)
-
-
-class SpanSolver:
-    """Express vectors in terms of a generating family, tracking coordinates.
-
-    Feed generators with ``add(key, vec)``; afterwards ``solve(target)``
-    returns {key: coeff} with sum(coeff * vec) == target, or None.
-    Dependent generators never enter the stored basis.  ``one`` is the
-    unit of the coefficient field, the coordinate of a new generator.
-    Each stored row's companion is the combination of generators equal
-    to it.
-    """
-
-    def __init__(self, one):
-        self.one = one
-        self.echelon = Eliminator()
-
-    @property
-    def rank(self) -> int:
-        return self.echelon.rank
-
-    def add(self, key: Hashable, vec: Vec) -> bool:
-        """Returns True if vec enlarged the span."""
-        comb = {key: self.one}
-        row = self.echelon.eliminate(dict(vec), comb)
-        if row:
-            self.echelon.insert(row, comb)
-        return bool(row)
-
-    def solve(self, target: Vec) -> Optional[Vec]:
-        comb: Vec = {}
-        if self.echelon.eliminate(dict(target), comb):
-            return None
-        return {k: -x for k, x in comb.items()}
 
 
 class LinearSystem:
@@ -255,10 +233,7 @@ class LinearSystem:
         # the right-hand side is the companion {0: rhs}, empty when zero
         for coeffs, rhs in sorted(batch, key=lambda r: len(r[0])):
             comp = {0: rhs} if rhs else {}
-            row = echelon.eliminate(dict(coeffs), comp)
-            if row:
-                echelon.insert(row, comp)
-            elif comp:
+            if echelon.add(coeffs, comp) is None and comp:
                 self._echelon = None  # inconsistent for good: free the echelon form
                 return None
         # each stored row is its pivot unknown plus free unknowns
@@ -275,11 +250,7 @@ def kernel_basis(columns: List[Tuple[Hashable, Vec]], one) -> List[Vec]:
     echelon = Eliminator()
     out: List[Vec] = []
     for key, col in columns:
-        comb: Vec = {}
-        row = echelon.eliminate(dict(col), comb)
-        comb[key] = one
-        if row:
-            echelon.insert(row, comb)
-        else:
+        comb = {key: one}
+        if echelon.add(col, comb) is None:
             out.append(comb)
     return out

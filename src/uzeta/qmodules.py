@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernelalg import BasisKey, ConfigError, GenKey, KernelContext
-from .linalg import Eliminator, Mat, SpanSolver, Vec, close_span, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled
+from .linalg import Eliminator, Mat, Vec, close_span, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled, vec_isub_scaled
 
 Weight = Tuple[int, ...]
 
@@ -399,12 +399,15 @@ def cyclic_span(m: WeightedModule, seeds: List[Vec]) -> List[Vec]:
 
 
 def submodule(m: WeightedModule, rows: List[Vec], label: str) -> WeightedModule:
-    """Module structure on the span of echelonized homogeneous rows."""
-    solver = SpanSolver(m.ctx.field.one)
-    keys = []
-    for t, row in enumerate(rows):
-        assert solver.add(t, row), "rows must be independent"
-        keys.append(t)
+    """Module structure on the span of homogeneous rows in reduced echelon
+    form (``cyclic_span``): each row is one at its pivot, its least key, and
+    has no entry at any other pivot, so a vector of the span has its
+    coordinates at the pivots."""
+    one = m.ctx.field.one
+    pivot = {min(row): t for t, row in enumerate(rows)}
+    assert len(pivot) == len(rows) and all(
+        row[p] == one and pivot.keys() & row.keys() == {p} for p, row in zip(pivot, rows)
+    ), "rows must be in reduced echelon form"
     weights = []
     for row in rows:
         lam = m.weights[min(row)]
@@ -417,10 +420,12 @@ def submodule(m: WeightedModule, rows: List[Vec], label: str) -> WeightedModule:
             img = m.act_gen(g, row)
             if not img:
                 continue
-            sol = solver.solve(img)
-            if sol is None:
+            col = {pivot[k]: c for k, c in img.items() if k in pivot}
+            for u, c in col.items():
+                vec_isub_scaled(img, rows[u], c)
+            if img:
                 raise ModuleCheckError(f"{label}: span is not {g}-stable")
-            mat[t] = {k: v for k, v in sol.items() if v}
+            mat[t] = col
         acts[g] = mat
     return WeightedModule(m.ctx, tuple(weights), acts, m.lifts, label)
 

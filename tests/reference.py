@@ -184,6 +184,16 @@ def tau(elt: Elt) -> Elt:
     return out
 
 
+def omega(elt: Elt) -> Elt:
+    """E_i <-> F_i, K_mu -> K_{-mu}; an algebra automorphism."""
+    swap = {"E": "F", "F": "E"}
+    out: Elt = {}
+    for w, c in elt.items():
+        nw = tuple((swap[l[0]], l[1]) if l[0] in swap else ("K", tuple(-x for x in l[1])) for l in w)
+        out[nw] = c
+    return out
+
+
 def kostant_partitions(uq: UqGeneric, nu: Tuple[int, ...]) -> int:
     roots = uq.datum.positive_roots
 

@@ -94,6 +94,14 @@ class TestModuleSets:
             BASE_MODULES + ["uzeta.inject", "uzeta.qmodules"]
         )
 
+    def test_verify_integrals(self):
+        assert loaded_modules("verify", "--type", "A1", "--ell", "3", "--suite", "integrals") == sorted(BASE_MODULES)
+
+    def test_verify_betti(self):
+        assert loaded_modules("verify", "--type", "A1", "--ell", "3", "--suite", "betti") == sorted(
+            BASE_MODULES + ["uzeta.cohomlite"]
+        )
+
     def test_build(self, tmp_path):
         out = str(tmp_path / "a1.cache")
         assert loaded_modules("build", "--out", out) == sorted(BASE_MODULES + ["uzeta.cache"])

@@ -286,7 +286,6 @@ class TestAlgebraKind:
         ctx = ctxmaker(label, ell, p=p, r=r)
         desc = ctx.algebra_kind(kind)
         assert ctx.algebra_kind(kind) is desc
-        assert desc.is_local == (not desc.torus)
         plain = [g for g in desc.generators if not g[0].endswith("d0")]
         letters = [kd[0] for kd, _ in plain]
         assert letters == sorted(letters, key="FE".index)  # all F before all E

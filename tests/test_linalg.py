@@ -7,9 +7,9 @@ import pytest
 
 from reference import rank_of
 from uzeta import inject
-from uzeta.linalg import LinearSystem, SpanSolver, kernel_basis, memoized, vec_iadd_scaled, vec_isub_scaled
+from uzeta.linalg import Eliminator, LinearSystem, kernel_basis, memoized, vec_iadd_scaled, vec_isub_scaled
 from uzeta.qmodules import randsub_module, simple_module, tensor_module, trivial_module, verma_module
-from uzeta.scalars import CycloField, GaloisField
+from uzeta.scalars import CycloField, GaloisField, Laurent, QFraction
 
 
 def _random_vec(rng, field, keys, density=0.5):
@@ -24,16 +24,16 @@ def _random_vec(rng, field, keys, density=0.5):
 
 def _old_kernel_basis(columns, one):
     """Solve each column against the span so far, then add it if independent."""
-    solver = SpanSolver(one)
+    echelon = Eliminator()
     out = []
     for key, col in columns:
-        sol = solver.solve(col)
+        sol = echelon.solve(col)
         if sol is not None:
             rel = {k: -x for k, x in sol.items()}
             rel[key] = one
             out.append(rel)
         else:
-            solver.add(key, col)
+            echelon.add(col, {key: one})
     return out
 
 
@@ -121,6 +121,47 @@ class TestKernelBasis:
 
     def test_zero_column(self):
         assert kernel_basis([("a", {}), ("b", {0: QQ(1)})], one=QQ(1)) == [{"a": QQ(1)}]
+
+
+def _random_qfraction(rng):
+    return QFraction(Laurent(rng.randint(-1, 0), [QQ(rng.randint(-2, 2)), QQ(rng.randint(-2, 2))]))
+
+
+class TestEliminator:
+    def test_dependent_add_returns_none_with_the_relation(self):
+        echelon = Eliminator()
+        cols = {"a": {0: QQ(1), 1: QQ(2)}, "b": {1: QQ(1)}, "c": {0: QQ(1), 1: QQ(5)}}
+        assert echelon.add(cols["a"], {"a": QQ(1)}) == 0
+        assert echelon.add(cols["b"], {"b": QQ(1)}) == 1
+        comp = {"c": QQ(1)}
+        assert echelon.add(cols["c"], comp) is None
+        assert comp == {"c": QQ(1), "a": QQ(-1), "b": QQ(-3)}
+        assert echelon.rank == 2 and cols["c"] == {0: QQ(1), 1: QQ(5)}  # the row is not touched
+
+    def test_solve_outside_the_span(self):
+        echelon = Eliminator()
+        echelon.add({0: QQ(1), 2: QQ(1)}, {"a": QQ(1)})
+        assert echelon.solve({0: QQ(1)}) is None
+        assert echelon.solve({}) == {}
+
+    @pytest.mark.parametrize("field", [CycloField(5), GaloisField(5, 3), None], ids=["Q5", "GF25", "Qq"])
+    def test_solve_returns_the_coordinates(self, field):
+        """Over Q(zeta), F_{p^n} and Q(q): the target is a planted combination."""
+        rng = random.Random(11)
+        draw = (lambda: _random_qfraction(rng)) if field is None else (lambda: _random_element(rng, field))
+        one = QFraction.of(1) if field is None else field.one
+        for _ in range(10):
+            gens = {}
+            for key in "abcd":
+                vec = {k: draw() for k in range(5) if rng.random() < 0.5}
+                gens[key] = {k: x for k, x in vec.items() if x}
+            echelon = Eliminator()
+            independent = [key for key in gens if echelon.add(gens[key], {key: one}) is not None]
+            planted = {key: draw() for key in independent}
+            target = {}
+            for key, c in planted.items():
+                vec_iadd_scaled(target, gens[key], c)
+            assert echelon.solve(target) == {key: c for key, c in planted.items() if c}
 
 
 

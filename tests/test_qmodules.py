@@ -245,6 +245,21 @@ class TestSubQuot:
         t = tensor_module(simple_module(ctx, (2,)), simple_module(ctx, (2,)))
         assert t.lifts and not randsub_module(t, 5).lifts and not quot_module(t, 5).lifts
 
+    def test_unstable_span_raises(self, ctxmaker):
+        # one echelon row of verma(0) that is not its socle: a generator
+        # carries it to another weight, out of its span
+        vm = verma_module(ctxmaker("A1", 3), (0,))
+        one = vm.ctx.field.one
+        i = next(i for i in range(vm.dim) if any(vm.act_gen(g, {i: one}) for g in vm.generator_kinds()))
+        with pytest.raises(ModuleCheckError, match="span is not"):
+            qmodules.submodule(vm, [{i: one}], "bad")
+
+    def test_rows_must_be_reduced_echelon(self, ctxmaker):
+        vm = verma_module(ctxmaker("A1", 3), (0,))
+        two = vm.ctx.field.from_int(2)
+        with pytest.raises(AssertionError, match="reduced echelon"):
+            qmodules.submodule(vm, [{0: two}], "unscaled")
+
 
 # one spec text per constructor head, at A1 ell = 3
 SPEC_TEXTS = [
