@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .genericuq import generic_uq
 from .kernelalg import DEFAULT_BUDGET, ConfigError, KernelContext, SpecializationError
-from .rootdata import BAD_PRIMES, COXETER_NUMBER, convex_order, default_w0_word
+from .rootdata import TYPES, build_root_datum, convex_order, default_w0_word
 from .scalars import is_prime, make_field
 
 
@@ -49,17 +50,19 @@ class RunConfig:
         return self.w0 or default_w0_word(self.type_label)
 
     def validate(self) -> None:
+        datum = build_root_datum(self.type_label)
         if self.ell % 2 == 0 or self.ell < 3:
             raise ConfigError("ell must be odd and at least 3")
-        if self.type_label == "G2" and self.ell % 3 == 0:
-            raise ConfigError("ell must be coprime to 3 in type G2")
+        for d in datum.d:
+            if math.gcd(self.ell, d) > 1:
+                raise ConfigError(f"ell must be coprime to {d} in type {self.type_label}")
         if self.p is not None:
             if not is_prime(self.p):
                 raise ConfigError(f"p = {self.p} is not a prime")
             if self.p == 2:
                 raise ConfigError("p = 2 is excluded")
-            if self.type_label == "G2" and self.p == 3:
-                raise ConfigError("p = 3 is excluded in type G2")
+            if self.p in datum.bad_primes:
+                raise ConfigError(f"p = {self.p} is excluded in type {self.type_label}")
             if self.ell % self.p == 0:
                 raise ConfigError("p must not divide ell")
         if self.r < 0:
@@ -70,14 +73,14 @@ class RunConfig:
             raise ConfigError("higher kernels (r >= 1) need a finite field (--p)")
         if self.r > 1 or (self.r == 1 and self.type_label != "A1"):
             raise ConfigError("higher kernels are built for r = 1 in type A1 only")
-        if self.strict:
-            h = COXETER_NUMBER[self.type_label]
-            if self.ell < h:
-                raise ConfigError(
-                    f"strict mode: ell = {self.ell} below the Coxeter number {h}"
-                )
-            if self.p is not None and self.p in BAD_PRIMES[self.type_label]:
-                raise ConfigError(f"strict mode: p = {self.p} is bad for {self.type_label}")
+        if self.strict and self.ell < datum.coxeter_number:
+            raise ConfigError(
+                f"strict mode: ell = {self.ell} below the Coxeter number {datum.coxeter_number}"
+            )
+        self.gate()
+
+    def gate(self) -> None:
+        """Refuse a G2 job without --long-running: its structure table takes minutes."""
         if self.type_label == "G2" and not self.long_running:
             raise ConfigError("type G2 jobs are gated behind --long-running")
 
@@ -279,6 +282,11 @@ def run_case(cfg: RunConfig, suite: str, spec: str, expect) -> Dict:
             record["agree"] = record["agree"] and (record["oracle"] == expect)
     except inject.BudgetExceeded as e:
         record.update({"skipped": True, "reason": str(e), "agree": True})
+    return stamped(cfg, record, t0)
+
+
+def stamped(cfg: RunConfig, record: Dict, t0: float) -> Dict:
+    """The record, with its ``wall_time`` since t0 under ``--timing``."""
     if cfg.timing:
         record["wall_time"] = round(time.monotonic() - t0, 3)
     return record
@@ -324,6 +332,7 @@ def run_integrals(cfg: RunConfig) -> List[Dict]:
     ctx = make_context(cfg)
     out = []
     for m in range(1, ctx.n + 1):
+        t0 = time.monotonic()
         alg = ctx.algebra(f"Am:{m}")
         dim, spans = alg.socle_check()
         normal = alg.normality_check() if m < ctx.n else True
@@ -336,7 +345,7 @@ def run_integrals(cfg: RunConfig) -> List[Dict]:
             "normal_in_next": normal,
             "agree": dim == 1 and spans and normal,
         }
-        out.append(rec)
+        out.append(stamped(cfg, rec, t0))
     return out
 
 
@@ -353,20 +362,21 @@ def run_betti(cfg: RunConfig) -> Dict:
     from . import cohomlite
 
     ctx = make_context(cfg)
+    t0 = time.monotonic()
     n_max = betti_degree(cfg.type_label)
     dims = cohomlite.borel_cohomology_dims(ctx, "plus", n_max)
     rec = {"case": "betti:b+", "suite": "betti", "dims": dims}
-    h = COXETER_NUMBER[cfg.type_label]
+    h = ctx.datum.coxeter_number
     if cfg.ell <= h:
         reason = f"ell <= Coxeter number {h}: the symmetric-algebra count needs ell > h"
         rec.update({"skipped": True, "reason": reason, "agree": True})
-        return rec
-    want = [
-        cohomlite.polynomial_hilbert(ctx.n, k // 2) if k % 2 == 0 else 0
-        for k in range(n_max + 1)
-    ]
-    rec.update({"expected": want, "agree": dims == want})
-    return rec
+    else:
+        want = [
+            cohomlite.polynomial_hilbert(ctx.n, k // 2) if k % 2 == 0 else 0
+            for k in range(n_max + 1)
+        ]
+        rec.update({"expected": want, "agree": dims == want})
+    return stamped(cfg, rec, t0)
 
 
 def run_zdual(cfg: RunConfig) -> List[Dict]:
@@ -375,6 +385,7 @@ def run_zdual(cfg: RunConfig) -> List[Dict]:
     ctx = make_context(cfg)
     out = []
     for lam in itertools.product(range(3), repeat=ctx.rank):
+        t0 = time.monotonic()
         rep = qmodules.zdual_check(ctx, lam)
         # at Steinberg-type weights the two inductions coincide, so extra
         # matches are fine; the canonical identification must always hold
@@ -387,7 +398,8 @@ def run_zdual(cfg: RunConfig) -> List[Dict]:
             "dual_coverma_matches": rep["dual_coverma"],
             "agree": ok,
         }
-        out.append(rec)
+        out.append(stamped(cfg, rec, t0))
+    t0 = time.monotonic()  # the summary costs only its own assembly
     stable = all(rec["agree"] for rec in out)
     rec = {
         "case": "zdual:resolution",
@@ -396,7 +408,7 @@ def run_zdual(cfg: RunConfig) -> List[Dict]:
         "stable_across_lambda": stable,
         "agree": stable,
     }
-    out.append(rec)
+    out.append(stamped(cfg, rec, t0))
     return out
 
 
@@ -410,6 +422,7 @@ def record_to_line(record: Dict) -> str:
 
 
 def cmd_build(args, cfg: RunConfig) -> int:
+    cfg.gate()
     from . import cache
 
     path = args.out or f"{cfg.type_label.lower()}-structure.cache"
@@ -432,6 +445,7 @@ def cmd_cache_info(args) -> int:
 
 
 def cmd_relations(args, cfg: RunConfig) -> int:
+    cfg.gate()
     i, j = args.i, args.j
     order = convex_order(cfg.type_label, cfg.word())
     if not (1 <= i < j <= order.datum.n_positive):
@@ -579,7 +593,7 @@ def _config_from(args) -> RunConfig:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--type", default="A1", choices=["A1", "A2", "B2", "G2", "A3"])
+    p.add_argument("--type", default="A1", choices=list(TYPES))
     p.add_argument("--ell", type=int, default=3)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--r", type=int, default=0)
@@ -629,7 +643,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--out", default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the module suites; each"
+                   " builds its own context and realizes its specs again, so more than one pays only"
+                   " on heavy corpora")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("skeleton", help="support skeleton of a module")

@@ -33,6 +33,7 @@ from .scalars import (
     Laurent,
     Localized,
     QFraction,
+    q_binom,
     q_factorial,
 )
 
@@ -101,8 +102,6 @@ class UqGeneric:
                 a = datum.cartan[j][i]
                 r = 1 - a
                 terms: SideElt = {}
-                from .scalars import q_binom
-
                 for s in range(r + 1):
                     word = (i,) * (r - s) + (j,) + (i,) * s
                     coeff = qf(q_binom(r, s, datum.d[i]))
@@ -488,7 +487,7 @@ class StructureTable:
 def build_structure_table(uq: UqGeneric, order: ConvexOrder) -> StructureTable:
     datum = uq.datum
     n = datum.n_positive
-    s_keys = datum.s_keys()
+    s_keys = datum.s_keys
     rvs_e = uq.root_vectors(order, "E")
     rvs_f = uq.root_vectors(order, "F")
 

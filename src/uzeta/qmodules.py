@@ -119,6 +119,14 @@ class WeightedModule:
     def character(self) -> Counter:
         return Counter(self.weights)
 
+    def weight_spaces(self) -> Dict[Weight, List[int]]:
+        """The basis indices of each weight, the weights in the order they
+        first occur."""
+        out: Dict[Weight, List[int]] = {}
+        for i, lam in enumerate(self.weights):
+            out.setdefault(lam, []).append(i)
+        return out
+
     def generator_kinds(self) -> List[GenKey]:
         return sorted(self.actions.keys())
 
@@ -457,9 +465,7 @@ def quotient_module(m: WeightedModule, rows: List[Vec], label: str) -> WeightedM
 def random_weight_vector(m: WeightedModule, seed: int) -> Vec:
     """Deterministic nonzero vector inside one weight space."""
     rng = random.Random(seed)
-    by_weight: Dict[Weight, List[int]] = {}
-    for i, lam in enumerate(m.weights):
-        by_weight.setdefault(lam, []).append(i)
+    by_weight = m.weight_spaces()
     lam = rng.choice(sorted(by_weight))
     idxs = by_weight[lam]
     vec: Vec = {}
@@ -500,9 +506,7 @@ def contravariant_gram(m: WeightedModule, verma_of: Weight) -> Dict[Weight, Tupl
     fexps = _fexp_list(ctx)
     index = {a: i for i, a in enumerate(fexps)}
     top = index[(0,) * ctx.n]
-    blocks: Dict[Weight, List[int]] = {}
-    for i, lam in enumerate(m.weights):
-        blocks.setdefault(lam, []).append(i)
+    blocks = m.weight_spaces()
 
     @functools.cache
     def functional(ia: int) -> Vec:
@@ -747,11 +751,8 @@ def joint_kernel(m: WeightedModule, gens: Sequence[GenKey]) -> List[Vec]:
     generators of u- (u+) it is the socle of M over that algebra.
     """
     mats = [m.generator_matrix(g) for g in gens]
-    blocks: Dict[Weight, List[int]] = {}
-    for i, lam in enumerate(m.weights):
-        blocks.setdefault(lam, []).append(i)
     out: List[Vec] = []
-    for idxs in blocks.values():
+    for idxs in m.weight_spaces().values():
         cols = [(i, {(t, row): c for t, mat in enumerate(mats) for row, c in mat.get(i, {}).items()})
                 for i in idxs]
         out.extend(kernel_basis(cols, one=m.ctx.field.one))

@@ -18,24 +18,26 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import List, Sequence, Tuple
 
+from .linalg import Eliminator
+from .scalars import prime_factors
+
 QQ = Fraction
 
 Vector = Tuple[Fraction, ...]
 Root = Tuple[int, ...]
 Weight = Tuple[int, ...]
 
-CARTAN_TABLES = {
-    "A1": ([[2]], (1,)),
-    "A2": ([[2, -1], [-1, 2]], (1, 1)),
-    "B2": ([[2, -2], [-1, 2]], (2, 1)),
-    "G2": ([[2, -1], [-3, 2]], (1, 3)),
-    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], (1, 1, 1)),
+# The defining data of each type, one row per type: the Cartan matrix
+# (cartan[i][j] = <a_i, a_j^vee>), d_j = (a_j, a_j)/2, the keys k of the
+# localizing factors q^k - q^-k of its structure constants, and the default
+# reduced word of w0 (1-based simple indices).  ``RootDatum`` derives the rest.
+TYPES = {
+    "A1": (((2,),), (1,), (), (1,)),
+    "A2": (((2, -1), (-1, 2)), (1, 1), (), (1, 2, 1)),
+    "B2": (((2, -2), (-1, 2)), (2, 1), (2,), (1, 2, 1, 2)),
+    "G2": (((2, -1), (-3, 2)), (1, 3), (2, 3), (1, 2, 1, 2, 1, 2)),
+    "A3": (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), (1, 1, 1), (), (1, 2, 1, 3, 2, 1)),
 }
-
-COXETER_NUMBER = {"A1": 2, "A2": 3, "B2": 4, "G2": 6, "A3": 4}
-BAD_PRIMES = {"A1": (), "A2": (), "A3": (), "B2": (2,), "G2": (2, 3)}
-# multiplicative set keys (q^k - q^-k) per type family
-S_KEYS = {"A1": (), "A2": (), "A3": (), "B2": (2,), "G2": (2, 3)}
 
 
 class UnsupportedType(ValueError):
@@ -44,13 +46,53 @@ class UnsupportedType(ValueError):
 
 @dataclass(frozen=True)
 class RootDatum:
+    """A root system given by its row of ``TYPES``; the roots, weights and
+    invariants below are derived from it on first use."""
+
     label: str
-    rank: int
     cartan: Tuple[Tuple[int, ...], ...]  # cartan[i][j] = <a_i, a_j^vee>
     d: Tuple[int, ...]                   # d_j = (a_j, a_j)/2
-    positive_roots: Tuple[Root, ...]     # sorted by (height, coords)
-    gram: Tuple[Tuple[int, ...], ...]    # gram[i][j] = (a_i, a_j)
-    fundamental_weights: Tuple[Vector, ...]  # in root coordinates
+    s_keys: Tuple[int, ...]              # k of the localizing factors q^k - q^-k
+    w0_word: Tuple[int, ...]             # default reduced word of w0
+
+    @cached_property
+    def rank(self) -> int:
+        return len(self.d)
+
+    @cached_property
+    def gram(self) -> Tuple[Tuple[int, ...], ...]:
+        """gram[i][j] = (a_i, a_j)."""
+        return tuple(
+            tuple(self.cartan[i][j] * self.d[j] for j in range(self.rank))
+            for i in range(self.rank)
+        )
+
+    @cached_property
+    def positive_roots(self) -> Tuple[Root, ...]:
+        """The positive half of the orbit of the simple roots under the
+        simple reflections, sorted by (height, coords)."""
+        roots = set()
+        frontier = list(self.simple_roots)
+        while frontier:
+            r = frontier.pop()
+            if r not in roots:
+                roots.add(r)
+                frontier.extend(self.reflect_simple(j, r) for j in range(self.rank))
+        return tuple(sorted((r for r in roots if min(r) >= 0), key=lambda r: (sum(r), r)))
+
+    @cached_property
+    def fundamental_weights(self) -> Tuple[Vector, ...]:
+        """omega_i in root coordinates: the c with sum_k c_k cartan[k][j] =
+        delta_ij, the coordinates of the unit vector e_i over the rows of
+        the Cartan matrix."""
+        echelon = Eliminator()
+        for k, row in enumerate(self.cartan):
+            echelon.add({j: QQ(x) for j, x in enumerate(row) if x}, {k: QQ(1)})
+        out = []
+        for i in range(self.rank):
+            c = echelon.solve({i: QQ(1)})
+            out.append(tuple(c.get(k, QQ(0)) for k in range(self.rank)))
+        return tuple(out)
 
     # -- pairings ------------------------------------------------------
 
@@ -114,12 +156,7 @@ class RootDatum:
 
     @cached_property
     def simple_roots(self) -> Tuple[Root, ...]:
-        eye = []
-        for i in range(self.rank):
-            e = [0] * self.rank
-            e[i] = 1
-            eye.append(tuple(e))
-        return tuple(eye)
+        return tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
 
     @property
     def rho(self) -> Vector:
@@ -131,92 +168,40 @@ class RootDatum:
 
     @property
     def highest_root(self) -> Root:
-        """The highest positive root (componentwise maximum)."""
-        for r in self.positive_roots:
-            if all(
-                all(r[i] >= s[i] for i in range(self.rank))
-                for s in self.positive_roots
-            ):
-                return r
-        raise AssertionError("no highest root; root system not indecomposable?")
+        """The highest positive root: the one of greatest height, so the last."""
+        return self.positive_roots[-1]
 
     def height(self, r: Sequence) -> int:
         return sum(r)
 
-    def s_keys(self) -> Tuple[int, ...]:
-        return S_KEYS[self.label]
+    @property
+    def coxeter_number(self) -> int:
+        """h = 2N / rank."""
+        return 2 * self.n_positive // self.rank
+
+    @property
+    def bad_primes(self) -> Tuple[int, ...]:
+        """The primes dividing a coefficient of the highest root."""
+        return tuple(sorted({p for c in self.highest_root for p in prime_factors(c)}))
+
 
 @lru_cache(maxsize=None)
 def build_root_datum(label: str) -> RootDatum:
-    if label not in CARTAN_TABLES:
+    if label not in TYPES:
         raise UnsupportedType(f"unsupported root system type {label!r}")
-    cartan_rows, d = CARTAN_TABLES[label]
-    rank = len(d)
-    cartan = tuple(tuple(row) for row in cartan_rows)
-    gram = tuple(
-        tuple(cartan[i][j] * d[j] for j in range(rank)) for i in range(rank)
-    )
-    for i in range(rank):
-        for j in range(rank):
-            assert gram[i][j] == gram[j][i], "Cartan/d tables inconsistent"
-
-    datum = RootDatum.__new__(RootDatum)
-    object.__setattr__(datum, "label", label)
-    object.__setattr__(datum, "rank", rank)
-    object.__setattr__(datum, "cartan", cartan)
-    object.__setattr__(datum, "d", tuple(d))
-    object.__setattr__(datum, "gram", gram)
-    object.__setattr__(datum, "positive_roots", ())
-
-    # close the simple roots under the reflection orbit
-    roots = set()
-    frontier = list(datum.simple_roots)
-    while frontier:
-        r = frontier.pop()
-        if r in roots:
-            continue
-        roots.add(r)
-        for j in range(rank):
-            s = datum.reflect_simple(j, r)
-            if s not in roots:
-                frontier.append(s)
-    positive = sorted(
-        (r for r in roots if all(x >= 0 for x in r)),
-        key=lambda r: (sum(r), r),
-    )
-    object.__setattr__(datum, "positive_roots", tuple(positive))
-
-    # fundamental weights: solve sum_k c_k cartan[k][j] = delta_ij
-    fw = []
-    for i in range(rank):
-        cols = [[QQ(cartan[k][j]) for k in range(rank)] for j in range(rank)]
-        # gaussian solve (tiny dense system)
-        mat = [[cols[j][k] for k in range(rank)] + [QQ(1 if j == i else 0)] for j in range(rank)]
-        for p in range(rank):
-            piv = next(r for r in range(p, rank) if mat[r][p])
-            mat[p], mat[piv] = mat[piv], mat[p]
-            inv = mat[p][p]
-            mat[p] = [x / inv for x in mat[p]]
-            for r in range(rank):
-                if r != p and mat[r][p]:
-                    f = mat[r][p]
-                    mat[r] = [x - f * y for x, y in zip(mat[r], mat[p])]
-        fw.append(tuple(mat[k][rank] for k in range(rank)))
-    object.__setattr__(datum, "fundamental_weights", tuple(fw))
-
+    datum = RootDatum(label, *TYPES[label])
     _validate_datum(datum)
     return datum
 
 
 def _validate_datum(datum: RootDatum) -> None:
+    for i in range(datum.rank):
+        for j in range(datum.rank):
+            assert datum.gram[i][j] == datum.gram[j][i], "Cartan/d tables inconsistent"
     short = min(datum.pair_roots(r, r) for r in datum.positive_roots)
     assert short == 2, "short roots must have squared length 2"
     assert datum.n_positive in (1, 3, 4, 6), "unexpected number of positive roots"
-    for i in range(datum.rank):
-        for j in range(datum.rank):
-            num = 2 * datum.gram[i][j]
-            den = datum.gram[j][j]
-            assert datum.cartan[i][j] * den == num
+    assert all(datum.cartan[j][j] == 2 for j in range(datum.rank)), "Cartan diagonal must be 2"
     for i, w in enumerate(datum.fundamental_weights):
         for j in range(datum.rank):
             assert datum.coroot_pair(w, j) == (1 if i == j else 0)
@@ -259,12 +244,8 @@ class ConvexOrder:
 
 
 @lru_cache(maxsize=None)
-def convex_order(label_or_datum, word: Tuple[int, ...]) -> ConvexOrder:
-    datum = (
-        label_or_datum
-        if isinstance(label_or_datum, RootDatum)
-        else build_root_datum(label_or_datum)
-    )
+def convex_order(label: str, word: Tuple[int, ...]) -> ConvexOrder:
+    datum = build_root_datum(label)
     n = datum.n_positive
     word = tuple(word)
     if len(word) != n:
@@ -286,11 +267,4 @@ def convex_order(label_or_datum, word: Tuple[int, ...]) -> ConvexOrder:
 
 
 def default_w0_word(label: str) -> Tuple[int, ...]:
-    words = {
-        "A1": (1,),
-        "A2": (1, 2, 1),
-        "B2": (1, 2, 1, 2),
-        "G2": (1, 2, 1, 2, 1, 2),
-        "A3": (1, 2, 1, 3, 2, 1),
-    }
-    return words[label]
+    return build_root_datum(label).w0_word

@@ -862,7 +862,7 @@ def multiplicative_order(a: int, m: int) -> int:
     return k
 
 
-def _prime_factors(n: int) -> List[int]:
+def prime_factors(n: int) -> List[int]:
     out = []
     d = 2
     while d * d <= n:
@@ -877,7 +877,7 @@ def _prime_factors(n: int) -> List[int]:
 
 
 def is_prime(n: int) -> bool:
-    return n > 1 and _prime_factors(n) == [n]
+    return n > 1 and prime_factors(n) == [n]
 
 
 class GaloisField(_ResidueField):
@@ -969,7 +969,7 @@ class GaloisField(_ResidueField):
         # x^{p^n} == x mod g
         if (xp + [0] * 2)[:2] != [0, 1] or any(xp[2:]):
             return False
-        for r in _prime_factors(n):
+        for r in prime_factors(n):
             xq = self._polpowmod(x, self.p ** (n // r), g)
             diff = [(a - b) % self.p for a, b in zip(xq + [0, 0], [0, 1] + [0] * len(xq))][: max(len(xq), 2)]
             if len(self._polgcd(diff, g)) > 1:
@@ -996,7 +996,7 @@ class GaloisField(_ResidueField):
         order = self.p ** self.n - 1
         assert order % self.ell == 0
         cof = order // self.ell
-        primes = _prime_factors(self.ell)
+        primes = prime_factors(self.ell)
         for code in range(1, self.p ** min(self.n, 3) + self.p):
             co = []
             c = code

@@ -139,8 +139,28 @@ class TestConfig:
             RunConfig(type_label="G2", ell=7).validate()
         RunConfig(type_label="G2", ell=7, long_running=True).validate()
 
+    def test_rules_read_from_the_root_datum(self):
+        # d_j and the bad primes of G2 are (1, 3) and (2, 3)
+        with pytest.raises(ConfigError, match="^ell must be coprime to 3 in type G2$"):
+            RunConfig(type_label="G2", ell=9, long_running=True).validate()
+        with pytest.raises(ConfigError, match="^p = 3 is excluded in type G2$"):
+            RunConfig(type_label="G2", ell=7, p=3, long_running=True).validate()
+        RunConfig(type_label="A2", ell=7, p=3).validate()
+
     def test_default_word(self):
         assert RunConfig(type_label="A2").word() == (1, 2, 1)
+
+    @pytest.mark.parametrize("args", [("build",), ("relations", "1", "2")], ids=["build", "relations"])
+    def test_g2_gated_before_any_work(self, tmp_path, args):
+        # the G2 structure table takes minutes: the gate comes first
+        r = subprocess.run(
+            [sys.executable, "-m", "uzeta.cli", args[0], "--type", "G2", *args[1:]],
+            capture_output=True, text=True, cwd=tmp_path, timeout=20,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert r.stderr == "error: type G2 jobs are gated behind --long-running\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestCache:
@@ -358,6 +378,17 @@ class TestVerify:
         # before the verify layer returned plain verdicts
         with open(out, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+    def test_timing_on_every_record(self, tmp_path):
+        # every suite times its records; without them the report is the pinned one
+        out = str(tmp_path / "report.jsonl")
+        assert main(["verify", "--type", "A1", "--ell", "3", "--suite", "all", "--timing", "--out", out]) == 0
+        recs = [json.loads(l) for l in open(out)]
+        assert {rec["suite"] for rec in recs} == set(SUITES)
+        assert all(isinstance(rec.pop("wall_time"), float) for rec in recs)
+        text = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in recs)
+        digest = "362c5a042c325dff885780f41619830837d0861efd31618a72c410436a6c6e7d"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_spec_is_the_manifest_text_in_every_suite(self, tmp_path):
         # a spec that is not printed canonically: each record carries the

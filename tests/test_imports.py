@@ -1,4 +1,5 @@
-"""Every import in ``src/uzeta`` is read by the module that makes it,
+"""Every import in ``src/uzeta`` comes from the standard library or from
+``uzeta`` and is read by the module that makes it,
 every definition there (function, class or module-level name) is named
 somewhere outside the line that defines it,
 and every field or attribute it stores is read somewhere.  A name in a
@@ -8,6 +9,7 @@ import ast
 import io
 import pathlib
 import re
+import sys
 import tokenize
 from collections import Counter
 
@@ -52,6 +54,27 @@ def test_no_unused_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported_names(tree)) - _read_names(tree))
     assert not unused, f"{path.name} imports {unused} and never reads them"
+
+
+def _imported_modules(tree):
+    """The top-level module of every absolute import; a relative import
+    is ``uzeta`` itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "uzeta" if node.level else node.module.split(".")[0]
+
+
+def test_dependency_free():
+    # the package runs on a bare Python: no third-party import anywhere
+    foreign = sorted(
+        f"{path.name}: {name}"
+        for path in SRC.glob("*.py")
+        for name in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        if name != "uzeta" and name not in sys.stdlib_module_names
+    )
+    assert not foreign, f"imports from outside the standard library: {foreign}"
 
 
 def _definitions(tree):

@@ -3,7 +3,7 @@ from fractions import Fraction as QQ
 import pytest
 
 from reference import all_reduced_w0_words, describe, order_functional, reflect_root
-from uzeta.rootdata import ConvexOrder, UnsupportedType, build_root_datum, convex_order, default_w0_word
+from uzeta.rootdata import TYPES, ConvexOrder, UnsupportedType, build_root_datum, convex_order, default_w0_word
 
 ALL_TYPES = ["A1", "A2", "B2", "G2", "A3"]
 
@@ -66,6 +66,43 @@ class TestRootDatum:
     def test_describe(self):
         text = describe(build_root_datum("B2"))
         assert "type B2" in text and "(highest)" in text
+
+
+# label: (Coxeter number, bad primes, localization keys, default w0 word,
+# positive roots in order, fundamental weights in root coordinates)
+TYPE_FACTS = {
+    "A1": (2, (), (), (1,), ((1,),), ((QQ(1, 2),),)),
+    "A2": (3, (), (), (1, 2, 1), ((0, 1), (1, 0), (1, 1)),
+           ((QQ(2, 3), QQ(1, 3)), (QQ(1, 3), QQ(2, 3)))),
+    "B2": (4, (2,), (2,), (1, 2, 1, 2), ((0, 1), (1, 0), (1, 1), (1, 2)),
+           ((QQ(1), QQ(1)), (QQ(1, 2), QQ(1)))),
+    "G2": (6, (2, 3), (2, 3), (1, 2, 1, 2, 1, 2),
+           ((0, 1), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2)),
+           ((QQ(2), QQ(1)), (QQ(3), QQ(2)))),
+    "A3": (4, (), (), (1, 2, 1, 3, 2, 1),
+           ((0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)),
+           ((QQ(3, 4), QQ(1, 2), QQ(1, 4)), (QQ(1, 2), QQ(1), QQ(1, 2)),
+            (QQ(1, 4), QQ(1, 2), QQ(3, 4)))),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TYPE_FACTS))
+def test_facts_derived_from_the_type_table(label):
+    # the Coxeter number (2N / rank) and the bad primes (those dividing a
+    # coefficient of the highest root) are computed from the defining data
+    h, bad, keys, w0, roots, weights = TYPE_FACTS[label]
+    d = build_root_datum(label)
+    assert d.coxeter_number == h
+    assert d.bad_primes == bad
+    assert d.s_keys == keys
+    assert default_w0_word(label) == w0
+    assert d.positive_roots == roots
+    assert d.fundamental_weights == weights
+    assert all(type(x) is QQ for w in d.fundamental_weights for x in w)
+
+
+def test_type_table_lists_every_type():
+    assert list(TYPES) == ALL_TYPES
 
 
 class TestWeyl:
