@@ -21,6 +21,7 @@ in ``tests/reference.py``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -396,7 +397,7 @@ class WeightSpace:
             rem = tuple(a - b for a, b in zip(nu, weight))
             if any(x < 0 for x in rem):
                 continue
-            for left_w in _split_weights(rem):
+            for left_w in itertools.product(*(range(c + 1) for c in rem)):
                 right_w = tuple(a - b for a, b in zip(rem, left_w))
                 for u in uq.words_of_weight(left_w):
                     for v in uq.words_of_weight(right_w):
@@ -407,20 +408,6 @@ class WeightSpace:
 
     def reduce(self, vec: SideElt) -> SideElt:
         return self.elim.reduce(vec)
-
-
-def _split_weights(rem: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = []
-
-    def rec(idx: int, cur: List[int]):
-        if idx == len(rem):
-            out.append(tuple(cur))
-            return
-        for c in range(rem[idx] + 1):
-            rec(idx + 1, cur + [c])
-
-    rec(0, [])
-    return out
 
 
 class PBWContext:

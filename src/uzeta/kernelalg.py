@@ -31,7 +31,8 @@ are sparse dicts over basis keys (f_exponents, torus_exponents,
 e_exponents); torus exponents are reduced mod ell since K^ell = 1.
 K^k is K_mu for mu = sum k_i alpha_i, so a torus exponent vector is also
 its root-lattice element in simple-root coordinates.
-Products are computed generator-by-generator; no dim^2 tables are built.
+Products are computed generator-by-generator, from the left only (x g
+is ``multiply(x, g)``); no dim^2 tables are built.
 Root vectors are generators too: the column of a plain root vector on a
 basis key is built once per algebra and cached like a simple generator's.
 """
@@ -247,13 +248,6 @@ class KernelContext:
     @memoized
     def lmul_rv(self, side: str, s: int, exp: FExp) -> Dict[FExp, object]:
         """Divided coordinates of (plain root vector at position s) * X^{(exp)}."""
-        return self._mul_rv(side, s, exp, left=True)
-
-    @memoized
-    def rmul_rv(self, side: str, s: int, exp: FExp) -> Dict[FExp, object]:
-        return self._mul_rv(side, s, exp, left=False)
-
-    def _mul_rv(self, side: str, s: int, exp: FExp, left: bool) -> Dict[FExp, object]:
         if self.n == 1:
             # rank one: pure divided-power collection, valid for every r
             a = exp[0]
@@ -266,8 +260,7 @@ class KernelContext:
         for i, a in enumerate(exp):
             if a:
                 inv = inv * self.qfact_inv(a, self.d_gamma[i])
-        word = tuple(i for i in range(self.n) for _ in range(exp[i]))
-        word = ((s,) + word) if left else (word + (s,))
+        word = (s,) + tuple(i for i in range(self.n) for _ in range(exp[i]))
         plain = self.reduce_word(side, word)
         return self.plain_to_divided({e: c * inv for e, c in plain.items()})
 
@@ -737,21 +730,6 @@ class KernelAlgebra:
 
     # -- multiplication ----------------------------------------------------
 
-    def _check_key(self, fexp, kexp, eexp) -> Optional[BasisKey]:
-        for i, a in enumerate(fexp):
-            if a and not self.desc.f_caps[i]:
-                raise ArithmeticError(f"product left algebra {self.kind}: F exp {fexp}")
-            if a >= self.ctx.cap:
-                return None
-        for i, a in enumerate(eexp):
-            if a and not self.desc.e_caps[i]:
-                raise ArithmeticError(f"product left algebra {self.kind}: E exp {eexp}")
-            if a >= self.ctx.cap:
-                return None
-        if any(kexp) and not self.desc.torus:
-            raise ArithmeticError(f"product left algebra {self.kind}: K exp {kexp}")
-        return (tuple(fexp), self.ctx.kmod(kexp), tuple(eexp))
-
     def lmul_gen(self, gen: GenKey, vec: Vec) -> Vec:
         """Left multiply by a generator, column by cached column."""
         out: Vec = {}
@@ -800,28 +778,6 @@ class KernelAlgebra:
             vec_iadd_scaled(out, part, c)
         return out
 
-    def rmul_gen_column(self, gen: GenKey, key: BasisKey) -> Vec:
-        """x -> x * g for generator g on a basis monomial (F-side kinds)."""
-        ctx = self.ctx
-        kind, j = gen
-        f, k, e = key
-        assert not any(e), "right multiplication implemented for F-side algebras"
-        out: Vec = {}
-        if kind in ("F", "Frv"):
-            pos = ctx.simple_pos[j] if kind == "F" else j
-            scal = ctx.field.one
-            if any(k):
-                scal = ctx.zeta_pow(-ctx.pair(k, ctx.order.gammas[pos]))
-            for fexp, c in ctx.rmul_rv("F", pos, f).items():
-                bk = self._check_key(fexp, k, e)
-                if bk is not None:
-                    out[bk] = c * scal
-            return out
-        if kind == "Fd0":
-            # rank one: F^{(ell)} commutes with F^{(a)}
-            return {(a2, k, e): c for a2, c in ctx.letter_times(gen, f).items()}
-        raise ValueError(f"right multiplication by {gen} unsupported")
-
     # -- distinguished elements and checks ----------------------------------
 
     def integral_element(self) -> Vec:
@@ -835,20 +791,19 @@ class KernelAlgebra:
 
         Solves x.v = eps(x) v for all generators x, both left and right.
         """
-        gens = self.generator_keys()
+        one = self.ctx.field.one
+        gens = [(g, self.lmul_gen(g, self.one())) for g in self.generator_keys()]
         columns = []
-        for i, key in enumerate(self.basis):
+        for key in self.basis:
             col: Vec = {}
-            vec = {key: self.ctx.field.one}
-            for g in gens:
-                img = self.lmul_gen(g, vec)
-                for bk, c in img.items():
+            vec = {key: one}
+            for g, gvec in gens:
+                for bk, c in self.lmul_gen(g, vec).items():
                     col[(g, bk, "l")] = c
-                rimg = self.rmul_gen_column(g, key)
-                for bk, c in rimg.items():
+                for bk, c in self.multiply(vec, gvec).items():
                     col[(g, bk, "r")] = c
             columns.append((key, col))
-        kb = kernel_basis(columns, one=self.ctx.field.one)
+        kb = kernel_basis(columns, one=one)
         dim = len(kb)
         ok = False
         if dim == 1:

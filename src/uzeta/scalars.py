@@ -11,16 +11,19 @@ Four layers, all exact and immutable:
   plus {q^3-q^-3} for the triple bond);
 * residue fields at a primitive root of unity: the cyclotomic field
   Q[q]/Phi_ell(q) and finite fields F_{p^n} with n the multiplicative
-  order of p mod ell, so a primitive ell-th root exists in both.  An
-  element of the cyclotomic field is a vector of integers over one
-  common denominator, multiplied by integer convolution and inverted
-  through its Galois norm (``CycloField``); no ``Fraction`` arithmetic
-  runs in its product or inverse.
+  order of p mod ell, so a primitive ell-th root exists in both.  In
+  the cyclotomic field a product is an integer convolution and an
+  inverse goes through the Galois norm (``CycloField``); no ``Fraction``
+  arithmetic runs in either.
 
-The two residue fields share one layer.  ``_ResidueField`` evaluates
-Laurent polynomials, fractions and localized scalars at zeta, and
-``_ResidueElement`` divides and raises to powers; each field supplies
-only its element type, coercion, product ``_mul`` and inverse ``_inv``.
+The two residue fields share one layer and one element type.  A
+``ResidueElement`` is a vector of integers over one positive
+denominator, kept canonical by its field, and does all its arithmetic,
+division and powers itself.  ``_ResidueField`` coerces, evaluates
+Laurent polynomials, fractions and localized scalars at zeta, and owns
+the product ``_mul`` and inverse ``_inv``; each field supplies only its
+degree, its canonical form ``_reduced``, its raw product and inverse, and
+its printing.
 Every power, in every layer, is the one square-and-multiply ``_power``.
 
 A verdict multiplies the same few field values over and over, so each
@@ -34,6 +37,7 @@ Quantum integers, factorials and binomials live here as well.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -543,36 +547,18 @@ def cyclotomic_poly(n: int) -> Tuple[int, ...]:
     return tuple(poly)
 
 
-class _ResidueElement:
-    """Division and powers of a residue-field element, through ``ctx``."""
+class ResidueElement:
+    """The element sum(num[i] * zeta**i) / den of a residue field, i < deg.
 
-    __slots__ = ("ctx",)
-
-    def __rsub__(self, other):
-        return self.ctx.coerce(other) - self
-
-    def __truediv__(self, other):
-        return self * self.ctx._inv(self.ctx.coerce(other))
-
-    def __rtruediv__(self, other):
-        return self.ctx.coerce(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return _power(self.ctx.one / self, -n, self.ctx.one)
-        return _power(self, n, self.ctx.one)
-
-
-class CycloElement(_ResidueElement):
-    """The element sum(num[i] * zeta**i) / den of Q(zeta_ell), i < deg.
-
-    Canonical form: ``den > 0`` and ``gcd(*num, den) == 1`` (zero is the
-    zero vector over 1), so ``==`` and ``hash`` compare the integers.
+    Its field keeps it canonical (``_reduced``), so ``==`` and ``hash``
+    compare the integers: in Q(zeta) ``den > 0`` and
+    ``gcd(*num, den) == 1`` (zero is the zero vector over 1); in F_{p^n}
+    ``den == 1`` and every coordinate lies in 0..p-1.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx: "CycloField", num: Tuple[int, ...], den: int = 1):
+    def __init__(self, ctx: "_ResidueField", num: Tuple[int, ...], den: int = 1):
         self.ctx = ctx
         self.num = num
         self.den = den
@@ -582,7 +568,7 @@ class CycloElement(_ResidueElement):
 
     def __eq__(self, other):
         return (
-            isinstance(other, CycloElement)
+            isinstance(other, ResidueElement)
             and self.num == other.num
             and self.den == other.den
             and self.ctx is other.ctx
@@ -592,7 +578,7 @@ class CycloElement(_ResidueElement):
         return hash((self.num, self.den))
 
     def __neg__(self):
-        return CycloElement(self.ctx, tuple(-x for x in self.num), self.den)
+        return self.ctx._reduced(tuple(-x for x in self.num), self.den)
 
     def __add__(self, other):
         other = self.ctx.coerce(other)
@@ -616,8 +602,11 @@ class CycloElement(_ResidueElement):
             ad *= bd
         return self.ctx._reduced(num, ad)
 
+    def __rsub__(self, other):
+        return self.ctx.coerce(other) - self
+
     def __mul__(self, other):
-        if isinstance(other, CycloElement):
+        if isinstance(other, ResidueElement):
             return self.ctx._mul(self, other)
         if isinstance(other, int):
             return self.ctx._reduced(tuple(x * other for x in self.num), self.den)
@@ -628,31 +617,62 @@ class CycloElement(_ResidueElement):
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        return self * self.ctx._inv(self.ctx.coerce(other))
+
+    def __rtruediv__(self, other):
+        return self.ctx.coerce(other) / self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return _power(self.ctx.one / self, -n, self.ctx.one)
+        return _power(self, n, self.ctx.one)
+
     def __str__(self):
-        names = {0: "", 1: "z"}
-        parts = []
-        for i, x in enumerate(self.num):
-            if not x:
-                continue
-            mon = names.get(i, f"z^{i}")
-            c = Fraction(x, self.den)
-            parts.append(f"{c}{'*' + mon if mon else ''}" if mon else f"{c}")
-        return " + ".join(parts) if parts else "0"
+        return self.ctx.element_str(self)
 
     __repr__ = __str__
 
 
 class _ResidueField:
-    """Evaluation at zeta, and the product and inverse memos of one field.
+    """Coercion, evaluation at zeta, and the product and inverse memos of one field.
 
-    A subclass sets ``_zeta_pows`` = zeta^0 .. zeta^(ell-1) and defines
-    ``_raw_mul`` and ``_raw_inv`` on integer coordinates; its ``_mul`` and
-    ``_inv`` reach them through ``_product`` and ``_inverse``.
+    A subclass sets ``deg`` and ``_zeta_pows`` = zeta^0 .. zeta^(ell-1),
+    and defines the canonical form ``_reduced(num, den)``, the product
+    ``_raw_mul`` and inverse ``_raw_inv`` on ``(num, den)`` pairs, which
+    ``_mul`` and ``_inv`` reach through the memos ``_product`` and
+    ``_inverse``, and the printing ``element_to_text`` and ``element_str``.
     """
 
-    def __init__(self):
+    def __init__(self, ell: int, char: int, deg: int, desc: str):
+        self.ell = ell
+        self.char = char
+        self.deg = deg
+        self.desc = desc
         self._product = functools.lru_cache(maxsize=MEMO_SIZE)(self._raw_mul)
         self._inverse = functools.lru_cache(maxsize=MEMO_SIZE)(self._raw_inv)
+        self.zero = ResidueElement(self, (0,) * deg)
+        self.one = self.from_int(1)
+
+    def coerce(self, x) -> ResidueElement:
+        if isinstance(x, ResidueElement):
+            return x
+        if isinstance(x, int):
+            return self.from_int(x)
+        if isinstance(x, Fraction):
+            return self._reduced((x.numerator,) + (0,) * (self.deg - 1), x.denominator)
+        raise TypeError(f"cannot coerce {x!r} into {self.desc}")
+
+    def from_int(self, n: int) -> ResidueElement:
+        return self._reduced((n,) + (0,) * (self.deg - 1), 1)
+
+    def _mul(self, a: ResidueElement, b: ResidueElement) -> ResidueElement:
+        return self._product(a.num, a.den, b.num, b.den)
+
+    def _inv(self, a: ResidueElement) -> ResidueElement:
+        if not a:
+            raise ZeroDivisionError(f"division by zero in {self.desc}")
+        return self._inverse(a.num, a.den)
 
     def zeta_power(self, k: int):
         return self._zeta_pows[k % self.ell]
@@ -685,10 +705,9 @@ class _ResidueField:
 class CycloField(_ResidueField):
     """Q(zeta) = Q[q] / Phi_ell(q) with zeta the class of q.
 
-    An element is an integer vector over one positive denominator
-    (``CycloElement``).  Phi_ell is monic with integer coefficients, so
-    every power zeta^k reduces to an integer vector; one table of the
-    powers zeta^0 .. zeta^(ell-1) reduces products and applies the Galois
+    Phi_ell is monic with integer coefficients, so every power zeta^k
+    reduces to an integer vector; one table of the powers
+    zeta^0 .. zeta^(ell-1) reduces products and applies the Galois
     automorphisms sigma_k(zeta) = zeta^k, k in (Z/ell)^x.
 
     A product is an integer convolution, reduced through that table, with
@@ -702,11 +721,9 @@ class CycloField(_ResidueField):
     """
 
     def __init__(self, ell: int):
-        super().__init__()
-        self.ell = ell
-        self.char = 0
         phi = cyclotomic_poly(ell)
-        n = self.deg = len(phi) - 1
+        n = len(phi) - 1
+        super().__init__(ell, 0, n, f"cyclo({ell})")
         pows = []
         cur = [1] + [0] * (n - 1)
         for _ in range(ell):
@@ -719,25 +736,10 @@ class CycloField(_ResidueField):
         self._pow_terms = [tuple((i, c) for i, c in enumerate(v) if c) for v in pows]
         # the automorphisms sigma_k other than the identity
         self._galois = tuple(k for k in range(2, ell) if gcd(k, ell) == 1)
-        self.zero = CycloElement(self, (0,) * n)
-        self.one = self.from_int(1)
-        self._zeta_pows = [CycloElement(self, v) for v in pows]
+        self._zeta_pows = [ResidueElement(self, v) for v in pows]
         self.zeta = self._zeta_pows[1 % ell]
-        self.desc = f"cyclo({ell})"
 
-    def coerce(self, x) -> CycloElement:
-        if isinstance(x, CycloElement):
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, Fraction):
-            return CycloElement(self, (x.numerator,) + (0,) * (self.deg - 1), x.denominator)
-        raise TypeError(f"cannot coerce {x!r} into {self.desc}")
-
-    def from_int(self, n: int) -> CycloElement:
-        return CycloElement(self, (n,) + (0,) * (self.deg - 1))
-
-    def _reduced(self, num: Tuple[int, ...], den: int) -> CycloElement:
+    def _reduced(self, num: Tuple[int, ...], den: int) -> ResidueElement:
         """num / den in canonical form (den nonzero)."""
         if den != 1:
             g = gcd(den, *num)
@@ -746,7 +748,7 @@ class CycloField(_ResidueField):
             if g != 1:
                 num = tuple(x // g for x in num)
                 den //= g
-        return CycloElement(self, num, den)
+        return ResidueElement(self, num, den)
 
     def _polymul(self, u: Sequence[int], v: Sequence[int]) -> List[int]:
         """Product of two integer vectors, reduced to degree < deg."""
@@ -776,18 +778,10 @@ class CycloField(_ResidueField):
                     out[j] += x * y
         return out
 
-    def _mul(self, a: CycloElement, b: CycloElement) -> CycloElement:
-        return self._product(a.num, a.den, b.num, b.den)
-
-    def _inv(self, a: CycloElement) -> CycloElement:
-        if not a:
-            raise ZeroDivisionError(f"division by zero in {self.desc}")
-        return self._inverse(a.num, a.den)
-
-    def _raw_mul(self, anum: Tuple[int, ...], aden: int, bnum: Tuple[int, ...], bden: int) -> CycloElement:
+    def _raw_mul(self, anum: Tuple[int, ...], aden: int, bnum: Tuple[int, ...], bden: int) -> ResidueElement:
         return self._reduced(tuple(self._polymul(anum, bnum)), aden * bden)
 
-    def _raw_inv(self, num: Tuple[int, ...], den: int) -> CycloElement:
+    def _raw_inv(self, num: Tuple[int, ...], den: int) -> ResidueElement:
         # a^-1 = den * prod_{k != 1} sigma_k(num) / N(num); a rational
         # num is its own norm
         conj = [1] + [0] * (self.deg - 1)
@@ -797,58 +791,20 @@ class CycloField(_ResidueField):
                 conj = self._polymul(conj, self._conjugate(num, k))
             full = self._polymul(num, conj)
             if any(full[1:]):
-                raise ArithmeticError(f"norm of {CycloElement(self, num, den)} in {self.desc} is not rational")
+                raise ArithmeticError(f"norm of {ResidueElement(self, num, den)} in {self.desc} is not rational")
             norm = full[0]
         return self._reduced(tuple(den * x for x in conj), norm)
 
-    def element_to_text(self, a: CycloElement) -> str:
+    def element_to_text(self, a: ResidueElement) -> str:
         return ",".join(str(Fraction(x, a.den)) for x in a.num)
 
-
-class GFElement(_ResidueElement):
-    __slots__ = ("co",)
-
-    def __init__(self, ctx: "GaloisField", co: Tuple[int, ...]):
-        self.ctx = ctx
-        self.co = co
-
-    def __bool__(self):
-        return any(self.co)
-
-    def __eq__(self, other):
-        return isinstance(other, GFElement) and self.co == other.co and self.ctx is other.ctx
-
-    def __hash__(self):
-        return hash(self.co)
-
-    def __neg__(self):
-        p = self.ctx.p
-        return GFElement(self.ctx, tuple((-x) % p for x in self.co))
-
-    def __add__(self, other):
-        other = self.ctx.coerce(other)
-        p = self.ctx.p
-        return GFElement(self.ctx, tuple((x + y) % p for x, y in zip(self.co, other.co)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self.ctx.coerce(other)
-        p = self.ctx.p
-        return GFElement(self.ctx, tuple((x - y) % p for x, y in zip(self.co, other.co)))
-
-    def __mul__(self, other):
-        other = self.ctx.coerce(other)
-        return self.ctx._mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        if self.ctx.n == 1:
-            return str(self.co[0])
-        return "[" + ",".join(str(x) for x in self.co) + "]"
-
-    __repr__ = __str__
+    def element_str(self, a: ResidueElement) -> str:
+        parts = []
+        for i, x in enumerate(a.num):
+            if x:
+                c = Fraction(x, a.den)
+                parts.append(f"{c}" if i == 0 else f"{c}*z" if i == 1 else f"{c}*z^{i}")
+        return " + ".join(parts) if parts else "0"
 
 
 def multiplicative_order(a: int, m: int) -> int:
@@ -883,8 +839,8 @@ def is_prime(n: int) -> bool:
 class GaloisField(_ResidueField):
     """F_{p^n} = F_p[x]/(g) containing a distinguished primitive ell-th root.
 
-    n is forced to be the multiplicative order of p mod ell; the modulus
-    g is the first monic irreducible polynomial of degree n in the
+    n = ``deg`` is forced to be the multiplicative order of p mod ell; the
+    modulus g is the first monic irreducible polynomial of degree n in the
     deterministic scan order, and zeta is the first element of exact
     multiplicative order ell in the scan eta = x, x+1, x+2, ...
     """
@@ -894,20 +850,24 @@ class GaloisField(_ResidueField):
             raise ValueError(f"p = {p} is not a prime")
         if ell % p == 0:
             raise ValueError("p must not divide ell")
-        super().__init__()
-        self.p = p
-        self.ell = ell
-        self.char = p
-        self.n = multiplicative_order(p, ell) if ell > 1 else 1
-        n = self.n
+        self.p = p  # before the base builds ``one`` through ``_reduced``
+        n = multiplicative_order(p, ell) if ell > 1 else 1
+        super().__init__(ell, p, n, f"gf({p}^{n})")
         self.modulus = self._find_irreducible(n)
-        self.zero = GFElement(self, (0,) * n)
-        self.one = self.from_int(1)
         self.zeta = self._find_zeta()
         self._zeta_pows = [self.one]
         for _ in range(ell - 1):
             self._zeta_pows.append(self._zeta_pows[-1] * self.zeta)
-        self.desc = f"gf({p}^{n})"
+
+    def _reduced(self, num: Tuple[int, ...], den: int) -> ResidueElement:
+        """num / den with den inverted mod p, coordinates in 0..p-1."""
+        p = self.p
+        if den != 1:
+            if not den % p:
+                raise ZeroDivisionError(f"division by zero in {self.desc}")
+            s = pow(den, -1, p)
+            return ResidueElement(self, tuple(x * s % p for x in num))
+        return ResidueElement(self, tuple(x % p for x in num))
 
     # -- polynomial helpers over F_p (low degree first, fixed length lists)
 
@@ -976,34 +936,26 @@ class GaloisField(_ResidueField):
                 return False
         return True
 
+    def _scan(self, n: int):
+        """Every coefficient vector of length n over F_p, in the order of the
+        integer its coordinates spell in base p, lowest digit first."""
+        return (co[::-1] for co in itertools.product(range(self.p), repeat=n))
+
     def _find_irreducible(self, n: int) -> Tuple[int, ...]:
         if n == 1:
             return (0, 1)
-        # scan monic degree-n polynomials in lexicographic coefficient order
-        total = self.p ** n
-        for code in range(total):
-            co = []
-            c = code
-            for _ in range(n):
-                co.append(c % self.p)
-                c //= self.p
-            g = co + [1]
-            if self._is_irreducible(g):
-                return tuple(g)
+        for co in self._scan(n):
+            if self._is_irreducible(list(co) + [1]):
+                return co + (1,)
         raise RuntimeError("no irreducible polynomial found (unreachable)")
 
-    def _find_zeta(self) -> GFElement:
-        order = self.p ** self.n - 1
+    def _find_zeta(self) -> ResidueElement:
+        order = self.p ** self.deg - 1
         assert order % self.ell == 0
         cof = order // self.ell
         primes = prime_factors(self.ell)
-        for code in range(1, self.p ** min(self.n, 3) + self.p):
-            co = []
-            c = code
-            for _ in range(self.n):
-                co.append(c % self.p)
-                c //= self.p
-            eta = GFElement(self, tuple(co))
+        for co in self._scan(self.deg):
+            eta = ResidueElement(self, co)
             if not eta:
                 continue
             z = eta ** cof
@@ -1013,34 +965,19 @@ class GaloisField(_ResidueField):
                 return z
         raise RuntimeError("no primitive ell-th root found (unreachable)")
 
-    def coerce(self, x) -> GFElement:
-        if isinstance(x, GFElement):
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, Fraction):
-            return self.from_int(x.numerator) / self.from_int(x.denominator)
-        raise TypeError(f"cannot coerce {x!r} into {self.desc}")
+    def _raw_mul(self, anum: Tuple[int, ...], _aden: int, bnum: Tuple[int, ...], _bden: int) -> ResidueElement:
+        return ResidueElement(self, tuple(self._polmulmod(anum, bnum, self.modulus)))
 
-    def from_int(self, k: int) -> GFElement:
-        return GFElement(self, (k % self.p,) + (0,) * (self.n - 1))
+    def _raw_inv(self, num: Tuple[int, ...], _den: int) -> ResidueElement:
+        return ResidueElement(self, tuple(self._polpowmod(num, self.p ** self.deg - 2, self.modulus)))
 
-    def _mul(self, a: GFElement, b: GFElement) -> GFElement:
-        return self._product(a.co, b.co)
+    def element_to_text(self, a: ResidueElement) -> str:
+        return ",".join(str(x) for x in a.num)
 
-    def _inv(self, a: GFElement) -> GFElement:
-        if not a:
-            raise ZeroDivisionError(f"division by zero in {self.desc}")
-        return self._inverse(a.co)
-
-    def _raw_mul(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> GFElement:
-        return GFElement(self, tuple(self._polmulmod(a, b, self.modulus)))
-
-    def _raw_inv(self, co: Tuple[int, ...]) -> GFElement:
-        return GFElement(self, tuple(self._polpowmod(co, self.p ** self.n - 2, self.modulus)))
-
-    def element_to_text(self, a: GFElement) -> str:
-        return ",".join(str(x) for x in a.co)
+    def element_str(self, a: ResidueElement) -> str:
+        if self.deg == 1:
+            return str(a.num[0])
+        return "[" + ",".join(str(x) for x in a.num) + "]"
 
 
 def make_field(ell: int, p: Optional[int] = None):

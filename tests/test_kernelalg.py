@@ -531,9 +531,7 @@ def _word_apply_rv(alg, side, pos, vec):
     if side == "F":
         for (f, k, e), c in vec.items():
             for fexp, cf in ctx.lmul_rv("F", pos, f).items():
-                bk = alg._check_key(fexp, k, e)
-                if bk is not None:
-                    vec_add_term(out, bk, c * cf)
+                vec_add_term(out, (fexp, k, e), c * cf)
         return out
     for word, c in ctx.rv_words["E"][pos]:
         cur = {key: x * c for key, x in vec.items()}

@@ -14,12 +14,12 @@ from uzeta.scalars import (
     MEMO_SIZE,
     QF_ONE,
     CycloField,
-    GFElement,
     GaloisField,
     L_ONE,
     Laurent,
     Localized,
     QFraction,
+    ResidueElement,
     cyclotomic_poly,
     laurent_from_text,
     laurent_gcd,
@@ -262,17 +262,20 @@ cyclo_vectors = st.lists(
     st.fractions(min_value=-6, max_value=6, max_denominator=12), min_size=1, max_size=5
 )
 
+CANONICAL_FIELDS = [CycloField(3), CycloField(5), CycloField(9), GaloisField(7, 3), GaloisField(5, 3), GaloisField(3, 5)]
+
 
 class TestCanonicalForm:
-    @given(st.sampled_from([3, 5, 9]), cyclo_vectors, cyclo_vectors)
-    @settings(max_examples=200, deadline=None)
-    def test_integers_over_one_denominator(self, ell, xs, ys):
-        F = CycloField(ell)
+    @given(st.sampled_from(CANONICAL_FIELDS), cyclo_vectors, cyclo_vectors)
+    @settings(max_examples=300, deadline=None)
+    def test_integers_over_one_denominator(self, F, xs, ys):
+        p = F.char
 
         def elem(cs):
             out = F.zero
             for k, c in enumerate(cs):
-                out = out + F.zeta_power(k) * c
+                # a coefficient over a multiple of p has no value in F_{p^n}
+                out = out + F.zeta_power(k) * (c if not p or c.denominator % p else c.numerator)
             return out
 
         a, b = elem(xs), elem(ys)
@@ -280,8 +283,15 @@ class TestCanonicalForm:
         if b:
             values += [a / b, (a * b) / b]
         for v in values:
-            assert v.den > 0 and gcd(*v.num, v.den) == 1
+            if p:
+                assert v.den == 1 and all(0 <= x < p for x in v.num)
+            else:
+                assert v.den > 0 and gcd(*v.num, v.den) == 1
             assert len(v.num) == F.deg
+        if p:
+            with pytest.raises(ZeroDivisionError, match="division by zero") as e:
+                F.coerce(QQ(1, p))
+            assert F.desc in str(e.value)
         # equal values reached by different routes are equal and hash alike
         for u, v in [(a + b - b, a), (a * 2 - a, a), (b - a, -(a - b))]:
             assert u == v and hash(u) == hash(v)
@@ -295,15 +305,34 @@ class TestGaloisField:
         with pytest.raises(ValueError, match="not a prime"):
             GaloisField(p, ell)
 
+    @pytest.mark.parametrize(
+        "p,ell,deg,modulus,zeta",
+        [
+            (7, 3, 1, (0, 1), (4,)),
+            (13, 3, 1, (0, 1), (3,)),
+            (5, 3, 2, (2, 0, 1), (2, 1)),
+            (11, 5, 1, (0, 1), (4,)),
+            (3, 5, 4, (2, 1, 0, 0, 1), (2, 1, 0, 2)),
+            (7, 5, 4, (1, 1, 0, 0, 1), (0, 6, 2, 5)),
+            (2, 7, 3, (1, 1, 0, 1), (0, 1, 0)),
+            (3, 7, 6, (2, 1, 0, 0, 0, 0, 1), (1, 0, 2, 2, 2, 2)),
+        ],
+    )
+    def test_presentation(self, p, ell, deg, modulus, zeta):
+        # the first irreducible modulus and the first primitive root of the
+        # two scans: every F_{p^n} report prints coordinates in this basis
+        G = GaloisField(p, ell)
+        assert (G.deg, G.modulus, G.zeta.num) == (deg, modulus, zeta)
+
     def test_prime_field_with_root(self):
         G = GaloisField(7, 3)
-        assert G.n == 1 and G.char == 7
+        assert G.deg == 1 and G.char == 7
         assert G.zeta ** 3 == G.one and G.zeta != G.one
         assert G.eval_laurent(q_int(3)) == G.zero
 
     def test_extension_field(self):
         G = GaloisField(5, 3)  # ord_3(5) = 2
-        assert G.n == 2
+        assert G.deg == 2
         assert G.zeta ** 3 == G.one and G.zeta != G.one
         x = G.zeta + G.from_int(2)
         assert x * (G.one / x) == G.one
@@ -312,8 +341,8 @@ class TestGaloisField:
     def test_inverse_exhaustive(self, p, ell):
         # every nonzero element of GF(7) and of GF(5^2)
         G = GaloisField(p, ell)
-        for co in itertools.product(range(p), repeat=G.n):
-            x = GFElement(G, co)
+        for co in itertools.product(range(p), repeat=G.deg):
+            x = ResidueElement(G, co)
             if x:
                 assert x * (1 / x) == G.one
         with pytest.raises(ZeroDivisionError):
@@ -346,7 +375,7 @@ class TestSubtraction:
     @pytest.mark.parametrize("p,ell", [(7, 3), (5, 3)])
     def test_galois_exhaustive(self, p, ell):
         G = GaloisField(p, ell)
-        elems = [GFElement(G, co) for co in itertools.product(range(p), repeat=G.n)]
+        elems = [ResidueElement(G, co) for co in itertools.product(range(p), repeat=G.deg)]
         for x in elems:
             assert 3 - x == -(x - 3)
             for y in elems:
@@ -416,7 +445,7 @@ class TestUnitProducts:
 
 def _schoolbook_mod(G, a, b):
     """a * b in F_p[x]/(g), g = G.modulus monic: full product, then long division."""
-    n, g = G.n, G.modulus
+    n, g = G.deg, G.modulus
     buf = [0] * (2 * n - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -466,15 +495,15 @@ class TestProductMemo:
     @pytest.mark.parametrize("p,ell", [(5, 3), (2, 7), (3, 5)])
     def test_galois_products_and_inverses(self, p, ell):
         G = GaloisField(p, ell)
-        assert G.n > 1
+        assert G.deg > 1
         rng = random.Random(p + ell)
-        elems = [GFElement(G, tuple(rng.randrange(p) for _ in range(G.n))) for _ in range(30)]
+        elems = [ResidueElement(G, tuple(rng.randrange(p) for _ in range(G.deg))) for _ in range(30)]
         for _ in range(2):
             for a in elems:
                 for b in elems:
-                    assert (a * b).co == _schoolbook_mod(G, a.co, b.co)
+                    assert (a * b).num == _schoolbook_mod(G, a.num, b.num)
                 if a:
-                    assert _schoolbook_mod(G, a.co, G._inv(a).co) == G.one.co
+                    assert _schoolbook_mod(G, a.num, G._inv(a).num) == G.one.num
         assert G._product.cache_info().hits >= len(elems) ** 2
 
     def test_memo_is_bounded(self):
@@ -492,11 +521,11 @@ class TestProductMemo:
             assert F._product.cache_info().currsize == MEMO_SIZE
             assert F._inverse.cache_info().currsize == MEMO_SIZE
         G = GaloisField(3, 5)  # GF(3^4): 6,561 products, past the bound
-        elems = [GFElement(G, co) for co in itertools.product(range(3), repeat=4)]
+        elems = [ResidueElement(G, co) for co in itertools.product(range(3), repeat=4)]
         for _ in range(2):
             for a in elems:
                 for b in elems:
-                    assert (a * b).co == _schoolbook_mod(G, a.co, b.co)
+                    assert (a * b).num == _schoolbook_mod(G, a.num, b.num)
             assert G._product.cache_info().currsize == MEMO_SIZE
 
     @pytest.mark.parametrize("make", [lambda: CycloField(5), lambda: GaloisField(3, 5)], ids=["cyclo", "gf"])
@@ -524,21 +553,21 @@ class TestResidueLayer:
     @pytest.mark.parametrize("p,ell,n", [(2, 7, 3), (3, 5, 4)])
     def test_extension_products(self, p, ell, n):
         G = GaloisField(p, ell)
-        assert G.n == n and len(G.modulus) == n + 1
+        assert G.deg == n and len(G.modulus) == n + 1
         rng = random.Random(p * ell)
         for _ in range(400):
             a, b = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
-            assert (GFElement(G, a) * GFElement(G, b)).co == _schoolbook_mod(G, a, b)
+            assert (ResidueElement(G, a) * ResidueElement(G, b)).num == _schoolbook_mod(G, a, b)
 
     @pytest.mark.parametrize("p,ell", [(2, 7), (3, 5)])
     def test_extension_powers(self, p, ell):
         G = GaloisField(p, ell)
         rng = random.Random(ell)
         for _ in range(40):
-            x = GFElement(G, tuple(rng.randrange(p) for _ in range(G.n)))
+            x = ResidueElement(G, tuple(rng.randrange(p) for _ in range(G.deg)))
             if not x:
                 continue
-            assert x ** (p ** G.n - 1) == G.one
+            assert x ** (p ** G.deg - 1) == G.one
             want = G.one
             for k in range(9):
                 assert x ** k == want and x ** -k == (1 / x) ** k
@@ -557,6 +586,33 @@ class TestResidueLayer:
         with pytest.raises(ZeroDivisionError, match="vanishes") as e:
             field.eval_localized(Localized(L_ONE, (ell,), (1,)))
         assert field.desc in str(e.value)
+
+    @pytest.mark.parametrize("field", [CycloField(5), GaloisField(7, 3), GaloisField(3, 5)], ids=lambda f: f.desc)
+    def test_products_and_inverses_are_counted(self, field, monkeypatch):
+        # the benchmark tracer counts field work by wrapping these four methods
+        counts = {"_mul": 0, "_inv": 0}
+        for cls in (CycloField, GaloisField):
+            for name in counts:
+
+                def counted(self, *args, fn=getattr(cls, name), name=name):
+                    counts[name] += 1
+                    return fn(self, *args)
+
+                monkeypatch.setattr(cls, name, counted)
+        x, y = field.zeta + 2, field.zeta - 3
+
+        def tally(op):
+            before = dict(counts)
+            op()
+            return counts["_mul"] - before["_mul"], counts["_inv"] - before["_inv"]
+
+        assert tally(lambda: x * y) == (1, 0)
+        assert tally(lambda: x / y) == (1, 1)
+        assert tally(lambda: 1 / y) == (1, 1)
+        muls, invs = tally(lambda: x ** 3)
+        assert muls > 0 and invs == 0
+        muls, invs = tally(lambda: x ** -2)
+        assert muls > 0 and invs == 1
 
     def test_laurent_power(self):
         rng = random.Random(11)
