@@ -69,6 +69,8 @@ class RunConfig:
             raise ConfigError(f"r = {self.r} is negative")
         if self.jobs < 1:
             raise ConfigError(f"jobs = {self.jobs} is below 1")
+        if self.budget < 1:
+            raise ConfigError(f"budget = {self.budget} is below 1")
         if self.r > 0 and self.p is None:
             raise ConfigError("higher kernels (r >= 1) need a finite field (--p)")
         if self.r > 1 or (self.r == 1 and self.type_label != "A1"):

@@ -16,10 +16,15 @@ and of copies of A itself, graded by the root lattice and shifted to the
 weight of a module generator, for the kinds without torus.  Either way a
 splitting exists iff a weight-degree-zero splitting exists (the graded
 pieces of an equivariant map are equivariant), which keeps the linear
-systems small.  The split test handles every kind and is the reference
-the counts are tested against.  Its verdicts live on the context, keyed
-on the kind and the module's exact content (weights and action matrices),
-so modules that differ only in label or lift share one run.
+systems small.  The system has one block of unknowns per summand, so the
+generators are chosen few (``module_generators``): over g a single basis
+vector is sought whenever the weight-ordered greedy sets have more than
+one, since whether one vector generates M is a cheap closure (the "spin"
+test of the Meat-Axe).  The split test handles every kind and is the
+reference the counts are tested against.  Its verdicts live on the
+context, keyed on the kind and the module's exact content (weights and
+action matrices), so modules that differ only in label or lift share one
+run.
 
 The harness compares per-root freeness (the top count over each root
 subalgebra) with the oracle of a bigger algebra: the split test over g,
@@ -30,7 +35,7 @@ a disagreement: a mismatch is data for a falsification report.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cli
 from .kernelalg import DEFAULT_BUDGET
@@ -111,17 +116,23 @@ def free_over_root(m: WeightedModule, pos: int, side: str) -> bool:
 def module_generators(m: WeightedModule, kind: str) -> List[int]:
     """Basis indices of a small generating set of M over the algebra kind.
 
-    Each candidate is greedy: basis vectors are offered in some order and
-    kept when they lie outside the submodule the kept ones generate.  The
-    orders are highest weight first (by height in the root lattice, ties
-    by index), lowest weight first and basis order.
+    A greedy set offers basis vectors in some order and keeps each one
+    that lies outside the submodule the kept ones generate.  The orders
+    are highest weight first (by height in the root lattice, ties by
+    index), lowest weight first and basis order.
     Over the one-sided kinds (u±, b±, Am:m, root:s:±) the generators all
     move the weight one way, and offered from the end they move away
     from (highest first for side '-', lowest first for '+'), each weight
     space mu adds dim (M / rad M)_mu vectors: that one set is minimal.
-    Over g they are built in that order until one has a single vector,
-    which no smaller set beats, and the first of the smallest wins, so no
-    set is larger than the basis-order one; there it is a heuristic.
+    Over g the highest-first set comes first and the lowest-first one
+    next; either is taken when it is a single vector.  When neither is,
+    single basis vectors are probed from the middle of the weight range
+    outward (``_single_generator``): a cyclic module such as a tensor
+    square is often generated by a middle weight vector alone.  Only when
+    no basis vector generates M does the basis-order set run, and the
+    first of the smallest sets wins, so no set is larger than the
+    basis-order one.  A single vector is the fewest there are, so the
+    cover has one summand exactly when some basis vector generates M.
     """
     mats = _generator_matrices(m, kind)
     datum = m.ctx.datum
@@ -133,10 +144,16 @@ def module_generators(m: WeightedModule, kind: str) -> List[int]:
     if side is not None:
         return _greedy_generators(m, mats, highest if side == "-" else lowest)
     sets = []
-    for order in (highest, lowest, basis):
+    for order in (highest, lowest):
         sets.append(_greedy_generators(m, mats, order))
         if len(sets[-1]) <= 1:
-            break
+            return sets[-1]
+    middle = max(height.values()) + min(height.values())
+    outward = sorted(basis, key=lambda i: (abs(2 * height[m.weights[i]] - middle), i))
+    single = _single_generator(m, mats, outward)
+    if single is not None:
+        return [single]
+    sets.append(_greedy_generators(m, mats, basis))
     return min(sets, key=len)
 
 
@@ -152,6 +169,24 @@ def _greedy_generators(m: WeightedModule, mats, order: Iterable[int]) -> List[in
             gens.append(i)
     assert elim.rank == m.dim, "generator closure must exhaust the module"
     return gens
+
+
+def _single_generator(m: WeightedModule, mats, order: Iterable[int]) -> Optional[int]:
+    """The first basis vector, in the given order, that generates M alone,
+    or None.  A vector inside the submodule of an earlier failed probe
+    generates no more than that proper submodule, so it is not probed."""
+    one = m.ctx.field.one
+    failed: List[Eliminator] = []
+    for i in order:
+        vec = {i: one}
+        if any(sub.contains(vec) for sub in failed):
+            continue
+        sub = Eliminator()
+        close_span(sub, [vec], mats)
+        if sub.rank == m.dim:
+            return i
+        failed.append(sub)
+    return None
 
 
 def projective(m: WeightedModule, kind: str) -> bool:

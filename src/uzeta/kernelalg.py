@@ -786,31 +786,42 @@ class KernelAlgebra:
         top = tuple(c - 1 if c else 0 for c in self.desc.f_caps)
         return {(top, (0,) * self.ctx.rank, (0,) * self.ctx.n): self.ctx.field.one}
 
-    def socle_check(self) -> Tuple[int, bool]:
-        """Dimension of two-sided invariants and whether the integral spans.
-
-        Solves x.v = eps(x) v for all generators x, both left and right.
-        """
+    def invariants(self, side: str) -> List[Vec]:
+        """A basis of the left (side "l") or right ("r") invariants: the v
+        with x.v = eps(x) v, or v.x = eps(x) v, for every generator x.
+        Every generator is in the augmentation ideal, so eps(x) = 0."""
         one = self.ctx.field.one
-        gens = [(g, self.lmul_gen(g, self.one())) for g in self.generator_keys()]
-        columns = []
-        for key in self.basis:
-            col: Vec = {}
-            vec = {key: one}
-            for g, gvec in gens:
-                for bk, c in self.lmul_gen(g, vec).items():
-                    col[(g, bk, "l")] = c
-                for bk, c in self.multiply(vec, gvec).items():
-                    col[(g, bk, "r")] = c
-            columns.append((key, col))
-        kb = kernel_basis(columns, one=one)
-        dim = len(kb)
-        ok = False
-        if dim == 1:
-            integral = self.integral_element()
-            (sol,) = kb
-            keys = {k for k, v in sol.items() if v}
-            ok = keys == set(integral.keys())
+        gens = self.generator_keys()
+        if side == "l":
+            act = self.lmul_gen
+        else:
+            right = {g: self.lmul_gen(g, self.one()) for g in gens}
+
+            def act(g, vec):
+                return self.multiply(vec, right[g])
+
+        columns = [
+            (key, {(g, bk): c for g in gens for bk, c in act(g, {key: one}).items()})
+            for key in self.basis
+        ]
+        return kernel_basis(columns, one=one)
+
+    def socle_check(self) -> Tuple[int, bool]:
+        """Dimension of the two-sided invariants, and whether the left and
+        the right invariants are each the line of the integral (the top
+        monomial).  The two sides are checked on their own: on the A_m
+        kinds they agree, so one joint system would let either side's
+        columns go unread."""
+        integral = set(self.integral_element())
+        left, right = self.invariants("l"), self.invariants("r")
+        both = Eliminator()
+        for vec in left + right:
+            both.add(vec)
+        dim = len(left) + len(right) - both.rank
+        ok = all(
+            len(inv) == 1 and {k for k, v in inv[0].items() if v} == integral
+            for inv in (left, right)
+        )
         return dim, ok
 
     def normality_check(self) -> bool:

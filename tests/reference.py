@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from uzeta.genericuq import AbstractWord, Elt, SideElt, UqGeneric, q_power, qf
 from uzeta.kernelalg import KernelAlgebra
-from uzeta.linalg import Eliminator, Mat, Vec, close_span, kernel_basis, vec_add_term
+from uzeta.linalg import Eliminator, Mat, Vec, close_span, kernel_basis, mat_apply, vec_add_term
 from uzeta.qmodules import WeightedModule
 from uzeta.rootdata import ConvexOrder, Root, RootDatum, Vector
 from uzeta.scalars import Laurent, QFraction
@@ -350,6 +350,28 @@ def omega_mirror_kind(alg: KernelAlgebra) -> str:
 
 # ---------------------------------------------------------------------------
 # modules
+
+
+def single_generators(m: WeightedModule, kind: str) -> List[int]:
+    """Every basis vector that generates M alone over the algebra kind: the
+    span of its images under words in the generators, each built on its
+    own, is all of M."""
+    mats = [m.generator_matrix(g) for g in m.ctx.algebra_kind(kind).generators]
+    one = m.ctx.field.one
+    out = []
+    for i in range(m.dim):
+        elim = Eliminator()
+        elim.add({i: one})
+        frontier = [{i: one}]
+        while frontier:
+            v = frontier.pop()
+            for mat in mats:
+                w = mat_apply(mat, v)
+                if elim.add(w) is not None:
+                    frontier.append(w)
+        if elim.rank == m.dim:
+            out.append(i)
+    return out
 
 
 def am_weight_basis(m: WeightedModule, level: int) -> Optional[List[Vec]]:

@@ -551,11 +551,14 @@ class TestBadInput:
             ("betti", "--type", "A1", "--ell", "3", "--r", "-1"),
             ("module", "--type", "A1", "--ell", "3", "--p", "7", "--r", "-1", "verma(0)"),
             ("verify", "--suite", "borel", "--jobs", "0"),
+            ("verify", "--suite", "rootcrit", "--budget", "-5"),
+            ("verify", "--suite", "rootcrit", "--budget", "0"),
         ],
         ids=["r2", "a2-r1", "p25", "p9", "lone-minus", "lone-minus-seed",
              "onedim-weight", "twist-weight", "simple-weight", "w0-letters",
              "w0-not-reduced", "module-out", "verify-out", "betti-out", "build-out",
-             "betti-nmax-negative", "betti-r-negative", "module-r-negative", "verify-jobs-0"],
+             "betti-nmax-negative", "betti-r-negative", "module-r-negative", "verify-jobs-0",
+             "verify-budget-negative", "verify-budget-0"],
     )
     def test_exits_with_config_error(self, args):
         r = cli(*args)

@@ -278,30 +278,73 @@ class TestGeneratorChoice:
         import uzeta.inject as inject
         from uzeta.qmodules import realize_text
 
-        ctx = ctxmaker("A2", 3)
-        specs = [
-            "trivial",
-            "verma(1,2)",
-            "simple(2,2)",
-            "dual(simple(0,1))",
-            "tensor(simple(1,0),simple(0,1))",
-        ]
+        corpora = {
+            ("A2", 3, None, 0): [
+                "trivial",
+                "verma(1,2)",
+                "simple(2,2)",
+                "dual(simple(0,1))",
+                "tensor(simple(1,0),simple(0,1))",
+            ],
+            ("A1", 5, None, 0): [
+                "tensor(simple(4),simple(4))",
+                "randsub(tensor(simple(4),simple(4)),5)",
+                "quot(tensor(simple(4),verma(0)),3)",
+            ],
+            ("A1", 3, 7, 1): ["verma(20)", "randsub(verma(1),42)"],
+        }
         kinds = ("g", "u-", "u+")
-        # both routes run _split_exists: the context keeps split verdicts by
-        # content, and a verdict of a patched run must not be kept
-        ours = {(s, k): inject._split_exists(realize_text(ctx, s), k) for s in specs for k in kinds}
-        monkeypatch.setattr(inject, "module_generators", _basis_order_generators)
-        ref = {(s, k): inject._split_exists(realize_text(ctx, s), k) for s in specs for k in kinds}
-        assert ours == ref
-        assert set(ours.values()) == {True, False}
-        smaller = [
-            (s, k)
+        cases = [
+            (ctxmaker(label, ell, p=p, r=r), s, k)
+            for (label, ell, p, r), specs in corpora.items()
             for s in specs
             for k in kinds
+        ]
+        # both routes run _split_exists: the context keeps split verdicts by
+        # content, and a verdict of a patched run must not be kept
+        ours = [inject._split_exists(realize_text(ctx, s), k) for ctx, s, k in cases]
+        smaller = [
+            (s, k)
+            for ctx, s, k in cases
             if len(module_generators(realize_text(ctx, s), k))
             < len(_basis_order_generators(realize_text(ctx, s), k))
         ]
-        assert smaller
+        monkeypatch.setattr(inject, "module_generators", _basis_order_generators)
+        ref = [inject._split_exists(realize_text(ctx, s), k) for ctx, s, k in cases]
+        assert ours == ref
+        assert set(ours) == {True, False}
+        assert ("tensor(simple(4),simple(4))", "g") in smaller
+
+    @pytest.mark.parametrize("label,ell,p,r", [("A1", 3, None, 0), ("A1", 5, None, 0), ("A2", 3, None, 0), ("A1", 3, 7, 1)])
+    def test_one_generator_exactly_when_one_basis_vector_generates(self, ctxmaker, label, ell, p, r):
+        from reference import single_generators
+
+        # at A1 ell=5 this holds tensor(simple(4),simple(4)) to one generator:
+        # its highest-first and lowest-first greedy sets have five
+        for m in _manifest_modules(ctxmaker, label, ell, p, r):
+            assert (len(module_generators(m, "g")) == 1) == bool(single_generators(m, "g")), m.label
+
+    def test_split_products_bounded(self, freshctx, monkeypatch):
+        # a deterministic cost guard: the split tests over g of the A1 ell=5
+        # default manifest make 4,861 field products with one generator
+        # wherever one basis vector generates the module; with the smallest
+        # of the highest-first, lowest-first and basis-order sets alone, 15,112
+        from uzeta.cli import RunConfig, default_manifest
+        from uzeta.qmodules import realize_text
+        from uzeta.scalars import CycloField
+
+        ctx = freshctx("A1", 5)
+        mods = [realize_text(ctx, c["spec"]) for c in default_manifest(RunConfig(type_label="A1", ell=5))]
+        calls = []
+        mul = CycloField._mul
+
+        def counted(field, a, b):
+            calls.append(None)
+            return mul(field, a, b)
+
+        monkeypatch.setattr(CycloField, "_mul", counted)
+        assert sum(projective_split_test(m, "g") for m in mods) == 8
+        assert len(calls) <= 5_350
 
     def test_verdict_kept_per_kind_after_budget(self, freshctx):
         ctx = freshctx("A2", 3)

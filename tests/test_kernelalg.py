@@ -5,7 +5,7 @@ import random
 import pytest
 
 from reference import find_isomorphism, omega_mirror_kind
-from uzeta.kernelalg import KernelContext, parse_kind, specialize_table
+from uzeta.kernelalg import KernelAlgebra, KernelContext, parse_kind, specialize_table
 from uzeta.genericuq import generic_uq
 from uzeta.rootdata import convex_order
 from uzeta.scalars import CycloField, GaloisField, QFraction, q_int
@@ -183,6 +183,40 @@ class TestIntegrals:
         ctx = ctxmaker("A1", 3, p=7, r=1)
         dim, spans = ctx.algebra("Am:1").socle_check()
         assert (dim, spans) == (1, True)
+
+    @pytest.mark.parametrize("label,ell,p,r,ms", [("A1", 3, 7, 1, [1]), ("A2", 3, None, 0, [1, 2, 3])])
+    def test_each_side_is_the_integral_line(self, ctxmaker, label, ell, p, r, ms):
+        ctx = ctxmaker(label, ell, p=p, r=r)
+        for m in ms:
+            alg = ctx.algebra(f"Am:{m}")
+            ((key, _),) = alg.integral_element().items()
+            for side in ("l", "r"):
+                (vec,) = alg.invariants(side)
+                assert {k for k, c in vec.items() if c} == {key}, (m, side)
+
+    @pytest.mark.parametrize("side", ["l", "r"])
+    def test_each_side_decides(self, freshctx, monkeypatch, side):
+        # on the A_m kinds the left and right invariants agree, so a check
+        # that read one side only would pass; a second invariant planted
+        # on either side must fail it, the two-sided dimension staying 1
+        alg = freshctx("A2", 3).algebra("Am:2")
+        real = KernelAlgebra.invariants
+
+        def planted(self, s):
+            basis = real(self, s)
+            return basis + [self.one()] if s == side else basis
+
+        monkeypatch.setattr(KernelAlgebra, "invariants", planted)
+        assert alg.socle_check() == (1, False)
+
+    def test_right_invariants_read_right_products(self, freshctx, monkeypatch):
+        # v.x for a basis monomial v is lmul_monomial(v, x); with every such
+        # product zero, every vector is right invariant and none more is left
+        alg = freshctx("A2", 3).algebra("Am:2")
+        monkeypatch.setattr(KernelAlgebra, "lmul_monomial", lambda self, key, vec: {})
+        assert len(alg.invariants("r")) == alg.dim
+        assert len(alg.invariants("l")) == 1
+        assert alg.socle_check() == (1, False)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_normality(self, ctxmaker, m):
