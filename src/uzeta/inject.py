@@ -18,9 +18,8 @@ splitting exists iff a weight-degree-zero splitting exists (the graded
 pieces of an equivariant map are equivariant), which keeps the linear
 systems small.  The system has one block of unknowns per summand, so the
 generators are chosen few (``module_generators``): over g a single basis
-vector is sought whenever the weight-ordered greedy sets have more than
-one, since whether one vector generates M is a cheap closure (the "spin"
-test of the Meat-Axe).  The split test handles every kind and is the
+vector is sought before any weight-ordered greedy set, since whether one
+vector generates M is a cheap closure (the "spin" test of the Meat-Axe).  The split test handles every kind and is the
 reference the counts are tested against.  Its verdicts live on the
 context, keyed on the kind and the module's exact content (weights and
 action matrices), so modules that differ only in label or lift share one
@@ -34,7 +33,6 @@ a disagreement: a mismatch is data for a falsification report.
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cli
@@ -124,15 +122,16 @@ def module_generators(m: WeightedModule, kind: str) -> List[int]:
     move the weight one way, and offered from the end they move away
     from (highest first for side '-', lowest first for '+'), each weight
     space mu adds dim (M / rad M)_mu vectors: that one set is minimal.
-    Over g the highest-first set comes first and the lowest-first one
-    next; either is taken when it is a single vector.  When neither is,
-    single basis vectors are probed from the middle of the weight range
-    outward (``_single_generator``): a cyclic module such as a tensor
-    square is often generated by a middle weight vector alone.  Only when
-    no basis vector generates M does the basis-order set run, and the
-    first of the smallest sets wins, so no set is larger than the
-    basis-order one.  A single vector is the fewest there are, so the
-    cover has one summand exactly when some basis vector generates M.
+    Over g single basis vectors are probed first (``_single_generator``):
+    the first vector of the highest-first order, then that of the
+    lowest-first order (each greedy set is that one vector exactly when
+    it generates M), then every vector from the middle of the weight range
+    outward, since a cyclic module such as a tensor square is often
+    generated by a middle weight vector alone.  Only when no basis vector
+    generates M do the three greedy sets run, and the first of the
+    smallest wins, so no set is larger than the basis-order one.  A single
+    vector is the fewest there are, so the cover has one summand exactly
+    when some basis vector generates M.
     """
     mats = _generator_matrices(m, kind)
     datum = m.ctx.datum
@@ -143,18 +142,13 @@ def module_generators(m: WeightedModule, kind: str) -> List[int]:
     side = m.ctx.algebra_kind(kind).side
     if side is not None:
         return _greedy_generators(m, mats, highest if side == "-" else lowest)
-    sets = []
-    for order in (highest, lowest):
-        sets.append(_greedy_generators(m, mats, order))
-        if len(sets[-1]) <= 1:
-            return sets[-1]
-    middle = max(height.values()) + min(height.values())
+    # a greedy set is one vector exactly when its first vector generates M
+    middle = max(height.values(), default=0) + min(height.values(), default=0)
     outward = sorted(basis, key=lambda i: (abs(2 * height[m.weights[i]] - middle), i))
-    single = _single_generator(m, mats, outward)
+    single = _single_generator(m, mats, highest[:1] + lowest[:1] + outward)
     if single is not None:
         return [single]
-    sets.append(_greedy_generators(m, mats, basis))
-    return min(sets, key=len)
+    return min((_greedy_generators(m, mats, order) for order in (highest, lowest, basis)), key=len)
 
 
 def _greedy_generators(m: WeightedModule, mats, order: Iterable[int]) -> List[int]:
@@ -262,46 +256,60 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
     if any(mu not in by_degree for mu in m.weights):
         return False
 
-    @functools.cache
-    def pi(t: int, key) -> Vec:
-        f, e = key
-        return m.act_monomial((f, (0,) * ctx.rank, e), {gens[t]: ctx.field.one})
+    mats = [(gen, m.generator_matrix(gen)) for gen in desc.generators]
 
-    # gen on F^{(f)} E^{(e)} e_lam in summand t, torus evaluated
-    @functools.cache
-    def column(t: int, gen, key) -> Vec:
-        terms = ctx.pbw_terms(kind, gen, key[0], key[1], m.weights[gens[t]])
-        return {(f2, e2): c for (f2, _, e2), c in terms.items()}
+    def cover_block(mu: Weight) -> List[Tuple[int, Tuple, Vec, List[Vec]]]:
+        """Each cover key (t, key) of degree mu with pi(F^{(f)} E^{(e)} e_lam)
+        in M and, per generator, its action on that key in summand t (the
+        torus evaluated)."""
+        block = []
+        for (t, key) in by_degree[mu]:
+            f, e = key
+            lam = m.weights[gens[t]]
+            image = m.act_monomial((f, (0,) * ctx.rank, e), {gens[t]: ctx.field.one})
+            columns = []
+            for gen, _ in mats:
+                terms = ctx.pbw_terms(kind, gen, f, e, lam)
+                columns.append({(f2, e2): c for (f2, _, e2), c in terms.items()})
+            block.append((t, key, image, columns))
+        return block
 
-    # The unknown s(v_j)'s coordinate at cover key (t, key) is keyed
+    # Only the basis vectors of weight mu read the cover keys of degree mu, so
+    # a weight's block is built at its first basis vector and dropped after
+    # its last.  The unknown s(v_j)'s coordinate at cover key (t, key) is keyed
     # (last - j, t, key): the solver pivots on the least key, so elimination
     # starts at the last basis vector, which keeps fill-in low.  One batch of
     # rows per source v_j; the first inconsistent batch decides.
     last = m.dim - 1
+    final = {mu: j for j, mu in enumerate(m.weights)}
+    blocks: Dict[Weight, List] = {}
     one, zero = ctx.field.one, ctx.field.zero
-    mats = [(gen, m.generator_matrix(gen)) for gen in desc.generators]
     system = LinearSystem()
     for j, mu in enumerate(m.weights):
-        support = by_degree[mu]
+        block = blocks.get(mu)
+        if block is None:
+            block = blocks[mu] = cover_block(mu)
+        if final[mu] == j:
+            del blocks[mu]
         # pi . s = id on v_j
         rows: Dict[int, Vec] = {}
-        for (t, key) in support:
-            for row, c in pi(t, key).items():
+        for t, key, image, _ in block:
+            for row, c in image.items():
                 rows.setdefault(row, {})[(last - j, t, key)] = c
         for row in range(m.dim):
             system.add(rows.get(row, {}), one if row == j else zero)
         # equivariance on v_j for each generator: g s(v_j) - s(g v_j) = 0 read
         # off in each cover coordinate (t, key2); the cover coefficients enter
         # as they are, the module column negated once
-        for gen, mat in mats:
+        for g, (gen, mat) in enumerate(mats):
             eqs: Dict[Tuple, Vec] = {}
             for j2, c in mat.get(j, {}).items():
                 # s(v_{j2}) contributes -c on its unknown at (t, key2)
                 neg = -c
                 for (t, key2) in by_degree[m.weights[j2]]:
                     eqs.setdefault((t, key2), {})[(last - j2, t, key2)] = neg
-            for (t, key) in support:
-                for key2, c in column(t, gen, key).items():
+            for t, key, _, columns in block:
+                for key2, c in columns[g].items():
                     vec_add_term(eqs.setdefault((t, key2), {}), (last - j, t, key), c)
             for coeffs in eqs.values():
                 system.add(coeffs, zero)

@@ -102,17 +102,25 @@ class Eliminator:
     ``eliminate`` reduces a row against the stored pivot rows; ``insert``
     stores a reduced nonzero row under its minimal key, scaled so that
     pivot coefficient is one, and eliminates the new pivot from every
-    stored row.  Stored rows stay fully reduced, so ``pivots`` is the
-    canonical reduced echelon basis of the span; pivots are chosen by key
-    order, never by hash order.  A row may carry a companion vector that
-    undergoes the same row operations: the coordinates of the row in terms
-    of the generators (``solve``, ``kernel_basis``) or its right-hand side
-    (``LinearSystem``).
+    stored row that holds it.  Stored rows stay fully reduced, so
+    ``pivots`` is the canonical reduced echelon basis of the span; pivots
+    are chosen by key order, never by hash order.  A row may carry a
+    companion vector that undergoes the same row operations: the
+    coordinates of the row in terms of the generators (``solve``,
+    ``kernel_basis``) or its right-hand side (``LinearSystem``).
+
+    ``holders`` indexes the stored rows by the non-pivot keys they hold:
+    a key's list names every stored row that holds it, and may name rows
+    whose entry has since cancelled (each holder is checked), so that
+    back-substitution visits only the rows that hold the new pivot
+    instead of scanning them all.  A key leaves the index when it becomes
+    a pivot, since reduced rows never bring a pivot key back.
     """
 
     def __init__(self):
         self.pivots: Dict[Hashable, Vec] = {}
         self.companions: Dict[Hashable, Vec] = {}
+        self.holders: Dict[Hashable, List[Hashable]] = {}
 
     @property
     def rank(self) -> int:
@@ -140,12 +148,22 @@ class Eliminator:
         if comp is not None:
             comp = {k: x * inv for k, x in comp.items()}
             self.companions[p] = comp
-        for q, prow in self.pivots.items():
-            if p in prow:
-                c = prow[p]
-                vec_isub_scaled(prow, row, c)
-                if comp is not None:
-                    vec_isub_scaled(self.companions[q], comp, c)
+        holders = self.holders
+        back = holders.pop(p, ())
+        for k in row:
+            if k != p:
+                holders.setdefault(k, []).append(p)
+        for q in back:
+            prow = self.pivots[q]
+            c = prow.get(p)
+            if c is None:  # cancelled since it was listed, or listed twice
+                continue
+            for k in row:
+                if k not in prow:
+                    holders[k].append(q)  # fill-in; p itself is in prow
+            vec_isub_scaled(prow, row, c)
+            if comp is not None:
+                vec_isub_scaled(self.companions[q], comp, c)
         self.pivots[p] = row
         return p
 
@@ -198,13 +216,13 @@ class LinearSystem:
     """Solve a sparse linear system by reduced row echelon form, in batches.
 
     Unknown keys must be orderable.  Rows may be added between calls to
-    ``solve``; ``rows`` keeps every row added.  Each call eliminates only
-    the rows added since the last one, against the echelon form the
-    earlier calls left, and returns the solution of all rows so far with
-    every free unknown zero, or None once they are inconsistent: rows only
-    add equations, so from then on every call returns None without
-    eliminating anything.  A caller that can stop at the first None need
-    not assemble the rest of the system.
+    ``solve``; ``rows`` holds only the rows not yet solved.  Each call
+    takes that pending batch, eliminates it against the echelon form the
+    earlier calls left, which already holds all a later batch needs, and
+    returns the solution of all rows so far with every free unknown zero,
+    or None once they are inconsistent: rows only add equations, so from
+    then on no row is kept and every call returns None.  A caller that can
+    stop at the first None need not assemble the rest of the system.
 
     Each batch is eliminated shortest row first (stable, so ties keep the
     order they were added in), the structured-elimination rule of
@@ -218,22 +236,23 @@ class LinearSystem:
     def __init__(self):
         self.rows: List[Tuple[Vec, Any]] = []
         self._echelon: Optional[Eliminator] = Eliminator()
-        self._solved = 0  # rows eliminated so far
 
     def add(self, coeffs: Vec, rhs) -> None:
-        if coeffs or rhs:
+        if (coeffs or rhs) and self._echelon is not None:
             self.rows.append((dict(coeffs), rhs))
 
     def solve(self) -> Optional[Vec]:
+        batch, self.rows = self.rows, []
         echelon = self._echelon
         if echelon is None:
             return None
-        batch = self.rows[self._solved:]
-        self._solved = len(self.rows)
-        # the right-hand side is the companion {0: rhs}, empty when zero
+        # the right-hand side is the companion {0: rhs}, empty when zero; the
+        # rows are this system's own copies, so they are reduced in place
         for coeffs, rhs in sorted(batch, key=lambda r: len(r[0])):
             comp = {0: rhs} if rhs else {}
-            if echelon.add(coeffs, comp) is None and comp:
+            if echelon.eliminate(coeffs, comp):
+                echelon.insert(coeffs, comp)
+            elif comp:
                 self._echelon = None  # inconsistent for good: free the echelon form
                 return None
         # each stored row is its pivot unknown plus free unknowns

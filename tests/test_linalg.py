@@ -6,7 +6,7 @@ from fractions import Fraction as QQ
 import pytest
 
 from reference import rank_of
-from uzeta import inject
+from uzeta import inject, linalg
 from uzeta.linalg import Eliminator, LinearSystem, kernel_basis, memoized, vec_iadd_scaled, vec_isub_scaled
 from uzeta.qmodules import randsub_module, simple_module, tensor_module, trivial_module, verma_module
 from uzeta.scalars import CycloField, GaloisField, Laurent, QFraction
@@ -20,6 +20,14 @@ def _random_vec(rng, field, keys, density=0.5):
             if x:
                 out[k] = x
     return out
+
+
+def _random_element(rng, field):
+    return field.from_int(rng.randint(-3, 3)) + field.from_int(rng.randint(-3, 3)) * field.zeta
+
+
+FIELDS = [CycloField(3), CycloField(5), GaloisField(5, 3)]
+FIELD_IDS = ["Q3", "Q5", "GF25"]
 
 
 def _old_kernel_basis(columns, one):
@@ -163,6 +171,70 @@ class TestEliminator:
                 vec_iadd_scaled(target, gens[key], c)
             assert echelon.solve(target) == {key: c for key, c in planted.items() if c}
 
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_back_substitution_visits_only_the_holders(self, field, monkeypatch):
+        """Random inserts: the rows stay fully reduced, equal to the rows of
+        a scan over every stored row, back-substitution subtracts the new
+        row from exactly the stored rows that hold its pivot (and their
+        companions), and ``holders`` lists every holder of a non-pivot key."""
+        rng = random.Random(17)
+        visited = []
+
+        def recording(u, v, c):
+            visited.append(id(u))
+            return vec_isub_scaled(u, v, c)
+
+        for _ in range(40):
+            keys = range(rng.randint(3, 14))
+            echelon, scanned = Eliminator(), _ScanEliminator()
+            for j in range(rng.randint(1, 16)):
+                row = _random_vec(rng, field, keys, rng.choice([0.15, 0.3, 0.6]))
+                want = scanned.add(row, {j: field.one})
+                comp = {j: field.one}
+                red = echelon.eliminate(dict(row), comp)
+                if not red:
+                    assert want is None
+                    continue
+                p = min(red)
+                holders = sorted(
+                    id(vec)
+                    for q, prow in echelon.pivots.items()
+                    if p in prow
+                    for vec in (prow, echelon.companions[q])
+                )
+                monkeypatch.setattr(linalg, "vec_isub_scaled", recording)
+                del visited[:]
+                assert echelon.insert(red, comp) == want
+                monkeypatch.undo()
+                assert sorted(visited) == holders
+            assert list(echelon.pivots.items()) == list(scanned.pivots.items())
+            assert echelon.companions == scanned.companions
+            for p, prow in echelon.pivots.items():
+                assert prow[p] == field.one and prow.keys() & echelon.pivots.keys() == {p}
+                # the index lists every holder of a non-pivot key
+                assert all(p in echelon.holders[k] for k in prow if k != p)
+            assert not echelon.holders.keys() & echelon.pivots.keys()
+
+
+class _ScanEliminator(Eliminator):
+    """Back-substitution by a scan over every stored row, without an index."""
+
+    def insert(self, row, comp=None):
+        p = min(row)
+        inv = 1 / row[p]
+        row = {k: x * inv for k, x in row.items()}
+        if comp is not None:
+            comp = {k: x * inv for k, x in comp.items()}
+            self.companions[p] = comp
+        for q, prow in self.pivots.items():
+            if p in prow:
+                c = prow[p]
+                vec_isub_scaled(prow, row, c)
+                if comp is not None:
+                    vec_isub_scaled(self.companions[q], comp, c)
+        self.pivots[p] = row
+        return p
+
 
 
 def _old_solve(rows, zero):
@@ -202,6 +274,19 @@ def _old_solve(rows, zero):
     return sol
 
 
+class _Recorded(LinearSystem):
+    """A LinearSystem that also records every row it is given, since
+    ``rows`` holds only the rows not yet solved."""
+
+    def __init__(self):
+        super().__init__()
+        self.history = []
+
+    def add(self, coeffs, rhs):
+        self.history.append((dict(coeffs), rhs))
+        super().add(coeffs, rhs)
+
+
 def _check_solve(rows, zero):
     """solve() returns what the reference returns, and that solves every row.
 
@@ -209,11 +294,11 @@ def _check_solve(rows, zero):
     row space whatever the row order, and the solution that vanishes off
     them is unique: so the two agree exactly, not only on consistency.
     """
-    system = LinearSystem()
+    system = _Recorded()
     for coeffs, rhs in rows:
         system.add(coeffs, rhs)
     sol = system.solve()
-    assert sol == _old_solve(system.rows, zero)
+    assert sol == _old_solve(system.history, zero)
     if sol is not None:
         for coeffs, rhs in rows:
             acc = zero
@@ -222,14 +307,6 @@ def _check_solve(rows, zero):
                     acc = acc + c * sol[k]
             assert acc == rhs
     return sol
-
-
-def _random_element(rng, field):
-    return field.from_int(rng.randint(-3, 3)) + field.from_int(rng.randint(-3, 3)) * field.zeta
-
-
-FIELDS = [CycloField(3), CycloField(5), GaloisField(5, 3)]
-FIELD_IDS = ["Q3", "Q5", "GF25"]
 
 
 def _random_rows(rng, field, planted):
@@ -270,7 +347,7 @@ class TestLinearSystem:
         outcomes = set()
         for trial in range(60):
             rows = _random_rows(rng, field, planted=trial % 2)
-            system = LinearSystem()
+            system = _Recorded()
             done = 0
             answers = []
             while done < len(rows):
@@ -284,25 +361,39 @@ class TestLinearSystem:
                 assert answers[-1] == _check_solve(rows[:done], field.zero)
             if None in answers:
                 assert set(answers[answers.index(None):]) == {None}
-            whole = LinearSystem()
+            whole = _Recorded()
             for coeffs, rhs in rows:
                 whole.add(coeffs, rhs)
-            assert system.rows == whole.rows
+            assert system.history == whole.history
             assert answers[-1] == whole.solve()
             outcomes.add(answers[-1] is not None)
         assert outcomes == {True, False}
 
     def test_inconsistent_stays_inconsistent(self):
-        system = LinearSystem()
+        system = _Recorded()
         system.add({0: QQ(1), 1: QQ(1)}, QQ(1))
         assert system.solve() == {0: QQ(1)}
         system.add({0: QQ(2), 1: QQ(2)}, QQ(1))
         assert system.solve() is None
-        # more rows cannot restore a solution
+        # more rows cannot restore a solution, and none is kept
         system.add({1: QQ(1)}, QQ(3))
+        assert system.rows == []
         assert system.solve() is None
         assert system.solve() is None
-        assert len(system.rows) == 3
+        assert len(system.history) == 3
+
+    def test_solve_keeps_no_row(self):
+        system = LinearSystem()
+        system.add({0: QQ(1), 1: QQ(1)}, QQ(1))
+        system.add({}, QQ(0))
+        system.add({1: QQ(1)}, QQ(0))
+        assert len(system.rows) == 2
+        assert system.solve() == {0: QQ(1)}
+        assert system.rows == []
+        # a later batch is solved against the echelon form alone
+        system.add({0: QQ(1), 1: QQ(-1)}, QQ(1))
+        assert system.solve() == {0: QQ(1)}
+        assert system.rows == []
 
     def test_empty_row_with_rhs_is_inconsistent(self):
         system = LinearSystem()
@@ -348,9 +439,9 @@ class TestSplitSystems:
         ctx = ctxmaker(label, 3)
         solved = []
 
-        class Checked(LinearSystem):
+        class Checked(_Recorded):
             def solve(self):
-                solved.append(_check_solve(self.rows, ctx.field.zero) is not None)
+                solved.append(_check_solve(self.history, ctx.field.zero) is not None)
                 return super().solve()
 
         monkeypatch.setattr(inject, "LinearSystem", Checked)

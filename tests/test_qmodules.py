@@ -341,6 +341,19 @@ class TestGradingRelationChecks:
         with pytest.raises(ModuleCheckError):
             bad.check()
 
+    def test_detects_broken_relation_on_any_basis_vector(self, ctxmaker):
+        # a dim-27 module with one action entry doubled; the grading still
+        # holds, and the relations fail only on basis vectors that a
+        # 12-vector random.Random(0) sample misses
+        ctx = ctxmaker("A2", 3)
+        bad = verma_module(ctx, (0, 0))
+        mat = dict(bad.actions[("E", 1)])
+        mat[23] = dict(mat[23])
+        mat[23][22] = mat[23][22] + mat[23][22]
+        bad.actions[("E", 1)] = mat
+        with pytest.raises(ModuleCheckError, match="relat"):
+            bad.check()
+
 
 class TestWeightBasisOverLayers:
     def test_verma_free_ranks(self, ctxmaker):
