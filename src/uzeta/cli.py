@@ -451,8 +451,7 @@ def cmd_relations(args, cfg: RunConfig) -> int:
     i, j = args.i, args.j
     order = convex_order(cfg.type_label, cfg.word())
     if not (1 <= i < j <= order.datum.n_positive):
-        print(f"need 1 <= i < j <= {order.datum.n_positive}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"need 1 <= i < j <= {order.datum.n_positive}")
     if args.cache:
         from . import cache
 
@@ -669,6 +668,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_cache_info(args)
         cfg = _config_from(args)
         out = getattr(args, "out", None)
+        if out and os.path.isdir(out):
+            raise ConfigError(f"cannot write {out}: it is a directory")
         if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
             raise ConfigError(f"cannot write {out}: its directory does not exist")
         cfg.banner(sys.stdout)

@@ -278,12 +278,12 @@ class KernelContext:
 
     @memoized
     def letter_terms(self, exp: FExp) -> Dict[Tuple[GenKey, FExp], object]:
-        """Nonzero F^{(exp)} as sum c * x F^{(e)}.
+        """Nonzero F^{(exp)} as sum c * x F^{(e)}, at r = 0.
 
-        Returns {(x, e): c} over the letters x: the simple F_j, and F^{(ell)}
-        at r = 1.  They generate u-, so every monomial of nonzero weight
-        lies in the span of the columns "letter times a monomial one letter
-        lower"; one ``Eliminator`` per weight solves all its monomials.
+        Returns {(x, e): c} over the letters x, the simple F_j.  They
+        generate u- at r = 0, so every monomial of nonzero weight lies in
+        the span of the columns "letter times a monomial one letter lower";
+        one ``Eliminator`` per weight solves all its monomials.
         """
         return self._letter_terms_of_weight(self.weight_of_fexp(exp))[exp]
 
@@ -292,10 +292,9 @@ class KernelContext:
         """``letter_terms`` of every monomial of weight wt, from one ``Eliminator``."""
         echelon = Eliminator()
         one = self.field.one
-        letters = [("F", j) for j in range(self.rank)] + ([("Fd0", 0)] if self.r else [])
-        for letter in letters:
-            step = 1 if letter[0] == "F" else self.ell
-            below = tuple(w - step * (t == letter[1]) for t, w in enumerate(wt))
+        for j in range(self.rank):
+            letter = ("F", j)
+            below = tuple(w - (t == j) for t, w in enumerate(wt))
             for e in self._exps_by_weight().get(below, ()):
                 echelon.add(self.letter_times(letter, e), {(letter, e): one})
         out = {}

@@ -7,16 +7,15 @@ The torus action is never stored: K_mu acts on a weight-lam vector by
 zeta^{(lam, mu)}, and every constructor and operation preserves that
 normalization (the grading/relation checker enforces it).
 
-Construction of simple heads uses the contravariant pairing against the
-transpose twist sigma with sigma(E) = F, sigma(F) = E, sigma(K) = K;
-the resulting radical quotient is certified after the fact: its highest
-weight line is one-dimensional, spans the vectors that u+ kills, and
-generates it.
+A simple head L(lam) is the baby Verma module Z(lam) modulo its radical,
+the vectors from which no path of the Verma module's own raising
+operators reaches the highest weight line; the quotient is certified
+after the fact: its highest weight line is one-dimensional, spans the
+vectors that u+ kills, and generates it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from collections import Counter
@@ -491,58 +490,36 @@ def quot_module(m: WeightedModule, seed: int) -> WeightedModule:
     return quo
 
 
-def contravariant_gram(m: WeightedModule, verma_of: Weight) -> Dict[Weight, Tuple[List[int], List[List[object]]]]:
-    """Per-weight Gram blocks of the sigma-contravariant pairing on a Verma.
-
-    The pairing of F^{(a)} v and F^{(b)} v is the highest-line coordinate
-    of sigma(F^{(a)}) acting on F^{(b)} v, where sigma reverses products and
-    exchanges E with F (sigma(F^{(ell)}) = E^{(ell)}).  With F^{(a)} = sum
-    c x F^{(e)} over the letters x (``KernelContext.letter_terms``),
-    sigma(F^{(a)}) w = sum c sigma(F^{(e)}) (sigma(x) w), so the functional
-    w -> <F^{(a)} v, w> is built from those of the monomials one letter lower.
-    """
-    ctx = m.ctx
-    fexps = _fexp_list(ctx)
-    index = {a: i for i, a in enumerate(fexps)}
-    top = index[(0,) * ctx.n]
-    blocks = m.weight_spaces()
-
-    @functools.cache
-    def functional(ia: int) -> Vec:
-        if ia == top:
-            return {top: ctx.field.one}
-        acc: Vec = {}
-        for ((kind, j), e), c in ctx.letter_terms(fexps[ia]).items():
-            low = functional(index[e])
-            mat = m.actions[("E" + kind[1:], j)]
-            for k in blocks[m.weights[ia]]:
-                val = ctx.field.zero
-                for k2, x in mat.get(k, {}).items():
-                    if k2 in low:
-                        val = val + low[k2] * x
-                vec_add_term(acc, k, c * val)
-        return acc
-
-    out = {}
-    for lam, idxs in blocks.items():
-        rows = [functional(a) for a in idxs]
-        out[lam] = (idxs, [[row.get(b, ctx.field.zero) for b in idxs] for row in rows])
-    return out
-
-
 def simple_module(ctx: KernelContext, lam: Weight) -> WeightedModule:
-    """Head of the highest-weight module, via the contravariant radical."""
+    """Head of the baby Verma module Z(lam): Z(lam) modulo its radical.
+
+    rad Z(lam) is the largest submodule that misses v_lam, the vectors from
+    which no raising path reaches the lam-line (Jantzen, Lectures on
+    Quantum Groups, ch. 5).  It is computed weight by weight from the top
+    down, with R_lam = 0: R_mu is the set of w in Z(lam)_mu that every u+
+    letter x (E_j, and E^{(ell)} at r = 1) sends into R at the weight of
+    x w, the kernel of w -> (x w reduced modulo R).  The letters generate
+    u+, so a w in R_mu has x w in R for every x in u+, and none reaches
+    v_lam.
+    """
     lam = tuple(lam)
     if any(not (0 <= lam[j] < ctx.cap) for j in range(ctx.rank)):
         raise SpecSyntaxError(f"simple({_lam_str(lam)}) needs a restricted weight")
     vm = verma_module(ctx, lam)
-    rad_rows: List[Vec] = []
-    for wlam, (idxs, gram) in sorted(contravariant_gram(vm, lam).items()):
-        size = len(idxs)
-        cols = [(t, {s: gram[s][t] for s in range(size) if gram[s][t]}) for t in range(size)]
-        for rel in kernel_basis(cols, one=ctx.field.one):
-            rad_rows.append({idxs[t]: c for t, c in rel.items() if c})
-    simple = quotient_module(vm, rad_rows, f"simple({_lam_str(lam)})")
+    raising = [vm.actions[g] for g in ctx.algebra_kind("u+").generators]
+    # rows of different weights share no key, so one echelon form holds R
+    radical = Eliminator()
+    blocks = vm.weight_spaces()
+    # a letter raises (mu, 2 rho), so each target weight comes before mu
+    two_rho = ctx.weight_of_fexp((1,) * ctx.n)
+    top_down = sorted(blocks, key=lambda mu: ctx.datum.pair_weight_root(mu, two_rho), reverse=True)
+    for mu in top_down[1:]:
+        cols = [(i, {(t, k): c for t, mat in enumerate(raising)
+                     for k, c in radical.eliminate(dict(mat.get(i, {}))).items()})
+                for i in blocks[mu]]
+        for row in kernel_basis(cols, one=ctx.field.one):
+            radical.add(row)
+    simple = quotient_module(vm, list(radical.pivots.values()), f"simple({_lam_str(lam)})")
     _certify_simple(simple, lam)
     # restricted simple heads restrict from the full quantized algebra
     simple.lifts = True
@@ -599,6 +576,7 @@ def is_verma(m: WeightedModule, nu: Weight) -> bool:
 # field it fills: a sub-spec (``args``), a weight (``lam``) or a seed (``seed``).
 
 SPEC, WEIGHT, SEED = "args", "lam", "seed"
+MAX_SPEC_DEPTH = 100
 CONSTRUCTORS = {
     "trivial": ((), trivial_module),
     "onedim": ((WEIGHT,), onedim_module),
@@ -637,6 +615,8 @@ def _lam_str(lam) -> str:
 
 
 def parse_module_spec(text: str, rank: int) -> ModuleSpec:
+    """The spec of text.  Sub-specs nest at most MAX_SPEC_DEPTH levels deep,
+    well within the recursion limit of parsing, ``realize`` and printing."""
     pos = 0
     s = text.replace(" ", "")
 
@@ -672,8 +652,10 @@ def parse_module_spec(text: str, rank: int) -> ModuleSpec:
             fail(f"weight needs {rank} coordinates")
         return tuple(out)
 
-    def parse_spec():
+    def parse_spec(depth):
         nonlocal pos
+        if depth > MAX_SPEC_DEPTH:
+            fail(f"spec nests deeper than {MAX_SPEC_DEPTH} levels")
         start = pos
         while pos < len(s) and s[pos].isalpha():
             pos += 1
@@ -685,14 +667,14 @@ def parse_module_spec(text: str, rank: int) -> ModuleSpec:
         for k, kind in enumerate(sig):
             expect("," if k else "(")
             if kind == SPEC:
-                args.append(parse_spec())
+                args.append(parse_spec(depth + 1))
             else:
                 fields[kind] = parse_lam() if kind == WEIGHT else parse_int()
         if sig:
             expect(")")
         return ModuleSpec(head, args=tuple(args), **fields)
 
-    out = parse_spec()
+    out = parse_spec(0)
     if pos != len(s):
         fail("trailing input")
     return out

@@ -352,6 +352,25 @@ def omega_mirror_kind(alg: KernelAlgebra) -> str:
 # modules
 
 
+def verma_radical(vm: WeightedModule, lam: Tuple[int, ...]) -> List[Vec]:
+    """Rows spanning rad Z(lam), from its definition: the vectors v whose
+    lam-coordinate every u+ PBW monomial E^{(e)} leaves at 0, found one
+    weight space at a time.  vm is ``verma_module(ctx, lam)``."""
+    ctx = vm.ctx
+    top = vm.weights.index(tuple(lam))
+    one = ctx.field.one
+    no_f, no_k = (0,) * ctx.n, (0,) * ctx.rank
+    exps = ctx.algebra_kind("u+").exponents("E")
+    rows: List[Vec] = []
+    for idxs in vm.weight_spaces().values():
+        cols = []
+        for b in idxs:
+            coords = {e: vm.act_monomial((no_f, no_k, e), {b: one}).get(top) for e in exps}
+            cols.append((b, {e: c for e, c in coords.items() if c}))
+        rows.extend(kernel_basis(cols, one=one))
+    return rows
+
+
 def single_generators(m: WeightedModule, kind: str) -> List[int]:
     """Every basis vector that generates M alone over the algebra kind: the
     span of its images under words in the generators, each built on its

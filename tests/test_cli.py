@@ -23,6 +23,7 @@ from uzeta.cli import (
     run_betti,
     run_suites,
 )
+from uzeta.qmodules import MAX_SPEC_DEPTH
 
 
 # (spec, side "-" line, side "+" line) of uzeta skeleton --type A2 --ell 3
@@ -244,6 +245,10 @@ class TestSubcommands:
 
     def test_relations_rejects_equal_indices(self):
         assert cli("relations", "--type", "A2", "2", "2").returncode == 2
+
+    def test_relations_rejects_unordered_indices(self):
+        r = cli("relations", "--type", "A2", "2", "1")
+        assert r.returncode == 2 and r.stderr == "error: need 1 <= i < j <= 3\n", r.stderr
 
     def test_skeleton(self):
         r = cli("skeleton", "--type", "A1", "--ell", "3", "trivial")
@@ -614,6 +619,33 @@ class TestBadInput:
             run_suites(RunConfig("A1", 3), ["borel"], [{"spec": "verma("}])
         r = cli("module", "--type", "A1", "--ell", "3", "verma(")
         assert r.returncode == 2 and r.stderr == "error: expected integer at position 6 in 'verma('\n", r.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [("module", "trivial"), ("verify", "--suite", "borel"), ("betti", "--nmax", "1"), ("build",)],
+        ids=["module", "verify", "betti", "build"],
+    )
+    def test_out_is_a_directory(self, tmp_path, args):
+        r = cli(*args, "--out", str(tmp_path))
+        assert r.returncode == 2 and r.stderr == f"error: cannot write {tmp_path}: it is a directory\n", r.stderr
+
+    @pytest.mark.parametrize("via", ["module", "manifest"])
+    def test_spec_nesting_is_bounded(self, tmp_path, via):
+        def run(levels):
+            spec = "dual(" * levels + "trivial" + ")" * levels
+            if via == "module":
+                return cli("module", "--type", "A1", "--ell", "3", spec)
+            path = tmp_path / "cases.jsonl"
+            path.write_text(json.dumps({"spec": spec}) + "\n")
+            return cli("verify", "--type", "A1", "--ell", "3", "--suite", "borel", "--manifest", str(path))
+
+        r = run(MAX_SPEC_DEPTH)
+        assert r.returncode == 0, r.stderr
+        for levels in (MAX_SPEC_DEPTH + 1, 3000):
+            r = run(levels)
+            assert r.returncode == 2, r.stderr
+            message = f"error: spec nests deeper than {MAX_SPEC_DEPTH} levels at position {5 * (MAX_SPEC_DEPTH + 1)}"
+            assert r.stderr.startswith(message) and len(r.stderr.splitlines()) == 1, r.stderr[:200]
 
     def test_bad_configuration_is_not_blamed_on_the_cache(self, tmp_path):
         r = cli("verify", "--type", "A1", "--ell", "3", "--p", "4",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -192,6 +193,16 @@ class TestSimple:
         dims = {a: simple_module(ctx, (a,)).dim for a in [0, 1, 2, 3, 6, 20]}
         assert dims == {0: 1, 1: 2, 2: 3, 3: 2, 6: 3, 20: 21}
 
+    def test_matches_monomial_reference_r1(self, ctxmaker):
+        # Z(lam) modulo the vectors whose lam-coordinate no u+ monomial
+        # moves off 0, for every restricted lam of the higher kernel
+        ctx = ctxmaker("A1", 3, p=7, r=1)
+        for a in range(ctx.cap):
+            vm = verma_module(ctx, (a,))
+            ref = qmodules.quotient_module(vm, reference.verma_radical(vm, (a,)), "reference")
+            head = simple_module(ctx, (a,))
+            assert (head.weights, head.actions) == (ref.weights, ref.actions), a
+
     def test_restricted_weight_required(self, ctxmaker):
         ctx = ctxmaker("A1", 3)
         with pytest.raises(ValueError):
@@ -310,6 +321,13 @@ class TestSpecDSL:
             parse_module_spec("verma(-)", 1)
         with pytest.raises(SpecSyntaxError, match="expected integer"):
             parse_module_spec("randsub(verma(1),-)", 1)
+
+    def test_replace_prints_the_new_spec(self):
+        # the benchmark reseeds its manifests with dataclasses.replace
+        spec = parse_module_spec("randsub(tensor(simple(1),simple(1)),5)", 1)
+        inner = spec.args[0]
+        inner = dataclasses.replace(inner, args=(inner.args[0], dataclasses.replace(inner.args[1], lam=(2,))))
+        assert str(dataclasses.replace(spec, args=(inner,), seed=9)) == "randsub(tensor(simple(1),simple(2)),9)"
 
     def test_twist_needs_invisible_weight(self, ctxmaker):
         ctx = ctxmaker("A1", 3)
