@@ -577,6 +577,9 @@ def is_verma(m: WeightedModule, nu: Weight) -> bool:
 
 SPEC, WEIGHT, SEED = "args", "lam", "seed"
 MAX_SPEC_DEPTH = 100
+# a spec longer than this is quoted in a syntax error by a window of this
+# many characters around the position, with "..." at each cut end
+SPEC_QUOTE_WIDTH = 80
 CONSTRUCTORS = {
     "trivial": ((), trivial_module),
     "onedim": ((WEIGHT,), onedim_module),
@@ -621,7 +624,13 @@ def parse_module_spec(text: str, rank: int) -> ModuleSpec:
     s = text.replace(" ", "")
 
     def fail(msg):
-        raise SpecSyntaxError(f"{msg} at position {pos} in {text!r}")
+        quote = repr(text)
+        if len(text) > SPEC_QUOTE_WIDTH:
+            # cut from s, the spaceless text that pos indexes
+            lo = max(0, min(pos - SPEC_QUOTE_WIDTH // 2, len(s) - SPEC_QUOTE_WIDTH))
+            hi = lo + SPEC_QUOTE_WIDTH
+            quote = ("..." if lo else "") + repr(s[lo:hi]) + ("..." if hi < len(s) else "")
+        raise SpecSyntaxError(f"{msg} at position {pos} in {quote}")
 
     def parse_int():
         nonlocal pos

@@ -26,10 +26,15 @@ degree, its canonical form ``_reduced``, its raw product and inverse, and
 its printing.
 Every power, in every layer, is the one square-and-multiply ``_power``.
 
-A verdict multiplies the same few field values over and over, so each
-field memoizes its products and its inverses, keyed on the operands'
-integer coordinates, in two ``functools.lru_cache`` of ``MEMO_SIZE``
-entries that it owns (``_ResidueField``).
+A verdict touches few distinct field values, and combines the same
+pairs of them over and over.  So each field interns its elements
+(hash-consing: Filliatre and Conchon, "Type-safe modular hash-consing",
+ML Workshop 2006): one live object per value, held in a weak-valued
+table, so equality and hashing are by identity.  Sums, differences,
+negatives, products and inverses then go through five
+``functools.lru_cache`` memos of ``MEMO_SIZE`` entries keyed on the
+interned operands (``_ResidueField``), and a recurring operation is a
+table lookup.
 
 Quantum integers, factorials and binomials live here as well.
 """
@@ -38,13 +43,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 QQ = Fraction
 
-# entries in each residue field's product memo, and in its inverse memo
+# entries in each of a residue field's five arithmetic memos
 MEMO_SIZE = 4096
 
 
@@ -550,57 +556,43 @@ def cyclotomic_poly(n: int) -> Tuple[int, ...]:
 class ResidueElement:
     """The element sum(num[i] * zeta**i) / den of a residue field, i < deg.
 
-    Its field keeps it canonical (``_reduced``), so ``==`` and ``hash``
-    compare the integers: in Q(zeta) ``den > 0`` and
-    ``gcd(*num, den) == 1`` (zero is the zero vector over 1); in F_{p^n}
-    ``den == 1`` and every coordinate lies in 0..p-1.
+    Its field keeps it canonical (``_reduced``): in Q(zeta) ``den > 0``
+    and ``gcd(*num, den) == 1`` (zero is the zero vector over 1); in
+    F_{p^n} ``den == 1`` and every coordinate lies in 0..p-1.
+    ``ResidueElement(field, num, den)`` on a canonical ``(num, den)``
+    returns the one live element of that value, so equal elements are the
+    same object: ``==`` and ``hash`` are those of ``object``, and an
+    element is false exactly when it is its field's ``zero``.
     """
 
-    __slots__ = ("ctx", "num", "den")
+    __slots__ = ("ctx", "num", "den", "__weakref__")
 
-    def __init__(self, ctx: "_ResidueField", num: Tuple[int, ...], den: int = 1):
-        self.ctx = ctx
-        self.num = num
-        self.den = den
+    def __new__(cls, ctx: "_ResidueField", num: Tuple[int, ...], den: int = 1):
+        key = (num, den)
+        self = ctx._elements.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.ctx, self.num, self.den = ctx, num, den
+            ctx._elements[key] = self
+        return self
 
     def __bool__(self):
-        return any(self.num)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidueElement)
-            and self.num == other.num
-            and self.den == other.den
-            and self.ctx is other.ctx
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
+        return self is not self.ctx.zero
 
     def __neg__(self):
-        return self.ctx._reduced(tuple(-x for x in self.num), self.den)
+        return self.ctx._negative(self)
 
     def __add__(self, other):
-        other = self.ctx.coerce(other)
-        ad, bd = self.den, other.den
-        if ad == bd:
-            num = tuple(x + y for x, y in zip(self.num, other.num))
-        else:
-            num = tuple(x * bd + y * ad for x, y in zip(self.num, other.num))
-            ad *= bd
-        return self.ctx._reduced(num, ad)
+        if not isinstance(other, ResidueElement):
+            other = self.ctx.coerce(other)
+        return self.ctx._sum(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self.ctx.coerce(other)
-        ad, bd = self.den, other.den
-        if ad == bd:
-            num = tuple(x - y for x, y in zip(self.num, other.num))
-        else:
-            num = tuple(x * bd - y * ad for x, y in zip(self.num, other.num))
-            ad *= bd
-        return self.ctx._reduced(num, ad)
+        if not isinstance(other, ResidueElement):
+            other = self.ctx.coerce(other)
+        return self.ctx._difference(self, other)
 
     def __rsub__(self, other):
         return self.ctx.coerce(other) - self
@@ -635,13 +627,21 @@ class ResidueElement:
 
 
 class _ResidueField:
-    """Coercion, evaluation at zeta, and the product and inverse memos of one field.
+    """Coercion, evaluation at zeta, interning and the arithmetic memos of one field.
+
+    The field interns its elements in ``_elements``, a weak-valued table
+    keyed on ``(num, den)`` that keeps no element alive by itself.  Sums,
+    differences, negatives, products and inverses go through five
+    ``functools.lru_cache`` memos of ``MEMO_SIZE`` entries keyed on the
+    interned operands themselves, so a recurring operation hashes two
+    object identities and reads its result back.  The memos hold their
+    operands and results, which therefore stay interned while cached.
 
     A subclass sets ``deg`` and ``_zeta_pows`` = zeta^0 .. zeta^(ell-1),
     and defines the canonical form ``_reduced(num, den)``, the product
-    ``_raw_mul`` and inverse ``_raw_inv`` on ``(num, den)`` pairs, which
-    ``_mul`` and ``_inv`` reach through the memos ``_product`` and
-    ``_inverse``, and the printing ``element_to_text`` and ``element_str``.
+    ``_raw_mul`` and inverse ``_raw_inv`` of elements, which ``_mul`` and
+    ``_inv`` reach through the memos ``_product`` and ``_inverse``, and
+    the printing ``element_to_text`` and ``element_str``.
     """
 
     def __init__(self, ell: int, char: int, deg: int, desc: str):
@@ -649,8 +649,13 @@ class _ResidueField:
         self.char = char
         self.deg = deg
         self.desc = desc
-        self._product = functools.lru_cache(maxsize=MEMO_SIZE)(self._raw_mul)
-        self._inverse = functools.lru_cache(maxsize=MEMO_SIZE)(self._raw_inv)
+        self._elements = weakref.WeakValueDictionary()
+        memo = functools.lru_cache(maxsize=MEMO_SIZE)
+        self._sum = memo(self._raw_add)
+        self._difference = memo(self._raw_sub)
+        self._negative = memo(self._raw_neg)
+        self._product = memo(self._raw_mul)
+        self._inverse = memo(self._raw_inv)
         self.zero = ResidueElement(self, (0,) * deg)
         self.one = self.from_int(1)
 
@@ -666,13 +671,35 @@ class _ResidueField:
     def from_int(self, n: int) -> ResidueElement:
         return self._reduced((n,) + (0,) * (self.deg - 1), 1)
 
+    def _raw_add(self, a: ResidueElement, b: ResidueElement) -> ResidueElement:
+        ad, bd = a.den, b.den
+        if ad == bd:
+            num = tuple(x + y for x, y in zip(a.num, b.num))
+        else:
+            num = tuple(x * bd + y * ad for x, y in zip(a.num, b.num))
+            ad *= bd
+        return self._reduced(num, ad)
+
+    def _raw_sub(self, a: ResidueElement, b: ResidueElement) -> ResidueElement:
+        # written out, not a + (-b): that would fill the negative memo too
+        ad, bd = a.den, b.den
+        if ad == bd:
+            num = tuple(x - y for x, y in zip(a.num, b.num))
+        else:
+            num = tuple(x * bd - y * ad for x, y in zip(a.num, b.num))
+            ad *= bd
+        return self._reduced(num, ad)
+
+    def _raw_neg(self, a: ResidueElement) -> ResidueElement:
+        return self._reduced(tuple(-x for x in a.num), a.den)
+
     def _mul(self, a: ResidueElement, b: ResidueElement) -> ResidueElement:
-        return self._product(a.num, a.den, b.num, b.den)
+        return self._product(a, b)
 
     def _inv(self, a: ResidueElement) -> ResidueElement:
-        if not a:
+        if a is self.zero:
             raise ZeroDivisionError(f"division by zero in {self.desc}")
-        return self._inverse(a.num, a.den)
+        return self._inverse(a)
 
     def zeta_power(self, k: int):
         return self._zeta_pows[k % self.ell]
@@ -714,10 +741,10 @@ class CycloField(_ResidueField):
     one gcd to keep the canonical form.  An inverse goes through the norm
     (Cohen, A Course in Computational Algebraic Number Theory, 1993,
     4.2-4.3): a^-1 = prod_{k != 1} sigma_k(a) / N(a), where
-    N(a) = prod_k sigma_k(a) is rational.  Both are memoized per field on
-    the ``(num, den)`` of their operands (``_ResidueField``), so a
-    product that recurs, such as a root of unity +-zeta^k times a
-    recurring value, is a lookup.
+    N(a) = prod_k sigma_k(a) is rational.  Both run once per operand pair
+    of interned elements; a product or inverse that recurs, such as a
+    root of unity +-zeta^k times a recurring value, is read back from the
+    field's memo (``_ResidueField``).
     """
 
     def __init__(self, ell: int):
@@ -778,12 +805,13 @@ class CycloField(_ResidueField):
                     out[j] += x * y
         return out
 
-    def _raw_mul(self, anum: Tuple[int, ...], aden: int, bnum: Tuple[int, ...], bden: int) -> ResidueElement:
-        return self._reduced(tuple(self._polymul(anum, bnum)), aden * bden)
+    def _raw_mul(self, a: ResidueElement, b: ResidueElement) -> ResidueElement:
+        return self._reduced(tuple(self._polymul(a.num, b.num)), a.den * b.den)
 
-    def _raw_inv(self, num: Tuple[int, ...], den: int) -> ResidueElement:
+    def _raw_inv(self, a: ResidueElement) -> ResidueElement:
         # a^-1 = den * prod_{k != 1} sigma_k(num) / N(num); a rational
         # num is its own norm
+        num, den = a.num, a.den
         conj = [1] + [0] * (self.deg - 1)
         norm = num[0]
         if any(num[1:]):
@@ -791,7 +819,7 @@ class CycloField(_ResidueField):
                 conj = self._polymul(conj, self._conjugate(num, k))
             full = self._polymul(num, conj)
             if any(full[1:]):
-                raise ArithmeticError(f"norm of {ResidueElement(self, num, den)} in {self.desc} is not rational")
+                raise ArithmeticError(f"norm of {a} in {self.desc} is not rational")
             norm = full[0]
         return self._reduced(tuple(den * x for x in conj), norm)
 
@@ -965,11 +993,11 @@ class GaloisField(_ResidueField):
                 return z
         raise RuntimeError("no primitive ell-th root found (unreachable)")
 
-    def _raw_mul(self, anum: Tuple[int, ...], _aden: int, bnum: Tuple[int, ...], _bden: int) -> ResidueElement:
-        return ResidueElement(self, tuple(self._polmulmod(anum, bnum, self.modulus)))
+    def _raw_mul(self, a: ResidueElement, b: ResidueElement) -> ResidueElement:
+        return ResidueElement(self, tuple(self._polmulmod(a.num, b.num, self.modulus)))
 
-    def _raw_inv(self, num: Tuple[int, ...], _den: int) -> ResidueElement:
-        return ResidueElement(self, tuple(self._polpowmod(num, self.p ** self.deg - 2, self.modulus)))
+    def _raw_inv(self, a: ResidueElement) -> ResidueElement:
+        return ResidueElement(self, tuple(self._polpowmod(a.num, self.p ** self.deg - 2, self.modulus)))
 
     def element_to_text(self, a: ResidueElement) -> str:
         return ",".join(str(x) for x in a.num)

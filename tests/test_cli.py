@@ -23,7 +23,7 @@ from uzeta.cli import (
     run_betti,
     run_suites,
 )
-from uzeta.qmodules import MAX_SPEC_DEPTH
+from uzeta.qmodules import MAX_SPEC_DEPTH, SPEC_QUOTE_WIDTH
 
 
 # (spec, side "-" line, side "+" line) of uzeta skeleton --type A2 --ell 3
@@ -646,6 +646,8 @@ class TestBadInput:
             assert r.returncode == 2, r.stderr
             message = f"error: spec nests deeper than {MAX_SPEC_DEPTH} levels at position {5 * (MAX_SPEC_DEPTH + 1)}"
             assert r.stderr.startswith(message) and len(r.stderr.splitlines()) == 1, r.stderr[:200]
+            # the spec is quoted by a window around the position, not whole
+            assert len(r.stderr) <= len(message) + len(" in ...''...\n") + SPEC_QUOTE_WIDTH, r.stderr[:200]
 
     def test_bad_configuration_is_not_blamed_on_the_cache(self, tmp_path):
         r = cli("verify", "--type", "A1", "--ell", "3", "--p", "4",

@@ -322,6 +322,31 @@ class TestSpecDSL:
         with pytest.raises(SpecSyntaxError, match="expected integer"):
             parse_module_spec("randsub(verma(1),-)", 1)
 
+    def test_long_spec_is_quoted_by_a_window(self):
+        width = qmodules.SPEC_QUOTE_WIDTH
+        fits = "tensor(" * 9 + "verma(1" + ")" * 9
+        assert len(fits) <= width
+        with pytest.raises(SpecSyntaxError) as e:
+            parse_module_spec(fits, 1)
+        assert str(e.value).endswith(f" in {fits!r}")
+        # cut at both ends: the window centres on the position
+        inner = "tensor(verma(1),verma(x))"
+        text = "tensor(" * 20 + inner + ",trivial)" * 20
+        with pytest.raises(SpecSyntaxError) as e:
+            parse_module_spec(text, 1)
+        pos = text.index("x")
+        window = text[pos - width // 2:pos + width // 2]
+        assert str(e.value) == f"expected integer at position {pos} in ...{window!r}..."
+        # cut at one end only, where the position is near the other
+        short = ("tensor(" * 20 + "trivial" + ",trivial)" * 20)[:-1]
+        with pytest.raises(SpecSyntaxError) as e:
+            parse_module_spec(short, 1)
+        assert str(e.value) == f"expected ')' at position {len(short)} in ...{short[-width:]!r}"
+        # the position counts in the spec without its spaces, and so does the window
+        with pytest.raises(SpecSyntaxError) as e:
+            parse_module_spec(" ".join(text), 1)
+        assert str(e.value) == f"expected integer at position {pos} in ...{window!r}..."
+
     def test_replace_prints_the_new_spec(self):
         # the benchmark reseeds its manifests with dataclasses.replace
         spec = parse_module_spec("randsub(tensor(simple(1),simple(1)),5)", 1)

@@ -475,7 +475,7 @@ def _cyclo_sample(F, rng):
 
 class TestProductMemo:
     """Each residue field memoizes its products and inverses, per field,
-    keyed on the operands' integer coordinates, within MEMO_SIZE entries."""
+    keyed on the interned operands, within MEMO_SIZE entries."""
 
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_cyclo_products_and_inverses(self, ell):
@@ -545,6 +545,121 @@ class TestProductMemo:
         del F1, x
         gc.collect()
         assert ref() is None
+
+
+INTERN_FIELDS = [
+    lambda: CycloField(3),
+    lambda: CycloField(5),
+    lambda: GaloisField(7, 3),
+    lambda: GaloisField(3, 5),
+]
+INTERN_IDS = ["cyclo3", "cyclo5", "gf7", "gf3^4"]
+
+
+def _memos(F):
+    return [F._sum, F._difference, F._negative, F._product, F._inverse]
+
+
+def _random_element(F, rng):
+    # no denominator divisible by p, which has no value in F_{p^n}
+    dens = [1, 2, 3, 6] if F.char not in (2, 3) else [1]
+    x = F.zero
+    for k in range(F.deg):
+        x = x + F.zeta_power(k) * QQ(rng.randint(-9, 9), rng.choice(dens))
+    return x
+
+
+class TestInterning:
+    """Each residue field keeps one live object per value: equal elements
+    are identical, whatever made them, and the intern table and the five
+    memos hold no more than they must."""
+
+    @pytest.mark.parametrize("make", INTERN_FIELDS, ids=INTERN_IDS)
+    def test_equal_values_are_one_object(self, make):
+        F = make()
+        ell, one, zeta = F.ell, F.one, F.zeta
+        twos = [
+            F.from_int(2), F.coerce(2), F.coerce(QQ(4, 2)), one + one, 3 - one, -F.from_int(-2),
+            one * 2, 2 * one, one * QQ(2), F.from_int(4) / 2, (one + 1) ** 1,
+            F.from_int(4) * F.coerce(QQ(1, 2)), F.eval_laurent(Laurent.const(2)),
+        ]
+        zetas = [
+            zeta, F.zeta_power(1), F.zeta_power(ell + 1), F.zeta_power(1 - ell), zeta ** (ell + 1),
+            F.zeta_power(2) / zeta, (zeta + 1) - 1, -(-zeta), zeta * one, one / F.zeta_power(-1),
+            zeta ** -(ell - 1), F.eval_laurent(Laurent.q_power(1)), F.eval_laurent(Laurent.q_power(ell + 1)),
+        ]
+        for values in (twos, zetas):
+            assert all(v is values[0] for v in values), [str(v) for v in values]
+        rng = random.Random(F.deg + F.char)
+        for _ in range(40):
+            x, y = _random_element(F, rng), _random_element(F, rng)
+            routes = [x + y - y, y + x - y, x - y + y, -(-x), x * 1, QQ(1) * x]
+            if y:
+                routes += [x * y / y, (y * x) * (1 / y), x / y * y]
+            assert all(v is x for v in routes)
+            # the coordinates rebuilt into an element give that element back
+            assert ResidueElement(F, x.num, x.den) is x and F._reduced(x.num, x.den) is x
+            if not F.char:  # coordinates on the powers of zeta
+                assert F.eval_laurent(Laurent(0, tuple(QQ(c, x.den) for c in x.num))) is x
+
+    @pytest.mark.parametrize("make", INTERN_FIELDS, ids=INTERN_IDS)
+    def test_identity_agrees_with_coordinates(self, make):
+        F = make()
+        rng = random.Random(3 * F.deg + F.char)
+        base = [_random_element(F, rng) for _ in range(12)] + [F.zero, F.one, F.zeta]
+        values = base + [op(a, b) for a in base for b in base for op in (
+            lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b)]
+        for u in values:
+            key = (u.num, u.den)
+            for v in values:
+                assert (u == v) is (u is v) is (key == (v.num, v.den))
+                assert (u != v) is not (u == v)
+            assert bool(u) is any(u.num)
+        assert len(set(values)) == len({(v.num, v.den) for v in values})
+
+    @pytest.mark.parametrize("make", [lambda: CycloField(5), lambda: GaloisField(3, 5)], ids=["cyclo5", "gf3^4"])
+    def test_all_five_memos_are_bounded(self, make):
+        F = make()
+        if F.char:
+            elems = [ResidueElement(F, co) for co in itertools.product(range(3), repeat=4)]
+        else:
+            elems = [F.from_int(k) + F.zeta_power(k) for k in range(70)]
+        units = [F.from_int(k) + F.zeta for k in range(1, MEMO_SIZE + 300)] if not F.char else elems
+        for _ in range(2):
+            for a in elems:
+                for b in elems:
+                    _ = a + b, a - b, a * b
+            for a in units:
+                if a:
+                    _ = -a, F._inv(a)
+            for memo in _memos(F):
+                assert memo.cache_info().currsize <= MEMO_SIZE
+        # past the bound wherever more than MEMO_SIZE distinct operands came
+        assert [memo.cache_info().currsize == MEMO_SIZE for memo in _memos(F)] == (
+            [True, True, False, True, False] if F.char else [True] * 5
+        )
+
+    @pytest.mark.parametrize("make", INTERN_FIELDS, ids=INTERN_IDS)
+    def test_table_drops_values_nothing_holds(self, make):
+        F = make()
+        rng = random.Random(F.deg)
+        keep = _random_element(F, rng) * F.zeta + 5
+        made = []
+        for _ in range(60):
+            x, y = _random_element(F, rng), _random_element(F, rng)
+            made += [x + y, x - y, -x, x * y] + ([1 / y] if y else [])
+        refs = [weakref.ref(v) for v in made]
+        held = {F.zero, F.one, *F._zeta_pows, keep}
+        assert len(F._elements) > len(held)
+        del made, x, y
+        # the memos hold their operands and results alive; the table does not
+        assert any(r() is not None and r() not in held for r in refs)
+        for memo in _memos(F):
+            memo.cache_clear()
+        gc.collect()
+        assert set(F._elements.values()) == held
+        assert all(r() is None or r() in held for r in refs)
+        assert F._reduced(keep.num, keep.den) is keep
 
 
 class TestResidueLayer:
