@@ -366,7 +366,7 @@ def run_betti(cfg: RunConfig) -> Dict:
     ctx = make_context(cfg)
     t0 = time.monotonic()
     n_max = betti_degree(cfg.type_label)
-    dims = cohomlite.borel_cohomology_dims(ctx, "plus", n_max)
+    dims = cohomlite.borel_cohomology_dims(ctx, "u+", n_max)
     rec = {"case": "betti:b+", "suite": "betti", "dims": dims}
     h = ctx.datum.coxeter_number
     if cfg.ell <= h:

@@ -1,16 +1,31 @@
 """Graded minimal free resolutions over the one-sided local algebras and
 cohomology dimensions of the Borel subalgebras.
 
-The trivial module is resolved by weight-graded syzygies: each step picks
-homogeneous minimal generators of the kernel K of the previous
-differential, a basis of K / rad(A) K (minimality means the differentials
-land in the radical, which is checked explicitly).  Every differential
-column is homogeneous, so each kernel is solved one weight block at a
-time; that gives the same kernel vectors, in the same order, as one
-elimination over the whole free module.  The radical is spanned block by
-block too, and a block whose rank reaches dim K_w is full: it holds no
-generator, so no image aimed at it is built and no kernel vector of its
-weight is reduced.  Each column a.h is built with one root-vector step,
+The trivial module is resolved by weight-graded syzygies, degree by
+degree, as Bruner computes minimal resolutions over a graded algebra
+("Calculation of large Ext modules", Computers in Geometry and Topology,
+1989).  Each step picks homogeneous minimal generators h of the kernel K
+of the previous differential, a basis of K / rad(A) K (minimality means
+the differentials land in the radical, which is checked explicitly).
+Every differential column is homogeneous, so each step works one weight
+block at a time, and the blocks are visited in order of |height|: the
+weights of u+ (u-) are positive (negative), so every monomial a other
+than 1 moves |height| strictly, and when block w is reached every column
+a.h with a != 1 that lands in w has already been built, from a generator
+h of a block visited before.
+
+Below the last degree those columns are the next differential's.  They
+span rad(A) K, since K = A h and rad(A) is spanned by the monomials
+a != 1, so the one elimination of block w serves twice: the kernel
+vectors of weight w that stay independent of it are the generators, and
+a column that depends on the columns before it yields, through its
+companion {(h, a): 1}, a vector of the next kernel.  At the last degree
+no next kernel is needed, and the radical is spanned by the images g.v
+of the kernel vectors under the algebra generators g instead, which
+costs fewer products than every column a.h.  Either way a block whose
+rank reaches dim K_w is full: it holds no generator, so no kernel vector
+of its weight is reduced (and at the last degree no image aimed at it is
+built).  Each column a.h is built with one root-vector step,
 X^{(a)} h = X (X^{(a-1)} h) / [a], from the column of the monomial with
 one less in a's outermost exponent.  Borel cohomology dimensions are read
 off by torus-weight selection: a resolution generator of weight mu
@@ -21,14 +36,15 @@ is the torus period of the kernel (the period ``onedim`` weights obey).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .kernelalg import BasisKey, KernelAlgebra, KernelContext
-from .linalg import Eliminator, Vec, kernel_basis, vec_add_term
+from .linalg import Eliminator, Vec, vec_add_term
 
 RootVec = Tuple[int, ...]
+Blocks = Dict[RootVec, List[Vec]]  # kernel vectors by weight
 
 
 @dataclass
@@ -43,7 +59,7 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
     """Weight-graded minimal free resolution of k over a one-sided algebra.
 
     Elements of the n-th free module are dicts {(gen index, algebra basis
-    key): coefficient}; differential columns are cached per step.
+    key): coefficient}; each kernel is kept as its weight blocks.
     """
     if kind not in ("u-", "u+"):
         raise ValueError("resolutions are over the one-sided local algebras")
@@ -51,82 +67,91 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
         raise ValueError(f"resolution degree {n_max} is negative")
     alg = ctx.algebra(kind)
     (unit,) = alg.one()
-    # each algebra generator g with its weight, that of the monomial g.1
-    gens = [(g, alg.weight_of_key(min(alg.gen_column(g, unit)))) for g in alg.generator_keys()]
-    field = ctx.field
 
     # step 0: P_0 = A -> k; kernel = augmentation ideal
-    degrees: List[List[RootVec]] = [[(0,) * ctx.rank]]
-    kernel: List[Vec] = [
-        {(0, key): field.one} for key in alg.basis if key != unit
-    ]
     gen_weights = [(0,) * ctx.rank]
+    degrees: List[List[RootVec]] = [gen_weights]
+    kernel: Blocks = defaultdict(list)
+    for key in alg.basis:
+        if key != unit:
+            kernel[alg.weight_of_key(key)].append({(0, key): ctx.field.one})
 
     for step in range(1, n_max + 1):
-        # minimal homogeneous generators: a basis of K / rad(A) K, with K the
-        # kernel and rad(A) K = sum of g K over the algebra generators g
-        # (rad(A) = sum g A, and A K = K).  The block of weight w of
-        # rad(A) K lies in K_w, so once its rank reaches dim K_w (room) it
-        # holds no generator: no image g.v of weight wt(v) + wt(g) = w is
-        # built after that, and no kernel vector of weight w is reduced.
-        # A block below its room receives every image, so its reduced
-        # echelon form, and with it each generator, is that of the whole span.
-        wts = [_vec_weight(alg, gen_weights, vec) for vec in kernel]
-        room = Counter(wts)
-        rad: Dict[RootVec, Eliminator] = defaultdict(Eliminator)
-
-        def full(wt: RootVec) -> bool:
-            return rad[wt].rank >= room[wt]
-
-        for vec, wt in zip(kernel, wts):
-            for gen, gwt in gens:
-                target = tuple(a + b for a, b in zip(wt, gwt))
-                if not full(target):
-                    rad[target].add(_apply_gen(alg, gen, vec))
-        # each block is kept fully reduced with min-key pivots, so kernel
-        # vectors are reduced against it directly and the survivors join it
-        new_gens: List[Tuple[RootVec, Vec]] = []
-        for vec, wt in zip(kernel, wts):
-            if full(wt):
-                continue
-            red = rad[wt].reduce(vec)
-            if red:
-                rad[wt].insert(red)
-                new_gens.append((wt, red))
-                # minimality: the generator has no unit coordinate
-                if any(key == unit for (_, key) in red):
-                    raise AssertionError("non-minimal generator: unit coordinate")
-        new_gens.sort(key=lambda t: (sum(t[0]), t[0]))
-        degrees.append([wt for wt, _ in new_gens])
-        if step == n_max:
-            break
-        kernel = _next_kernel(alg, new_gens, field.one)
-        gen_weights = [wt for wt, _ in new_gens]
+        gen_weights, kernel = _step(alg, gen_weights, kernel, last=step == n_max)
+        degrees.append(sorted(gen_weights, key=lambda wt: (sum(wt), wt)))
 
     res = GradedBetti(degrees)
     _check_strict_grading(res)
     return res
 
 
-def _next_kernel(alg: KernelAlgebra, new_gens: List[Tuple[RootVec, Vec]], one) -> List[Vec]:
-    """ker(P_step -> P_{step-1}) for the generators h of P_step, by weight block.
+def _step(alg: KernelAlgebra, gen_weights: List[RootVec], kernel: Blocks, last: bool) -> Tuple[List[RootVec], Blocks]:
+    """Minimal generators of a kernel K, and below the last degree the
+    kernel of the differential they define, one block per weight.
 
-    The column a.h has the weight of a plus that of h, and columns of
-    different weights share no row key, so each block is eliminated alone.
-    Column keys (generator, a) increase, so sorting the relations by their
-    largest key gives the order of one elimination over all columns.
+    Returns the weights of the generators, in the order they are found
+    (the order of their indices in the next free module), and the next
+    kernel by weight (empty at the last degree).
     """
-    blocks: Dict[RootVec, List[Tuple[Tuple[int, BasisKey], Vec]]] = {}
-    for gj, (wt, h) in enumerate(new_gens):
-        parts: Dict[int, Vec] = {}
-        for (i, bkey), c in h.items():
-            parts.setdefault(i, {})[bkey] = c
-        by_part = [(i, _columns(alg, part)) for i, part in parts.items()]
-        for akey in alg.basis:
-            img = {(i, bk): c for i, cols in by_part for bk, c in cols[akey].items()}
-            cw = tuple(a + b for a, b in zip(alg.weight_of_key(akey), wt))
-            blocks.setdefault(cw, []).append(((gj, akey), img))
-    return sorted((rel for cols in blocks.values() for rel in kernel_basis(cols, one=one)), key=max)
+    (unit,) = alg.one()
+    one = alg.ctx.field.one
+    gens = [(g, alg.weight_of_key(min(alg.gen_column(g, unit)))) for g in alg.generator_keys()] if last else []
+    blocks: Dict[RootVec, Eliminator] = defaultdict(Eliminator)
+    found: List[RootVec] = []
+    syzygies: Blocks = defaultdict(list)
+    for wt in sorted(kernel, key=lambda w: (abs(sum(w)), w)):
+        vecs = kernel[wt]
+        for vec in vecs:
+            if _vec_weight(alg, gen_weights, vec) != wt:
+                raise AssertionError(f"syzygy vector filed under weight {wt} has another weight")
+        # the block holds rad(A) K_w; each block is kept fully reduced with
+        # min-key pivots, so kernel vectors are reduced against it directly
+        # and the survivors join it, until its rank reaches dim K_w
+        block = blocks[wt]
+        for vec in vecs:
+            if block.rank >= len(vecs):
+                break
+            h = block.reduce(vec)
+            if not h:
+                continue
+            # minimality: the generator has no unit coordinate
+            if any(key == unit for (_, key) in h):
+                raise AssertionError("non-minimal generator: unit coordinate")
+            gi = len(found)
+            found.append(wt)
+            if last:
+                block.insert(h)
+                continue
+            # h is the column 1.h; a column that depends on those before it
+            # is a syzygy, its companion the relation
+            block.insert(h, {(gi, unit): one})
+            for akey, col in _generator_columns(alg, h):
+                target = tuple(a + b for a, b in zip(alg.weight_of_key(akey), wt))
+                comp = {(gi, akey): one}
+                if blocks[target].add(col, comp) is None:
+                    syzygies[target].append(comp)
+        del blocks[wt]  # no column or image lands at a visited weight
+        if last:
+            # rad(A) K = sum of g K over the algebra generators g (rad(A) =
+            # sum g A, and A K = K); a full block receives no image
+            for vec in vecs:
+                for gen, gwt in gens:
+                    target = tuple(a + b for a, b in zip(wt, gwt))
+                    if blocks[target].rank < len(kernel.get(target, ())):
+                        blocks[target].add(_apply_gen(alg, gen, vec))
+    return found, syzygies
+
+
+def _generator_columns(alg: KernelAlgebra, h: Vec):
+    """The columns a.h of the generator h for every monomial a != 1, in
+    basis order: h is split by free-module generator, and each part's
+    columns are built by ``_columns``."""
+    parts: Dict[int, Vec] = {}
+    for (i, bkey), c in h.items():
+        parts.setdefault(i, {})[bkey] = c
+    by_part = [(i, _columns(alg, part)) for i, part in parts.items()]
+    for akey in alg.basis[1:]:
+        yield akey, {(i, bk): c for i, cols in by_part for bk, c in cols[akey].items()}
 
 
 def _columns(alg: KernelAlgebra, part: Vec) -> Dict[BasisKey, Vec]:
@@ -212,9 +237,10 @@ def borel_dims(ctx: KernelContext, res: GradedBetti) -> List[int]:
     ]
 
 
-def borel_cohomology_dims(ctx: KernelContext, side: str, n_max: int) -> List[int]:
-    """dim H^n(borel, k) for n = 0..n_max via torus-invariant generators."""
-    return borel_dims(ctx, minimal_resolution(ctx, "u+" if side == "plus" else "u-", n_max))
+def borel_cohomology_dims(ctx: KernelContext, kind: str, n_max: int) -> List[int]:
+    """dim H^n(borel, k) for n = 0..n_max via torus-invariant generators,
+    for the Borel subalgebra over the one-sided algebra kind ("u+" or "u-")."""
+    return borel_dims(ctx, minimal_resolution(ctx, kind, n_max))
 
 
 def polynomial_hilbert(n_gens: int, half_degree: int) -> int:

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import cli
 from .kernelalg import DEFAULT_BUDGET
 from .linalg import Eliminator, LinearSystem, Vec, close_span, vec_add_term
-from .qmodules import WeightedModule, joint_kernel, verma_character_test
+from .qmodules import WeightedModule, verma_character_test
 from .rootdata import RootDatum
 
 Weight = Tuple[int, ...]
@@ -189,7 +189,7 @@ def projective(m: WeightedModule, kind: str) -> bool:
     desc = m.ctx.algebra_kind(kind)
     if desc.torus:
         raise ValueError(f"{kind} is not in the local family")
-    return m.dim == desc.dim * len(joint_kernel(m, desc.generators))
+    return m.dim == desc.dim * m.socle_dim(kind)
 
 
 def projective_split_test(m: WeightedModule, kind: str, budget: int = DEFAULT_BUDGET) -> bool:

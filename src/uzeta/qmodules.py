@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernelalg import BasisKey, ConfigError, GenKey, KernelContext
-from .linalg import Eliminator, Mat, Vec, close_span, kernel_basis, mat_apply, vec_add_term, vec_iadd_scaled, vec_isub_scaled
+from .linalg import (
+    Eliminator, Mat, Vec, close_span, kernel_basis, mat_apply, memoized, vec_add_term, vec_iadd_scaled, vec_isub_scaled,
+)
 
 Weight = Tuple[int, ...]
 
@@ -125,6 +127,12 @@ class WeightedModule:
         for i, lam in enumerate(self.weights):
             out.setdefault(lam, []).append(i)
         return out
+
+    @memoized
+    def socle_dim(self, kind: str) -> int:
+        """dim soc M over a local algebra kind: the joint kernel of its
+        generators, counted once per module and kind."""
+        return len(joint_kernel(self, self.ctx.algebra_kind(kind).generators))
 
     def generator_kinds(self) -> List[GenKey]:
         return sorted(self.actions.keys())

@@ -348,6 +348,73 @@ def omega_mirror_kind(alg: KernelAlgebra) -> str:
     raise ValueError(f"omega mirror of {alg.kind} undefined")
 
 
+@dataclass
+class ResolutionStep:
+    """One step of ``resolution_steps``: the kernel K of the previous
+    differential, the weights of the previous free module's generators,
+    and the weights of the minimal generators picked from K."""
+
+    prev_weights: List[Tuple[int, ...]]
+    kernel: List[Vec]
+    gen_weights: List[Tuple[int, ...]]
+
+
+def resolution_steps(alg: KernelAlgebra, n_max: int) -> List[ResolutionStep]:
+    """Minimal resolution of k over a one-sided algebra, step by step, by
+    two separate eliminations per step.
+
+    The radical rad(A) K is the span of every image g.v of a kernel vector
+    v under an algebra generator g, and the kernel vectors independent of
+    it and of each other are the generators h.  The next kernel is
+    ker d, solved by ``kernel_basis`` on each weight block of the columns
+    a.h = ``lmul_monomial(a, h)`` over every basis monomial a.
+    """
+    ctx = alg.ctx
+    one = ctx.field.one
+    (unit,) = alg.one()
+
+    def weight(prev, key):
+        i, akey = key
+        return tuple(a + b for a, b in zip(alg.weight_of_key(akey), prev[i]))
+
+    prev = [(0,) * ctx.rank]
+    kernel: List[Vec] = [{(0, key): one} for key in alg.basis if key != unit]
+    steps: List[ResolutionStep] = []
+    for step in range(1, n_max + 1):
+        rad: Dict[Tuple[int, ...], Eliminator] = {}
+        for vec in kernel:
+            for gen in alg.generator_keys():
+                img: Vec = {}
+                for (i, akey), c in vec.items():
+                    for k2, c2 in alg.lmul_gen(gen, {akey: c}).items():
+                        vec_add_term(img, (i, k2), c2)
+                if img:
+                    rad.setdefault(weight(prev, min(img)), Eliminator()).add(img)
+        gens: List[Tuple[Tuple[int, ...], Vec]] = []
+        for vec in kernel:
+            block = rad.setdefault(weight(prev, min(vec)), Eliminator())
+            red = block.reduce(vec)
+            if red:
+                block.insert(red)
+                gens.append((weight(prev, min(vec)), red))
+        gens.sort(key=lambda t: (sum(t[0]), t[0]))
+        steps.append(ResolutionStep(prev, kernel, [wt for wt, _ in gens]))
+        if step == n_max:
+            break
+        blocks: Dict[Tuple[int, ...], List[Tuple[Tuple[int, Tuple], Vec]]] = {}
+        for gj, (wt, h) in enumerate(gens):
+            for akey in alg.basis:
+                col: Vec = {}
+                for i in {i for i, _ in h}:
+                    part = {bk: c for (j, bk), c in h.items() if j == i}
+                    col.update({(i, bk): c for bk, c in alg.lmul_monomial(akey, part).items()})
+                cw = tuple(a + b for a, b in zip(alg.weight_of_key(akey), wt))
+                blocks.setdefault(cw, []).append(((gj, akey), col))
+        kernel = [rel for cols in blocks.values() for rel in kernel_basis(cols, one=one)]
+        prev = [wt for wt, _ in gens]
+    return steps
+
+
 # ---------------------------------------------------------------------------
 # modules
 

@@ -178,10 +178,10 @@ def test_criterion_09_duality_identification():
 
 def test_criterion_10_borel_cohomology():
     t0 = time.monotonic()
-    a1 = cohomlite.borel_cohomology_dims(get_context("A1", 3), "plus", 6)
+    a1 = cohomlite.borel_cohomology_dims(get_context("A1", 3), "u+", 6)
     # ell = 5 keeps ell strictly above the Coxeter number of A2, where the
     # symmetric-algebra description of the cohomology ring applies
-    a2 = cohomlite.borel_cohomology_dims(get_context("A2", 5), "plus", 4)
+    a2 = cohomlite.borel_cohomology_dims(get_context("A2", 5), "u+", 4)
     ok = a1 == [1, 0, 1, 0, 1, 0, 1] and a2 == [1, 0, 3, 0, 6]
     _verdict(10, "Borel cohomology: odd vanishing and polynomial dimension counts", ok, time.monotonic() - t0, 600)
 

@@ -422,7 +422,7 @@ class TestVerify:
             "expected": [1, 0, 1, 0, 1, 0, 1], "agree": True,
         }
         # above h a wrong count stays a disagreement
-        monkeypatch.setattr(cohomlite, "borel_cohomology_dims", lambda ctx, side, n: [1, 0, 2, 0, 1, 0, 1])
+        monkeypatch.setattr(cohomlite, "borel_cohomology_dims", lambda ctx, kind, n: [1, 0, 2, 0, 1, 0, 1])
         rec = run_betti(RunConfig("A1", 3))
         assert not rec["agree"] and "skipped" not in rec
 

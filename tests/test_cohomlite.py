@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from reference import rank_of
+from reference import rank_of, resolution_steps
 from uzeta import cohomlite, qmodules
 from uzeta.cohomlite import (
     borel_cohomology_dims,
@@ -12,7 +12,7 @@ from uzeta.cohomlite import (
     polynomial_hilbert,
     weight_has_trivial_character,
 )
-from uzeta.linalg import Eliminator, kernel_basis
+from uzeta.linalg import Eliminator
 from uzeta.scalars import CycloField
 
 
@@ -93,33 +93,23 @@ class TestFullBlocks:
         [(("A2", 3), "u+", 3), (("A2", 3), "u-", 3), (("A1", 3, 7, 1), "u+", 4)],
         ids=["A2-3-u+", "A2-3-u-", "A1-3-p7-r1-u+"],
     )
-    def test_generators_span_kernel_over_radical(self, ctxmaker, monkeypatch, args, kind, n_max):
+    def test_generators_span_kernel_over_radical(self, ctxmaker, args, kind, n_max):
         # at every step and weight w the generators number dim K_w minus the
         # rank of every image g.v of weight w, over all algebra generators g
-        # and kernel vectors v, none skipped
+        # and kernel vectors v, none skipped; K is the reference kernel
         ctx = ctxmaker(*args)
         alg = ctx.algebra(kind)
-        (unit,) = alg.one()
-        kernels = [[{(0, key): ctx.field.one} for key in alg.basis if key != unit]]
-        gen_weights = [[(0,) * ctx.rank]]
-        next_kernel = cohomlite._next_kernel
-
-        def record(alg, new_gens, one):
-            gen_weights.append([wt for wt, _ in new_gens])
-            kernels.append(next_kernel(alg, new_gens, one))
-            return kernels[-1]
-
-        monkeypatch.setattr(cohomlite, "_next_kernel", record)
         res = minimal_resolution(ctx, kind, n_max)
-        assert len(kernels) == n_max
-        for step, (kernel, hw) in enumerate(zip(kernels, gen_weights), 1):
+        steps = resolution_steps(alg, n_max)
+        assert len(steps) == n_max
+        for step, ref in enumerate(steps, 1):
 
             def weight(vec):
                 i, akey = min(vec)
-                return tuple(a + b for a, b in zip(alg.weight_of_key(akey), hw[i]))
+                return tuple(a + b for a, b in zip(alg.weight_of_key(akey), ref.prev_weights[i]))
 
-            dims, images = Counter(weight(v) for v in kernel), {}
-            for vec in kernel:
+            dims, images = Counter(weight(v) for v in ref.kernel), {}
+            for vec in ref.kernel:
                 for gen in alg.generator_keys():
                     img = {}
                     for (i, akey), c in vec.items():
@@ -141,9 +131,10 @@ class TestFullBlocks:
 
     def test_products_bounded(self, freshctx, monkeypatch):
         # a deterministic cost guard: the A2 ell=5 resolution to degree 4 makes
-        # 28,827 field products.  Building every image g.v, full blocks
-        # included, makes 32,480; reducing every kernel vector against its
-        # block as well, 36,108; with columns built in a steps too, 41,484
+        # 22,012 field products.  Reducing every kernel vector against its
+        # block, full blocks included, makes 25,640; building every column
+        # a.h at the last degree too, 29,065; eliminating rad(A) K apart
+        # from the next differential's columns, 28,819
         ctx = freshctx("A2", 5)
         calls = []
         mul = CycloField._mul
@@ -154,65 +145,54 @@ class TestFullBlocks:
 
         monkeypatch.setattr(CycloField, "_mul", counted)
         assert minimal_resolution(ctx, "u+", 4).betti() == [1, 2, 5, 7, 12]
-        assert len(calls) <= 31_000
+        assert len(calls) <= 22_500
 
 
-class TestWeightBlocks:
+class TestReference:
     @pytest.mark.parametrize("kind", ["u+", "u-"])
-    def test_blocked_kernel_is_one_elimination(self, ctxmaker, monkeypatch, kind):
-        # the kernels of steps 1 and 2, solved by weight block, equal one
-        # kernel_basis over every differential column: same vectors, same order
-        ctx = ctxmaker("A2", 3)
-        steps = []
-
-        def record_blocks(cols, one):
-            steps[-1][0].extend(cols)
-            steps[-1][2] += 1
-            return kernel_basis(cols, one=one)
-
-        def record_step(alg, new_gens, one):
-            steps.append([[], None, 0])
-            steps[-1][1] = next_kernel(alg, new_gens, one)
-            return steps[-1][1]
-
-        next_kernel = cohomlite._next_kernel
-        monkeypatch.setattr(cohomlite, "kernel_basis", record_blocks)
-        monkeypatch.setattr(cohomlite, "_next_kernel", record_step)
-        minimal_resolution(ctx, kind, 3)
-        assert len(steps) == 2
-        for cols, blocked, calls in steps:
-            assert calls > 1
-            cols.sort(key=lambda kc: kc[0])
-            assert blocked == kernel_basis(cols, one=ctx.field.one)
-            assert blocked
+    @pytest.mark.parametrize(
+        "args,top",
+        [(("A1", 3), 6), (("A1", 5), 6), (("A1", 3, 7, 1), 4), (("A2", 3), 5), (("A2", 5), 5), (("B2", 5), 2)],
+        ids=["A1-3", "A1-5", "A1-3-p7-r1", "A2-3", "A2-5", "B2-5"],
+    )
+    def test_degrees_match_reference(self, ctxmaker, args, top, kind):
+        # one elimination per weight block below the last degree, and the
+        # radical from every g.v at it, give the generator weights of two
+        # separate eliminations per step; at n_max = 1 the one step is the
+        # last, so only the top degree runs both kinds of step
+        ctx = ctxmaker(*args)
+        steps = resolution_steps(ctx.algebra(kind), top)
+        want = [[(0,) * ctx.rank]] + [step.gen_weights for step in steps]
+        for n_max in (0, 1, top):
+            assert minimal_resolution(ctx, kind, n_max).degrees == want[: n_max + 1], n_max
 
 
 class TestBorelDims:
     def test_a1_alternating(self, ctxmaker):
-        assert borel_cohomology_dims(ctxmaker("A1", 3), "plus", 6) == [1, 0, 1, 0, 1, 0, 1]
+        assert borel_cohomology_dims(ctxmaker("A1", 3), "u+", 6) == [1, 0, 1, 0, 1, 0, 1]
 
     def test_higher_kernel_alternating(self, ctxmaker):
         # the torus of the r = 1 kernel has period ell p = 21: of the
         # Kunneth weights in TestResolutionHigherKernel only 0, 21, 42, 63
         # are torus-trivial, one in each even degree
-        assert borel_cohomology_dims(ctxmaker("A1", 3, 7, 1), "plus", 6) == [1, 0, 1, 0, 1, 0, 1]
+        assert borel_cohomology_dims(ctxmaker("A1", 3, 7, 1), "u+", 6) == [1, 0, 1, 0, 1, 0, 1]
 
     def test_a2_above_coxeter(self, ctxmaker):
         # odd vanishing and the polynomial Hilbert function on N generators
-        dims = borel_cohomology_dims(ctxmaker("A2", 5), "plus", 4)
+        dims = borel_cohomology_dims(ctxmaker("A2", 5), "u+", 4)
         assert dims == [1, 0, 3, 0, 6]
 
     def test_a2_degree_two(self, ctxmaker):
-        assert borel_cohomology_dims(ctxmaker("A2", 5), "plus", 2) == [1, 0, 3]
+        assert borel_cohomology_dims(ctxmaker("A2", 5), "u+", 2) == [1, 0, 3]
 
     def test_a2_minus_matches_plus(self, ctxmaker):
-        assert borel_cohomology_dims(ctxmaker("A2", 5), "minus", 4) == [1, 0, 3, 0, 6]
+        assert borel_cohomology_dims(ctxmaker("A2", 5), "u-", 4) == [1, 0, 3, 0, 6]
 
     def test_boundary_coxeter_case_has_extra_classes(self, ctxmaker):
         # at ell equal to the Coxeter number, weights like 2a1+a2 fall into
         # ell X, so extra torus-trivial classes appear beyond the
         # symmetric-algebra count; recorded as observed numerics
-        dims = borel_cohomology_dims(ctxmaker("A2", 3), "plus", 2)
+        dims = borel_cohomology_dims(ctxmaker("A2", 3), "u+", 2)
         assert dims[2] > 3
 
     def test_hilbert_function(self):

@@ -154,6 +154,28 @@ class TestSocleCount:
             with pytest.raises(ValueError, match="not in the local family"):
                 projective(m, kind)
 
+    def test_borel_and_reduction_count_each_socle_once(self, ctxmaker, monkeypatch):
+        # the borel and reduction suites both ask projective(m, "u-"); the
+        # module keeps its socle count, so each (module, kind) takes one
+        # joint kernel
+        from uzeta import qmodules
+
+        ctx = ctxmaker("A1", 3)
+        mods = [verma_module(ctx, (1,)), simple_module(ctx, (1,))]
+        kinds = {ctx.algebra_kind(kind).generators: kind for kind in ("u-", "u+")}
+        calls = []
+        joint_kernel = qmodules.joint_kernel
+
+        def counted(m, gens):
+            calls.append((id(m), kinds[tuple(gens)]))
+            return joint_kernel(m, gens)
+
+        monkeypatch.setattr(qmodules, "joint_kernel", counted)
+        for m in mods:
+            verify_borel_criterion(m)
+            verify_reduction_borel(m)
+        assert sorted(calls) == sorted((id(m), kind) for m in mods for kind in ("u-", "u+"))
+
 
 class TestRootFreeness:
     def test_rank_shortcut_agrees(self, ctxmaker):
