@@ -23,8 +23,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .genericuq import generic_uq
 from .kernelalg import DEFAULT_BUDGET, ConfigError, KernelContext, SpecializationError
@@ -32,8 +31,7 @@ from .rootdata import TYPES, build_root_datum, convex_order, default_w0_word
 from .scalars import is_prime, make_field
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     type_label: str = "A1"
     ell: int = 3
     p: Optional[int] = None
@@ -308,7 +306,7 @@ def run_suites(cfg: RunConfig, suites: Sequence[str], manifest: List[Dict]) -> L
             for case in manifest:
                 tasks.append((suite, case["spec"], case.get("expect_injective")))
     if cfg.jobs > 1 and tasks:
-        one_job = replace(cfg, jobs=1)
+        one_job = cfg._replace(jobs=1)
         # imported here: it costs every process memory and start-up time
         from concurrent.futures import ProcessPoolExecutor
 
@@ -547,7 +545,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     else:
         manifest = []
     if args.cache:
-        cfg = replace(cfg, cache_path=args.cache)
+        cfg = cfg._replace(cache_path=args.cache)
         make_context(cfg)  # fail early on a bad cache; the suites share it
     records = run_suites(cfg, suites, manifest)
     lines = [record_to_line(r) for r in records]

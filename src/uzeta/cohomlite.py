@@ -37,7 +37,6 @@ is the torus period of the kernel (the period ``onedim`` weights obey).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .kernelalg import BasisKey, KernelAlgebra, KernelContext
@@ -47,9 +46,9 @@ RootVec = Tuple[int, ...]
 Blocks = Dict[RootVec, List[Vec]]  # kernel vectors by weight
 
 
-@dataclass
 class GradedBetti:
-    degrees: List[List[RootVec]]  # generator weights (root coordinates) per step
+    def __init__(self, degrees: List[List[RootVec]]):
+        self.degrees = degrees  # generator weights (root coordinates) per step
 
     def betti(self) -> List[int]:
         return [len(ws) for ws in self.degrees]

@@ -22,8 +22,6 @@ in ``tests/reference.py``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Dict, List, Tuple
 
@@ -37,8 +35,6 @@ from .scalars import (
     q_binom,
     q_factorial,
 )
-
-QQ = Fraction
 
 Letter = Tuple  # ('E', i) | ('F', i) | ('K', mu)
 Word = Tuple[Letter, ...]
@@ -442,7 +438,6 @@ class PBWContext:
         return {exp: c for exp, c in sol.items() if c}
 
 
-@dataclass
 class StructureTable:
     """Straightening data E_{gamma_i} E_{gamma_j} for i < j, plus the F mirror.
 
@@ -451,11 +446,14 @@ class StructureTable:
     q^{(gamma_i, gamma_j)} and is stored for serialization.
     """
 
-    order: ConvexOrder
-    s_keys: Tuple[int, ...]
-    e_entries: Dict[Tuple[int, int], Dict[Tuple[int, ...], Localized]]
-    f_entries: Dict[Tuple[int, int], Dict[Tuple[int, ...], Localized]]
-    omega_units: Tuple[QFraction, ...]  # omega(E_gamma_i) = unit * F_gamma_i
+    def __init__(self, order: ConvexOrder, s_keys: Tuple[int, ...],
+                 e_entries: Dict[Tuple[int, int], Dict[Tuple[int, ...], Localized]],
+                 f_entries: Dict[Tuple[int, int], Dict[Tuple[int, ...], Localized]], omega_units: Tuple[QFraction, ...]):
+        self.order = order
+        self.s_keys = s_keys
+        self.e_entries = e_entries
+        self.f_entries = f_entries
+        self.omega_units = omega_units  # omega(E_gamma_i) = unit * F_gamma_i
 
     def leading_exponent(self, i: int, j: int) -> int:
         g = self.order.gammas

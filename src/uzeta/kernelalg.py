@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import le, mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .genericuq import StructureTable, UqGeneric, generic_uq
 from .linalg import Eliminator, Vec, kernel_basis, memoized, vec_add_term, vec_iadd_scaled
@@ -609,8 +608,7 @@ def parse_kind(kind: str) -> Tuple[str, Optional[int], Optional[str]]:
     raise ValueError(f"unknown algebra descriptor {kind!r}")
 
 
-@dataclass(frozen=True)
-class AlgebraKind:
+class AlgebraKind(NamedTuple):
     """What an algebra descriptor means in one context.
 
     ``f_caps`` / ``e_caps`` bound the divided-power exponent at each

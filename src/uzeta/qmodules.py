@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernelalg import BasisKey, ConfigError, GenKey, KernelContext
@@ -38,17 +38,16 @@ class SpecSyntaxError(ConfigError):
     """A module spec that does not parse, or whose arguments no module has."""
 
 
-@dataclass
 class WeightedModule:
-    ctx: KernelContext
-    weights: Tuple[Weight, ...]
-    actions: Dict[GenKey, Mat]
-    lifts: bool  # restricts from a module over the full quantized algebra
-    label: str = "module"
-    # plain root vector matrices by generator key, filled by generator_matrix
-    rv_mats: Dict[GenKey, Mat] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, ctx: KernelContext, weights: Tuple[Weight, ...], actions: Dict[GenKey, Mat], lifts: bool,
+                 label: str = "module"):
+        self.ctx = ctx
+        self.weights = weights
+        self.actions = actions
+        self.lifts = lifts  # restricts from a module over the full quantized algebra
+        self.label = label
+        # plain root vector matrices by generator key, filled by generator_matrix
+        self.rv_mats: Dict[GenKey, Mat] = {}
 
     @property
     def dim(self) -> int:
@@ -603,6 +602,8 @@ CONSTRUCTORS = {
 }
 
 
+# the one dataclass of the package: uzbench/workloads.py::_reseed calls
+# dataclasses.replace on a spec, which a NamedTuple or plain class refuses
 @dataclass(frozen=True)
 class ModuleSpec:
     head: str

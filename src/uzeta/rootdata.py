@@ -13,7 +13,6 @@ The Cartan matrix convention is cartan[i][j] = 2(a_i, a_j)/(a_j, a_j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import List, Sequence, Tuple
@@ -44,16 +43,18 @@ class UnsupportedType(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class RootDatum:
     """A root system given by its row of ``TYPES``; the roots, weights and
-    invariants below are derived from it on first use."""
+    invariants below are derived from it on first use.  One instance per
+    type (``build_root_datum``), so equality is identity."""
 
-    label: str
-    cartan: Tuple[Tuple[int, ...], ...]  # cartan[i][j] = <a_i, a_j^vee>
-    d: Tuple[int, ...]                   # d_j = (a_j, a_j)/2
-    s_keys: Tuple[int, ...]              # k of the localizing factors q^k - q^-k
-    w0_word: Tuple[int, ...]             # default reduced word of w0
+    def __init__(self, label: str, cartan: Tuple[Tuple[int, ...], ...], d: Tuple[int, ...],
+                 s_keys: Tuple[int, ...], w0_word: Tuple[int, ...]):
+        self.label = label
+        self.cartan = cartan  # cartan[i][j] = <a_i, a_j^vee>
+        self.d = d  # d_j = (a_j, a_j)/2
+        self.s_keys = s_keys  # k of the localizing factors q^k - q^-k
+        self.w0_word = w0_word  # default reduced word of w0
 
     @cached_property
     def rank(self) -> int:
@@ -211,13 +212,13 @@ def _validate_datum(datum: RootDatum) -> None:
         assert datum.coroot_pair(rho, j) == 1, "rho must pair to 1 with each coroot"
 
 
-@dataclass(frozen=True)
 class ConvexOrder:
     """Positive roots listed as gamma_i = s_{b_1}...s_{b_{i-1}}(b_i)."""
 
-    datum: RootDatum
-    word: Tuple[int, ...]  # 1-based simple indices
-    gammas: Tuple[Root, ...]
+    def __init__(self, datum: RootDatum, word: Tuple[int, ...], gammas: Tuple[Root, ...]):
+        self.datum = datum
+        self.word = word  # 1-based simple indices
+        self.gammas = gammas
 
     def check_convexity(self) -> None:
         g = self.gammas

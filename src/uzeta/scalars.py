@@ -2,7 +2,8 @@
 
 Four layers, all exact and immutable:
 
-* ``Laurent`` -- Laurent polynomials in q with rational coefficients;
+* ``Laurent`` -- Laurent polynomials in q with rational coefficients,
+  each an ``int`` when it is integral and a ``Fraction`` otherwise;
 * ``QFraction`` -- the fraction field of ``Laurent`` (used while
   computing braid images, where q-factorial denominators appear);
 * ``Localized`` -- a Laurent numerator together with a monomial
@@ -46,9 +47,7 @@ import itertools
 import weakref
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
-
-QQ = Fraction
+from typing import List, Optional, Sequence, Tuple
 
 # entries in each of a residue field's five arithmetic memos
 MEMO_SIZE = 4096
@@ -65,31 +64,54 @@ def _power(x, n: int, one):
     return out
 
 
+def _coefficient(x):
+    """x as a Laurent coefficient: an int when integral, else a Fraction."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"a Laurent coefficient is an int or a Fraction, not {x!r}")
+
+
+def _exact_div(a, b):
+    """a / b for int or Fraction operands, exactly: never a float."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quo
+    return a / b
+
+
 class Laurent:
-    """Laurent polynomial sum(c[i] * q**(lo+i)) with Fraction coefficients.
+    """Laurent polynomial sum(c[i] * q**(lo+i)) with rational coefficients.
 
     Canonical form: empty coefficient tuple for zero, otherwise the first
-    and last entries are nonzero.
+    and last entries are nonzero; a coefficient is an ``int`` when it is
+    integral and a ``Fraction`` otherwise (``_coefficient``), so integral
+    arithmetic never builds a ``Fraction``.
     """
 
     __slots__ = ("lo", "c")
 
-    def __init__(self, lo: int = 0, coeffs: Sequence[Fraction] = ()):
+    def __init__(self, lo: int = 0, coeffs: Sequence = ()):
+        for x in coeffs:
+            if type(x) is not int:
+                coeffs = [_coefficient(y) for y in coeffs]
+                break
         i, j = 0, len(coeffs)
         while i < j and not coeffs[i]:
             i += 1
         while j > i and not coeffs[j - 1]:
             j -= 1
         self.lo = lo + i if i < j else 0
-        self.c = tuple(QQ(x) for x in coeffs[i:j])
+        self.c = tuple(coeffs[i:j])
 
     @staticmethod
     def const(x) -> "Laurent":
-        return Laurent(0, (QQ(x),))
+        return Laurent(0, (x,))
 
     @staticmethod
     def q_power(n: int, coeff=1) -> "Laurent":
-        return Laurent(n, (QQ(coeff),))
+        return Laurent(n, (coeff,))
 
     @property
     def hi(self) -> int:
@@ -120,7 +142,7 @@ class Laurent:
             return self
         lo = min(self.lo, other.lo)
         hi = max(self.hi, other.hi)
-        buf = [QQ(0)] * (hi - lo + 1)
+        buf = [0] * (hi - lo + 1)
         for i, x in enumerate(self.c):
             buf[self.lo - lo + i] += x
         for i, x in enumerate(other.c):
@@ -154,7 +176,7 @@ class Laurent:
             if x == 1:
                 return other.shift(self.lo)
             return Laurent(self.lo + other.lo, tuple(y * x for y in other.c))
-        buf = [QQ(0)] * (len(self.c) + len(other.c) - 1)
+        buf = [0] * (len(self.c) + len(other.c) - 1)
         for i, x in enumerate(self.c):
             if x:
                 for j, y in enumerate(other.c):
@@ -177,14 +199,14 @@ class Laurent:
         rem = list(self.c)
         rlo = self.lo
         d = list(other.c)
-        qt: Dict[int, Fraction] = {}
+        qt = {}
         lead = d[-1]
         while len(rem) >= len(d):
             while rem and not rem[-1]:
                 rem.pop()
             if len(rem) < len(d):
                 break
-            f = rem[-1] / lead
+            f = _exact_div(rem[-1], lead)
             k = len(rem) - len(d)
             qt[rlo + k - other.lo] = f
             for i, y in enumerate(d):
@@ -192,7 +214,7 @@ class Laurent:
             rem.pop()
         if qt:
             qlo = min(qt)
-            qbuf = [qt.get(i, QQ(0)) for i in range(qlo, max(qt) + 1)]
+            qbuf = [qt.get(i, 0) for i in range(qlo, max(qt) + 1)]
             quo = Laurent(qlo, qbuf)
         else:
             quo = Laurent()
@@ -229,7 +251,7 @@ class Laurent:
 
 L_ZERO = Laurent()
 L_ONE = Laurent.const(1)
-_ONE_C = (QQ(1),)
+_ONE_C = (1,)
 
 
 def laurent_gcd(a: Laurent, b: Laurent) -> Laurent:
@@ -241,7 +263,7 @@ def laurent_gcd(a: Laurent, b: Laurent) -> Laurent:
     if not a0:
         return Laurent()
     lead = a0.c[-1]
-    return Laurent(0, tuple(x / lead for x in a0.c))
+    return Laurent(0, tuple(_exact_div(x, lead) for x in a0.c))
 
 
 class QFraction:
@@ -277,8 +299,8 @@ class QFraction:
             den = Laurent(0, den.c)
             num = num.shift(shift)
         else:
-            den = Laurent(0, tuple(x / lead for x in den.c))
-            num = Laurent(num.lo + shift, tuple(x / lead for x in num.c))
+            den = Laurent(0, tuple(_exact_div(x, lead) for x in den.c))
+            num = Laurent(num.lo + shift, tuple(_exact_div(x, lead) for x in num.c))
         self.num, self.den = num, den
 
     @staticmethod
@@ -420,7 +442,7 @@ def q_binom(a: int, b: int, d: int = 1) -> Laurent:
 
 def s_generator(k: int) -> Laurent:
     """The Laurent polynomial q^k - q^{-k}."""
-    return Laurent(-k, (QQ(-1),) + (QQ(0),) * (2 * k - 1) + (QQ(1),))
+    return Laurent(-k, (-1,) + (0,) * (2 * k - 1) + (1,))
 
 
 class Localized:
@@ -510,7 +532,7 @@ def laurent_from_text(s: str) -> Laurent:
     lo_s, _, cs = s.partition(":")
     if not cs:
         return Laurent()
-    return Laurent(int(lo_s), tuple(QQ(t) for t in cs.split(",")))
+    return Laurent(int(lo_s), tuple(map(Fraction, cs.split(","))))
 
 
 def localized_to_text(x: Localized) -> str:
@@ -613,11 +635,13 @@ class ResidueElement:
         return self * self.ctx._inv(self.ctx.coerce(other))
 
     def __rtruediv__(self, other):
+        if type(other) is int and other == 1:  # a pivot inversion: the memoized inverse itself
+            return self.ctx._inv(self)
         return self.ctx.coerce(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
-            return _power(self.ctx.one / self, -n, self.ctx.one)
+            return _power(self.ctx._inv(self), -n, self.ctx.one)
         return _power(self, n, self.ctx.one)
 
     def __str__(self):

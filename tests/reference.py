@@ -31,6 +31,23 @@ def bar(p: Laurent) -> Laurent:
     return Laurent(-p.hi, tuple(reversed(p.c)))
 
 
+def fraction_divmod(a: Laurent, b: Laurent) -> Tuple[Dict[int, Fraction], Dict[int, Fraction]]:
+    """``a.divmod_by(b)`` by schoolbook division with every coefficient a
+    ``Fraction``: the quotient and the remainder as {exponent: coefficient}
+    without zeros, q-power factors ignored as there."""
+    num = [Fraction(x) for x in a.c]
+    den = [Fraction(x) for x in b.c]
+    quo: Dict[int, Fraction] = {}
+    while len(num) >= len(den):
+        if num[-1]:
+            k = len(num) - len(den)
+            f = quo[a.lo + k - b.lo] = num[-1] / den[-1]
+            for i, y in enumerate(den):
+                num[k + i] -= f * y
+        num.pop()
+    return quo, {a.lo + i: x for i, x in enumerate(num) if x}
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 

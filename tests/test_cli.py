@@ -5,7 +5,6 @@ import pathlib
 import re
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -178,6 +177,17 @@ class TestCache:
         write_cache(RunConfig(type_label="B2", ell=5), p1)
         write_cache(RunConfig(type_label="B2", ell=5), p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    @pytest.mark.parametrize("label, ell, digest", [
+        ("A1", 3, "9f567ccae2c8f0cc314f38d1bd8b96e090b5f7a3a366037213bd9f9c020a35ad"),
+        ("A2", 3, "be49eebf59df82cd0626271979df516a591fd12f8b327a15638c1ac2303d81ee"),
+        ("B2", 5, "85f8a32a187428495d702745f988c82a48ca22b37e62e49760f9c9b11e8bdcc1"),
+    ], ids=["A1-3", "A2-3", "B2-5"])
+    def test_build_bytes_pinned(self, label, ell, digest, tmp_path, capsys):
+        # the bytes of a build, and so every exact structure constant, are pinned
+        path = tmp_path / "table.cache"
+        assert main(["build", "--type", label, "--ell", str(ell), "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_version_rejected(self, tmp_path):
         path = tmp_path / "bad.cache"
@@ -452,7 +462,7 @@ class TestVerify:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = RunConfig("A1", 3)
         manifest = [{"spec": "trivial"}, {"spec": "verma(1)"}]
-        recs = run_suites(replace(cfg, jobs=64), ["borel"], manifest)
+        recs = run_suites(cfg._replace(jobs=64), ["borel"], manifest)
         assert started == [2]
         assert recs == run_suites(cfg, ["borel"], manifest)
 

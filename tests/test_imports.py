@@ -9,6 +9,7 @@ import ast
 import io
 import pathlib
 import re
+import subprocess
 import sys
 import tokenize
 from collections import Counter
@@ -130,13 +131,20 @@ def test_no_dead_definition():
     assert not dead, f"defined and never named elsewhere: {dead}"
 
 
+def _is_record(node):
+    """A dataclass or NamedTuple class: its annotated names are fields."""
+    return isinstance(node, ast.ClassDef) and (
+        any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+        or any(ast.unparse(b) == "NamedTuple" for b in node.bases)
+    )
+
+
 def _stores(tree):
-    """Every dataclass field, ``self.x = ...`` and ``object.__setattr__(obj,
-    "x", ...)`` of a module, by name, once per store."""
+    """Every dataclass or NamedTuple field, ``self.x = ...`` and
+    ``object.__setattr__(obj, "x", ...)`` of a module, by name, once per
+    store."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and any(
-            ast.unparse(d).startswith("dataclass") for d in node.decorator_list
-        ):
+        if _is_record(node):
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                     yield stmt.target.id
@@ -158,3 +166,32 @@ def test_no_unread_state():
         stores.update(_stores(ast.parse(path.read_text(), filename=str(path))))
     unread = sorted(name for name, n in stores.items() if words[name] <= n)
     assert not unread, f"stored and never read: {unread}"
+
+
+def test_start_up_imports_no_dataclasses():
+    # dataclasses and the inspect module it loads cost every process
+    # start-up time; the commands' modules need neither.  A fresh
+    # interpreter without site, since the tests import dataclasses
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import uzeta.cli, uzeta.cohomlite, uzeta.cache; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC.parent)], capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out == "[]\n", f"importing uzeta.cli, uzeta.cohomlite and uzeta.cache loads {out.strip()}"
+
+
+def test_module_spec_is_the_only_dataclass():
+    found = sorted(
+        f"{path.stem}.{node.name}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+    )
+    assert found == ["qmodules.ModuleSpec"], (
+        f"dataclasses in src/uzeta: {found}; only qmodules.ModuleSpec may be one, because "
+        "uzbench/workloads.py::_reseed calls dataclasses.replace on it"
+    )

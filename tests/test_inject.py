@@ -454,14 +454,13 @@ class TestSplitMemo:
     def test_one_changed_entry_runs_its_own_split_test(self, freshctx, monkeypatch):
         # Z(0) with F v0 -> v1 dropped is k_0 + the submodule F Z(0): the
         # same weights, one action entry apart, and a module of its own
-        from dataclasses import replace
-
         from uzeta.inject import _split_exists
+        from uzeta.qmodules import WeightedModule
 
         ctx = freshctx("A1", 3)
         z = verma_module(ctx, (0,))
         f = ("F", 0)
-        split = replace(z, actions={**z.actions, f: {1: z.actions[f][1]}}, label="split")
+        split = WeightedModule(ctx, z.weights, {**z.actions, f: {1: z.actions[f][1]}}, z.lifts, "split")
         split.check()
         assert split.weights == z.weights and split.content_key() != z.content_key()
         cases = [(m, kind) for m in (z, split) for kind in ("g", "u-")]

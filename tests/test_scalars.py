@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import bar
+from reference import bar, fraction_divmod
+from uzeta.genericuq import generic_uq
+from uzeta.rootdata import convex_order, default_w0_word
 from uzeta.scalars import (
     MEMO_SIZE,
     QF_ONE,
@@ -67,6 +69,66 @@ class TestLaurent:
         # gcd([2][4], [2][3]) is [2], normalized monic with constant term
         g = laurent_gcd(q_int(2) * q_int(4), q_int(2) * q_int(3))
         assert g == Laurent(0, (1, 0, 1))
+
+
+def _canonical_coefficients(x: Laurent) -> bool:
+    """Every coefficient an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is QQ and c.denominator != 1) for c in x.c)
+
+
+class TestCoefficients:
+    def test_quantum_numbers_are_integral(self):
+        for d in (1, 2, 3):
+            for n in range(-3, 9):
+                for x in (q_int(n, d), q_factorial(max(n, 0), d), *(q_binom(n, b, d) for b in range(-1, n + 2))):
+                    assert all(type(c) is int for c in x.c), (n, d, x)
+
+    @pytest.mark.parametrize("label", ["A2", "B2"])
+    def test_structure_table_coefficients(self, label):
+        table = generic_uq(label).structure_table(convex_order(label, default_w0_word(label)))
+        values = [c.num for entries in (table.e_entries, table.f_entries) for tail in entries.values() for c in tail.values()]
+        values += [x for u in table.omega_units for x in (u.num, u.den)]
+        assert values and all(_canonical_coefficients(x) for x in values)
+
+    def test_integral_results_are_ints(self):
+        half = Laurent(0, (QQ(1, 2), QQ(3, 2)))
+        assert _canonical_coefficients(half)
+        for x in (half + half, half * 2, half - half, half * Laurent(0, (2, 4)), Laurent(0, (QQ(4, 2),))):
+            assert _canonical_coefficients(x), x
+        assert (half + half).c == (1, 3) and type((half * 2).c[0]) is int
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            Laurent(0, (1.5,))
+        with pytest.raises(TypeError):
+            Laurent(0, (0.0, 1))  # an edge zero too
+        with pytest.raises(TypeError):
+            Laurent.const(2.0)
+        with pytest.raises(TypeError):
+            q_int(2) * 0.5
+        with pytest.raises(TypeError):
+            QFraction.of(1.0)
+
+    def test_divmod_by_non_monic_divisor(self):
+        rng = random.Random(35)
+        for _ in range(300):
+            a = Laurent(rng.randint(-3, 3), [QQ(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(0, 7))])
+            lead = rng.choice((2, -3, 5, QQ(2, 3), QQ(-7, 4)))
+            b = Laurent(rng.randint(-3, 3), [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [lead])
+            quo, rem = a.divmod_by(b)
+            want_quo, want_rem = fraction_divmod(a, b)
+            assert {quo.lo + i: c for i, c in enumerate(quo.c) if c} == want_quo, (a, b)
+            assert {rem.lo + i: c for i, c in enumerate(rem.c) if c} == want_rem, (a, b)
+            assert _canonical_coefficients(quo) and _canonical_coefficients(rem)
+            assert quo * b + rem == a
+
+    def test_normalized_fraction_divides_exactly(self):
+        # a denominator with leading coefficient 3: num and den are divided by it
+        x = QFraction(Laurent(0, (1, 2)), Laurent(-1, (1, 0, 3)))
+        assert x.den.c == (QQ(1, 3), 0, 1) and x.num.c == (QQ(1, 3), QQ(2, 3))
+        assert _canonical_coefficients(x.num) and _canonical_coefficients(x.den)
+        assert x * QFraction(Laurent(-1, (1, 0, 3)), Laurent(0, (1, 2))) == QF_ONE
+        assert _canonical_coefficients(laurent_gcd(Laurent(0, (2, 4)), Laurent(0, (6, 12))))
 
 
 class TestQuantumNumbers:
@@ -723,11 +785,24 @@ class TestResidueLayer:
 
         assert tally(lambda: x * y) == (1, 0)
         assert tally(lambda: x / y) == (1, 1)
-        assert tally(lambda: 1 / y) == (1, 1)
+        assert tally(lambda: 1 / y) == (0, 1)  # the inverse itself, not one times it
         muls, invs = tally(lambda: x ** 3)
         assert muls > 0 and invs == 0
         muls, invs = tally(lambda: x ** -2)
         assert muls > 0 and invs == 1
+
+    @pytest.mark.parametrize("field", [CycloField(5), GaloisField(7, 3)], ids=lambda f: f.desc)
+    def test_pivot_inversion_is_the_memoized_inverse(self, field, monkeypatch):
+        # Eliminator.insert inverts each pivot as 1 / x
+        x = field.zeta + 2
+        assert (1 / x) * x is field.one
+        muls = []
+        mul = type(field)._mul
+        monkeypatch.setattr(type(field), "_mul", lambda self, a, b: muls.append((a, b)) or mul(self, a, b))
+        assert 1 / x is field._inv(x)
+        assert muls == []
+        with pytest.raises(ZeroDivisionError):
+            1 / field.zero
 
     def test_laurent_power(self):
         rng = random.Random(11)
