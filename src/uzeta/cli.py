@@ -102,8 +102,9 @@ def make_context(cfg: RunConfig) -> KernelContext:
     """The KernelContext of cfg, built once per configuration and table.
 
     A context is shared by every call with the same configuration, so its
-    straightening caches and realized modules fill once and not once per
-    case.  With ``cfg.cache_path`` every call reads the file and hashes its
+    straightening caches and its module store (``realized``: every spec
+    and sub-spec, by canonical text) fill once and not once per case.
+    With ``cfg.cache_path`` every call reads the file and hashes its
     bytes; the file is parsed and validated, and a context built, only
     when that digest is new, so a rewritten cache gets a context of its
     own.
@@ -239,15 +240,23 @@ def load_manifest(path: str) -> List[Dict]:
 # verification driver
 
 def checked_module(ctx: KernelContext, spec: str):
-    """The ``qmodules.WeightedModule`` of a spec text, realized and checked
-    once per context; it stays in ``ctx.realized``."""
+    """The ``qmodules.WeightedModule`` of a spec text, checked before its
+    first verdict.
+
+    ``ctx.realized`` is the one module store: ``qmodules.realize`` keeps
+    every module it builds there, nested specs included, under its
+    canonical text, so a spec is built once per context.  A canonical text
+    is found there without parsing.  A module is checked the first time it
+    is asked for here, also when it was first built inside another spec.
+    """
     m = ctx.realized.get(spec)
     if m is None:
         from . import qmodules
 
         m = qmodules.realize_text(ctx, spec)
+    if not m.checked:
         m.check()
-        ctx.realized[spec] = m
+        m.checked = True
     return m
 
 

@@ -132,7 +132,9 @@ class KernelContext:
         # gauss_binom fills a whole q-Pascal triangle per call, without
         # recursion, so its memo is one shared table and not ``memoized``
         self._kbinom: Dict[Tuple[int, int, int], object] = {}
-        # checked modules by spec text, filled by cli.checked_module
+        # the one module store: every realized module, nested specs included,
+        # by canonical spec text (str(ModuleSpec)), filled by qmodules.realize;
+        # cli.checked_module checks each one before its first verdict
         self.realized: Dict[str, object] = {}
         # split-test verdicts by (kind, module content key), filled by
         # inject.projective_split_test

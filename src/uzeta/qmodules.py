@@ -48,6 +48,8 @@ class WeightedModule:
         self.label = label
         # plain root vector matrices by generator key, filled by generator_matrix
         self.rv_mats: Dict[GenKey, Mat] = {}
+        # check() has passed; set by cli.checked_module before the first verdict
+        self.checked = False
 
     @property
     def dim(self) -> int:
@@ -137,83 +139,93 @@ class WeightedModule:
         return sorted(self.actions.keys())
 
     def check(self) -> None:
-        """Grading compatibility and the relations on every basis vector."""
+        """Grading compatibility and the relations on every basis vector v.
+
+        Each generator word acts on v once: the words of the relations and
+        their suffixes act shortest first, each on the image of its suffix,
+        so the brackets and the Serre words share F_j v and E_i v, the Serre
+        words share their suffixes, and at r = 1 so do the divided powers.
+        The two sides of a relation are compared as vectors; equal field
+        elements are one object, so the comparison takes no arithmetic.
+        """
         ctx = self.ctx
+        one = ctx.field.one
+
+        def scaled(vec: Vec, c) -> Vec:
+            return vec if c is one else {k: x * c for k, x in vec.items()}
+
         shifts = {"E": 1, "F": -1}
         for (kind, j), mat in self.actions.items():
-            mult = 1 if len(kind) == 1 else ctx.ell
+            shift = shifts[kind[0]] * (1 if len(kind) == 1 else ctx.ell)
             alpha_w = ctx.datum.root_to_weight(ctx.datum.simple_roots[j])
             for col, column in mat.items():
-                for row, c in column.items():
-                    want = tuple(
-                        a + shifts[kind[0]] * mult * b
-                        for a, b in zip(self.weights[col], alpha_w)
-                    )
-                    if self.weights[row] != want:
-                        raise ModuleCheckError(
-                            f"{self.label}: {kind}_{j+1} breaks the grading"
-                        )
-        for i in range(self.dim):
-            self._check_relations_on({i: ctx.field.one})
-
-    def _check_relations_on(self, v: Vec) -> None:
-        ctx = self.ctx
-        for i in range(ctx.rank):
-            for j in range(ctx.rank):
-                lhs = self.act_gen(("E", i), self.act_gen(("F", j), v))
-                rhs = self.act_gen(("F", j), self.act_gen(("E", i), v))
-                dif = dict(lhs)
-                vec_iadd_scaled(dif, rhs, -ctx.field.one)
+                want = tuple(a + shift * b for a, b in zip(self.weights[col], alpha_w))
+                if any(self.weights[row] != want for row in column):
+                    raise ModuleCheckError(f"{self.label}: {kind}_{j+1} breaks the grading")
+        # a word is a tuple of generator keys, its last letter acting first
+        brackets = [
+            (i, j, (("E", i), ("F", j)), (("F", j), ("E", i)))
+            for i in range(ctx.rank) for j in range(ctx.rank)
+        ]
+        serre = [
+            (kind, [(tuple((kind, j) for j in word), c) for word, c in rel])
+            for rel in ctx.serre_relators() for kind in ("E", "F")
+        ]
+        # r = 1: E^{(m)} F^{(n)} = c * word for (m, n, word, c) in divided,
+        # and E^{(a)} = c * word for e_words[a] = (word, c)
+        divided, e_words = [], {}
+        if ctx.r:
+            for m, nn in [(1, ctx.ell), (ctx.ell, 1), (ctx.ell, ctx.ell)]:
+                (e_word, ce), (f_word, cf) = self._divided_word("E", m), self._divided_word("F", nn)
+                divided.append((m, nn, e_word + f_word, ce * cf))
+            e_words = {a: self._divided_word("E", a) for a in range(ctx.ell + 1)}
+        words = [w for *_, lhs, rhs in brackets for w in (lhs, rhs)]
+        words += [w for _, rel in serre for w, _ in rel]
+        words += [w for _, _, w, _ in divided] + [w for w, _ in e_words.values()]
+        plan = sorted({w[k:] for w in words for k in range(len(w) - 1)}, key=lambda w: (len(w), w))
+        mats = {gen: self.generator_matrix(gen) for gen in sorted({gen for w in words for gen in w})}
+        for idx in range(self.dim):
+            # a generator on v = e_idx is its column
+            img: Dict[Tuple[GenKey, ...], Vec] = {(gen,): mat.get(idx, {}) for gen, mat in mats.items()}
+            img[()] = {idx: one}
+            for w in plan:
+                inner = img[w[1:]]
+                img[w] = mat_apply(mats[w[0]], inner) if inner else inner
+            for i, j, lhs, rhs in brackets:
+                lhs, rhs = img[lhs], img[rhs]
                 if i == j:
-                    di = ctx.datum.d[i]
-                    denom = ctx.zeta_pow(di) - ctx.zeta_pow(-di)
-                    for idx, c in v.items():
-                        lam = self.weights[idx]
-                        e = lam[i] * di
-                        scal = (ctx.zeta_pow(e) - ctx.zeta_pow(-e)) / denom
-                        vec_add_term(dif, idx, -(c * scal))
-                if dif:
-                    raise ModuleCheckError(
-                        f"{self.label}: [E_{i+1}, F_{j+1}] relation fails"
-                    )
-        for rel in ctx.serre_relators():
-            for kind in ("E", "F"):
+                    # [K_i; 0] acts on v by [lam_i]_{q^{d_i}}
+                    rhs = dict(rhs)
+                    vec_add_term(rhs, idx, ctx.gauss_binom(self.weights[idx][i], 1, ctx.datum.d[i]))
+                if lhs != rhs:
+                    raise ModuleCheckError(f"{self.label}: [E_{i+1}, F_{j+1}] relation fails")
+            for kind, rel in serre:
                 acc: Vec = {}
-                for word, c in rel:
-                    cur = {k: val * c for k, val in v.items()}
-                    for j in reversed(word):
-                        cur = self.act_gen((kind, j), cur)
-                        if not cur:
-                            break
-                    vec_iadd_scaled(acc, cur, ctx.field.one)
+                for w, c in rel:
+                    vec_iadd_scaled(acc, img[w], c)
                 if acc:
                     raise ModuleCheckError(f"{self.label}: {kind}-Serre relator acts")
-        if ctx.r > 0:
-            self._check_divided_relations_on(v)
+            e_powers = {a: scaled(img[w], c) for a, (w, c) in e_words.items()}
+            for m, nn, w, c in divided:
+                # E^{(m)} F^{(n)} = sum_t F^{(n-t)} [K; 2t-m-n over t] E^{(m-t)}
+                rhs: Vec = {}
+                for f_t, c_off, t, e_t in ctx.mixed_rank1_terms(m, nn):
+                    ev: Vec = {}
+                    for k, x in e_powers[e_t].items():
+                        val = ctx.gauss_binom(self.weights[k][0] * ctx.d_gamma[0] + c_off, t)
+                        if val:
+                            ev[k] = x * val
+                    if ev:
+                        for k, x in self.act_divided("F", 0, f_t, ev).items():
+                            vec_add_term(rhs, k, x)
+                if scaled(img[w], c) != rhs:
+                    raise ModuleCheckError(f"{self.label}: divided mixed relation E^({m}) F^({nn}) fails")
 
-    def _check_divided_relations_on(self, v: Vec) -> None:
-        # E^{(m)} F^{(n)} = sum_t F^{(n-t)} [K; 2t-m-n over t] E^{(m-t)}
-        ctx = self.ctx
-        d0 = ctx.d_gamma[0]
-        for m, nn in [(1, ctx.ell), (ctx.ell, 1), (ctx.ell, ctx.ell)]:
-            lhs = self.act_divided("E", 0, m, self.act_divided("F", 0, nn, v))
-            rhs: Vec = {}
-            for f_t, c_off, t, e_t in ctx.mixed_rank1_terms(m, nn):
-                cur = self.act_divided("E", 0, e_t, v)
-                ev: Vec = {}
-                for idx, c in cur.items():
-                    lam_hat = self.weights[idx][0] * d0
-                    val = ctx.gauss_binom(lam_hat + c_off, t)
-                    if val:
-                        ev[idx] = c * val
-                if ev:
-                    vec_iadd_scaled(rhs, self.act_divided("F", 0, f_t, ev), ctx.field.one)
-            dif = dict(lhs)
-            vec_iadd_scaled(dif, rhs, -ctx.field.one)
-            if dif:
-                raise ModuleCheckError(
-                    f"{self.label}: divided mixed relation E^({m}) F^({nn}) fails"
-                )
+    def _divided_word(self, side: str, a: int) -> Tuple[Tuple[GenKey, ...], object]:
+        """(word, c) with X^{(a)} = c * word at rank one, the word's last
+        letter acting first (``KernelContext.divided_chain``)."""
+        gens, c = self.ctx.divided_chain(side, 0, a)
+        return gens[::-1], c
 
 
 # --------------------------------------------------------------------------
@@ -332,6 +344,7 @@ def dual_module(m: WeightedModule) -> WeightedModule:
 
 def tensor_module(a: WeightedModule, b: WeightedModule) -> WeightedModule:
     ctx = a.ctx
+    one = ctx.field.one
     dim_b = b.dim
     weights = tuple(
         tuple(x + y for x, y in zip(la, lb)) for la in a.weights for lb in b.weights
@@ -343,33 +356,37 @@ def tensor_module(a: WeightedModule, b: WeightedModule) -> WeightedModule:
     acts: Dict[GenKey, Mat] = {}
     kinds = set(a.actions) | set(b.actions)
     for (kind, j) in sorted(kinds):
+        side = kind[0]
         nn = 1 if len(kind) == 1 else ctx.ell
         dj = ctx.datum.d[j]
-        mat: Mat = {}
         pos = ctx.simple_pos[j]
+        # Delta(E^{(n)}) = sum q^{-d na nb} K^{nb} E^{(na)} (x) E^{(nb)}
+        # Delta(F^{(n)}) = sum q^{+d na nb} F^{(na)} (x) F^{(nb)} K^{-na}
+        # Each factor's divided powers act on each of its basis vectors once;
+        # the scalar and the K eigenvalue of a term fold into the factor they
+        # depend on: the target weight of the E^{(na)} side, the source
+        # weight of the F^{(nb)} side.
+        a_terms, b_terms = [], []
+        for na in range(nn + 1):
+            nb = nn - na
+            scal = ctx.zeta_pow((-1 if side == "E" else 1) * dj * na * nb)
+            va = [a.act_divided(side, pos, na, {i: one}) for i in range(a.dim)]
+            vb = [b.act_divided(side, pos, nb, {k: one}) for k in range(b.dim)]
+            if side == "E":
+                va = [{ia: scal * ctx.zeta_pow(nb * a.weights[ia][j] * dj) * ca for ia, ca in v.items()} for v in va]
+            else:
+                vb = [{ib: scal * ctx.zeta_pow(-na * b.weights[k][j] * dj) * cb for ib, cb in v.items()}
+                      for k, v in enumerate(vb)]
+            a_terms.append(va)
+            b_terms.append(vb)
+        mat: Mat = {}
         for i in range(a.dim):
             for k in range(b.dim):
                 col = pair(i, k)
-                # Delta(E^{(n)}) = sum q^{-d na nb} K^{nb} E^{(na)} (x) E^{(nb)}
-                # Delta(F^{(n)}) = sum q^{+d na nb} F^{(na)} (x) F^{(nb)} K^{-na}
-                for na in range(nn + 1):
-                    nb = nn - na
-                    if kind[0] == "E":
-                        va = a.act_divided("E", pos, na, {i: ctx.field.one})
-                        vb = b.act_divided("E", pos, nb, {k: ctx.field.one})
-                        scal = ctx.zeta_pow(-dj * na * nb)
-                        for ia, ca in va.items():
-                            keig = ctx.zeta_pow(nb * a.weights[ia][j] * dj)
-                            for ib, cb in vb.items():
-                                vec_add_term(mat.setdefault(col, {}), pair(ia, ib), scal * keig * ca * cb)
-                    else:
-                        va = a.act_divided("F", pos, na, {i: ctx.field.one})
-                        vb = b.act_divided("F", pos, nb, {k: ctx.field.one})
-                        scal = ctx.zeta_pow(dj * na * nb)
-                        keig = ctx.zeta_pow(-na * b.weights[k][j] * dj)
-                        for ia, ca in va.items():
-                            for ib, cb in vb.items():
-                                vec_add_term(mat.setdefault(col, {}), pair(ia, ib), scal * keig * ca * cb)
+                for va, vb in zip(a_terms, b_terms):
+                    for ia, ca in va[i].items():
+                        for ib, cb in vb[k].items():
+                            vec_add_term(mat.setdefault(col, {}), pair(ia, ib), ca * cb)
         acts[(kind, j)] = mat
     return WeightedModule(ctx, weights, acts, a.lifts and b.lifts, f"tensor({a.label},{b.label})")
 
@@ -581,6 +598,9 @@ def is_verma(m: WeightedModule, nu: Weight) -> bool:
 # sub-specs realized, and the context first when no argument is a module.  A
 # signature lists the kinds of the arguments; each kind is the ``ModuleSpec``
 # field it fills: a sub-spec (``args``), a weight (``lam``) or a seed (``seed``).
+# The printed text is canonical (no spaces), and ``KernelContext.realized``,
+# the one module store, is keyed by it: ``simple(1, 0)`` and ``simple(1,0)``
+# are one module, built once per context, whether nested or not.
 
 SPEC, WEIGHT, SEED = "args", "lam", "seed"
 MAX_SPEC_DEPTH = 100
@@ -699,9 +719,16 @@ def parse_module_spec(text: str, rank: int) -> ModuleSpec:
 
 
 def realize(ctx: KernelContext, spec: ModuleSpec) -> WeightedModule:
-    sig, build = CONSTRUCTORS[spec.head]
-    values = [realize(ctx, v) if kind == SPEC else v for kind, v in zip(sig, spec.arguments())]
-    return build(*values) if SPEC in sig else build(ctx, *values)
+    """The module of spec over ctx, built once per context: it and every
+    sub-spec are looked up in ``ctx.realized`` by their canonical text
+    before they are built, and kept there."""
+    key = str(spec)
+    m = ctx.realized.get(key)
+    if m is None:
+        sig, build = CONSTRUCTORS[spec.head]
+        values = [realize(ctx, v) if kind == SPEC else v for kind, v in zip(sig, spec.arguments())]
+        m = ctx.realized[key] = build(*values) if SPEC in sig else build(ctx, *values)
+    return m
 
 
 def realize_text(ctx: KernelContext, text: str) -> WeightedModule:

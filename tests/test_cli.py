@@ -519,6 +519,80 @@ class TestVerify:
         run_case(cached, "reduction", spec, None)
         assert len(realized) == n + 1
 
+    def test_each_canonical_spec_built_once(self, freshctx, monkeypatch):
+        # nested specs go through the one store too: simple(1) and its
+        # tensor square are built once, however many cases name them
+        from uzeta import qmodules
+        from uzeta.cli import checked_module
+
+        built = []
+        for head, (sig, build) in list(qmodules.CONSTRUCTORS.items()):
+            def spy(*args, build=build):
+                m = build(*args)
+                built.append(m.label)
+                return m
+
+            monkeypatch.setitem(qmodules.CONSTRUCTORS, head, (sig, spy))
+        ctx = freshctx("A1", 3)
+        cases = ["simple(1)", "dual(simple(1))", "tensor(simple(1),simple(1))",
+                 "randsub(tensor(simple(1),simple(1)),5)"]
+        for spec in cases + cases[::-1]:
+            assert checked_module(ctx, spec) is ctx.realized[spec]
+        assert sorted(built) == sorted(cases)
+        assert sorted(ctx.realized) == sorted(cases)
+
+    def test_spacing_does_not_split_the_store(self, freshctx):
+        from uzeta.cli import checked_module
+        from uzeta.qmodules import realize_text
+
+        ctx = freshctx("A2", 3)
+        m = checked_module(ctx, "simple(1, 0)")
+        assert checked_module(ctx, "simple(1,0)") is m and realize_text(ctx, "simple( 1 ,0 )") is m
+        assert list(ctx.realized) == ["simple(1,0)"]
+
+    def test_nested_module_checked_when_asked_for(self, freshctx, monkeypatch):
+        from uzeta.cli import checked_module
+        from uzeta.qmodules import WeightedModule
+
+        checked = []
+        real = WeightedModule.check
+
+        def spy(m):
+            checked.append(m)
+            return real(m)
+
+        monkeypatch.setattr(WeightedModule, "check", spy)
+        ctx = freshctx("A1", 3)
+        dual = checked_module(ctx, "dual(simple(1))")
+        inner = ctx.realized["simple(1)"]
+        assert checked == [dual] and not inner.checked
+        assert checked_module(ctx, "simple(1)") is inner
+        assert checked == [dual, inner] and inner.checked
+        checked_module(ctx, "simple(1)")
+        checked_module(ctx, "dual(simple(1))")
+        assert checked == [dual, inner]
+
+    def test_a1_tensor_products_of_simples(self, monkeypatch):
+        # Andersen (Comm. Math. Phys. 149, 1992): at r = 0, L(a) (x) L(b) is
+        # injective exactly when a or b is the Steinberg weight ell - 1; below
+        # it dim = (a+1)(b+1) is prime to ell, which divides the dimension of
+        # every projective module
+        from uzeta import cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_CONTEXTS", {})
+        count = 0
+        for ell in (3, 5):
+            manifest = [
+                {"spec": f"tensor(simple({a}),simple({b}))", "expect_injective": max(a, b) == ell - 1}
+                for a in range(ell) for b in range(a, ell)
+            ]
+            recs = run_suites(RunConfig("A1", ell), ["rootcrit"], manifest)
+            assert len(recs) == len(manifest)
+            for rec in recs:
+                assert not rec.get("skipped") and rec["agree"] and "expected" in rec, rec
+            count += len(recs)
+        assert count == 21
+
     def test_every_record_carries_its_configuration(self):
         cfg = RunConfig("A1", 3, p=7)
         recs = run_suites(cfg, SUITES, [{"spec": "simple(2)", "expect_injective": True}])

@@ -398,6 +398,79 @@ class TestGradingRelationChecks:
             bad.check()
 
 
+    @staticmethod
+    def _doubled(m, gen, col, row):
+        """m with one action entry doubled: the grading still holds."""
+        from uzeta.qmodules import WeightedModule
+
+        acts = {g: {c: dict(v) for c, v in mat.items()} for g, mat in m.actions.items()}
+        acts[gen][col][row] = acts[gen][col][row] + acts[gen][col][row]
+        return WeightedModule(m.ctx, m.weights, acts, False, "bad")
+
+    @pytest.mark.parametrize(
+        "gen,col,row,message",
+        [
+            (("E", 0), 4, 2, r"\[E_1, F_2\] relation fails"),
+            (("E", 1), 3, 9, r"\[E_2, F_1\] relation fails"),
+            (("E", 0), 18, 9, "E-Serre relator acts"),
+            (("F", 0), 0, 9, "F-Serre relator acts"),
+        ],
+        ids=["E1F2", "E2F1", "E-Serre", "F-Serre"],
+    )
+    def test_one_doubled_entry_breaks_its_relation(self, ctxmaker, gen, col, row, message):
+        # each entry is the first in Z(0,0) at A2 ell=3 whose doubling fails
+        # the check first at that relation
+        vm = verma_module(ctxmaker("A2", 3), (0, 0))
+        vm.check()
+        with pytest.raises(ModuleCheckError, match=message):
+            self._doubled(vm, gen, col, row).check()
+
+    def test_torus_term_of_the_bracket_counts(self, ctxmaker):
+        # 2 F_2 keeps the grading, the Serre relations and [E_1, F_2] = 0,
+        # but [E_2, 2 F_2] = 2 [K_2; 0], which differs from [K_2; 0] on any
+        # weight with [lam_2] != 0
+        from uzeta.qmodules import WeightedModule
+
+        vm = verma_module(ctxmaker("A2", 3), (0, 0))
+        acts = dict(vm.actions)
+        acts[("F", 1)] = {c: {r: x + x for r, x in v.items()} for c, v in vm.actions[("F", 1)].items()}
+        with pytest.raises(ModuleCheckError, match=r"\[E_2, F_2\] relation fails"):
+            WeightedModule(vm.ctx, vm.weights, acts, False, "bad").check()
+
+    def test_divided_relation_at_r1(self, ctxmaker):
+        # E^{(ell)} enters only the divided relations of E^{(m)} F^{(n)}
+        vm = verma_module(ctxmaker("A1", 3, p=7, r=1), (0,))
+        vm.check()
+        mat = vm.actions[("Ed0", 0)]
+        col = min(mat)
+        with pytest.raises(ModuleCheckError, match="divided mixed relation"):
+            self._doubled(vm, ("Ed0", 0), col, min(mat[col])).check()
+
+
+class TestRealizeAndCheckCost:
+    def test_products_bounded(self, freshctx, monkeypatch):
+        # a deterministic cost guard: realizing and checking every A2 ell=3
+        # default-manifest spec once makes 9,572 field products with each
+        # spec built once per context and each generator word applied to a
+        # basis vector once; rebuilding nested specs and applying every word
+        # of every relation afresh, 20,202
+        from uzeta.cli import RunConfig, checked_module, default_manifest
+        from uzeta.scalars import CycloField
+
+        ctx = freshctx("A2", 3)
+        calls = []
+        mul = CycloField._mul
+
+        def counted(field, a, b):
+            calls.append(None)
+            return mul(field, a, b)
+
+        monkeypatch.setattr(CycloField, "_mul", counted)
+        for case in default_manifest(RunConfig("A2", 3)):
+            assert checked_module(ctx, case["spec"]).checked
+        assert len(calls) <= 9_700
+
+
 class TestWeightBasisOverLayers:
     def test_verma_free_ranks(self, ctxmaker):
         ctx = ctxmaker("A2", 3)
@@ -641,3 +714,18 @@ class TestSerreRelatorsInField:
         monkeypatch.setattr(ctx, "serre_relators", lambda: (first[1:],) + tuple(rest))
         with pytest.raises(ModuleCheckError, match="Serre relator acts"):
             vm.check()
+
+    @pytest.mark.parametrize("twisted,side", [(False, "F"), (True, "E")])
+    def test_wrong_relator_is_caught_on_each_side(self, freshctx, monkeypatch, twisted, side):
+        # Z(0,0) is free over u-, so its top vector meets the F-side words
+        # first; its omega-twist swaps the sides
+        from uzeta.qmodules import omega_twist
+
+        ctx = freshctx("A2", 3)
+        vm = verma_module(ctx, (0, 0))
+        m = omega_twist(vm) if twisted else vm
+        m.check()
+        first, *rest = ctx.serre_relators()
+        monkeypatch.setattr(ctx, "serre_relators", lambda: (first[1:],) + tuple(rest))
+        with pytest.raises(ModuleCheckError, match=f"{side}-Serre relator acts"):
+            m.check()
