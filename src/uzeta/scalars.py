@@ -12,20 +12,23 @@ Four layers, all exact and immutable:
   plus {q^3-q^-3} for the triple bond);
 * residue fields at a primitive root of unity: the cyclotomic field
   Q[q]/Phi_ell(q) and finite fields F_{p^n} with n the multiplicative
-  order of p mod ell, so a primitive ell-th root exists in both.  In
-  the cyclotomic field a product is an integer convolution and an
-  inverse goes through the Galois norm (``CycloField``); no ``Fraction``
-  arithmetic runs in either.
+  order of p mod ell, so a primitive ell-th root exists in both.  Both
+  are Z[x] modulo a monic ``modulus``, reduced mod p in F_{p^n}, so a
+  product is an integer convolution folded through the powers of x
+  modulo the modulus; an inverse goes through the Galois norm in the
+  cyclotomic field (``CycloField``) and is a^(p^n - 2) in F_{p^n}
+  (``GaloisField``).  No ``Fraction`` arithmetic runs in either.
 
 The two residue fields share one layer and one element type.  A
 ``ResidueElement`` is a vector of integers over one positive
 denominator, kept canonical by its field, and does all its arithmetic,
 division and powers itself.  ``_ResidueField`` coerces, evaluates
 Laurent polynomials, fractions and localized scalars at zeta, and owns
-the product ``_mul`` and inverse ``_inv``; each field supplies only its
-degree, its canonical form ``_reduced``, its raw product and inverse, and
-its printing.
-Every power, in every layer, is the one square-and-multiply ``_power``.
+the product ``_raw_mul`` and the memoized ``_mul`` and ``_inv``; each
+field supplies only its modulus, its canonical form ``_reduced``, its
+raw inverse ``_raw_inv``, and its printing.
+Every power, in every layer, is the one square-and-multiply ``_power``,
+and every power of x modulo a modulus comes from ``_x_powers``.
 
 A verdict touches few distinct field values, and combines the same
 pairs of them over and over.  So each field interns its elements
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import weakref
 from fractions import Fraction
 from math import gcd
@@ -53,13 +57,14 @@ from typing import List, Optional, Sequence, Tuple
 MEMO_SIZE = 4096
 
 
-def _power(x, n: int, one):
-    """x**n for n >= 0 by square-and-multiply, starting from ``one``."""
+def _power(x, n: int, one, mul=operator.mul):
+    """x**n for n >= 0 by square-and-multiply with the product ``mul``,
+    starting from ``one``."""
     out = one
     while n:
         if n & 1:
-            out = out * x
-        x = x * x
+            out = mul(out, x)
+        x = mul(x, x)
         n >>= 1
     return out
 
@@ -550,29 +555,62 @@ def localized_from_text(s: str, s_keys: Tuple[int, ...]) -> Localized:
 
 # --- cyclotomic polynomials and residue fields ------------------------------
 
-def _divisors(n: int) -> List[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def cyclotomic_poly(n: int) -> Tuple[int, ...]:
-    """Integer coefficient tuple of Phi_n, low degree first."""
-    # x^n - 1 divided by all proper cyclotomic factors
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d == n:
-            continue
-        phi_d = cyclotomic_poly(d)
-        # exact polynomial division poly //= phi_d
-        out = [0] * (len(poly) - len(phi_d) + 1)
-        rem = list(poly)
-        for k in range(len(out) - 1, -1, -1):
-            f = rem[k + len(phi_d) - 1] // phi_d[-1]
-            out[k] = f
-            for i, y in enumerate(phi_d):
-                rem[k + i] -= f * y
-        assert not any(rem), "cyclotomic division must be exact"
-        poly = out
-    return tuple(poly)
+    """Integer coefficient tuple of Phi_n, low degree first: x^n - 1 divided
+    exactly by Phi_d for every proper divisor d of n."""
+    poly = Laurent(0, (-1,) + (0,) * (n - 1) + (1,))
+    for d in range(1, n):
+        if n % d == 0:
+            poly = poly.exact_div(Laurent(0, cyclotomic_poly(d)))
+    return poly.c
+
+
+def _x_powers(modulus: Sequence[int], count: int, char: int = 0) -> List[Tuple[int, ...]]:
+    """x^0 .. x^(count-1) modulo the monic integer polynomial ``modulus``
+    (low degree first), each a vector of deg = len(modulus) - 1 integers,
+    reduced mod ``char`` when it is positive."""
+    cur = [1] + [0] * (len(modulus) - 2)
+    out = []
+    for _ in range(count):
+        out.append(tuple(cur))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [x - top * c for x, c in zip(cur, modulus)]
+            if char:
+                cur = [x % char for x in cur]
+    return out
+
+
+def _terms(v: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    """The nonzero (index, coefficient) pairs of an integer vector."""
+    return tuple((i, c) for i, c in enumerate(v) if c)
+
+
+def _fold_table(modulus: Sequence[int], char: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The nonzero terms of x^deg .. x^(2 deg - 2) modulo the monic ``modulus``:
+    what ``_fold_mul`` folds the top of a product through."""
+    deg = len(modulus) - 1
+    return tuple(_terms(v) for v in _x_powers(modulus, 2 * deg - 1, char)[deg:])
+
+
+def _fold_mul(u: Sequence[int], v: Sequence[int], fold) -> List[int]:
+    """Product of two integer vectors of length deg, reduced to degree < deg:
+    the integer convolution, its terms of degree deg and up folded back
+    through ``fold`` (``_fold_table``).  Nothing is reduced mod p here."""
+    n = len(u)
+    buf = [0] * (2 * n - 1)
+    vt = [(j, y) for j, y in enumerate(v) if y]
+    for i, x in enumerate(u):
+        if x:
+            for j, y in vt:
+                buf[i + j] += x * y
+    out = buf[:n]
+    for c, terms in zip(buf[n:], fold):
+        if c:
+            for i, y in terms:
+                out[i] += c * y
+    return out
 
 
 class ResidueElement:
@@ -651,7 +689,9 @@ class ResidueElement:
 
 
 class _ResidueField:
-    """Coercion, evaluation at zeta, interning and the arithmetic memos of one field.
+    """Z[x] modulo a monic ``modulus``, reduced mod ``char`` when it is positive:
+    coercion, evaluation at zeta, the product, interning and the arithmetic
+    memos of one field.
 
     The field interns its elements in ``_elements``, a weak-valued table
     keyed on ``(num, den)`` that keeps no element alive by itself.  Sums,
@@ -661,18 +701,23 @@ class _ResidueField:
     object identities and reads its result back.  The memos hold their
     operands and results, which therefore stay interned while cached.
 
-    A subclass sets ``deg`` and ``_zeta_pows`` = zeta^0 .. zeta^(ell-1),
-    and defines the canonical form ``_reduced(num, den)``, the product
-    ``_raw_mul`` and inverse ``_raw_inv`` of elements, which ``_mul`` and
-    ``_inv`` reach through the memos ``_product`` and ``_inverse``, and
-    the printing ``element_to_text`` and ``element_str``.
+    The product ``_raw_mul`` is the same in both fields: the integer
+    convolution of the coordinates, folded through the powers
+    x^deg .. x^(2 deg - 2) modulo the modulus, then brought to canonical
+    form.  A subclass supplies the modulus, sets ``_zeta_pows`` =
+    zeta^0 .. zeta^(ell-1), and defines the canonical form
+    ``_reduced(num, den)``, the inverse ``_raw_inv``, which ``_inv`` reaches
+    through the memo ``_inverse`` as ``_mul`` reaches ``_raw_mul`` through
+    ``_product``, and the printing ``element_to_text`` and ``element_str``.
     """
 
-    def __init__(self, ell: int, char: int, deg: int, desc: str):
+    def __init__(self, ell: int, char: int, modulus: Tuple[int, ...], desc: str):
         self.ell = ell
         self.char = char
-        self.deg = deg
+        self.modulus = modulus
+        self.deg = deg = len(modulus) - 1
         self.desc = desc
+        self._fold = _fold_table(modulus, char)
         self._elements = weakref.WeakValueDictionary()
         memo = functools.lru_cache(maxsize=MEMO_SIZE)
         self._sum = memo(self._raw_add)
@@ -717,6 +762,13 @@ class _ResidueField:
     def _raw_neg(self, a: ResidueElement) -> ResidueElement:
         return self._reduced(tuple(-x for x in a.num), a.den)
 
+    def _polymul(self, u: Sequence[int], v: Sequence[int]) -> List[int]:
+        """Product of two integer vectors, reduced to degree < deg (not mod p)."""
+        return _fold_mul(u, v, self._fold)
+
+    def _raw_mul(self, a: ResidueElement, b: ResidueElement) -> ResidueElement:
+        return self._reduced(tuple(_fold_mul(a.num, b.num, self._fold)), a.den * b.den)
+
     def _mul(self, a: ResidueElement, b: ResidueElement) -> ResidueElement:
         return self._product(a, b)
 
@@ -748,8 +800,7 @@ class _ResidueField:
                 g = self.eval_laurent(s_generator(k))
                 if not g:
                     raise ZeroDivisionError(f"S-generator q^{k}-q^-{k} vanishes at zeta in {self.desc}")
-                for _ in range(e):
-                    out = out / g
+                out = out / g ** e
         return out
 
 
@@ -757,12 +808,13 @@ class CycloField(_ResidueField):
     """Q(zeta) = Q[q] / Phi_ell(q) with zeta the class of q.
 
     Phi_ell is monic with integer coefficients, so every power zeta^k
-    reduces to an integer vector; one table of the powers
-    zeta^0 .. zeta^(ell-1) reduces products and applies the Galois
-    automorphisms sigma_k(zeta) = zeta^k, k in (Z/ell)^x.
+    reduces to an integer vector.  The shared product (``_ResidueField``)
+    is an integer convolution folded through zeta^deg .. zeta^(2 deg - 2),
+    with one gcd to keep the canonical form; the table of
+    zeta^0 .. zeta^(ell-1), from the same power routine, applies the
+    Galois automorphisms sigma_k(zeta) = zeta^k, k in (Z/ell)^x.
 
-    A product is an integer convolution, reduced through that table, with
-    one gcd to keep the canonical form.  An inverse goes through the norm
+    An inverse goes through the norm
     (Cohen, A Course in Computational Algebraic Number Theory, 1993,
     4.2-4.3): a^-1 = prod_{k != 1} sigma_k(a) / N(a), where
     N(a) = prod_k sigma_k(a) is rational.  Both run once per operand pair
@@ -773,18 +825,10 @@ class CycloField(_ResidueField):
 
     def __init__(self, ell: int):
         phi = cyclotomic_poly(ell)
-        n = len(phi) - 1
-        super().__init__(ell, 0, n, f"cyclo({ell})")
-        pows = []
-        cur = [1] + [0] * (n - 1)
-        for _ in range(ell):
-            pows.append(tuple(cur))
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [x - top * c for x, c in zip(cur, phi)]
+        super().__init__(ell, 0, phi, f"cyclo({ell})")
+        pows = _x_powers(phi, ell)
         # nonzero (index, coefficient) pairs of zeta^k, k = 0 .. ell-1
-        self._pow_terms = [tuple((i, c) for i, c in enumerate(v) if c) for v in pows]
+        self._pow_terms = [_terms(v) for v in pows]
         # the automorphisms sigma_k other than the identity
         self._galois = tuple(k for k in range(2, ell) if gcd(k, ell) == 1)
         self._zeta_pows = [ResidueElement(self, v) for v in pows]
@@ -801,24 +845,6 @@ class CycloField(_ResidueField):
                 den //= g
         return ResidueElement(self, num, den)
 
-    def _polymul(self, u: Sequence[int], v: Sequence[int]) -> List[int]:
-        """Product of two integer vectors, reduced to degree < deg."""
-        n = self.deg
-        buf = [0] * (2 * n - 1)
-        vt = [(j, y) for j, y in enumerate(v) if y]
-        for i, x in enumerate(u):
-            if x:
-                for j, y in vt:
-                    buf[i + j] += x * y
-        out = buf[:n]
-        ell, terms = self.ell, self._pow_terms
-        for k in range(n, 2 * n - 1):
-            c = buf[k]
-            if c:
-                for i, y in terms[k % ell]:
-                    out[i] += c * y
-        return out
-
     def _conjugate(self, u: Sequence[int], k: int) -> List[int]:
         """sigma_k of an integer vector: zeta^i goes to zeta^(i k)."""
         out = [0] * self.deg
@@ -828,9 +854,6 @@ class CycloField(_ResidueField):
                 for j, y in terms[i * k % ell]:
                     out[j] += x * y
         return out
-
-    def _raw_mul(self, a: ResidueElement, b: ResidueElement) -> ResidueElement:
-        return self._reduced(tuple(self._polymul(a.num, b.num)), a.den * b.den)
 
     def _raw_inv(self, a: ResidueElement) -> ResidueElement:
         # a^-1 = den * prod_{k != 1} sigma_k(num) / N(num); a rational
@@ -895,6 +918,14 @@ class GaloisField(_ResidueField):
     modulus g is the first monic irreducible polynomial of degree n in the
     deterministic scan order, and zeta is the first element of exact
     multiplicative order ell in the scan eta = x, x+1, x+2, ...
+
+    Irreducibility is Rabin's test (SIAM J. Comput. 9, 1980) by powers
+    alone: g of degree n is irreducible iff x^(p^n) = x mod g and, for each
+    prime r | n, h = x^(p^(n/r)) - x is a unit mod g.  Once the first
+    condition holds, g is squarefree with factors of degrees dividing n,
+    so F_p[x]/(g) is a product of fields F_{p^d}, d | n, and h is a unit
+    exactly when h^(p^n - 1) = 1.  The product is the shared one
+    (``_ResidueField``), and the inverse of a nonzero a is a^(p^n - 2).
     """
 
     def __init__(self, p: int, ell: int):
@@ -903,9 +934,8 @@ class GaloisField(_ResidueField):
         if ell % p == 0:
             raise ValueError("p must not divide ell")
         self.p = p  # before the base builds ``one`` through ``_reduced``
-        n = multiplicative_order(p, ell) if ell > 1 else 1
-        super().__init__(ell, p, n, f"gf({p}^{n})")
-        self.modulus = self._find_irreducible(n)
+        n = multiplicative_order(p, ell)
+        super().__init__(ell, p, self._find_irreducible(n), f"gf({p}^{n})")
         self.zeta = self._find_zeta()
         self._zeta_pows = [self.one]
         for _ in range(ell - 1):
@@ -921,70 +951,21 @@ class GaloisField(_ResidueField):
             return ResidueElement(self, tuple(x * s % p for x in num))
         return ResidueElement(self, tuple(x % p for x in num))
 
-    # -- polynomial helpers over F_p (low degree first, fixed length lists)
+    def _is_irreducible(self, g: Sequence[int]) -> bool:
+        """Rabin's test for the monic g over F_p, by powers mod g alone."""
+        p, n = self.p, len(g) - 1
+        fold = _fold_table(g, p)
 
-    def _polmulmod(self, a: List[int], b: List[int], g: List[int]) -> List[int]:
-        p = self.p
-        buf = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        buf[i + j] = (buf[i + j] + x * y) % p
-        # reduce mod g (monic)
-        dg = len(g) - 1
-        for k in range(len(buf) - 1, dg - 1, -1):
-            c = buf[k]
-            if c:
-                for i in range(dg + 1):
-                    buf[k - dg + i] = (buf[k - dg + i] - c * g[i]) % p
-        return buf[:dg]
+        def mul(a, b):
+            return tuple(x % p for x in _fold_mul(a, b, fold))
 
-    def _polpowmod(self, a: List[int], e: int, g: List[int]) -> List[int]:
-        out = [1] + [0] * (len(g) - 2)
-        base = list(a) + [0] * (len(g) - 1 - len(a))
-        while e:
-            if e & 1:
-                out = self._polmulmod(out, base, g)
-            base = self._polmulmod(base, base, g)
-            e >>= 1
-        return out
-
-    def _polgcd(self, a: List[int], b: List[int]) -> List[int]:
-        p = self.p
-
-        def norm(u):
-            while u and not u[-1]:
-                u.pop()
-            return u
-
-        a, b = norm(list(a)), norm(list(b))
-        while b:
-            inv = pow(b[-1], p - 2, p)
-            r = list(a)
-            while len(r) >= len(b):
-                if not r[-1]:
-                    r.pop()
-                    continue
-                f = r[-1] * inv % p
-                k = len(r) - len(b)
-                for i, y in enumerate(b):
-                    r[k + i] = (r[k + i] - f * y) % p
-                r.pop()
-            a, b = b, norm(r)
-        return a
-
-    def _is_irreducible(self, g: List[int]) -> bool:
-        n = len(g) - 1
-        x = [0, 1]
-        xp = self._polpowmod(x, self.p ** n, g)
-        # x^{p^n} == x mod g
-        if (xp + [0] * 2)[:2] != [0, 1] or any(xp[2:]):
+        one, x = _x_powers(g, 2, p)
+        if _power(x, p ** n, one, mul) != x:
             return False
         for r in prime_factors(n):
-            xq = self._polpowmod(x, self.p ** (n // r), g)
-            diff = [(a - b) % self.p for a, b in zip(xq + [0, 0], [0, 1] + [0] * len(xq))][: max(len(xq), 2)]
-            if len(self._polgcd(diff, g)) > 1:
+            xq = _power(x, p ** (n // r), one, mul)
+            h = tuple((a - b) % p for a, b in zip(xq, x))
+            if _power(h, p ** n - 1, one, mul) != one:
                 return False
         return True
 
@@ -997,7 +978,7 @@ class GaloisField(_ResidueField):
         if n == 1:
             return (0, 1)
         for co in self._scan(n):
-            if self._is_irreducible(list(co) + [1]):
+            if self._is_irreducible(co + (1,)):
                 return co + (1,)
         raise RuntimeError("no irreducible polynomial found (unreachable)")
 
@@ -1017,11 +998,8 @@ class GaloisField(_ResidueField):
                 return z
         raise RuntimeError("no primitive ell-th root found (unreachable)")
 
-    def _raw_mul(self, a: ResidueElement, b: ResidueElement) -> ResidueElement:
-        return ResidueElement(self, tuple(self._polmulmod(a.num, b.num, self.modulus)))
-
     def _raw_inv(self, a: ResidueElement) -> ResidueElement:
-        return ResidueElement(self, tuple(self._polpowmod(a.num, self.p ** self.deg - 2, self.modulus)))
+        return _power(a, self.p ** self.deg - 2, self.one, self._raw_mul)
 
     def element_to_text(self, a: ResidueElement) -> str:
         return ",".join(str(x) for x in a.num)

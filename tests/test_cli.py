@@ -282,6 +282,20 @@ class TestSubcommands:
         text = open(out).read()
         assert text.startswith("dim 3") and "generator F1" in text
 
+    @pytest.mark.parametrize("args, digest", [
+        (("--ell", "3", "--p", "5", "tensor(simple(1),dual(simple(1)))"),
+         "fd3948b8d4ebfaaad07fc37c61ad6de23429ff1ca4d55ef965502d83f1f83080"),
+        (("--ell", "5", "--p", "3", "tensor(simple(2),dual(simple(3)))"),
+         "89346980bd426fd6a4f61c0bee45894a600116e16a1fced7ac7050b2fbe45a26"),
+        (("--ell", "7", "--p", "3", "tensor(simple(2),simple(4))"),
+         "2b3b19a7f857fcc0ea8397f312e4ae114d6f3ae20fb07c59413507503582fbdd"),
+    ], ids=["F5^2", "F3^4", "F3^6"])
+    def test_extension_field_module_bytes_pinned(self, args, digest, capsys):
+        # the printed matrices of a module over F_{p^n}, n > 1, and so the
+        # extension-field product, inverse and presentation, are pinned
+        assert main(["module", "--type", "A1", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_betti_table(self):
         r = cli("betti", "--type", "A1", "--ell", "3")
         assert r.returncode == 0 and "degree" in r.stdout
@@ -573,25 +587,35 @@ class TestVerify:
         assert checked == [dual, inner]
 
     def test_a1_tensor_products_of_simples(self, monkeypatch):
-        # Andersen (Comm. Math. Phys. 149, 1992): at r = 0, L(a) (x) L(b) is
-        # injective exactly when a or b is the Steinberg weight ell - 1; below
-        # it dim = (a+1)(b+1) is prime to ell, which divides the dimension of
-        # every projective module
+        # Andersen (Comm. Math. Phys. 149, 1992), at r = 0:
+        # (iii) L(a) (x) L(b) is injective exactly when a or b is the
+        # Steinberg weight ell - 1; below it dim = (a+1)(b+1) is prime to
+        # ell, which divides the dimension of every projective module;
+        # (ii) a dual is injective exactly when the module is;
+        # (i) X (x) L(ell - 1) is injective for every module X
         from uzeta import cli as cli_module
 
         monkeypatch.setattr(cli_module, "_CONTEXTS", {})
         count = 0
-        for ell in (3, 5):
-            manifest = [
-                {"spec": f"tensor(simple({a}),simple({b}))", "expect_injective": max(a, b) == ell - 1}
+        for ell in (3, 5, 7):
+            tensors = [
+                (f"tensor(simple({a}),simple({b}))", max(a, b) == ell - 1)
                 for a in range(ell) for b in range(a, ell)
             ]
+            duals = [(f"dual({spec})", injective) for spec, injective in tensors]
+            steinberg = [
+                (f"tensor({x},simple({ell - 1}))", True)
+                for x in ("verma(0)", "randsub(verma(1),42)", "quot(verma(0),7)", "dual(simple(1))",
+                          f"twist(verma(1),{ell})")
+            ]
+            manifest = [{"spec": spec, "expect_injective": injective}
+                        for spec, injective in tensors + duals + steinberg]
             recs = run_suites(RunConfig("A1", ell), ["rootcrit"], manifest)
             assert len(recs) == len(manifest)
             for rec in recs:
                 assert not rec.get("skipped") and rec["agree"] and "expected" in rec, rec
             count += len(recs)
-        assert count == 21
+        assert count == 113
 
     def test_every_record_carries_its_configuration(self):
         cfg = RunConfig("A1", 3, p=7)

@@ -386,6 +386,31 @@ class TestGaloisField:
         G = GaloisField(p, ell)
         assert (G.deg, G.modulus, G.zeta.num) == (deg, modulus, zeta)
 
+    @pytest.mark.parametrize(
+        "p,ell,degrees",
+        [(2, 3, (2, 3, 4, 5, 6)), (3, 2, (2, 3, 4, 5, 6)), (5, 2, (2, 3, 4)), (7, 3, (2, 3))],
+    )
+    def test_rabin_by_powers_agrees_with_trial_division(self, p, ell, degrees):
+        # every monic g of each degree n over F_p (the field lends only its
+        # p); a reducible g has a monic factor of degree <= n/2.  Degree 6
+        # is the first where a reducible g with x^(p^n) = x mod g can have
+        # h = x^(p^(n/r)) - x nonzero and still not a unit
+        G = GaloisField(p, ell)
+
+        def divides(f, g):
+            r = list(g)
+            for k in reversed(range(len(g) - len(f) + 1)):
+                c = r[k + len(f) - 1]
+                for i, y in enumerate(f):
+                    r[k + i] = (r[k + i] - c * y) % p
+            return not any(r[: len(f) - 1])
+
+        for n in degrees:
+            factors = [co + (1,) for d in range(1, n // 2 + 1) for co in itertools.product(range(p), repeat=d)]
+            for co in itertools.product(range(p), repeat=n):
+                g = co + (1,)
+                assert G._is_irreducible(g) is not any(divides(f, g) for f in factors), g
+
     def test_prime_field_with_root(self):
         G = GaloisField(7, 3)
         assert G.deg == 1 and G.char == 7
