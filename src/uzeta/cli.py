@@ -7,10 +7,13 @@ process compiles only the modules its command runs.
 
 Subcommands: build, relations, module, verify, skeleton, betti,
 cache-info.  Reports are line-delimited JSON records (deterministic:
-sorted keys, no timestamps unless --timing); a human summary goes to
-standard output.  Exit status is nonzero iff any agreement fails or, for
-verify, any case is skipped over its budget (a skip for want of a full
-lift is not a failure).
+sorted keys, no timestamps unless --timing).  Without --out, standard
+output carries the report alone, and the notes (the verify summary, the
+--permissive banner, a falsification candidate, an error) go to standard
+error; with --out, the verify summary or a "wrote" line goes to standard
+output.  Exit status is nonzero iff any agreement fails or, for verify,
+any case is skipped over its budget (a skip for want of a full lift is
+not a failure).
 """
 
 from __future__ import annotations
@@ -84,12 +87,13 @@ class RunConfig(NamedTuple):
         if self.type_label == "G2" and not self.long_running:
             raise ConfigError("type G2 jobs are gated behind --long-running")
 
-    def banner(self, out) -> None:
+    def banner(self) -> None:
+        """Warn on standard error, so standard output stays the report."""
         if not self.strict:
             print(
                 "# permissive mode: standing hypotheses (odd ell >= Coxeter number,"
                 " good p) are NOT enforced",
-                file=out,
+                file=sys.stderr,
             )
 
 
@@ -679,7 +683,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"cannot write {out}: it is a directory")
         if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
             raise ConfigError(f"cannot write {out}: its directory does not exist")
-        cfg.banner(sys.stdout)
+        cfg.banner()
         return args.func(args, cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

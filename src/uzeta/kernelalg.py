@@ -47,7 +47,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .genericuq import StructureTable, UqGeneric, generic_uq
 from .linalg import Eliminator, Vec, kernel_basis, memoized, vec_add_term, vec_iadd_scaled
 from .rootdata import ConvexOrder
-from .scalars import q_int
 
 FExp = Tuple[int, ...]
 KExp = Tuple[int, ...]
@@ -129,9 +128,6 @@ class KernelContext:
                 tuple((w, field.eval_fraction(c)) for w, c in sorted(rv.items()))
                 for rv in rvs
             )
-        # gauss_binom fills a whole q-Pascal triangle per call, without
-        # recursion, so its memo is one shared table and not ``memoized``
-        self._kbinom: Dict[Tuple[int, int, int], object] = {}
         # the one module store: every realized module, nested specs included,
         # by canonical spec text (str(ModuleSpec)), filled by qmodules.realize;
         # cli.checked_module checks each one before its first verdict
@@ -143,12 +139,8 @@ class KernelContext:
     # -- scalar helpers --------------------------------------------------
 
     @memoized
-    def qn(self, n: int, d: int = 1):
-        return self.field.eval_laurent(q_int(n, d))
-
-    @memoized
     def qfact(self, n: int, d: int = 1):
-        return self.qfact(n - 1, d) * self.qn(n, d) if n > 1 else self.field.one
+        return self.qfact(n - 1, d) * self.gauss_binom(n, 1, d) if n > 1 else self.field.one
 
     @memoized
     def qfact_inv(self, n: int, d: int = 1):
@@ -252,7 +244,7 @@ class KernelContext:
         if self.n == 1:
             # rank one: pure divided-power collection, valid for every r
             a = exp[0]
-            c = self.qn(a + 1, self.d_gamma[0])
+            c = self.gauss_binom(a + 1, 1, self.d_gamma[0])
             if a + 1 >= self.cap or not c:
                 return {}
             return {(a + 1,): c}
@@ -358,36 +350,31 @@ class KernelContext:
     # class mod ell), so they are never materialized as algebra elements:
     # modules and covers evaluate them at a weight via gauss_binom.
 
+    @memoized
     def gauss_binom(self, m: int, t: int, d: int = 1):
         """Specialized generalized Gaussian binomial [m choose t]_{q^d}, m in Z.
 
-        Filled by q-Pascal with z = zeta^d,
+        Every quantum number at zeta is one of these: [n]_{q^d} is
+        [n choose 1]_{q^d}.  With z = zeta^d of odd order e = ell / gcd(d, ell),
+        m = m1*e + m0 and t = t1*e + t0, the quantum Lucas theorem gives
+        [m, t] = C(m1, t1) [m0, t0], so a weight costs no more than its
+        residue.  [m0, t0] is filled by q-Pascal,
         [m, t] = z^(-t) [m-1, t] + z^(m-t) [m-1, t-1], from [m, 0] = 1 and
-        [m, t] = 0 for 0 <= m < t, with [m, t] = (-1)^t [t-m-1, t] for
-        m < 0.  No step divides, so the quantum integers that vanish at
-        zeta do no harm.  One memo per context, keyed (m, t, d).
+        [m, t] = 0 for 0 <= m < t, in at most e^2 steps; no step divides, so
+        the quantum integers that vanish at zeta do no harm.  For m < 0,
+        [m, t] = (-1)^t [t-m-1, t].
         """
-        hit = self._kbinom.get((m, t, d))
-        if hit is not None:
-            return hit
         if m < 0:
             val = self.gauss_binom(t - m - 1, t, d)
-            val = -val if t % 2 else val
-            self._kbinom[(m, t, d)] = val
-            return val
-        memo, zp = self._kbinom, self.field.zeta_power
-        for m2 in range(m + 1):
-            for t2 in range(t + 1):
-                if (m2, t2, d) in memo:
-                    continue
-                if t2 == 0:
-                    val = self.field.one
-                elif m2 < t2:
-                    val = self.field.zero
-                else:
-                    val = zp(-t2 * d) * memo[(m2 - 1, t2, d)] + zp((m2 - t2) * d) * memo[(m2 - 1, t2 - 1, d)]
-                memo[(m2, t2, d)] = val
-        return memo[(m, t, d)]
+            return -val if t % 2 else val
+        e = self.ell // math.gcd(d, self.ell)
+        (m1, m), (t1, t) = divmod(m, e), divmod(t, e)
+        zp = self.field.zeta_power
+        row = [self.field.one] + [self.field.zero] * t
+        for m2 in range(1, m + 1):
+            for t2 in range(t, 0, -1):
+                row[t2] = zp(-t2 * d) * row[t2] + zp((m2 - t2) * d) * row[t2 - 1]
+        return row[t] * math.comb(m1, t1)
 
     def mixed_rank1_terms(self, m: int, nn: int) -> Tuple[Tuple[int, int, int, int], ...]:
         """Raw terms (n-t, c, t, m-t) with torus factor [K; c over t]."""
@@ -590,10 +577,10 @@ class KernelContext:
         X^{(a)} = X^{(ell)} * X^{(a-ell)} / a1 when a0 = 0 (a1 < p).
         """
         if not self.r:
-            return (side + "rv", pos), 1, self.field.one / self.qn(a, self.d_gamma[pos])
+            return (side + "rv", pos), 1, self.field.one / self.gauss_binom(a, 1, self.d_gamma[pos])
         a1, a0 = divmod(a, self.ell)
         if a0:
-            return (side, 0), 1, self.field.one / self.qn(a0, self.d_gamma[0])
+            return (side, 0), 1, self.field.one / self.gauss_binom(a0, 1, self.d_gamma[0])
         return (side + "d0", 0), self.ell, self.field.one / self.field.from_int(a1)
 
 

@@ -50,9 +50,9 @@ SKELETON_LINES = [
 ]
 
 
-def cli(*args):
+def cli(*args, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "uzeta.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "uzeta.cli", *args], capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -296,6 +296,25 @@ class TestSubcommands:
         assert main(["module", "--type", "A1", *args]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args, spec, small", [
+        ((), "verma(100000000000000000000)", "verma(1)"),
+        (("--p", "7", "--r", "1"), "verma(100000000000000000000)", "verma(16)"),
+        ((), "coverma(-100000000000000000000)", "coverma(2)"),
+        (("--p", "7", "--r", "1"), "coverma(-100000000000000000000)", "coverma(5)"),
+    ], ids=["verma-r0", "verma-r1", "coverma-r0", "coverma-r1"])
+    def test_huge_weight_acts_by_its_residue(self, args, spec, small, capsys):
+        # the actions of Z(lam) read lam only modulo cap = 3 or 21, through
+        # quantum numbers and K-binomials at zeta (quantum Lucas theorem),
+        # so a weight of 10^20 costs no more than its residue; a subprocess
+        # with a timeout, so that a cost growing with the weight fails the
+        # test instead of hanging it
+        r = cli("module", "--type", "A1", "--ell", "3", *args, spec, timeout=30)
+        assert r.returncode == 0, r.stderr
+        assert main(["module", "--type", "A1", "--ell", "3", *args, small]) == 0
+        gens = [[ln for ln in out.splitlines() if ln.startswith("generator")]
+                for out in (r.stdout, capsys.readouterr().out)]
+        assert gens[0] and gens[0] == gens[1]
+
     def test_betti_table(self):
         r = cli("betti", "--type", "A1", "--ell", "3")
         assert r.returncode == 0 and "degree" in r.stdout
@@ -318,7 +337,15 @@ class TestSubcommands:
 
     def test_permissive_banner(self):
         r = cli("betti", "--type", "A1", "--ell", "3", "--permissive")
-        assert "permissive" in r.stdout
+        assert "permissive" in r.stderr and "permissive" not in r.stdout
+
+    def test_permissive_report_is_json_lines(self):
+        # the banner goes to standard error, so a report on standard output
+        # stays one JSON record per line
+        r = cli("verify", "--type", "A2", "--ell", "3", "--permissive", "--suite", "integrals")
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        assert lines and all(isinstance(json.loads(ln), dict) for ln in lines)
 
 
 class TestVerify:
@@ -616,6 +643,24 @@ class TestVerify:
                 assert not rec.get("skipped") and rec["agree"] and "expected" in rec, rec
             count += len(recs)
         assert count == 113
+
+    def test_a1_r1_steinberg_tensors(self, monkeypatch):
+        # at A1 ell = 3, p = 7, r = 1 the Steinberg module L(cap - 1) =
+        # L(20) and Z(20) are projective, so (i) X (x) St is injective for
+        # every module X, and (ii) so is its dual; dim X <= 7 keeps every
+        # split test inside the default budget
+        from uzeta import cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_CONTEXTS", {})
+        xs = [f"simple({a})" for a in range(7)] + [
+            "dual(simple(1))", "dual(simple(5))", "twist(simple(1),21)", "quot(verma(0),7)"]
+        tensors = [f"tensor({x},{st})" for st in ("simple(20)", "verma(20)") for x in xs]
+        manifest = [{"spec": spec, "expect_injective": True}
+                    for spec in tensors + [f"dual({t})" for t in tensors]]
+        recs = run_suites(RunConfig("A1", 3, p=7, r=1), ["rootcrit"], manifest)
+        assert len(recs) == len(manifest) == 44
+        for rec in recs:
+            assert not rec.get("skipped") and rec["agree"] and rec["expected"], rec
 
     def test_every_record_carries_its_configuration(self):
         cfg = RunConfig("A1", 3, p=7)

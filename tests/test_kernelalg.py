@@ -106,7 +106,7 @@ class TestAlgebraStructure:
         g = ctx.algebra("g")
         Fv = g.element(fexp=(1,))
         two = g.multiply(Fv, Fv)
-        assert two == {((2,), (0,), (0,)): ctx.qn(2)}
+        assert two == {((2,), (0,), (0,)): ctx.gauss_binom(2, 1)}
         f2 = g.element(fexp=(2,))
         assert g.multiply(f2, Fv) == {}
         assert g.multiply(Fv, f2) == {}
@@ -255,14 +255,19 @@ class TestOmegaMirror:
 
 
 class TestGaussBinom:
-    def test_integer_values(self, ctxmaker):
-        ctx = ctxmaker("A1", 3, p=7, r=1)
-        # [m choose t] at zeta for integer m matches the Laurent evaluation
+    def test_integer_values(self, freshctx):
+        # [m choose t]_{q^d} at zeta for integer m matches the Laurent
+        # evaluation, past the q-Pascal entries below the order e of zeta^d
+        # that the quantum Lucas theorem reads; zeta^3 is not primitive at
+        # ell = 3 (e = 1) or ell = 9 (e = 3)
         from uzeta.scalars import q_binom
 
-        for m in range(0, 9):
-            for t in range(0, 4):
-                assert ctx.gauss_binom(m, t) == ctx.field.eval_laurent(q_binom(m, t))
+        for ell, p, r in ((3, None, 0), (5, None, 0), (7, None, 0), (9, None, 0), (3, 7, 1)):
+            ctx = freshctx("A1", ell, p, r)
+            for d in (1, 2, 3):
+                for m in range(3 * ctx.cap + 1):
+                    for t in range(2 * ell + 2):
+                        assert ctx.gauss_binom(m, t, d) == ctx.field.eval_laurent(q_binom(m, t, d)), (ell, m, t, d)
 
     def test_negative_top(self, ctxmaker):
         ctx = ctxmaker("A1", 3, p=7, r=1)
