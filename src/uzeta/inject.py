@@ -19,11 +19,17 @@ pieces of an equivariant map are equivariant), which keeps the linear
 systems small.  The system has one block of unknowns per summand, so the
 generators are chosen few (``module_generators``): over g a single basis
 vector is sought before any weight-ordered greedy set, since whether one
-vector generates M is a cheap closure (the "spin" test of the Meat-Axe).  The split test handles every kind and is the
-reference the counts are tested against.  Its verdicts live on the
-context, keyed on the kind and the module's exact content (weights and
-action matrices), so modules that differ only in label or lift share one
-run.
+vector generates M is a cheap closure (the "spin" test of the Meat-Axe).
+The equations are few as well.  A section must commute with the F-type
+generators at every basis vector, but over g, by the triangular
+decomposition u = u- u0 u+, with the E-type ones only on the support of
+N = u+ . span(G), for G a generating set of M over u- (the lemma of
+``_split_exists``); the first source keeps every equation, so a test
+that fails there stops as early as before.  The split test handles every
+kind and is the reference the counts are tested against.  Its verdicts
+live on the context, keyed on the kind and the module's exact content
+(weights and action matrices), so modules that differ only in label or
+lift share one run.
 
 The harness compares per-root freeness (the top count over each root
 subalgebra) with the oracle of a bigger algebra: the split test over g,
@@ -209,12 +215,17 @@ def projective_split_test(m: WeightedModule, kind: str, budget: int = DEFAULT_BU
     onto M splits, so the covers of any two generating sets split together.
 
     The equations come in one batch per basis vector v_j of M, in basis
-    order: pi . s(v_j) = v_j and, for every generator g, g s(v_j) =
-    s(g v_j).  ``LinearSystem.solve`` runs after each batch and eliminates
-    only its rows.  A batch that makes the equations so far inconsistent
-    ends the test with False, since more equations cannot restore a
-    solution; the verdict is the one the whole system gives, and a
-    negative test usually stops before its last batch.
+    order: pi . s(v_j) = v_j and, for every F-type generator x, x s(v_j) =
+    s(x v_j).  For an E-type generator X (E_j, and E^{(ell)} at r = 1)
+    X s(v_j) = s(X v_j) enters at every v_j over the one-sided kinds, and
+    over g at v_0 and at the v_j in the support S of N = u+ . span(G),
+    with G = ``module_generators(m, "u-")``; ``_split_exists`` proves
+    that these equations have the solutions of the full set.
+    ``LinearSystem.solve`` runs after each batch and eliminates only its
+    rows.  A batch that makes the equations so far inconsistent ends the
+    test with False, since more equations cannot restore a solution; the
+    verdict is the one the whole system gives, and a negative test usually
+    stops before its last batch.
 
     The verdict is kept once per context, in ``ctx.split_verdicts``, keyed
     on the kind and the module's ``content_key``: a second module with the
@@ -240,7 +251,29 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
     module only through ``m.ctx``, ``m.weights`` and ``m.actions`` (also via
     ``generator_matrix``, the ``act_*`` methods and ``module_generators``),
     which is what makes the content key of ``projective_split_test`` exact;
-    ``lifts`` and ``label`` never enter."""
+    ``lifts`` and ``label`` never enter.
+
+    Source v_0 gets every equation.  Once they are consistent, over g the
+    E-type equations enter only at the sources in S, the support of
+    N = u+ . span(G) with G a generating set of M over u-, and the E-type
+    cover columns are built only at the weights of S.  Lemma: let s be
+    weight-preserving, with pi . s = id, F-equivariant on all of M and
+    E-equivariant on N; then s is u-linear, so the reduced equations have
+    the solutions of the full set.
+      * s is linear over u- u0: the F-type generators generate u-, and the
+        torus acts on M and on the cover through the weights.
+      * e s(g) = s(e g) for every e in u+ and g in N: by induction on a
+        word in the E-type generators, since N is u+-stable.
+      * For an E-type generator X and x in u-, X x = sum x_k h_k e_k with
+        x_k in u-, h_k in u0 and e_k in u+ (u = u- u0 u+), so
+        X s(x g) - s(X x g) = sum x_k h_k (e_k s(g) - s(e_k g)) = 0 for
+        g in G, which lies in N.
+      * Every element of M is a sum of terms x g, since M = u- . G.
+    The proof needs no commutation formula beyond u = u- u0 u+.  With them
+    G alone would do: E_j x = x E_j + (terms in u- u0), so E_j-equivariance
+    spreads from G to M, and the E^{(a)}, a < ell, that E^{(ell)} F^{(n)}
+    brings at r = 1 are E^a / [a]!.  v_0 keeps every equation all the
+    same, so a test that fails at its first batch stops there."""
     ctx = m.ctx
     desc = ctx.algebra_kind(kind)
     gens = module_generators(m, kind)
@@ -256,19 +289,22 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
     if any(mu not in by_degree for mu in m.weights):
         return False
 
-    mats = [(gen, m.generator_matrix(gen)) for gen in desc.generators]
+    mats = [(gen, m.generator_matrix(gen), gen[0][0] == "E") for gen in desc.generators]
 
-    def cover_block(mu: Weight) -> List[Tuple[int, Tuple, Vec, List[Vec]]]:
+    def cover_block(mu: Weight, raising: bool) -> List[Tuple[int, Tuple, Vec, List[Optional[Vec]]]]:
         """Each cover key (t, key) of degree mu with pi(F^{(f)} E^{(e)} e_lam)
         in M and, per generator, its action on that key in summand t (the
-        torus evaluated)."""
+        torus evaluated); None for an E-type generator unless raising."""
         block = []
         for (t, key) in by_degree[mu]:
             f, e = key
             lam = m.weights[gens[t]]
             image = m.act_monomial((f, (0,) * ctx.rank, e), {gens[t]: ctx.field.one})
             columns = []
-            for gen, _ in mats:
+            for gen, _, is_e in mats:
+                if is_e and not raising:
+                    columns.append(None)
+                    continue
                 terms = ctx.pbw_terms(kind, gen, f, e, lam)
                 columns.append({(f2, e2): c for (f2, _, e2), c in terms.items()})
             block.append((t, key, image, columns))
@@ -279,16 +315,18 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
     # its last.  The unknown s(v_j)'s coordinate at cover key (t, key) is keyed
     # (last - j, t, key): the solver pivots on the least key, so elimination
     # starts at the last basis vector, which keeps fill-in low.  One batch of
-    # rows per source v_j; the first inconsistent batch decides.
+    # rows per source v_j; the first inconsistent batch decides.  The sources
+    # in ``raised`` get the E-type equations: every one until v_0 is solved.
     last = m.dim - 1
     final = {mu: j for j, mu in enumerate(m.weights)}
     blocks: Dict[Weight, List] = {}
     one, zero = ctx.field.one, ctx.field.zero
     system = LinearSystem()
+    raised, raised_weights = range(m.dim), set(m.weights)
     for j, mu in enumerate(m.weights):
         block = blocks.get(mu)
         if block is None:
-            block = blocks[mu] = cover_block(mu)
+            block = blocks[mu] = cover_block(mu, mu in raised_weights)
         if final[mu] == j:
             del blocks[mu]
         # pi . s = id on v_j
@@ -301,7 +339,9 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
         # equivariance on v_j for each generator: g s(v_j) - s(g v_j) = 0 read
         # off in each cover coordinate (t, key2); the cover coefficients enter
         # as they are, the module column negated once
-        for g, (gen, mat) in enumerate(mats):
+        for g, (gen, mat, is_e) in enumerate(mats):
+            if is_e and j not in raised:
+                continue
             eqs: Dict[Tuple, Vec] = {}
             for j2, c in mat.get(j, {}).items():
                 # s(v_{j2}) contributes -c on its unknown at (t, key2)
@@ -313,9 +353,21 @@ def _split_exists(m: WeightedModule, kind: str) -> bool:
                     vec_add_term(eqs.setdefault((t, key2), {}), (last - j, t, key), c)
             for coeffs in eqs.values():
                 system.add(coeffs, zero)
-        if system.solve() is None:
+        if not system.solve():
             return False
+        if j == 0 and desc.torus and desc.side is None:
+            raised = _raised_support(m)
+            raised_weights = {m.weights[i] for i in raised}
     return True
+
+
+def _raised_support(m: WeightedModule) -> set:
+    """The basis indices in the support of N = u+ . span(G), G a generating
+    set of M over u-: the union of the supports of any basis of N."""
+    one = m.ctx.field.one
+    elim = Eliminator()
+    close_span(elim, [{i: one} for i in module_generators(m, "u-")], _generator_matrices(m, "u+"))
+    return {k for row in elim.pivots.values() for k in row}
 
 
 # ---------------------------------------------------------------------------

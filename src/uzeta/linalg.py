@@ -219,10 +219,13 @@ class LinearSystem:
     ``solve``; ``rows`` holds only the rows not yet solved.  Each call
     takes that pending batch, eliminates it against the echelon form the
     earlier calls left, which already holds all a later batch needs, and
-    returns the solution of all rows so far with every free unknown zero,
-    or None once they are inconsistent: rows only add equations, so from
-    then on no row is kept and every call returns None.  A caller that can
-    stop at the first None need not assemble the rest of the system.
+    returns whether all rows so far are consistent: rows only add
+    equations, so once they are not, no row is kept and every call
+    returns False.  A caller that can stop at the first False need not
+    assemble the rest of the system, and one that only asks whether a
+    solution exists (the split test, whose E-type rows over g are already
+    cut to the few that decide) never builds one.  ``solution`` reads the
+    solution of the rows solved so far off the echelon form.
 
     Each batch is eliminated shortest row first (stable, so ties keep the
     order they were added in), the structured-elimination rule of
@@ -241,11 +244,11 @@ class LinearSystem:
         if (coeffs or rhs) and self._echelon is not None:
             self.rows.append((dict(coeffs), rhs))
 
-    def solve(self) -> Optional[Vec]:
+    def solve(self) -> bool:
         batch, self.rows = self.rows, []
         echelon = self._echelon
         if echelon is None:
-            return None
+            return False
         # the right-hand side is the companion {0: rhs}, empty when zero; the
         # rows are this system's own copies, so they are reduced in place
         for coeffs, rhs in sorted(batch, key=lambda r: len(r[0])):
@@ -254,9 +257,16 @@ class LinearSystem:
                 echelon.insert(coeffs, comp)
             elif comp:
                 self._echelon = None  # inconsistent for good: free the echelon form
-                return None
+                return False
+        return True
+
+    def solution(self) -> Optional[Vec]:
+        """The solution of the rows solved so far with every free unknown
+        zero, or None once they are inconsistent; pending rows are not read."""
+        if self._echelon is None:
+            return None
         # each stored row is its pivot unknown plus free unknowns
-        return {p: comp[0] for p, comp in echelon.companions.items() if comp}
+        return {p: comp[0] for p, comp in self._echelon.companions.items() if comp}
 
 
 def kernel_basis(columns: List[Tuple[Hashable, Vec]], one) -> List[Vec]:

@@ -16,8 +16,18 @@ from functools import cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from uzeta.genericuq import AbstractWord, Elt, SideElt, UqGeneric, q_power, qf
+from uzeta.inject import module_generators
 from uzeta.kernelalg import KernelAlgebra
-from uzeta.linalg import Eliminator, Mat, Vec, close_span, kernel_basis, mat_apply, vec_add_term
+from uzeta.linalg import (
+    Eliminator,
+    LinearSystem,
+    Mat,
+    Vec,
+    close_span,
+    kernel_basis,
+    mat_apply,
+    vec_add_term,
+)
 from uzeta.qmodules import WeightedModule
 from uzeta.rootdata import ConvexOrder, Root, RootDatum, Vector
 from uzeta.scalars import Laurent, QFraction
@@ -475,6 +485,46 @@ def single_generators(m: WeightedModule, kind: str) -> List[int]:
         if elim.rank == m.dim:
             out.append(i)
     return out
+
+
+def full_split_exists(m: WeightedModule, kind: str) -> bool:
+    """The split test with every equation, as one system solved once:
+    pi . s(v_j) = v_j and x s(v_j) = s(x v_j) for every generator x at
+    every basis vector v_j.  ``inject._split_exists`` builds the same
+    cover and unknowns but, over g after the first source, imposes the
+    E-type equations only on the support of u+ . span(G); the two must
+    give one verdict."""
+    ctx = m.ctx
+    gens = module_generators(m, kind)
+    by_degree: Dict[Tuple[int, ...], List] = {}
+    for t, i in enumerate(gens):
+        for shift, keys in ctx.cover_keys(kind):
+            degree = tuple(a + b for a, b in zip(m.weights[i], shift))
+            by_degree.setdefault(degree, []).extend((t, key) for key in keys)
+    if any(mu not in by_degree for mu in m.weights):
+        return False
+    one, zero = ctx.field.one, ctx.field.zero
+    no_k = (0,) * ctx.rank
+    system = LinearSystem()
+    for j, mu in enumerate(m.weights):
+        # the unknown s(v_j) at cover key (t, key) is (dim - 1 - j, t, key)
+        rows: Dict[int, Vec] = {}
+        for t, (f, e) in by_degree[mu]:
+            for row, c in m.act_monomial((f, no_k, e), {gens[t]: one}).items():
+                rows.setdefault(row, {})[(m.dim - 1 - j, t, (f, e))] = c
+        for row in range(m.dim):
+            system.add(rows.get(row, {}), one if row == j else zero)
+        for gen in ctx.algebra_kind(kind).generators:
+            eqs: Dict[Tuple, Vec] = {}
+            for j2, c in m.generator_matrix(gen).get(j, {}).items():
+                for t, key2 in by_degree[m.weights[j2]]:
+                    vec_add_term(eqs.setdefault((t, key2), {}), (m.dim - 1 - j2, t, key2), -c)
+            for t, (f, e) in by_degree[mu]:
+                for (f2, _, e2), c in ctx.pbw_terms(kind, gen, f, e, m.weights[gens[t]]).items():
+                    vec_add_term(eqs.setdefault((t, (f2, e2)), {}), (m.dim - 1 - j, t, (f, e)), c)
+            for coeffs in eqs.values():
+                system.add(coeffs, zero)
+    return system.solve()
 
 
 def am_weight_basis(m: WeightedModule, level: int) -> Optional[List[Vec]]:

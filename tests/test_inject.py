@@ -356,9 +356,11 @@ class TestGeneratorChoice:
 
     def test_split_products_bounded(self, freshctx, monkeypatch):
         # a deterministic cost guard: the split tests over g of the A1 ell=5
-        # default manifest make 4,861 field products with one generator
-        # wherever one basis vector generates the module; with the smallest
-        # of the highest-first, lowest-first and basis-order sets alone, 15,112
+        # default manifest make 3,314 field products with one generator
+        # wherever one basis vector generates the module and the E-type
+        # equations cut to u+ . span(G); with every E-type equation at every
+        # source, 3,694; with the smallest of the highest-first, lowest-first
+        # and basis-order sets alone, 11,292
         from uzeta.cli import RunConfig, default_manifest
         from uzeta.qmodules import realize_text
         from uzeta.scalars import CycloField
@@ -374,7 +376,7 @@ class TestGeneratorChoice:
 
         monkeypatch.setattr(CycloField, "_mul", counted)
         assert sum(projective_split_test(m, "g") for m in mods) == 8
-        assert len(calls) <= 5_350
+        assert len(calls) <= 3_600
 
     def test_split_working_set_bounded(self, freshctx):
         # a deterministic memory guard: the split test over g of the A2 ell=3
@@ -470,6 +472,136 @@ class TestSplitMemo:
         monkeypatch.undo()
         # Z(0) is free over u-, and k_0 + F Z(0) is not
         assert verdicts == [_split_exists(m, kind) for m, kind in cases] == [False, True, False, False]
+
+
+def _sized_systems(monkeypatch):
+    """Give inject a LinearSystem that counts the rows it keeps and its solve
+    calls, since ``rows`` holds only the rows not yet solved; returns the
+    list of the systems it makes."""
+    import uzeta.inject as inject
+    from uzeta.linalg import LinearSystem
+
+    made = []
+
+    class Sized(LinearSystem):
+        def __init__(self):
+            super().__init__()
+            self.kept = self.solves = 0
+            made.append(self)
+
+        def add(self, coeffs, rhs):
+            self.kept += bool(coeffs or rhs)
+            super().add(coeffs, rhs)
+
+        def solve(self):
+            self.solves += 1
+            return super().solve()
+
+    monkeypatch.setattr(inject, "LinearSystem", Sized)
+    return made
+
+
+class TestReducedSplitEquations:
+    # over g, _split_exists gives its first source every equation and after
+    # that imposes the E-type equations only on the support of u+ . span(G),
+    # G a generating set over u-; reference.full_split_exists imposes every
+    # equation at every source
+
+    @pytest.mark.parametrize(
+        "label,ell,p,r",
+        [("A1", 3, None, 0), ("A1", 5, None, 0), ("A2", 3, None, 0), ("A1", 3, 7, 1)],
+        ids=["A1-l3", "A1-l5", "A2-l3", "A1-l3-p7-r1"],
+    )
+    def test_default_manifest_agrees_with_every_equation(self, ctxmaker, label, ell, p, r):
+        from reference import full_split_exists
+        from uzeta.inject import _split_exists
+
+        verdicts = set()
+        for m in _manifest_modules(ctxmaker, label, ell, p, r):
+            verdict = _split_exists(m, "g")
+            assert verdict == full_split_exists(m, "g"), m.label
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "tensor(simple(1),simple(20))",
+            "dual(tensor(simple(5),simple(20)))",
+            "tensor(dual(simple(1)),verma(20))",
+            "dual(tensor(twist(simple(1),21),verma(20)))",
+            "tensor(quot(verma(0),7),simple(20))",
+        ],
+    )
+    def test_r1_steinberg_tensors_agree(self, ctxmaker, spec):
+        # X (x) St and its dual are injective at A1 ell=3 p=7 r=1
+        from reference import full_split_exists
+        from uzeta.inject import _split_exists
+        from uzeta.qmodules import realize_text
+
+        m = realize_text(ctxmaker("A1", 3, p=7, r=1), spec)
+        assert _split_exists(m, "g") and full_split_exists(m, "g")
+
+    @pytest.mark.parametrize("spec", ["simple(1,0)", "simple(0,1)", "dual(simple(1,1))", "verma(2,2)"])
+    def test_b2_agrees_with_every_equation(self, ctxmaker, spec):
+        # B2 at ell = 3 <= h = 4, which the command line runs only with
+        # --permissive: the one non-simply-laced split test in reach
+        from reference import full_split_exists
+        from uzeta.inject import _split_exists
+        from uzeta.qmodules import realize_text
+
+        m = realize_text(ctxmaker("B2", 3), spec)
+        assert _split_exists(m, "g") == full_split_exists(m, "g") == (spec == "verma(2,2)")
+
+    def test_negative_decided_after_the_first_source(self, ctxmaker, monkeypatch):
+        # with every equation the batched test rejects A1 ell=5 dual(verma(1))
+        # at its second source; the reduced equations reject it past the
+        # first source too, where only part of the E-type equations enter
+        from reference import full_split_exists
+        from uzeta.inject import _split_exists
+        from uzeta.qmodules import realize_text
+
+        m = realize_text(ctxmaker("A1", 5), "dual(verma(1))")
+        assert not full_split_exists(m, "g")
+        made = _sized_systems(monkeypatch)
+        assert not _split_exists(m, "g")
+        assert len(made) == 1 and made[0].solves > 1
+
+    @pytest.mark.parametrize(
+        "label,ell,p,r,spec,rows",
+        [("A2", 3, None, 0, "verma(2,2)", 711), ("A1", 3, 7, 1, "verma(20)", 413)],
+        ids=["A2-l3", "A1-l3-p7-r1"],
+    )
+    def test_steinberg_system_size(self, ctxmaker, monkeypatch, label, ell, p, r, spec, rows):
+        # a deterministic size guard: every E-type equation at every source
+        # gives 1,715 rows at A2 ell=3 and 878 at A1 ell=3 p=7 r=1
+        from uzeta.inject import _split_exists
+        from uzeta.qmodules import realize_text
+
+        m = realize_text(ctxmaker(label, ell, p=p, r=r), spec)
+        made = _sized_systems(monkeypatch)
+        assert _split_exists(m, "g")
+        assert len(made) == 1 and made[0].solves == m.dim
+        assert made[0].kept <= rows
+
+    def test_first_source_stops_a_failing_test(self, freshctx, monkeypatch):
+        # every split test over g of the A2 ell=3 default manifest that fails
+        # fails at its first source, which keeps every equation: one solve
+        # call each, and 41 in all with the Steinberg pair's one 27-batch run
+        from uzeta.cli import RunConfig, default_manifest
+        from uzeta.qmodules import realize_text
+
+        ctx = freshctx("A2", 3)
+        mods = [realize_text(ctx, c["spec"]) for c in default_manifest(RunConfig(type_label="A2", ell=3))]
+        made = _sized_systems(monkeypatch)
+        solves = {}
+        for m in mods:
+            before = len(made)
+            verdict = projective_split_test(m, "g")
+            solves[m.label] = [s.solves for s in made[before:]]
+            assert verdict or solves[m.label] == [1], m.label
+        assert solves["verma(2,2)"] == [27] and solves["simple(2,2)"] == []
+        assert sum(map(sum, solves.values())) == 41
 
 
 class TestHarness:

@@ -288,7 +288,8 @@ class _Recorded(LinearSystem):
 
 
 def _check_solve(rows, zero):
-    """solve() returns what the reference returns, and that solves every row.
+    """solution() returns what the reference returns, and that solves every
+    row; solve() says whether there is one.
 
     With the least key as pivot, the pivots are the leading keys of the
     row space whatever the row order, and the solution that vanishes off
@@ -297,7 +298,9 @@ def _check_solve(rows, zero):
     system = _Recorded()
     for coeffs, rhs in rows:
         system.add(coeffs, rhs)
-    sol = system.solve()
+    consistent = system.solve()
+    sol = system.solution()
+    assert consistent == (sol is not None)
     assert sol == _old_solve(system.history, zero)
     if sol is not None:
         for coeffs, rhs in rows:
@@ -356,7 +359,9 @@ class TestLinearSystem:
                 for coeffs, rhs in batch:
                     system.add(coeffs, rhs)
                 done += len(batch)
-                answers.append(system.solve())
+                consistent = system.solve()
+                answers.append(system.solution())
+                assert consistent == (answers[-1] is not None)
                 # every answer is the one-call answer of the rows so far
                 assert answers[-1] == _check_solve(rows[:done], field.zero)
             if None in answers:
@@ -365,21 +370,22 @@ class TestLinearSystem:
             for coeffs, rhs in rows:
                 whole.add(coeffs, rhs)
             assert system.history == whole.history
-            assert answers[-1] == whole.solve()
+            assert whole.solve() == (answers[-1] is not None)
+            assert answers[-1] == whole.solution()
             outcomes.add(answers[-1] is not None)
         assert outcomes == {True, False}
 
     def test_inconsistent_stays_inconsistent(self):
         system = _Recorded()
         system.add({0: QQ(1), 1: QQ(1)}, QQ(1))
-        assert system.solve() == {0: QQ(1)}
+        assert system.solve() is True and system.solution() == {0: QQ(1)}
         system.add({0: QQ(2), 1: QQ(2)}, QQ(1))
-        assert system.solve() is None
+        assert system.solve() is False and system.solution() is None
         # more rows cannot restore a solution, and none is kept
         system.add({1: QQ(1)}, QQ(3))
         assert system.rows == []
-        assert system.solve() is None
-        assert system.solve() is None
+        assert system.solve() is False and system.solution() is None
+        assert system.solve() is False and system.solution() is None
         assert len(system.history) == 3
 
     def test_solve_keeps_no_row(self):
@@ -388,11 +394,11 @@ class TestLinearSystem:
         system.add({}, QQ(0))
         system.add({1: QQ(1)}, QQ(0))
         assert len(system.rows) == 2
-        assert system.solve() == {0: QQ(1)}
+        assert system.solve() is True and system.solution() == {0: QQ(1)}
         assert system.rows == []
         # a later batch is solved against the echelon form alone
         system.add({0: QQ(1), 1: QQ(-1)}, QQ(1))
-        assert system.solve() == {0: QQ(1)}
+        assert system.solve() is True and system.solution() == {0: QQ(1)}
         assert system.rows == []
 
     def test_empty_row_with_rhs_is_inconsistent(self):
@@ -401,7 +407,7 @@ class TestLinearSystem:
         system.add({}, QQ(2))
         system.add({}, QQ(0))
         assert len(system.rows) == 2
-        assert system.solve() is None
+        assert system.solve() is False and system.solution() is None
 
     def test_row_order_does_not_change_the_solution(self):
         rows = [({0: QQ(1), 1: QQ(1), 2: QQ(1)}, QQ(1)), ({1: QQ(1), 2: QQ(2)}, QQ(3)), ({2: QQ(1), 3: QQ(1)}, QQ(0))]
@@ -455,14 +461,14 @@ class TestSplitSystems:
         systems = []
 
         class Exhaustive(LinearSystem):
-            """Never reports None, so the test assembles every row."""
+            """Always reports consistent rows, so the test assembles every row."""
 
             def __init__(self):
                 super().__init__()
                 systems.append(self)
 
             def solve(self):
-                return {}
+                return True
 
         calls = []
 
@@ -481,7 +487,7 @@ class TestSplitSystems:
                 whole = LinearSystem()
                 for coeffs, rhs in systems[-1].rows:
                     whole.add(coeffs, rhs)
-                verdict = whole.solve() is not None
+                verdict = whole.solve()
             else:
                 # the degree check answered before any row was added
                 verdict = assembled
