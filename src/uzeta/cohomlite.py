@@ -32,6 +32,15 @@ off by torus-weight selection: a resolution generator of weight mu
 contributes to H^n(borel, k) exactly when the torus acts trivially on mu,
 i.e. (mu, alpha_j) = 0 mod cap for every simple root, where cap = ell p^r
 is the torus period of the kernel (the period ``onedim`` weights obey).
+
+Free-module elements are dicts over flat integer coordinates
+x = gi * dim + i, for the free generator gi and the algebra basis index i,
+and the columns come from ``KernelAlgebra.gen_column`` in those indices.
+The algebra basis is sorted with the unit at index 0, so x orders exactly
+like the pair (gi, basis[i]): every min-key pivot, and with it every
+generator and every weight reported, is the one that pairs of keys would
+give, while a dict operation hashes one int instead of a nested tuple.
+The unit coordinates are the x with x % dim == 0.
 """
 
 from __future__ import annotations
@@ -39,11 +48,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Tuple
 
-from .kernelalg import BasisKey, KernelAlgebra, KernelContext
+from .kernelalg import GenKey, KernelAlgebra, KernelContext
 from .linalg import Eliminator, Vec, vec_add_term
 
 RootVec = Tuple[int, ...]
 Blocks = Dict[RootVec, List[Vec]]  # kernel vectors by weight
+Plan = List[Tuple[int, GenKey, object]]  # (prev, gen, c) for basis indices 1, 2, ...
 
 
 class GradedBetti:
@@ -57,26 +67,27 @@ class GradedBetti:
 def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti:
     """Weight-graded minimal free resolution of k over a one-sided algebra.
 
-    Elements of the n-th free module are dicts {(gen index, algebra basis
-    key): coefficient}; each kernel is kept as its weight blocks.
+    Elements of the n-th free module are dicts {gi * dim + i: coefficient}
+    over its generators gi and the algebra basis indices i; each kernel is
+    kept as its weight blocks.
     """
     if kind not in ("u-", "u+"):
         raise ValueError("resolutions are over the one-sided local algebras")
     if n_max < 0:
         raise ValueError(f"resolution degree {n_max} is negative")
     alg = ctx.algebra(kind)
-    (unit,) = alg.one()
+    weights = [alg.weight_of_key(key) for key in alg.basis]
+    plan = _plan(alg)
 
     # step 0: P_0 = A -> k; kernel = augmentation ideal
     gen_weights = [(0,) * ctx.rank]
     degrees: List[List[RootVec]] = [gen_weights]
     kernel: Blocks = defaultdict(list)
-    for key in alg.basis:
-        if key != unit:
-            kernel[alg.weight_of_key(key)].append({(0, key): ctx.field.one})
+    for i in range(1, alg.dim):
+        kernel[weights[i]].append({i: ctx.field.one})
 
     for step in range(1, n_max + 1):
-        gen_weights, kernel = _step(alg, gen_weights, kernel, last=step == n_max)
+        gen_weights, kernel = _step(alg, plan, weights, gen_weights, kernel, last=step == n_max)
         degrees.append(sorted(gen_weights, key=lambda wt: (sum(wt), wt)))
 
     res = GradedBetti(degrees)
@@ -84,24 +95,35 @@ def minimal_resolution(ctx: KernelContext, kind: str, n_max: int) -> GradedBetti
     return res
 
 
-def _step(alg: KernelAlgebra, gen_weights: List[RootVec], kernel: Blocks, last: bool) -> Tuple[List[RootVec], Blocks]:
+def _step(
+    alg: KernelAlgebra, plan: Plan, weights: List[RootVec], gen_weights: List[RootVec], kernel: Blocks, last: bool
+) -> Tuple[List[RootVec], Blocks]:
     """Minimal generators of a kernel K, and below the last degree the
     kernel of the differential they define, one block per weight.
 
     Returns the weights of the generators, in the order they are found
     (the order of their indices in the next free module), and the next
-    kernel by weight (empty at the last degree).
+    kernel by weight (empty at the last degree).  Each block of K is
+    released once it is visited.
     """
-    (unit,) = alg.one()
-    one = alg.ctx.field.one
-    gens = [(g, alg.weight_of_key(min(alg.gen_column(g, unit)))) for g in alg.generator_keys()] if last else []
+    ctx, dim = alg.ctx, alg.dim
+    one = ctx.field.one
+    gens = []
+    if last:
+        # the simple letter X_j is X^{(1)} at its root's position, so its
+        # column is the one the plan's first divided steps read (the plain
+        # root vector at r = 0) and is built once
+        for name, j in alg.generator_keys():
+            gen = ctx.divided_step(name, ctx.simple_pos[j], 1)[0] if name in ("E", "F") else (name, j)
+            gens.append((gen, weights[min(alg.gen_column(gen, 0))]))
+    sizes = {wt: len(vecs) for wt, vecs in kernel.items()}
     blocks: Dict[RootVec, Eliminator] = defaultdict(Eliminator)
     found: List[RootVec] = []
     syzygies: Blocks = defaultdict(list)
-    for wt in sorted(kernel, key=lambda w: (abs(sum(w)), w)):
-        vecs = kernel[wt]
+    for wt in sorted(sizes, key=lambda w: (abs(sum(w)), w)):
+        vecs = kernel.pop(wt)
         for vec in vecs:
-            if _vec_weight(alg, gen_weights, vec) != wt:
+            if _vec_weight(weights, gen_weights, dim, vec) != wt:
                 raise AssertionError(f"syzygy vector filed under weight {wt} has another weight")
         # the block holds rad(A) K_w; each block is kept fully reduced with
         # min-key pivots, so kernel vectors are reduced against it directly
@@ -114,20 +136,21 @@ def _step(alg: KernelAlgebra, gen_weights: List[RootVec], kernel: Blocks, last: 
             if not h:
                 continue
             # minimality: the generator has no unit coordinate
-            if any(key == unit for (_, key) in h):
+            if any(x % dim == 0 for x in h):
                 raise AssertionError("non-minimal generator: unit coordinate")
-            gi = len(found)
+            base = len(found) * dim
             found.append(wt)
             if last:
                 block.insert(h)
                 continue
             # h is the column 1.h; a column that depends on those before it
             # is a syzygy, its companion the relation
-            block.insert(h, {(gi, unit): one})
-            for akey, col in _generator_columns(alg, h):
-                target = tuple(a + b for a, b in zip(alg.weight_of_key(akey), wt))
-                comp = {(gi, akey): one}
-                if blocks[target].add(col, comp) is None:
+            block.insert(h, {base: one})
+            cols = _columns(alg, plan, h)
+            for a in range(1, dim):
+                target = tuple(x + y for x, y in zip(weights[a], wt))
+                comp = {base + a: one}
+                if blocks[target].add(cols[a], comp) is None:
                     syzygies[target].append(comp)
         del blocks[wt]  # no column or image lands at a visited weight
         if last:
@@ -136,68 +159,65 @@ def _step(alg: KernelAlgebra, gen_weights: List[RootVec], kernel: Blocks, last: 
             for vec in vecs:
                 for gen, gwt in gens:
                     target = tuple(a + b for a, b in zip(wt, gwt))
-                    if blocks[target].rank < len(kernel.get(target, ())):
+                    if blocks[target].rank < sizes.get(target, 0):
                         blocks[target].add(_apply_gen(alg, gen, vec))
     return found, syzygies
 
 
-def _generator_columns(alg: KernelAlgebra, h: Vec):
-    """The columns a.h of the generator h for every monomial a != 1, in
-    basis order: h is split by free-module generator, and each part's
-    columns are built by ``_columns``."""
-    parts: Dict[int, Vec] = {}
-    for (i, bkey), c in h.items():
-        parts.setdefault(i, {})[bkey] = c
-    by_part = [(i, _columns(alg, part)) for i, part in parts.items()]
-    for akey in alg.basis[1:]:
-        yield akey, {(i, bk): c for i, cols in by_part for bk, c in cols[akey].items()}
-
-
-def _columns(alg: KernelAlgebra, part: Vec) -> Dict[BasisKey, Vec]:
-    """a.part for every basis monomial a, each from the column of a shorter one.
+def _plan(alg: KernelAlgebra) -> Plan:
+    """(prev, gen, c) for every basis index a >= 1, in index order: the
+    monomial a is c * gen * prev, with prev < a.
 
     The divided factor X^{(a)} that ``KernelContext.monomial`` applies last
     (the F factor at the first nonzero position, else K^k, else the E factor
-    there) takes one step of ``KernelContext.divided_step`` from the column
-    of the monomial with a lower exponent there; K^k is one factor, applied
-    to the column with no K part.  Either column sorts before a in the
-    basis, which starts at the unit.
+    there) takes one step of ``KernelContext.divided_step`` down to a lower
+    exponent there; K^k = K_j K^{k - e_j} at its first nonzero position j.
+    Either lower monomial sorts before a in the basis, which starts at the
+    unit.
     """
-    ctx = alg.ctx
-    one = ctx.field.one
-    (unit,) = alg.one()
-    cols: Dict[BasisKey, Vec] = {unit: part}
-    for key in alg.basis[1:]:
-        s = next(s for s, t in enumerate(key) if any(t))
-        if s == 1:
-            cols[key] = alg.lmul_k(key[1], cols[(key[0], (0,) * len(key[1]), key[2])])
-            continue
-        i = next(i for i, x in enumerate(key[s]) if x)
-        gen, drop, c = ctx.divided_step("F" if s == 0 else "E", i, key[s][i])
-        prev = list(key)
-        prev[s] = key[s][:i] + (key[s][i] - drop,) + key[s][i + 1:]
-        img = alg.lmul_gen(gen, cols[tuple(prev)])
-        cols[key] = img if c == one else {k: x * c for k, x in img.items()}
+    ctx, index = alg.ctx, alg.index
+    plan: Plan = []
+    for f, k, e in alg.basis[1:]:
+        if any(f) or not any(k):
+            side, exps = ("F", f) if any(f) else ("E", e)
+            i = next(i for i, x in enumerate(exps) if x)
+            gen, drop, c = ctx.divided_step(side, i, exps[i])
+            lower = exps[:i] + (exps[i] - drop,) + exps[i + 1:]
+            prev = (lower, k, e) if side == "F" else (f, k, lower)
+        else:
+            j = next(j for j, x in enumerate(k) if x)
+            gen, c = ("K", j), ctx.field.one
+            prev = (f, k[:j] + (k[j] - 1,) + k[j + 1:], e)
+        plan.append((index[prev], gen, c))
+    return plan
+
+
+def _columns(alg: KernelAlgebra, plan: Plan, h: Vec) -> List[Vec]:
+    """a.h for every basis index a, in index order, each from the column
+    of a lower monomial by one step of the plan."""
+    one = alg.ctx.field.one
+    cols = [h]
+    for prev, gen, c in plan:
+        img = _apply_gen(alg, gen, cols[prev])
+        cols.append(img if c == one else {x: y * c for x, y in img.items()})
     return cols
 
 
-def _apply_gen(alg: KernelAlgebra, gen, vec: Vec) -> Vec:
+def _apply_gen(alg: KernelAlgebra, gen: GenKey, vec: Vec) -> Vec:
     """Left action of an algebra generator on a free-module element, read
     off the algebra's cached generator columns."""
+    dim = alg.dim
     out: Vec = {}
-    for (i, key), c in vec.items():
-        for k2, c2 in alg.gen_column(gen, key).items():
-            vec_add_term(out, (i, k2), c * c2)
+    for x, c in vec.items():
+        i = x % dim
+        base = x - i
+        for i2, c2 in alg.gen_column(gen, i).items():
+            vec_add_term(out, base + i2, c * c2)
     return out
 
 
-def _key_weight(alg: KernelAlgebra, gen_weights: List[RootVec], key: Tuple[int, BasisKey]) -> RootVec:
-    i, akey = key
-    return tuple(a + b for a, b in zip(alg.weight_of_key(akey), gen_weights[i]))
-
-
-def _vec_weight(alg: KernelAlgebra, gen_weights: List[RootVec], vec: Vec) -> RootVec:
-    wts = {_key_weight(alg, gen_weights, key) for key in vec}
+def _vec_weight(weights: List[RootVec], gen_weights: List[RootVec], dim: int, vec: Vec) -> RootVec:
+    wts = {tuple(a + b for a, b in zip(weights[x % dim], gen_weights[x // dim])) for x in vec}
     if len(wts) != 1:
         raise AssertionError(f"syzygy vector is not homogeneous: {sorted(wts)}")
     return next(iter(wts))

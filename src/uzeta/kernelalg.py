@@ -717,32 +717,45 @@ class KernelAlgebra:
     # -- multiplication ----------------------------------------------------
 
     def lmul_gen(self, gen: GenKey, vec: Vec) -> Vec:
-        """Left multiply by a generator, column by cached column."""
+        """Left multiply by a generator, column by cached column, through
+        the basis indices of the keys."""
+        index, basis = self.index, self.basis
         out: Vec = {}
         for key, c in vec.items():
-            vec_iadd_scaled(out, self.gen_column(gen, key), c)
-        return out
+            vec_iadd_scaled(out, self.gen_column(gen, index[key]), c)
+        return {basis[i]: c for i, c in out.items()}
 
     @memoized
-    def gen_column(self, gen: GenKey, key: BasisKey) -> Vec:
-        """The generator times one basis monomial, built once per algebra."""
+    def gen_column(self, gen: GenKey, i: int) -> Dict[int, object]:
+        """The generator times the basis monomial of index i, as {index: c},
+        built once per (gen, i) in each algebra.
+
+        The minimal resolution (``cohomlite``) works in these integer
+        indices: the basis is sorted with the unit first, so index order
+        is key order and every min-key pivot is the one keys would give,
+        while an int hashes and compares in one step where a nested key
+        tuple takes one per entry.
+        """
         ctx = self.ctx
         kind, j = gen
+        key = self.basis[i]
         f, k, e = key
         if kind == "K":
-            return self.lmul_k(ctx.datum.simple_roots[j], {key: ctx.field.one})
-        if kind == "Erv" and any(f) and j not in ctx.simple_pos:
+            out = self.lmul_k(ctx.datum.simple_roots[j], {key: ctx.field.one})
+        elif kind == "Erv" and any(f) and j not in ctx.simple_pos:
             # plain non-simple E root vector past an F part: apply its word expansion
-            return ctx.root_vector("E", j, {key: ctx.field.one}, self.lmul_gen)
-        out: Vec = {}
-        # F^{(f)} K^k E^{(e)} = zeta^{(k, wt e)} F^{(f)} E^{(e)} K^k, and K^k moves
-        # back left past each E^{(e2)} at the cost zeta^{-(k, wt e2)}
-        shift = any(k)
-        for (f2, kv, e2), c in ctx.pbw_terms(self.kind, gen, f, e).items():
-            if shift and e2 != e:
-                c = c * ctx.zeta_pow(ctx.pair(k, ctx.weight_of_fexp(e)) - ctx.pair(k, ctx.weight_of_fexp(e2)))
-            vec_add_term(out, (f2, ctx.kmod(a + b for a, b in zip(kv, k)), e2), c)
-        return out
+            out = ctx.root_vector("E", j, {key: ctx.field.one}, self.lmul_gen)
+        else:
+            out = {}
+            # F^{(f)} K^k E^{(e)} = zeta^{(k, wt e)} F^{(f)} E^{(e)} K^k, and K^k moves
+            # back left past each E^{(e2)} at the cost zeta^{-(k, wt e2)}
+            shift = any(k)
+            for (f2, kv, e2), c in ctx.pbw_terms(self.kind, gen, f, e).items():
+                if shift and e2 != e:
+                    c = c * ctx.zeta_pow(ctx.pair(k, ctx.weight_of_fexp(e)) - ctx.pair(k, ctx.weight_of_fexp(e2)))
+                vec_add_term(out, (f2, ctx.kmod(a + b for a, b in zip(kv, k)), e2), c)
+        index = self.index
+        return {index[b]: c for b, c in out.items()}
 
     def lmul_k(self, k: KExp, vec: Vec) -> Vec:
         """Left multiply by K^k: it slides right past the F part into its slot."""

@@ -81,10 +81,46 @@ class TestPrefixColumns:
                 for key in rng.sample(keys, rng.randint(1, len(keys)))
             }
             part = {key: c for key, c in part.items() if c}
-            cols = cohomlite._columns(alg, part)
-            assert list(cols) == alg.basis
-            for akey in alg.basis:
-                assert cols[akey] == alg.lmul_monomial(akey, part), akey
+            cols = cohomlite._columns(alg, cohomlite._plan(alg), {alg.index[key]: c for key, c in part.items()})
+            assert len(cols) == alg.dim
+            for a, akey in enumerate(alg.basis):
+                assert {alg.basis[i]: c for i, c in cols[a].items()} == alg.lmul_monomial(akey, part), akey
+
+
+class TestIntegerCoordinates:
+    @pytest.mark.parametrize("args", [("A1", 3), ("A2", 3), ("A1", 3, 7, 1)], ids=["A1-3", "A2-3", "A1-3-p7-r1"])
+    def test_basis_sorted_with_unit_first(self, ctxmaker, args):
+        # the coordinates gi * dim + i order like (gi, basis[i]) because the
+        # basis is sorted, and x % dim == 0 finds the unit coordinates
+        # because the unit is at index 0; over g at r = 1 no PBW basis is built
+        ctx = ctxmaker(*args)
+        kinds = ["u+", "u-"] + [f"Am:{m}" for m in range(1, ctx.n + 1)] + ([] if ctx.r else ["g"])
+        for kind in kinds:
+            alg = ctx.algebra(kind)
+            assert alg.basis == sorted(alg.basis), kind
+            assert alg.one() == {alg.basis[0]: ctx.field.one}, kind
+
+    @pytest.mark.parametrize("args", [("A2", 3), ("B2", 3)], ids=["A2-3", "B2-3"])
+    @pytest.mark.parametrize("kind", ["u+", "u-"])
+    def test_letter_reads_its_first_divided_power(self, ctxmaker, args, kind):
+        # the last step acts by the simple letter X_j through the generator
+        # of X^{(1)} at its root's position, which the plan reads too; the
+        # two columns agree at every index (B2 at ell = 3 is --permissive)
+        ctx = ctxmaker(*args)
+        alg = ctx.algebra(kind)
+        for name, j in alg.generator_keys():
+            gen, drop, c = ctx.divided_step(name, ctx.simple_pos[j], 1)
+            assert gen != (name, j) and drop == 1 and c == ctx.field.one
+            for i in range(alg.dim):
+                assert alg.gen_column(gen, i) == alg.gen_column((name, j), i), (gen, i)
+
+    def test_columns_built_once(self, freshctx):
+        # the A2 ell=5 resolution to degree 4 builds 373 generator columns,
+        # one per (root vector, basis index) it reads; reading the simple
+        # letters of the last step under their own keys built 555
+        ctx = freshctx("A2", 5)
+        minimal_resolution(ctx, "u+", 4)
+        assert ctx.algebra("u+").__dict__["gen_column"].cache_info().currsize <= 373
 
 
 class TestFullBlocks:

@@ -183,6 +183,22 @@ def test_start_up_imports_no_dataclasses():
     assert out == "[]\n", f"importing uzeta.cli, uzeta.cohomlite and uzeta.cache loads {out.strip()}"
 
 
+def test_verify_does_not_import_the_resolution():
+    # a verify run never loads uzeta.cohomlite, so work on the resolution
+    # alone cannot change what the verify workloads compile.  A fresh
+    # interpreter, since the tests import it
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from uzeta import cli; "
+        "recs = cli.run_suites(cli.RunConfig('A1', 3), ['rootcrit'], [{'spec': 'verma(2)', 'expect_injective': True}]); "
+        "print(recs[0]['agree'], 'uzeta.cohomlite' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC.parent)], capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out == "True False\n", f"a rootcrit case printed {out.strip()!r} (agree, cohomlite loaded)"
+
+
 def test_module_spec_is_the_only_dataclass():
     found = sorted(
         f"{path.stem}.{node.name}"
