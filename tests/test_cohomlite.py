@@ -167,10 +167,11 @@ class TestFullBlocks:
 
     def test_products_bounded(self, freshctx, monkeypatch):
         # a deterministic cost guard: the A2 ell=5 resolution to degree 4 makes
-        # 22,012 field products.  Reducing every kernel vector against its
-        # block, full blocks included, makes 25,640; building every column
-        # a.h at the last degree too, 29,065; eliminating rad(A) K apart
-        # from the next differential's columns, 28,819
+        # 20,907 field products.  When the bound was set it made 22,012;
+        # reducing every kernel vector against its block, full blocks
+        # included, made 25,640; building every column a.h at the last
+        # degree too, 29,065; eliminating rad(A) K apart from the next
+        # differential's columns, 28,819
         ctx = freshctx("A2", 5)
         calls = []
         mul = CycloField._mul
